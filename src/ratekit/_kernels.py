@@ -2,14 +2,15 @@
 
 Two execution paths are provided for every kernel:
 
-* a loop implementation compiled with ``numba.njit`` (the default), and
 * a pure-numpy path (vectorized for the search scans, interpreted for the
-  inherently sequential simulation loop).
+  inherently sequential simulation loop), used whenever numba is absent, and
+* a loop implementation compiled with ``numba.njit`` when the optional
+  numba extra is installed.
 
 The active default is chosen at import time: set ``RATEKIT_PURE_NUMPY=1`` to
-force the numpy path (useful for debugging, or when numba is unavailable).
-Both paths perform floating-point operations in the same order, so results
-are bit-identical; ``ratekit bench --compare-backends`` measures the gap.
+force the numpy path even with numba installed.  Both paths sum the same
+terms in the same order, so results are bit-identical;
+``ratekit bench --compare-backends`` measures the gap.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def resolve_backend(backend: str | None) -> str:
     if backend not in ("numba", "numpy"):
         raise ValueError(f"unknown backend {backend!r}; expected 'numba' or 'numpy'")
     if backend == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
+        raise ValueError("numba backend requested but numba is not installed")
     return backend
 
 
@@ -174,6 +175,10 @@ def exhaustive_scan(cc, ec, budget, backend=None):
 #
 # Soundness requires cc non-decreasing and ec non-increasing along each
 # column; callers validate this and fall back to the exhaustive scan.
+#
+# The loop below is the numba kernel.  The numpy path reaches the same
+# answer without the lattice: one boundary search per prefix over the first
+# k-1 axes, so O(n^(k-1) log n) time and O(n^(k-1)) memory.
 # ---------------------------------------------------------------------------
 
 
@@ -251,28 +256,82 @@ def _approach1_impl(cc, ec, budget):
 _approach1_jit = njit(cache=True)(_approach1_impl)
 
 
+def prefix_sums(table):
+    """Left-to-right sums of ``table[i_j, j]`` over the first k-1 columns.
+
+    Flattened in C order: one entry per prefix of the (n,)*k lattice, summed
+    in the same order as ``_grid_sum``, so adding a last-column value to an
+    entry reproduces the lattice sum bit for bit.
+    """
+    n, k = table.shape
+    return _grid_sum(table, n, k - 1).ravel()
+
+
+def count_within(prefix, col, limit):
+    """Per prefix, the number of indices i with ``prefix + col[i] <= limit``.
+
+    ``col`` must be non-decreasing, so float addition keeps the predicate true
+    on a leading run of indices.  ``searchsorted`` on ``limit - prefix`` only
+    guesses the count, because the subtraction rounds differently from the
+    sum; the guess then moves by whole runs of equal values until the exact
+    predicate agrees on both sides of it.
+    """
+    n = col.shape[0]
+    count = np.searchsorted(col, limit - prefix, side="right")
+    while True:
+        below = col[np.maximum(count - 1, 0)]
+        above = col[np.minimum(count, n - 1)]
+        over = (count > 0) & (prefix + below > limit)
+        under = (count < n) & (prefix + above <= limit)
+        if not (over.any() or under.any()):
+            return count
+        count[over] = np.searchsorted(col, below[over], side="left")
+        count[under] = np.searchsorted(col, above[under], side="right")
+
+
 def _approach1_numpy(cc, ec, budget):
+    # The lattice is never built.  Along the last axis feasibility holds from
+    # the boundary index first[p] of each prefix p onward; the boundary is the
+    # only minimal candidate of p, and it is minimal exactly when every
+    # one-step decrement of p has a strictly larger boundary (that decrement
+    # is then infeasible at the same last index).
     n, k = cc.shape
-    cost = _grid_sum(cc, n, k)
-    energy = _grid_sum(ec, n, k)
-    feas = energy <= budget
-    if not feas.any():
-        idx, c, e = _select_min_energy(cost, energy)
-        return np.array(idx, np.int64), c, e, int(n**k), False
-    minimal = feas.copy()
-    for j in range(k):
-        dec_feas = np.ones_like(feas)
-        src = [slice(None)] * k
-        dst = [slice(None)] * k
-        src[j] = slice(0, n - 1)
-        dst[j] = slice(1, n)
-        dec_feas[tuple(dst)] = feas[tuple(src)]
-        # index 0 along axis j has no decrement; treat as passing
-        minimal &= ~dec_feas | (np.arange(n).reshape(
-            (1,) * j + (n,) + (1,) * (k - 1 - j)) == 0)
-    explored = int((~feas).sum() + minimal.sum())
-    idx, c, e = _select_best(cost, energy, minimal)
-    return np.array(idx, np.int64), c, e, explored, True
+    last = k - 1
+    grid = (n,) * last
+    energy_prefix = prefix_sums(ec)
+    tail = np.ascontiguousarray(ec[::-1, last])
+    first = n - count_within(energy_prefix, tail, budget)
+    infeasible = int(first.sum())
+    if np.all(first == n):
+        row_min = energy_prefix + ec[n - 1, last]
+        e = row_min.min()
+        p = int(np.argmax(row_min == e))
+        i = int(np.argmax(energy_prefix[p] + ec[:, last] == e))
+        idx = (np.unravel_index(p, grid) if last else ()) + (i,)
+        c = 0.0
+        for j in range(k):
+            c += cc[idx[j], j]
+        return np.array(idx, np.int64), float(c), float(e), infeasible, False
+    first_grid = first.reshape(grid)
+    minimal = first_grid < n
+    for j in range(last):
+        upper = (slice(None),) * j + (slice(1, None),)
+        lower = (slice(None),) * j + (slice(None, -1),)
+        minimal[upper] &= first_grid[upper] < first_grid[lower]
+    cand = np.flatnonzero(minimal)
+    rows = first[cand]
+    coords = np.unravel_index(cand, grid) if last else ()
+    cost = np.zeros(cand.size)
+    for j in range(last):
+        cost = cost + cc[coords[j], j]
+    cost = cost + cc[rows, last]
+    energy = energy_prefix[cand] + ec[rows, last]
+    c = cost.min()
+    tie = cost == c
+    e = energy[tie].min()
+    pos = int(np.argmax(tie & (energy == e)))
+    idx = tuple(int(v[pos]) for v in coords) + (int(rows[pos]),)
+    return np.array(idx, np.int64), float(c), float(e), infeasible + cand.size, True
 
 
 def approach1_scan(cc, ec, budget, backend=None):

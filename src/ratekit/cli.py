@@ -13,6 +13,7 @@ import numpy as np
 from . import __version__, _kernels
 from .config import ConfigError, load_config
 from .energy import Battery, EnergyBudget, battery_discharge
+from .riccati import DesignError
 from .search import synthesize
 from .sim import MatchFixedBudget, classify, simulate
 from .tables import (build_cost_table, build_power_table, build_profit_tables,
@@ -265,7 +266,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError, DesignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -150,11 +150,11 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
     non-increasing collective profit; explored counts emitted candidates.
     """
     e_max = _check_budget(totals, budget)
+    backend = _kernels.resolve_backend(backend)
     t0 = time.perf_counter()
     k, n = profit.order.shape
     if (not record_emissions and n <= _kernels.MAX_BESTFIRST_N
-            and k <= _kernels.MAX_BESTFIRST_K
-            and _kernels.resolve_backend(backend) == "numba"):
+            and k <= _kernels.MAX_BESTFIRST_K and backend == "numba"):
         ranks, cost, energy, explored, ok = _kernels.bestfirst_scan(
             profit.profit, profit.order, totals.cc_total, totals.ec_by_level, e_max)
         choice = tuple(int(profit.order[j, ranks[j]]) for j in range(k))
@@ -229,5 +229,5 @@ def synthesize(algo: str, totals: WindowTotals, budget: EnergyBudget,
         if profit is None:
             from .tables import build_profit_tables
             profit = build_profit_tables(totals)
-        return approach2(profit, totals, budget)
+        return approach2(profit, totals, budget, backend=backend)
     return ALGORITHMS[algo](totals, budget, backend=backend)

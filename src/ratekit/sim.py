@@ -139,17 +139,18 @@ class MatchFixedBudget:
 
     def budget_for(self, totals) -> EnergyBudget:
         iref = totals.rates.index_of(self.reference_h)
-        n, k = totals.n, totals.k
-        cost = np.zeros(())
-        energy = np.zeros(())
-        for j in range(k):
-            shape = (1,) * j + (n,) + (1,) * (k - 1 - j)
-            cost = cost + totals.cc_total[:, j].reshape(shape)
-            energy = energy + totals.ec_by_level[:, j].reshape(shape)
-        fixed_cost = float(sum(totals.cc_total[iref, j] for j in range(k)))
-        feasible = cost <= fixed_cost
-        e = float(energy[feasible].min())
-        return EnergyBudget(e_max=e, window=self.window)
+        cc, ec = totals.cc_total, totals.ec_by_level
+        k = cc.shape[1]
+        fixed_cost = float(sum(cc[iref, j] for j in range(k)))
+        # Order the last axis by cost: the indices within the fixed cost are
+        # then a leading run for every prefix, and since rounding is monotone
+        # the least prefix + ec over that run is prefix + the run's least ec.
+        order = np.argsort(cc[:, k - 1], kind="stable")
+        within = _kernels.count_within(_kernels.prefix_sums(cc), cc[order, k - 1], fixed_cost)
+        least = np.minimum.accumulate(ec[order, k - 1])
+        hit = within > 0
+        energy = _kernels.prefix_sums(ec)[hit] + least[within[hit] - 1]
+        return EnergyBudget(e_max=float(energy.min()), window=self.window)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import floor_cycles
+from .energy import FLOOR_EPS
 from .lqg import LqgController, design, evaluate_cost
 from .plant import PlantModel
 
@@ -226,17 +226,13 @@ def totals_over_window(ct: CostTable, pt: PowerTable, fractions, window: float) 
         raise ValueError(f"pattern fractions must sum to 1, got {sum(fr)}")
     if window <= 0.0:
         raise ValueError(f"window must be positive, got {window}")
-    n, k = len(ct.rates), ct.k
+    periods = np.array(ct.rates.periods)
+    t_j = np.array(fr) * window
     phi_j = pt.phi_mj * 1e-3
-    cc = np.empty((n, k))
-    ec_lvl = np.empty((n, k))
-    ec_tot = np.empty(n)
-    for i, h in enumerate(ct.rates.periods):
-        ec_tot[i] = floor_cycles(window, h) * phi_j
-        for j in range(k):
-            tj = fr[j] * window
-            cc[i, j] = ct.entries[i, j] * tj
-            ec_lvl[i, j] = floor_cycles(tj, h) * phi_j
+    # floor_cycles cell by cell: the same division, guard and floor
+    ec_tot = np.floor(window / periods + FLOOR_EPS) * phi_j
+    ec_lvl = np.floor(t_j / periods[:, None] + FLOOR_EPS) * phi_j
+    cc = ct.entries * t_j
     return WindowTotals(rates=ct.rates, fractions=fr, window=float(window),
                         cc_total=cc, ec_total=ec_tot, ec_by_level=ec_lvl,
                         phi_mj=pt.phi_mj)
@@ -320,13 +316,19 @@ def load_tables(table_dir):
         meta = json.loads(sidecar.read_text())
     with open(ct_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    k = len(header) - 1
+    body = rows[1:]
     ms = [float(r[0]) for r in body]
     entries = np.array([[float(v) for v in r[1:]] for r in body])
+    if "rates_ms" in meta and ms != [float(v) for v in meta["rates_ms"]]:
+        raise ValueError(f"{ct_path}: h_ms column {ms} differs from rates_ms "
+                         f"{meta['rates_ms']} in {sidecar}")
+    if not np.all(np.isfinite(entries)) or np.any(entries < 0.0):
+        raise ValueError(f"{ct_path}: costs must be finite and non-negative")
     rates = RateSet(tuple(m / 1000.0 for m in ms))
     with open(pt_path, newline="") as fh:
         prow = list(csv.reader(fh))[1:]
+    if [float(r[0]) for r in prow] != ms:
+        raise ValueError(f"{pt_path}: periods differ from those in {ct_path}")
     power = np.array([float(r[1]) for r in prow])
     phi_mj = meta.get("phi_mj", float(power[0] * rates.periods[0] * 1000.0))
     violations = tuple(tuple(v) for v in meta.get("cost_monotonicity_violations", ()))

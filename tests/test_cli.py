@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ratekit import _kernels
 from ratekit.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -103,6 +104,32 @@ def test_config_error_names_field(tmp_path, capsys):
     rc = main(["precompute", "--config", str(path), "--out", str(tmp_path / "t")])
     assert rc == 1
     assert "rates_ms" in capsys.readouterr().err
+
+
+def test_design_failure_exits_one(tmp_path, capsys):
+    plant = json.loads((CONFIG_DIR / "plant_dcservo.json").read_text())
+    plant["B"] = [[0.0], [0.0]]  # no actuation: no stabilizing controller exists
+    (tmp_path / "plant.json").write_text(json.dumps(plant))
+    cfg = {"plant": "plant.json", "rates_ms": [10, 20],
+           "levels": {"thresholds": [0, 10], "representative_r": [5]}}
+    path = tmp_path / "b0.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["precompute", "--config", str(path), "--out", str(tmp_path / "t")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "h=0.01" in err
+
+
+def test_unavailable_backend_exits_one(small_config, tmp_path, capsys, monkeypatch):
+    tables = tmp_path / "tables"
+    main(["precompute", "--config", str(small_config), "--out", str(tables)])
+    capsys.readouterr()
+    monkeypatch.setattr(_kernels, "HAS_NUMBA", False)
+    rc = main(["synthesize", "--tables", str(tables), "--pattern", "0.7,0.1,0.2",
+               "--budget-energy", "0.4", "--budget-window", "20", "--backend", "numba"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "numba" in err
 
 
 def test_simulate_determinism_and_plotdata(small_config, tmp_path, capsys):

@@ -82,16 +82,52 @@ def test_exhaustive_729():
     assert res.explored == 729
 
 
+def tie_instance(rng, k):
+    """Monotone tables built to tie: duplicated rows, values rounded to 0.1.
+
+    Budgets run from 0.3x the least energy to above the largest, and a third
+    of them equal the energy of a lattice point exactly.
+    """
+    n = int(rng.integers(1, 8 if k <= 3 else 5))
+    cc = np.cumsum(rng.uniform(0.0, 2.0, size=(n, k)), axis=0)
+    ec = np.cumsum(rng.uniform(0.1, 2.0, size=(n, k)), axis=0)[::-1]
+    if n > 1 and rng.random() < 0.4:
+        r = int(rng.integers(1, n))
+        cc[r], ec[r] = cc[r - 1], ec[r - 1]
+    if rng.random() < 0.5:
+        cc, ec = np.round(cc, 1), np.round(ec, 1)
+    totals = WindowTotals(
+        rates=RateSet(tuple(0.01 * (i + 1) for i in range(n))),
+        fractions=(1.0 / k,) * k, window=1.0, cc_total=cc,
+        ec_total=ec.sum(axis=1), ec_by_level=np.ascontiguousarray(ec), phi_mj=1.0)
+    if rng.random() < 1.0 / 3.0:
+        e_max = 0.0
+        for j, i in enumerate(rng.integers(0, n, size=k)):
+            e_max += ec[i, j]
+    else:
+        e_max = float(rng.uniform(0.3 * ec[-1].sum(), 1.2 * ec[0].sum()))
+    return totals, EnergyBudget(float(e_max), 1.0)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_approach1_equals_exhaustive_on_random_instances(backend):
     rng = np.random.default_rng(21)
-    for _ in range(200):
-        totals, budget = random_instance(rng)
+    instances = [random_instance(rng) for _ in range(200)]
+    instances += [tie_instance(rng, k) for k in range(1, 6) for _ in range(120)]
+    for totals, budget in instances:
         ref = exhaustive(totals, budget, backend=backend)
         got = approach1(totals, budget, backend=backend)
         assert got.feasible == ref.feasible
         assert got.predicted_cost == ref.predicted_cost
         assert got.explored <= ref.explored
+        # the loop kernel, run as plain Python, fixes every field bit for bit
+        idx, cost, energy, explored, ok = _kernels._approach1_impl(
+            totals.cc_total, totals.ec_by_level, budget.e_max)
+        assert got.controller.choice == tuple(int(v) for v in idx)
+        assert got.predicted_cost == float(cost) / totals.window
+        assert got.predicted_energy == float(energy)
+        assert got.explored == explored
+        assert got.feasible == ok
 
 
 def test_backend_bit_equality_exhaustive_approach1():
@@ -196,3 +232,10 @@ def test_synthesize_dispatch(cost_table, power_table, hyper_period):
     assert r2.feasible
     with pytest.raises(ValueError):
         synthesize("magic", totals, budget)
+
+
+@pytest.mark.parametrize("algo", ["exhaustive", "approach1", "approach2"])
+def test_synthesize_rejects_unknown_backend(algo, cost_table, power_table, hyper_period):
+    totals = totals_over_window(cost_table, power_table, (0.7, 0.1, 0.2), hyper_period)
+    with pytest.raises(ValueError, match="unknown backend"):
+        synthesize(algo, totals, EnergyBudget(1.5, hyper_period), backend="fortran")

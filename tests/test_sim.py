@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ratekit import _kernels
+from ratekit.bench import BenchCase, synthetic_totals
 from ratekit.energy import EnergyBudget, ExecutionPattern, pattern_energy
 from ratekit.lqg import evaluate_cost
 from ratekit.sim import (HistoryWindow, MatchFixedBudget, NoiseScenario,
                          RveState, Strategy, classify, rve_update,
                          scenario_from_shares, simulate)
-from ratekit.tables import totals_over_window
+from ratekit.tables import RateSet, WindowTotals, totals_over_window
 
 
 def test_classify_thresholds(levels):
@@ -220,6 +223,55 @@ def test_match_fixed_budget_rule(cost_table, power_table, hyper_period):
     fixed_cost = float(sum(totals.cc_total[iref, j] for j in range(totals.k)))
     assert res.feasible
     assert res.predicted_cost * hyper_period <= fixed_cost + 1e-9
+
+
+def grid_budget(totals, reference_h):
+    """The rule on the full lattice: least energy among candidates whose
+    left-to-right cost sum stays within the fixed rate's cost."""
+    n, k = totals.n, totals.k
+    iref = totals.rates.index_of(reference_h)
+    fixed_cost = float(sum(totals.cc_total[iref, j] for j in range(k)))
+    best = np.inf
+    for idx in itertools.product(range(n), repeat=k):
+        cost = energy = 0.0
+        for j, i in enumerate(idx):
+            cost += totals.cc_total[i, j]
+            energy += totals.ec_by_level[i, j]
+        if cost <= fixed_cost:
+            best = min(best, energy)
+    return best
+
+
+def test_match_fixed_budget_equals_grid_formula(cost_table, power_table, hyper_period):
+    rng = np.random.default_rng(27)
+    cases = []
+    for _ in range(40):
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        cases.append(synthetic_totals(BenchCase(n=n, k=k, seed=int(rng.integers(0, 10**6)))))
+    for pattern in ((0.7, 0.1, 0.2), (0.5, 0.25, 0.25), (1 / 3, 1 / 3, 1 / 3)):
+        cases.append(totals_over_window(cost_table, power_table, pattern, hyper_period))
+    # one table whose costs fall along the period axis in the middle and last columns
+    bad = cases[-1]
+    bad_cc = bad.cc_total.copy()
+    bad_cc[5, 1] = 0.5 * bad_cc[4, 1]
+    bad_cc[3, -1] = 0.5 * bad_cc[2, -1]
+    cases.append(WindowTotals(rates=bad.rates, fractions=bad.fractions, window=bad.window,
+                              cc_total=bad_cc, ec_total=bad.ec_total,
+                              ec_by_level=bad.ec_by_level, phi_mj=bad.phi_mj))
+    # and unordered tables, some with ties from rounding
+    for _ in range(40):
+        n, k = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        cc = rng.uniform(0.0, 1.0, size=(n, k))
+        ec = rng.uniform(0.1, 1.0, size=(n, k))
+        if rng.random() < 0.5:
+            cc, ec = np.round(cc, 1), np.round(ec, 1)
+        rates = RateSet(tuple(0.01 * (i + 1) for i in range(n)))
+        cases.append(WindowTotals(rates=rates, fractions=(1.0 / k,) * k, window=1.0,
+                                  cc_total=cc, ec_total=ec[:, 0], ec_by_level=ec, phi_mj=1.0))
+    for totals in cases:
+        for h in set(rng.choice(totals.rates.periods, size=min(totals.n, 3))):
+            got = MatchFixedBudget(reference_h=h, window=totals.window).budget_for(totals)
+            assert got.e_max == grid_budget(totals, h)
 
 
 def test_scenario_shorter_than_window_rejected(plant, cost_table, power_table,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ratekit.energy import floor_cycles
 from ratekit.tables import (CostTable, LevelSpec, PowerTable, RateSet,
                             build_cost_table, build_power_table,
                             build_profit_tables, load_tables, save_tables,
@@ -79,6 +80,41 @@ def test_totals_examples(cost_table, power_table, hyper_period):
     assert np.all(single.cc_total[:, 1:] == 0.0)
 
 
+def test_totals_match_scalar_floor_cycles(cost_table, power_table):
+    rates = RateSet((0.01, 0.03, 0.07, 0.1))
+    entries = np.array([[1.0, 2.5], [1.5, 3.0], [2.25, 4.0], [3.0, 7.5]])
+    ct = CostTable(rates=rates, entries=entries)
+    pt = build_power_table(rates, 100.0)
+    # 0.3 s / 0.1 s and 7 s / 0.07 s land just below 3 and 100 in floating point;
+    # FLOOR_EPS must still count those cycles (asserted after the loop)
+    cases = [(ct, pt, (0.7, 0.3), 100.0), (ct, pt, (0.1, 0.9), 0.3),
+             (ct, pt, (1.0, 0.0), 7.0),
+             (cost_table, power_table, (0.7, 0.1, 0.2), 100.0),
+             (cost_table, power_table, (0.35, 0.4, 0.25), 30.0)]
+    for table, power, fractions, window in cases:
+        totals = totals_over_window(table, power, fractions, window)
+        n, k = table.entries.shape
+        phi_j = power.phi_mj * 1e-3
+        cc = np.empty((n, k))
+        ec_lvl = np.empty((n, k))
+        ec_tot = np.empty(n)
+        for i, h in enumerate(table.rates.periods):
+            ec_tot[i] = floor_cycles(window, h) * phi_j
+            for j in range(k):
+                tj = fractions[j] * window
+                cc[i, j] = table.entries[i, j] * tj
+                ec_lvl[i, j] = floor_cycles(tj, h) * phi_j
+        assert np.array_equal(totals.cc_total, cc)
+        assert np.array_equal(totals.ec_total, ec_tot)
+        assert np.array_equal(totals.ec_by_level, ec_lvl)
+    phi_j = pt.phi_mj * 1e-3
+    assert 0.3 / 0.1 < 3.0 and 7.0 / 0.07 < 100.0
+    assert totals_over_window(ct, pt, (0.1, 0.9), 0.3).ec_total[3] == 3 * phi_j
+    sole = totals_over_window(ct, pt, (1.0, 0.0), 7.0)
+    assert sole.ec_total[2] == sole.ec_by_level[2, 0] == 100 * phi_j
+    assert totals_over_window(ct, pt, (0.7, 0.3), 100.0).ec_total[0] == 10000 * phi_j
+
+
 def test_totals_validation(cost_table, power_table):
     with pytest.raises(ValueError):
         totals_over_window(cost_table, power_table, (0.5, 0.5), 100.0)
@@ -135,3 +171,23 @@ def test_serialization_roundtrip(tmp_path, cost_table, power_table, hyper_period
 def test_load_missing_tables(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_tables(tmp_path / "nope")
+
+
+@pytest.mark.parametrize("name, row, col, value", [
+    ("ct.csv", 2, 0, "16.0"),
+    ("pt.csv", 3, 0, "21.0"),
+    ("ct.csv", 4, 2, "nan"),
+    ("ct.csv", 4, 1, "inf"),
+    ("ct.csv", 1, 3, "-0.5"),
+], ids=["h_ms_vs_sidecar", "pt_periods", "nan_cost", "inf_cost", "negative_cost"])
+def test_load_rejects_tampered_tables(tmp_path, cost_table, power_table, hyper_period,
+                                      name, row, col, value):
+    totals = totals_over_window(cost_table, power_table, (0.7, 0.1, 0.2), hyper_period)
+    save_tables(tmp_path, cost_table, power_table, build_profit_tables(totals), {})
+    load_tables(tmp_path)
+    path = tmp_path / name
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows[row][col] = value
+    path.write_text("".join(",".join(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=name):
+        load_tables(tmp_path)
