@@ -2,19 +2,24 @@
 
 Two execution paths are provided for every kernel:
 
-* a pure-numpy path (vectorized for the search scans, interpreted for the
-  inherently sequential simulation loop), used whenever numba is absent, and
+* a numpy path, used whenever numba is absent: vectorized numpy for the
+  search scans, and for the inherently sequential simulation loop a loop on
+  Python floats (``_window_loop_py``), which converts its operands to lists
+  once per window, and
 * a loop implementation compiled with ``numba.njit`` when the optional
   numba extra is installed.
 
-The active default is chosen at import time: set ``RATEKIT_PURE_NUMPY=1`` to
-force the numpy path even with numba installed.  Both paths sum the same
-terms in the same order, so results are bit-identical;
-``ratekit bench --compare-backends`` measures the gap.
+``_window_loop_impl`` is the source of the compiled simulation loop and the
+reference the Python-float loop is tested against.  The active default is
+chosen at import time: set ``RATEKIT_PURE_NUMPY=1`` to force the numpy path
+even with numba installed.  Both paths sum the same terms in the same order,
+so results are bit-identical; ``ratekit bench --compare-backends`` measures
+the gap.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -138,8 +143,17 @@ def _select_min_energy(cost, energy):
     return np.unravel_index(flat, cost.shape), float(cost.ravel()[flat]), float(me)
 
 
+# Largest lattice the numpy oracle may build.  It holds several float64 grids
+# of n^k cells at once, about 175 MB at the limit; 161^3 (the largest lattice
+# in the tests and the benchmark) is about 4.2M cells.
+MAX_ORACLE_CELLS = 5_000_000
+
+
 def _exhaustive_numpy(cc, ec, budget):
     n, k = cc.shape
+    if n**k > MAX_ORACLE_CELLS:
+        raise ValueError(f"exhaustive scan over n={n} rates and k={k} levels would build "
+                         f"n^k = {n**k} cells, more than the {MAX_ORACLE_CELLS} allowed")
     cost = _grid_sum(cc, n, k)
     energy = _grid_sum(ec, n, k)
     feas = energy <= budget
@@ -558,6 +572,7 @@ def _window_loop_impl(
     out_h,
     out_rhat,
     out_level,
+    out_rate,
     out_energy,
     out_cost,
     out_level_time,
@@ -635,6 +650,7 @@ def _window_loop_impl(
         out_h[step] = h
         out_rhat[step] = r_hat
         out_level[step] = new_level
+        out_rate[step] = rate
         out_energy[step] = energy
         out_cost[step] = cost
         dt_attr = h
@@ -671,6 +687,192 @@ def _window_loop_impl(
 _window_loop_jit = njit(cache=True)(_window_loop_impl)
 
 
+def _window_loop_py(
+    x,
+    xhat,
+    r_hat,
+    t,
+    window_end,
+    mmap,
+    phis,
+    gammas,
+    kgains,
+    kfgains,
+    cmat,
+    chol_r1d,
+    chol_r2,
+    qds,
+    jbars,
+    snom_inv,
+    periods,
+    thresholds,
+    lam,
+    phi_j,
+    seg_ends,
+    seg_rs,
+    noise,
+    energy,
+    cost,
+    out_t,
+    out_h,
+    out_rhat,
+    out_level,
+    out_rate,
+    out_energy,
+    out_cost,
+    out_level_time,
+):
+    # _window_loop_impl on Python floats.  Every operand becomes a list once
+    # per window, then each step does the same multiplies and adds in the
+    # same order, without numpy scalar boxing.  math.sqrt and np.sqrt are both
+    # correctly rounded, so all outputs match the reference bit for bit.  Rows
+    # that the reference walks one after another are joined ([C | chol_r2]
+    # against [x; z_e], [Phi | Gamma] against [x; u]), which keeps the order.
+    nx = x.shape[0]
+    ny = cmat.shape[0]
+    nlevels = thresholds.shape[0] - 1
+    thr = thresholds.tolist()
+    inner_thr = thr[1:nlevels]
+    mm = mmap.tolist()
+    per = periods.tolist()
+    seg_r = seg_rs.tolist()
+    # the end of every segment but the last; the last one never ends
+    seg_bounds = seg_ends[:-1].tolist() + [math.inf]
+    meas_rows = list(zip(np.hstack([cmat, chol_r2]).tolist(), cmat.tolist()))
+    prop_l = np.concatenate([phis, gammas], axis=2).tolist()
+    k_l, kf_l, r1_l = kgains.tolist(), kfgains.tolist(), chol_r1d.tolist()
+    q_l, jbars_l, sinv_l = qds.tolist(), jbars.tolist(), snom_inv.tolist()
+    # only the rows this window can reach at its fastest deployed rate, as one
+    # flat list: nested lists would be objects the garbage collector tracks
+    reach = min(noise.shape[0], int((window_end - t) / min(per[r] for r in mm)) + 2)
+    width = nx + ny
+    noise_flat = noise[:reach].ravel().tolist()
+    level_time = out_level_time.tolist()
+    xs = x.tolist()
+    xh = xhat.tolist()
+    r_hat = float(r_hat)
+    t = float(t)
+    window_end = float(window_end)
+    energy = float(energy)
+    cost = float(cost)
+    lam = float(lam)
+    keep = 1.0 - lam
+    phi_j = float(phi_j)
+    level = nlevels - 1
+    for j in range(1, nlevels):
+        if r_hat <= thr[j]:
+            level = j - 1
+            break
+    seg = 0
+    seg_end = seg_bounds[0]
+    r_true = seg_r[0]
+    sqrt_r = math.sqrt(r_true)
+    step = 0
+    rate = -1
+    # preallocated per-step outputs: storing into them creates no object that
+    # the cyclic garbage collector tracks, which keeps its collections rare
+    ts, hs, rhats, energies, costs = ([0.0] * reach for _ in range(5))
+    levels, rates = [0] * reach, [0] * reach
+    while t < window_end:
+        if mm[level] != rate:
+            rate = mm[level]
+            h = per[rate]
+            prop_r, k_r, kf_r, r1_r = prop_l[rate], k_l[rate], kf_l[rate], r1_l[rate]
+            q_r, jbar, sinv_r = q_l[rate], jbars_l[rate], sinv_l[rate]
+        if t >= seg_end:
+            while t >= seg_end:
+                seg += 1
+                seg_end = seg_bounds[seg]
+            r_true = seg_r[seg]
+            sqrt_r = math.sqrt(r_true)
+        # this step's noise row z = [z_w; z_e]
+        z = noise_flat[step * width:(step + 1) * width]
+        # measurement y = C x + chol_r2 z_e, then the innovation y - C xhat
+        xe = xs + z[nx:]
+        innov = []
+        for meas_row, c_row in meas_rows:
+            acc = 0.0
+            for c, v in zip(meas_row, xe):
+                acc += c * v
+            for c, v in zip(c_row, xh):
+                acc -= c * v
+            innov.append(acc)
+        # residual-variance update of the intensity estimate
+        ratio = 0.0
+        for ia, s_row in zip(innov, sinv_r):
+            for s, ib in zip(s_row, innov):
+                ratio += ia * s * ib
+        ratio /= ny
+        r_hat = keep * r_hat + lam * ratio
+        new_level = 0
+        for bound in inner_thr:
+            if r_hat <= bound:
+                break
+            new_level += 1
+        # measurement update then feedback
+        xupd = []
+        for xa, kf_row in zip(xh, kf_r):
+            acc = xa
+            for c, v in zip(kf_row, innov):
+                acc += c * v
+            xupd.append(acc)
+        u = []
+        for k_row in k_r:
+            acc = 0.0
+            for c, v in zip(k_row, xupd):
+                acc -= c * v
+            u.append(acc)
+        # stage cost on [x; u] plus the expected intra-sample noise term
+        xu = xs + u
+        stage = 0.0
+        for za, q_row in zip(xu, q_r):
+            for q, zb in zip(q_row, xu):
+                stage += za * q * zb
+        cost += stage + r_true * jbar
+        energy += phi_j
+        ts[step] = t
+        hs[step] = h
+        rhats[step] = r_hat
+        levels[step] = new_level
+        rates[step] = rate
+        energies[step] = energy
+        costs[step] = cost
+        dt_attr = h
+        if window_end - t < dt_attr:
+            dt_attr = window_end - t
+        level_time[new_level] += dt_attr
+        # propagate plant and estimator over one period
+        xupd_u = xupd + u
+        xs = []
+        xh = []
+        for prop_row, r1_row in zip(prop_r, r1_r):
+            acc = 0.0
+            for c, v in zip(prop_row, xu):
+                acc += c * v
+            wnoise = 0.0
+            for c, v in zip(r1_row, z):  # stops after the nx entries of z_w
+                wnoise += c * v
+            xs.append(acc + sqrt_r * wnoise)
+            acc = 0.0
+            for c, v in zip(prop_row, xupd_u):
+                acc += c * v
+            xh.append(acc)
+        t += h
+        level = new_level
+        step += 1
+    x[:] = xs
+    xhat[:] = xh
+    out_t[:step] = ts[:step]
+    out_h[:step] = hs[:step]
+    out_rhat[:step] = rhats[:step]
+    out_level[:step] = levels[:step]
+    out_rate[:step] = rates[:step]
+    out_energy[:step] = energies[:step]
+    out_cost[:step] = costs[:step]
+    out_level_time[:] = level_time
+    return step, r_hat, t, energy, cost
+
+
 def classify_scalar(r_hat, thresholds, backend=None):
     backend = resolve_backend(backend)
     if backend == "numba":
@@ -680,7 +882,7 @@ def classify_scalar(r_hat, thresholds, backend=None):
 
 def window_loop(*args, backend=None):
     backend = resolve_backend(backend)
-    fn = _window_loop_jit if backend == "numba" else _window_loop_impl
+    fn = _window_loop_jit if backend == "numba" else _window_loop_py
     return fn(*args)
 
 

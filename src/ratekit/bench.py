@@ -121,16 +121,19 @@ def run_bench(cases, algos=("exhaustive", "approach1", "approach2"),
         lattice = case.n ** case.k
         for backend in backends:
             cell = {}
+            be = None if backend == "auto" else backend
             for algo in algos:
-                if algo in ("exhaustive", "approach1") and lattice > cap:
+                limit = cap
+                if algo == "exhaustive" and _kernels.resolve_backend(be) == "numpy":
+                    limit = min(cap, _kernels.MAX_ORACLE_CELLS)
+                if algo in ("exhaustive", "approach1") and lattice > limit:
                     rows.append({
                         "n": case.n, "k": case.k, "algo": algo, "backend": backend,
                         "median_s": "", "explored": "", "cost": "", "energy": "",
                         "feasible": "", "skipped": True,
-                        "note": f"lattice {lattice} exceeds cap {cap}",
+                        "note": f"lattice {lattice} exceeds cap {limit}",
                     })
                     continue
-                be = None if backend == "auto" else backend
                 result, med = _run_one(algo, totals, budget, profit, be, case.reps)
                 cell[algo] = med
                 rows.append({

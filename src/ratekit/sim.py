@@ -153,6 +153,10 @@ class MatchFixedBudget:
         return EnergyBudget(e_max=float(energy.min()), window=self.window)
 
 
+# the encoder json.dumps(ev, separators=(",", ":")) builds, made once
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 @dataclass
 class SimulationTrace:
     events: list
@@ -171,7 +175,7 @@ class SimulationTrace:
         return 1000.0 * self.total_energy / self.total_time
 
     def jsonl(self) -> str:
-        return "".join(json.dumps(ev, separators=(",", ":")) + "\n" for ev in self.events)
+        return "".join(_encode(ev) + "\n" for ev in self.events)
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -265,6 +269,7 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
     out_h = np.zeros(max_steps)
     out_rhat = np.zeros(max_steps)
     out_level = np.zeros(max_steps, dtype=np.int64)
+    out_rate = np.zeros(max_steps, dtype=np.int64)
     out_energy = np.zeros(max_steps)
     out_cost = np.zeros(max_steps)
 
@@ -278,27 +283,23 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
             chol_r1d, chol_r2, qds, jbars, snom_inv,
             periods, thresholds, lam, phi_j,
             seg_ends, seg_rs, noise, energy, cost,
-            out_t, out_h, out_rhat, out_level, out_energy, out_cost, level_time,
+            out_t, out_h, out_rhat, out_level, out_rate, out_energy, out_cost, level_time,
             backend=backend,
         )
-        for i in range(steps):
-            lvl = int(out_level[i]) + 1
+        for t_i, h_ms, r_i, lvl, e_i, c_i in zip(
+                out_t[:steps].tolist(), (out_h[:steps] * 1000.0).tolist(),
+                out_rhat[:steps].tolist(), (out_level[:steps] + 1).tolist(),
+                out_energy[:steps].tolist(), out_cost[:steps].tolist()):
             if prev_level is not None and lvl != prev_level:
-                events.append({"type": "level_change", "t": float(out_t[i]),
+                events.append({"type": "level_change", "t": t_i,
                                "from": prev_level, "to": lvl})
             prev_level = lvl
             events.append({
-                "type": "sample", "t": float(out_t[i]),
-                "h_ms": float(out_h[i] * 1000.0), "r_hat": float(out_rhat[i]),
-                "level": lvl, "energy_j": float(out_energy[i]),
-                "cost_integral": float(out_cost[i]),
+                "type": "sample", "t": t_i, "h_ms": h_ms, "r_hat": r_i,
+                "level": lvl, "energy_j": e_i, "cost_integral": c_i,
             })
-        for i, h in enumerate(periods):
-            cnt = int(np.sum(out_h[:steps] == h))
-            if cnt:
-                cycles[i] += cnt
-        run_idx = [rates.index_of(float(h)) for h in out_h[:steps]]
-        for ridx in run_idx:
+        cycles += np.bincount(out_rate[:steps], minlength=n)
+        for ridx in out_rate[:steps].tolist():
             if seg_runs and seg_runs[-1][1] == ridx:
                 seg_runs[-1][0] += 1
             else:

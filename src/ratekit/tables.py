@@ -314,8 +314,18 @@ def load_tables(table_dir):
     sidecar = base / "tables.json"
     if sidecar.exists():
         meta = json.loads(sidecar.read_text())
+        if meta.get("schema") != 1:
+            raise ValueError(f"{sidecar}: schema {meta.get('schema')!r} is not 1")
     with open(ct_path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{ct_path}: file is empty")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError(f"{ct_path}: rows differ in length from the {width}-column header")
+    if "representative_r" in meta and width - 1 != len(meta["representative_r"]):
+        raise ValueError(f"{ct_path}: {width - 1} cost columns but {sidecar} lists "
+                         f"{len(meta['representative_r'])} levels")
     body = rows[1:]
     ms = [float(r[0]) for r in body]
     entries = np.array([[float(v) for v in r[1:]] for r in body])

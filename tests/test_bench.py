@@ -49,6 +49,13 @@ def test_cap_skips_full_scans():
     assert [r["algo"] for r in done] == ["approach2"]
 
 
+def test_numpy_oracle_skipped_over_its_limit():
+    rows = run_bench([BenchCase(n=171, reps=1, seed=0)], algos=("exhaustive",),
+                     backends=("numpy",))
+    assert rows[0]["skipped"]
+    assert f"exceeds cap {_kernels.MAX_ORACLE_CELLS}" in rows[0]["note"]
+
+
 @pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="needs both backends")
 def test_backend_comparison_rows():
     rows = run_bench([BenchCase(n=6, reps=2, seed=3)], backends=("numba", "numpy"))

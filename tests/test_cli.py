@@ -1,10 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ratekit import _kernels
 from ratekit.cli import main
+from ratekit.tables import (CostTable, RateSet, build_power_table, build_profit_tables,
+                            save_tables, totals_over_window)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -130,6 +133,20 @@ def test_unavailable_backend_exits_one(small_config, tmp_path, capsys, monkeypat
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "numba" in err
+
+
+def test_oversized_oracle_lattice_exits_one(tmp_path, capsys):
+    rates = RateSet.from_milliseconds(range(10, 181))
+    ct = CostTable(rates=rates, entries=np.outer(np.arange(1.0, 172.0), [1.0, 2.0, 3.0]))
+    pt = build_power_table(rates, 100.0)
+    totals = totals_over_window(ct, pt, (0.7, 0.1, 0.2), 100.0)
+    save_tables(tmp_path, ct, pt, build_profit_tables(totals), {})
+    rc = main(["synthesize", "--tables", str(tmp_path), "--pattern", "0.7,0.1,0.2",
+               "--budget-energy", "5", "--budget-window", "100", "--algo", "exhaustive",
+               "--backend", "numpy"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n^k = 5000211" in err
 
 
 def test_simulate_determinism_and_plotdata(small_config, tmp_path, capsys):

@@ -15,6 +15,17 @@ def test_floor_cycles_examples():
     assert floor_cycles(0.0, 0.01) == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**5), st.integers(1, 500))
+def test_floor_cycles_near_integer_ratios(cycles, period_ms):
+    # cycles whole periods, as a product and as the decimal a user would
+    # write (100 s at 0.01 s); neither may lose a cycle to rounding
+    period = period_ms / 1000.0
+    for duration in (cycles * period, cycles * period_ms / 1000.0):
+        assert floor_cycles(duration, period) == cycles
+        assert floor_cycles(duration * (1.0 - 1e-6), period) == cycles - 1
+
+
 def test_pattern_energy_case_study():
     pattern = ExecutionPattern(segments=((70.0, 0.01), (10.0, 0.05), (20.0, 0.09)))
     assert pattern_energy(pattern, phi_mj=1.0) == pytest.approx(7.422, abs=1e-12)

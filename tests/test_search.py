@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratekit import _kernels
 from ratekit.bench import BenchCase, synthetic_totals
@@ -74,6 +76,34 @@ def test_exhaustive_count_and_extremes(backend, cost_table, power_table, hyper_p
     assert not tight.feasible
     assert tight.explored == n ** k
     assert tight.controller.choice == (n - 1,) * k  # minimum-energy fallback
+
+
+def test_exhaustive_oracle_refuses_oversized_lattice():
+    # 161^3 is the largest lattice the tests and the benchmark search; 171^3
+    # is the smallest cube over the limit
+    assert 161 ** 3 <= _kernels.MAX_ORACLE_CELLS < 171 ** 3
+    rates = RateSet(tuple(0.001 * (i + 1) for i in range(171)))
+    table = np.ones((171, 3))
+    totals = WindowTotals(rates=rates, fractions=(0.7, 0.1, 0.2), window=100.0,
+                          cc_total=table, ec_total=table[:, 0], ec_by_level=table, phi_mj=1.0)
+    with pytest.raises(ValueError, match=r"n=171 .*k=3 .*n\^k = 5000211"):
+        exhaustive(totals, EnergyBudget(1.0, 100.0), backend="numpy")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 8), st.integers(1, 4),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_exact_solvers_monotone_in_budget(seed, n, k, a, b):
+    totals = synthetic_totals(BenchCase(n=n, k=k, seed=seed))
+    e_min = float(totals.ec_by_level[-1].sum())
+    e_max = float(totals.ec_by_level[0].sum())
+    low, high = sorted(0.5 * e_min + f * (1.2 * e_max - 0.5 * e_min) for f in (a, b))
+    for solve in (exhaustive, approach1):
+        tight = solve(totals, EnergyBudget(low, totals.window))
+        loose = solve(totals, EnergyBudget(high, totals.window))
+        if tight.feasible:
+            assert loose.feasible
+            assert loose.predicted_cost <= tight.predicted_cost
 
 
 def test_exhaustive_729():

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratekit import _kernels
 from ratekit.bench import BenchCase, synthetic_totals
@@ -10,7 +13,7 @@ from ratekit.lqg import evaluate_cost
 from ratekit.sim import (HistoryWindow, MatchFixedBudget, NoiseScenario,
                          RveState, Strategy, classify, rve_update,
                          scenario_from_shares, simulate)
-from ratekit.tables import RateSet, WindowTotals, totals_over_window
+from ratekit.tables import LevelSpec, RateSet, WindowTotals, totals_over_window
 
 
 def test_classify_thresholds(levels):
@@ -20,6 +23,20 @@ def test_classify_thresholds(levels):
     assert classify(0.0, levels) == 1
     assert classify(50.0, levels) == 2
     assert classify(50.000001, levels) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=7, unique=True))
+def test_classify_is_right_closed(bounds):
+    thr = sorted(bounds)
+    levels = LevelSpec(thresholds=tuple(thr), representative_r=tuple(thr[1:]))
+    k = levels.k
+    assert classify(thr[0], levels) == 1
+    for j in range(1, k):
+        assert classify(thr[j], levels) == j
+        assert classify(np.nextafter(thr[j], np.inf), levels) == j + 1
+    assert classify(thr[k], levels) == k
+    assert classify(np.nextafter(thr[k], np.inf), levels) == k
 
 
 def test_rve_decay_and_instantaneous():
@@ -280,3 +297,130 @@ def test_scenario_shorter_than_window_rejected(plant, cost_table, power_table,
     with pytest.raises(ValueError):
         run_sim(plant, cost_table, power_table, levels, scen,
                 EnergyBudget(1.0, hyper_period), Strategy.fixed(0.05), controllers)
+
+
+# sha256 of the JSONL trace and the cycles per rate of two 300 s runs,
+# recorded from the interpreted reference loop.  The controllers come from
+# LAPACK, so a different numpy/LAPACK build may move the last bit.
+PINNED_TRACES = {
+    "adaptive": ("c93093996ee4da21a9e60eedb443813a0ee518b3a02fe3f4c3b64c00b6915bf4",
+                 [10000, 0, 0, 0, 663, 0, 843, 0, 0, 358, 0, 0, 0, 0, 0, 0, 1408]),
+    "fixed": ("86c3f81ee9d7fac2f366743c0a97d79c0d6f40b09054a5adc020d648339ace5c",
+              [0, 0, 0, 0, 0, 0, 0, 0, 6000, 0, 0, 0, 0, 0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_TRACES))
+def test_trace_bytes_pinned(kind, plant, cost_table, power_table, levels, controllers,
+                            hyper_period):
+    scen = scenario_from_shares((0.7, 0.2, 0.1), (5.0, 30.0, 75.0), 300.0, 5.0, seed=11)
+    if kind == "adaptive":
+        budget, strategy = MatchFixedBudget(0.05, hyper_period), Strategy.adaptive("approach1")
+    else:
+        budget, strategy = EnergyBudget(1.5, hyper_period), Strategy.fixed(0.05)
+    tr = run_sim(plant, cost_table, power_table, levels, scen, budget, strategy, controllers)
+    digest, cycles = PINNED_TRACES[kind]
+    assert hashlib.sha256(tr.jsonl().encode()).hexdigest() == digest
+    assert tr.cycles_per_rate.tolist() == cycles
+
+
+def random_loop_inputs(rng, nx, ny, nu, n_rates=3, k=3, window=1.0, n_seg=8):
+    """Per-rate matrices of a random stable system, levels and noise segments."""
+    def stable():
+        a = rng.standard_normal((nx, nx))
+        return 0.7 * a / np.linalg.norm(a, 2)  # contractive, so switching stays stable
+
+    def psd(size):
+        m = rng.standard_normal((n_rates, size, size))
+        return m @ m.transpose(0, 2, 1)
+
+    mats = dict(
+        phis=np.stack([stable() for _ in range(n_rates)]),
+        gammas=0.1 * rng.standard_normal((n_rates, nx, nu)),
+        kgains=0.1 * rng.standard_normal((n_rates, nu, nx)),
+        kfgains=0.1 * rng.standard_normal((n_rates, nx, ny)),
+        cmat=rng.standard_normal((ny, nx)) / np.sqrt(nx),
+        chol_r1d=np.tril(0.5 * rng.standard_normal((n_rates, nx, nx))),
+        chol_r2=np.tril(rng.standard_normal((ny, ny))),
+        qds=psd(nx + nu),
+        jbars=rng.uniform(0.0, 1.0, n_rates),
+        snom_inv=psd(ny) / ny + np.eye(ny),
+        periods=np.sort(rng.choice(np.arange(5, 40), n_rates, replace=False)) * 1e-3,
+        thresholds=np.concatenate(([0.0], np.sort(rng.uniform(0.5, 4.0, k - 1)), [1e3])),
+    )
+    durations = rng.uniform(0.1, 0.5, n_seg)
+    mats["seg_ends"] = np.cumsum(durations)
+    mats["seg_rs"] = rng.choice([0.0, 0.5, 2.0, 7.0], n_seg)
+    mats["lam"] = float(rng.uniform(0.05, 0.5))
+    mats["max_steps"] = int(np.ceil(window / mats["periods"][0])) + 2
+    return mats
+
+
+class LoopRun:
+    """State and output buffers of one caller of a window loop."""
+
+    def __init__(self, fn, inputs, nx, k, r_hat):
+        self.fn, self.inp = fn, inputs
+        self.x, self.xhat = np.zeros(nx), np.zeros(nx)
+        self.r_hat, self.t, self.energy, self.cost = r_hat, 0.0, 0.0, 0.0
+        m = inputs["max_steps"]
+        self.out = [np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m, np.int64),
+                    np.zeros(m, np.int64), np.zeros(m), np.zeros(m), np.zeros(k)]
+
+    def window(self, window_end, mmap, noise):
+        i = self.inp
+        ret = self.fn(self.x, self.xhat, self.r_hat, self.t, window_end, mmap,
+                      i["phis"], i["gammas"], i["kgains"], i["kfgains"], i["cmat"],
+                      i["chol_r1d"], i["chol_r2"], i["qds"], i["jbars"], i["snom_inv"],
+                      i["periods"], i["thresholds"], i["lam"], 1e-3, i["seg_ends"], i["seg_rs"],
+                      noise, self.energy, self.cost, *self.out)
+        _, self.r_hat, self.t, self.energy, self.cost = ret
+        return ret
+
+
+@pytest.mark.parametrize("nx, ny, nu", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 2),
+                                        (3, 2, 2), (4, 2, 1), (4, 1, 2)])
+def test_window_loop_py_matches_reference(nx, ny, nu):
+    rng = np.random.default_rng(100 * nx + 10 * ny + nu)
+    for _ in range(3):
+        inputs = random_loop_inputs(rng, nx, ny, nu)
+        r_hat = float(rng.uniform(0.0, 5.0))
+        ref = LoopRun(_kernels._window_loop_impl, inputs, nx, 3, r_hat)
+        new = LoopRun(_kernels._window_loop_py, inputs, nx, 3, r_hat)
+        for w in range(4):  # the last window runs past the final segment end
+            mmap = rng.integers(0, 3, 3)
+            noise = rng.standard_normal((inputs["max_steps"], nx + ny))
+            got_ref = ref.window(w + 1.0, mmap, noise)
+            got_new = new.window(w + 1.0, mmap, noise)
+            assert got_ref[0] > 0
+            assert np.array(got_new).tobytes() == np.array(got_ref).tobytes()
+            for a, b in zip([new.x, new.xhat, *new.out], [ref.x, ref.xhat, *ref.out]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert a.tobytes() == b.tobytes()  # also the sign of zeros
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 2), st.integers(1, 2))
+def test_loop_levels_classify_their_estimates(seed, nx, ny, nu):
+    # one rate for every level, so the estimates do not depend on the levels;
+    # a second run then puts two of the first run's estimates on the boundaries
+    rng = np.random.default_rng(seed)
+    inputs = random_loop_inputs(rng, nx, ny, nu)
+    r_hat = float(rng.uniform(0.0, 5.0))
+    mmap = np.full(3, rng.integers(0, 3))
+    noise = rng.standard_normal((inputs["max_steps"], nx + ny))
+    first = LoopRun(_kernels._window_loop_py, inputs, nx, 3, r_hat)
+    steps = first.window(1.0, mmap, noise)[0]
+    est = np.unique(first.out[2][:steps])
+    est = est[(est > 0.0) & (est < 1e3)]
+    if len(est) < 3:
+        return
+    inner = (est[len(est) // 3], est[2 * len(est) // 3])
+    inputs["thresholds"] = np.array([0.0, *inner, 1e3])
+    levels = LevelSpec(thresholds=tuple(inputs["thresholds"]),
+                       representative_r=tuple(inputs["thresholds"][1:]))
+    run = LoopRun(_kernels._window_loop_py, inputs, nx, 3, r_hat)
+    assert run.window(1.0, mmap, noise)[0] == steps
+    out_rhat, out_level = run.out[2][:steps], run.out[3][:steps]
+    assert np.array_equal(out_rhat, first.out[2][:steps])
+    assert [classify(r, levels) for r in out_rhat] == (out_level + 1).tolist()

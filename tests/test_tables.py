@@ -173,21 +173,43 @@ def test_load_missing_tables(tmp_path):
         load_tables(tmp_path / "nope")
 
 
-@pytest.mark.parametrize("name, row, col, value", [
-    ("ct.csv", 2, 0, "16.0"),
-    ("pt.csv", 3, 0, "21.0"),
-    ("ct.csv", 4, 2, "nan"),
-    ("ct.csv", 4, 1, "inf"),
-    ("ct.csv", 1, 3, "-0.5"),
-], ids=["h_ms_vs_sidecar", "pt_periods", "nan_cost", "inf_cost", "negative_cost"])
-def test_load_rejects_tampered_tables(tmp_path, cost_table, power_table, hyper_period,
-                                      name, row, col, value):
+def set_cell(row, col, value):
+    """Edit that replaces one CSV cell, or deletes it when value is None."""
+    def edit(text):
+        rows = [line.split(",") for line in text.splitlines()]
+        if value is None:
+            del rows[row][col]
+        else:
+            rows[row][col] = value
+        return "".join(",".join(r) + "\n" for r in rows)
+    return edit
+
+
+def each_line(fn):
+    return lambda text: "".join(fn(line) + "\n" for line in text.splitlines())
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("ct.csv", set_cell(2, 0, "16.0")),
+    ("pt.csv", set_cell(3, 0, "21.0")),
+    ("ct.csv", set_cell(4, 2, "nan")),
+    ("ct.csv", set_cell(4, 1, "inf")),
+    ("ct.csv", set_cell(1, 3, "-0.5")),
+    ("tables.json", lambda text: text.replace('"schema": 1', '"schema": 2')),
+    ("ct.csv", each_line(lambda line: line + ",1.0")),
+    ("ct.csv", each_line(lambda line: line.rsplit(",", 1)[0])),
+    ("ct.csv", set_cell(4, 3, None)),
+], ids=["h_ms_vs_sidecar", "pt_periods", "nan_cost", "inf_cost", "negative_cost",
+        "sidecar_schema", "extra_cost_column", "missing_cost_column", "ragged_row"])
+def test_load_rejects_tampered_tables(tmp_path, cost_table, power_table, levels, hyper_period,
+                                      name, edit):
     totals = totals_over_window(cost_table, power_table, (0.7, 0.1, 0.2), hyper_period)
-    save_tables(tmp_path, cost_table, power_table, build_profit_tables(totals), {})
+    save_tables(tmp_path, cost_table, power_table, build_profit_tables(totals),
+                {"representative_r": list(levels.representative_r)})
     load_tables(tmp_path)
     path = tmp_path / name
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    rows[row][col] = value
-    path.write_text("".join(",".join(r) + "\n" for r in rows))
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
     with pytest.raises(ValueError, match=name):
         load_tables(tmp_path)
