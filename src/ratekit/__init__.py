@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from ._kernels import DEFAULT_BACKEND, HAS_NUMBA
 from .energy import (Battery, EnergyBudget, ExecutionPattern, battery_discharge,
                      floor_cycles, pattern_cost, pattern_energy)
-from .lqg import CostBreakdown, LqgController, design, evaluate_cost
+from .lqg import CostBreakdown, LqgController, design, evaluate_cost, evaluate_costs
 from .plant import DiscretePlant, PlantModel, discretize, load_plant
 from .riccati import DesignError
 from .search import (DisturbancePattern, MultiRateController, SynthesisResult,
@@ -28,8 +28,8 @@ __all__ = [
     "Strategy", "SynthesisResult", "WindowTotals", "approach1", "approach2",
     "battery_discharge", "build_cost_table", "build_power_table",
     "build_profit_tables", "candidate_cost_energy", "classify", "design",
-    "design_all", "discretize", "evaluate_cost", "exhaustive", "floor_cycles",
-    "load_plant", "load_tables", "pattern_cost", "pattern_energy", "rve_update",
-    "save_tables", "scenario_from_shares", "simulate", "synthesize",
+    "design_all", "discretize", "evaluate_cost", "evaluate_costs", "exhaustive",
+    "floor_cycles", "load_plant", "load_tables", "pattern_cost", "pattern_energy",
+    "rve_update", "save_tables", "scenario_from_shares", "simulate", "synthesize",
     "totals_over_window",
 ]

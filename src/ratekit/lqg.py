@@ -88,74 +88,90 @@ def design(plant: PlantModel, h: float) -> LqgController:
 
 def closed_loop_matrix(plant: PlantModel, ctrl: LqgController) -> np.ndarray:
     """Transition matrix of the stacked [plant state; predicted estimate]."""
-    acl, _, _, _ = _loop_operators(plant, ctrl)
-    return acl
+    return _Loop(plant, ctrl).acl
 
 
-def _loop_operators(plant: PlantModel, ctrl: LqgController):
-    nx, ny = plant.nx, plant.ny
-    phi, gamma = ctrl.dp.Phi, ctrl.dp.Gamma
-    gk = gamma @ ctrl.K
-    m = ctrl.Kf @ plant.C
-    eye = np.eye(nx)
-    acl = np.block([
-        [phi - gk @ m, -gk @ (eye - m)],
-        [(phi - gk) @ m, (phi - gk) @ (eye - m)],
-    ])
-    # measurement noise enters the state through the fed-back innovation
-    ge = np.vstack([-gk @ ctrl.Kf, (phi - gk) @ ctrl.Kf])
-    # instantaneous [x; u] as a function of [x; xhat] and of e
-    t_map = np.block([
-        [eye, np.zeros((nx, nx))],
-        [-ctrl.K @ m, -ctrl.K @ (eye - m)],
-    ])
-    te = np.vstack([np.zeros((nx, ny)), -ctrl.K @ ctrl.Kf])
-    return acl, ge, t_map, te
+class _Loop:
+    """One controller's closed loop, shared by every cost evaluation at its rate.
+
+    Measurement noise enters the stacked state through the fed-back
+    innovation (ge) and the instantaneous [x; u] directly (te); ge R2 ge' and
+    te R2 te' do not depend on the intensity r, so they are formed once.
+    """
+
+    def __init__(self, plant: PlantModel, ctrl: LqgController):
+        nx, ny = plant.nx, plant.ny
+        phi, gamma = ctrl.dp.Phi, ctrl.dp.Gamma
+        gk = gamma @ ctrl.K
+        m = ctrl.Kf @ plant.C
+        eye = np.eye(nx)
+        self.acl = np.block([
+            [phi - gk @ m, -gk @ (eye - m)],
+            [(phi - gk) @ m, (phi - gk) @ (eye - m)],
+        ])
+        ge = np.vstack([-gk @ ctrl.Kf, (phi - gk) @ ctrl.Kf])
+        # instantaneous [x; u] as a function of [x; xhat] and of e
+        self.t_map = np.block([[eye, np.zeros((nx, nx))], [-ctrl.K @ m, -ctrl.K @ (eye - m)]])
+        te = np.vstack([np.zeros((nx, ny)), -ctrl.K @ ctrl.Kf])
+        self.ge_w = ge @ plant.R2 @ ge.T
+        self.te_w = te @ plant.R2 @ te.T
+        self.dp = ctrl.dp
+        self.nx = nx
+
+    def noise_cov(self, r: float) -> np.ndarray:
+        """W(r) in Z = acl Z acl' + W(r): measurement noise plus r times R1d."""
+        w = self.ge_w.copy()
+        w[:self.nx, :self.nx] += r * self.dp.R1d
+        return w
+
+    def cost(self, r: float) -> float:
+        z = solve_dlyap(self.acl, self.noise_cov(r))
+        per_step = float(np.trace(self.dp.Qd @ (self.t_map @ z @ self.t_map.T + self.te_w)))
+        return (per_step + r * self.dp.jbar1) / self.dp.h
 
 
-def _stationary_cost(plant: PlantModel, ctrl: LqgController, r: float) -> float:
-    acl, ge, t_map, te = _loop_operators(plant, ctrl)
-    nx = plant.nx
-    w = ge @ plant.R2 @ ge.T
-    w[:nx, :nx] += r * ctrl.dp.R1d
-    z = solve_dlyap(acl, w)
-    per_step = float(np.trace(ctrl.dp.Qd @ (t_map @ z @ t_map.T + te @ plant.R2 @ te.T)))
-    return (per_step + r * ctrl.dp.jbar1) / ctrl.dp.h
-
-
-def evaluate_cost(plant: PlantModel, ctrl: LqgController, r: float) -> CostBreakdown:
-    """Stationary per-time quadratic cost of the closed loop at intensity ``r``.
+def evaluate_costs(plant: PlantModel, ctrl: LqgController, rs) -> tuple:
+    """Stationary per-time cost of the closed loop at each intensity in ``rs``.
 
     Solves the discrete Lyapunov equation for the stationary covariance of
     the plant + estimator state, contracts with the lifted cost, and divides
-    by the period.  Returns the affine decomposition alongside the directly
-    evaluated J(r).
+    by the period.  The stability check and the affine decomposition (J at
+    r = 0 and r = 1) run once; each J(r) is still its own direct solve.
     """
-    if r < 0.0:
-        raise ValueError(f"noise intensity must be non-negative, got {r}")
-    rho = spectral_radius(closed_loop_matrix(plant, ctrl))
+    rs = tuple(rs)
+    for r in rs:
+        if r < 0.0:
+            raise ValueError(f"noise intensity must be non-negative, got {r}")
+    loop = _Loop(plant, ctrl)
+    rho = spectral_radius(loop.acl)
     if rho >= 1.0:
         raise DesignError(f"cannot evaluate cost: closed loop unstable (rho={rho:.6f})")
-    b = _stationary_cost(plant, ctrl, 0.0)
-    a = _stationary_cost(plant, ctrl, 1.0) - b
-    j = _stationary_cost(plant, ctrl, float(r))
-    # a and b are exact quadratic-form traces; clip roundoff-level negatives
-    if a < 0.0:
-        if a < -1e-9 * max(1.0, abs(j)):
-            raise DesignError(f"negative noise-cost slope {a:.3e}")
-        a = 0.0
-    if b < 0.0:
-        if b < -1e-9 * max(1.0, abs(j)):
-            raise DesignError(f"negative noise-free cost {b:.3e}")
-        b = 0.0
-    return CostBreakdown(a=a, b=b, J=j)
+    b0 = loop.cost(0.0)
+    a0 = loop.cost(1.0) - b0
+    out = []
+    for r in rs:
+        a, b = a0, b0
+        j = loop.cost(float(r))
+        # a and b are exact quadratic-form traces; clip roundoff-level negatives
+        if a < 0.0:
+            if a < -1e-9 * max(1.0, abs(j)):
+                raise DesignError(f"negative noise-cost slope {a:.3e}")
+            a = 0.0
+        if b < 0.0:
+            if b < -1e-9 * max(1.0, abs(j)):
+                raise DesignError(f"negative noise-free cost {b:.3e}")
+            b = 0.0
+        out.append(CostBreakdown(a=a, b=b, J=j))
+    return tuple(out)
+
+
+def evaluate_cost(plant: PlantModel, ctrl: LqgController, r: float) -> CostBreakdown:
+    """Stationary per-time cost at one intensity ``r``; see evaluate_costs."""
+    return evaluate_costs(plant, ctrl, (r,))[0]
 
 
 def lyapunov_residual(plant: PlantModel, ctrl: LqgController, r: float = 1.0) -> float:
-    """Residual of the stationary-covariance solve used by evaluate_cost."""
-    acl, ge, _, _ = _loop_operators(plant, ctrl)
-    nx = plant.nx
-    w = ge @ plant.R2 @ ge.T
-    w[:nx, :nx] += r * ctrl.dp.R1d
-    z = solve_dlyap(acl, w)
-    return dlyap_residual(z, acl, w)
+    """Residual of the stationary-covariance solve used by evaluate_costs."""
+    loop = _Loop(plant, ctrl)
+    w = loop.noise_cov(r)
+    return dlyap_residual(solve_dlyap(loop.acl, w), loop.acl, w)

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -20,14 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .energy import FLOOR_EPS
-from .lqg import LqgController, design, evaluate_cost
+from .lqg import design, evaluate_costs
 from .plant import PlantModel
-
-
-def _max_workers(n_tasks: int) -> int:
-    cap = os.environ.get("RATEKIT_THREADS", "").strip()
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(n_tasks, limit))
 
 
 @dataclass(frozen=True)
@@ -166,12 +158,8 @@ class ProfitTables:
 
 
 def design_all(plant: PlantModel, rates: RateSet) -> list:
-    """Design the LQG controller for every rate (parallel over rates)."""
-    def one(h):
-        return design(plant, h)
-
-    with ThreadPoolExecutor(max_workers=_max_workers(len(rates))) as pool:
-        return list(pool.map(one, rates.periods))
+    """Design the LQG controller for every rate."""
+    return [design(plant, h) for h in rates.periods]
 
 
 def build_cost_table(plant: PlantModel, rates: RateSet, levels: LevelSpec,
@@ -184,14 +172,8 @@ def build_cost_table(plant: PlantModel, rates: RateSet, levels: LevelSpec,
     if controllers is None:
         controllers = design_all(plant, rates)
     n, k = len(rates), levels.k
-
-    def row(args):
-        i, ctrl = args
-        return [evaluate_cost(plant, ctrl, levels.representative_r[j]).J for j in range(k)]
-
-    with ThreadPoolExecutor(max_workers=_max_workers(n)) as pool:
-        rows = list(pool.map(row, enumerate(controllers)))
-    entries = np.array(rows, dtype=np.float64)
+    entries = np.array([[cb.J for cb in evaluate_costs(plant, ctrl, levels.representative_r)]
+                        for ctrl in controllers], dtype=np.float64)
     if not np.all(np.isfinite(entries)) or entries.min() < 0.0:
         raise ValueError("cost table has non-finite or negative entries")
     violations = []

@@ -4,11 +4,20 @@ Everything here deliberately avoids the package's own discretization and
 equation solvers: transition matrices come from RK4 integration, integrals
 from Simpson quadrature, costs from time-domain Monte-Carlo simulation, and
 scalar Riccati roots from the quadratic formula.
+
+The one exception is ``evaluate_cost`` at the end: the earlier three-solve
+stationary-cost evaluation, kept verbatim as the bit-identity reference for
+``ratekit.lqg.evaluate_costs``.  It uses the package's Lyapunov solver on
+purpose, since only the same arithmetic can reproduce the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ratekit.lqg import CostBreakdown, LqgController
+from ratekit.plant import PlantModel
+from ratekit.riccati import DesignError, solve_dlyap, spectral_radius
 
 
 def rk4_expm(a_mat: np.ndarray, t: float, steps: int = 400) -> np.ndarray:
@@ -147,3 +156,74 @@ def mc_closed_loop_cost(plant, ctrl, r: float, *, nchains: int = 64,
         xh = ctrl.dp.Phi @ xupd + ctrl.dp.Gamma @ u
     chain_means = acc / (nsteps * h)
     return float(chain_means.mean()), float(chain_means.std(ddof=1) / np.sqrt(nchains))
+
+
+# ---------------------------------------------------------------------------
+# Three-solve stationary cost: three Lyapunov solves and a stability check per
+# (controller, intensity), each rebuilding the loop operators.
+# ---------------------------------------------------------------------------
+
+
+def closed_loop_matrix(plant: PlantModel, ctrl: LqgController) -> np.ndarray:
+    """Transition matrix of the stacked [plant state; predicted estimate]."""
+    acl, _, _, _ = _loop_operators(plant, ctrl)
+    return acl
+
+
+def _loop_operators(plant: PlantModel, ctrl: LqgController):
+    nx, ny = plant.nx, plant.ny
+    phi, gamma = ctrl.dp.Phi, ctrl.dp.Gamma
+    gk = gamma @ ctrl.K
+    m = ctrl.Kf @ plant.C
+    eye = np.eye(nx)
+    acl = np.block([
+        [phi - gk @ m, -gk @ (eye - m)],
+        [(phi - gk) @ m, (phi - gk) @ (eye - m)],
+    ])
+    # measurement noise enters the state through the fed-back innovation
+    ge = np.vstack([-gk @ ctrl.Kf, (phi - gk) @ ctrl.Kf])
+    # instantaneous [x; u] as a function of [x; xhat] and of e
+    t_map = np.block([
+        [eye, np.zeros((nx, nx))],
+        [-ctrl.K @ m, -ctrl.K @ (eye - m)],
+    ])
+    te = np.vstack([np.zeros((nx, ny)), -ctrl.K @ ctrl.Kf])
+    return acl, ge, t_map, te
+
+
+def _stationary_cost(plant: PlantModel, ctrl: LqgController, r: float) -> float:
+    acl, ge, t_map, te = _loop_operators(plant, ctrl)
+    nx = plant.nx
+    w = ge @ plant.R2 @ ge.T
+    w[:nx, :nx] += r * ctrl.dp.R1d
+    z = solve_dlyap(acl, w)
+    per_step = float(np.trace(ctrl.dp.Qd @ (t_map @ z @ t_map.T + te @ plant.R2 @ te.T)))
+    return (per_step + r * ctrl.dp.jbar1) / ctrl.dp.h
+
+
+def evaluate_cost(plant: PlantModel, ctrl: LqgController, r: float) -> CostBreakdown:
+    """Stationary per-time quadratic cost of the closed loop at intensity ``r``.
+
+    Solves the discrete Lyapunov equation for the stationary covariance of
+    the plant + estimator state, contracts with the lifted cost, and divides
+    by the period.  Returns the affine decomposition alongside the directly
+    evaluated J(r).
+    """
+    if r < 0.0:
+        raise ValueError(f"noise intensity must be non-negative, got {r}")
+    rho = spectral_radius(closed_loop_matrix(plant, ctrl))
+    if rho >= 1.0:
+        raise DesignError(f"cannot evaluate cost: closed loop unstable (rho={rho:.6f})")
+    b = _stationary_cost(plant, ctrl, 0.0)
+    a = _stationary_cost(plant, ctrl, 1.0) - b
+    j = _stationary_cost(plant, ctrl, float(r))
+    # a and b are exact quadratic-form traces; clip roundoff-level negatives
+    if a < 0.0:
+        if a < -1e-9 * max(1.0, abs(j)):
+            raise DesignError(f"negative noise-cost slope {a:.3e}")
+        a = 0.0
+    if b < 0.0:
+        if b < -1e-9 * max(1.0, abs(j)):
+            raise DesignError(f"negative noise-free cost {b:.3e}")
+        b = 0.0
+    return CostBreakdown(a=a, b=b, J=j)

@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ratekit.lqg import closed_loop_matrix, design, evaluate_cost, lyapunov_residual
+from ratekit.lqg import (closed_loop_matrix, design, evaluate_cost, evaluate_costs,
+                         lyapunov_residual)
 from ratekit.plant import PlantModel, discretize
-from ratekit.riccati import spectral_radius
+from ratekit.riccati import DesignError, spectral_radius
+from ratekit.tables import LevelSpec, RateSet, build_cost_table, design_all
 
+import oracles
 from oracles import scalar_dare_root
 
 
@@ -85,3 +90,54 @@ def test_feedthrough_does_not_change_loop(plant, controllers):
     assert np.array_equal(c1.K, c2.K)
     assert np.array_equal(c1.Kf, c2.Kf)
     assert evaluate_cost(plant, c1, 1.0).J == evaluate_cost(with_d, c2, 1.0).J
+
+
+FIVE_LEVELS = LevelSpec(thresholds=(0.0, 2.0, 10.0, 30.0, 60.0, 100.0),
+                        representative_r=(1.0, 5.0, 20.0, 45.0, 80.0))
+
+
+@pytest.mark.parametrize("grid", ["dcservo_17x3", "dcservo_17x5", "scalar_10x3"])
+def test_cost_table_equals_three_solve_reference(grid, plant, rates, levels, controllers):
+    if grid == "dcservo_17x5":
+        levels = FIVE_LEVELS
+    if grid == "scalar_10x3":
+        plant, rates = scalar_plant(), RateSet.from_milliseconds(range(10, 101, 10))
+        controllers = design_all(plant, rates)
+    ct = build_cost_table(plant, rates, levels, controllers=controllers)
+    ref = np.array([[oracles.evaluate_cost(plant, ctrl, r).J for r in levels.representative_r]
+                    for ctrl in controllers])
+    assert ct.entries.shape == (len(rates), levels.k)
+    assert np.array_equal(ct.entries, ref)
+
+
+@pytest.mark.parametrize("which", ["dcservo", "scalar"])
+def test_cost_breakdown_equals_three_solve_reference(which, plant, controllers):
+    if which == "scalar":
+        plant = scalar_plant()
+        controllers = design_all(plant, RateSet.from_milliseconds(range(10, 101, 10)))
+    rs = (0.0, 0.3, 1.0, 2.0, 75.0)
+    for ctrl in controllers:
+        batch = evaluate_costs(plant, ctrl, rs)
+        assert len(batch) == len(rs)
+        assert evaluate_costs(plant, ctrl, iter(rs)) == batch
+        for r, cb in zip(rs, batch):
+            ref = oracles.evaluate_cost(plant, ctrl, r)
+            single = evaluate_cost(plant, ctrl, r)
+            assert (cb.a, cb.b, cb.J) == (ref.a, ref.b, ref.J)
+            assert (single.a, single.b, single.J) == (ref.a, ref.b, ref.J)
+
+
+def test_unstable_loop_raises_design_error(plant, controllers, levels):
+    ctrl = controllers[8]
+    bad = dataclasses.replace(ctrl, K=50.0 * ctrl.K)
+    assert spectral_radius(closed_loop_matrix(plant, bad)) >= 1.0
+    unstable = r"cannot evaluate cost: closed loop unstable \(rho="
+    with pytest.raises(DesignError, match=unstable):
+        evaluate_cost(plant, bad, 1.0)
+    with pytest.raises(DesignError, match=unstable):
+        evaluate_costs(plant, bad, levels.representative_r)
+    with pytest.raises(DesignError, match=unstable):
+        build_cost_table(plant, RateSet((ctrl.h,)), levels, controllers=[bad])
+    with pytest.raises(DesignError, match=unstable):
+        build_cost_table(plant, RateSet((0.045, ctrl.h)), levels,
+                         controllers=[controllers[7], bad])
