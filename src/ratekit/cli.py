@@ -106,25 +106,22 @@ def cmd_simulate(args) -> int:
                      backend=backend, controllers=controllers)
     if args.out:
         trace.write_jsonl(args.out)
-        print(f"wrote {len(trace.events)} events to {args.out}")
+        print(f"wrote {trace.n_events} events to {args.out}")
     else:
         sys.stdout.write(trace.jsonl())
     if args.emit_plotdata:
         out_dir = Path(args.emit_plotdata)
         out_dir.mkdir(parents=True, exist_ok=True)
         level0 = cfg.battery_capacity_mah * cfg.battery_voltage * 3.6
+        samples = trace.samples
         with open(out_dir / "plot_cost.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t_s", "cost_integral"])
-            for ev in trace.events:
-                if ev["type"] == "sample":
-                    w.writerow([repr(ev["t"]), repr(ev["cost_integral"])])
+            w.writerows(zip(map(repr, samples.t), map(repr, samples.cost_integral)))
         with open(out_dir / "plot_battery.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t_s", "battery_j"])
-            for ev in trace.events:
-                if ev["type"] == "sample":
-                    w.writerow([repr(ev["t"]), repr(level0 - ev["energy_j"])])
+            w.writerows((repr(t), repr(level0 - e)) for t, e in zip(samples.t, samples.energy_j))
         print(f"wrote plot data to {out_dir}")
     print(f"duration {trace.total_time:.1f} s, energy {trace.total_energy:.3f} J, "
           f"avg power {trace.avg_power_mw():.2f} mW", file=sys.stderr)

@@ -5,12 +5,26 @@ into a level-share pattern, re-synthesizes the multi-rate controller under
 the window's energy budget, and deploys it for the next window.  Within a
 window the active rate follows the classified disturbance level.  The first
 window always runs at the fastest admissible rate.
+
+A trace keeps its samples as columns, one Python list per sample field, and
+writes its JSONL straight from them; ``SimulationTrace.events`` (one dict per
+event) is built only on first access.  The JSONL bytes are the same as
+encoding each event dict with ``json.dumps(ev, separators=(",", ":"))``.
+They also depend on the noise draws: each window draws
+``ceil(window / fastest period) + 2`` noise rows whatever rates are
+deployed, so drawing fewer rows would change every trace.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,9 +171,47 @@ class MatchFixedBudget:
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
+class SampleColumns(NamedTuple):
+    """One list per field of a trace's sample events, one entry per sample."""
+
+    t: list
+    h_ms: list
+    r_hat: list
+    level: list
+    energy_j: list
+    cost_integral: list
+
+
+# A sample event as _encode writes it when every value is finite: %r on a
+# float is float.__repr__, which is what json writes, and %d on an int is
+# int.__repr__.  json writes NaN/Infinity/-Infinity, %r does not, so rows
+# holding those go through _encode.
+_SAMPLE_LINE = ('{"type":"sample","t":%r,"h_ms":%r,"r_hat":%r,"level":%d,'
+                '"energy_j":%r,"cost_integral":%r}\n')
+
+
+def _sample_event(t, h_ms, r_hat, level, energy_j, cost_integral) -> dict:
+    return {"type": "sample", "t": t, "h_ms": h_ms, "r_hat": r_hat, "level": level,
+            "energy_j": energy_j, "cost_integral": cost_integral}
+
+
+def _encode_line(ev: dict) -> str:
+    return _encode(ev) + "\n"
+
+
 @dataclass
 class SimulationTrace:
-    events: list
+    """The outcome of one run.
+
+    Samples are kept as columns; the other events (``window_end`` and
+    ``synthesis``) are kept as ``records`` with the number of samples that
+    precede each, and ``level_change`` events follow from the level column.
+    ``jsonl()`` writes the trace straight from these, and ``events`` (one
+    dict per event, in trace order) is built on first access.
+    """
+
+    samples: SampleColumns
+    records: list                # (samples before it, event dict)
     windows: list
     cycles_per_rate: np.ndarray
     realized_segments: list      # (duration seconds, period seconds)
@@ -174,8 +226,45 @@ class SimulationTrace:
             return 1000.0 * self.steady_energy / self.steady_time
         return 1000.0 * self.total_energy / self.total_time
 
+    def _level_changes(self) -> list:
+        return (np.flatnonzero(np.diff(self.samples.level)) + 1).tolist()
+
+    def _interleave(self, samples, convert) -> list:
+        """Sample items and converted non-sample events, in trace order.
+
+        At equal positions a record comes before a level change: the change
+        belongs to the sample it precedes, the record to the window it ends.
+        """
+        t, level = self.samples.t, self.samples.level
+        changes = ((p, {"type": "level_change", "t": t[p], "from": level[p - 1],
+                        "to": level[p]}) for p in self._level_changes())
+        out = []
+        done = 0
+        for pos, ev in heapq.merge(self.records, changes, key=itemgetter(0)):
+            out.extend(islice(samples, pos - done))
+            out.append(convert(ev))
+            done = pos
+        out.extend(samples)
+        return out
+
+    @property
+    def n_events(self) -> int:
+        """Number of events in the trace, counted without building them."""
+        return len(self.samples.t) + len(self.records) + len(self._level_changes())
+
+    @cached_property
+    def events(self) -> list:
+        return self._interleave(map(_sample_event, *self.samples), lambda ev: ev)
+
+    def _sample_lines(self):
+        rows = zip(*self.samples)
+        if all(math.isfinite(sum(col)) for col in self.samples):
+            return map(_SAMPLE_LINE.__mod__, rows)
+        return (_SAMPLE_LINE % row if all(map(math.isfinite, row))
+                else _encode_line(_sample_event(*row)) for row in rows)
+
     def jsonl(self) -> str:
-        return "".join(_encode(ev) + "\n" for ev in self.events)
+        return "".join(self._interleave(self._sample_lines(), _encode_line))
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -258,11 +347,10 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
     else:
         raise ValueError(f"unknown strategy kind {strategy.kind!r}")
 
-    events = []
+    samples = SampleColumns([], [], [], [], [], [])
+    records = []
     windows = []
-    cycles = np.zeros(n, dtype=np.int64)
-    seg_runs = []   # (count, rate index) runs of the realized rate sequence
-    prev_level = None
+    rate_parts = []
     energy_after_w0 = 0.0
 
     out_t = np.zeros(max_steps)
@@ -275,6 +363,7 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
 
     for w in range(n_windows):
         window_end = (w + 1) * window
+        # max_steps rows whatever rates are deployed: the trace bytes depend on it
         noise = rng.standard_normal((max_steps, nx + ny))
         level_time = np.zeros(k)
         steps, r_hat, t, energy, cost = _kernels.window_loop(
@@ -286,24 +375,11 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
             out_t, out_h, out_rhat, out_level, out_rate, out_energy, out_cost, level_time,
             backend=backend,
         )
-        for t_i, h_ms, r_i, lvl, e_i, c_i in zip(
-                out_t[:steps].tolist(), (out_h[:steps] * 1000.0).tolist(),
-                out_rhat[:steps].tolist(), (out_level[:steps] + 1).tolist(),
-                out_energy[:steps].tolist(), out_cost[:steps].tolist()):
-            if prev_level is not None and lvl != prev_level:
-                events.append({"type": "level_change", "t": t_i,
-                               "from": prev_level, "to": lvl})
-            prev_level = lvl
-            events.append({
-                "type": "sample", "t": t_i, "h_ms": h_ms, "r_hat": r_i,
-                "level": lvl, "energy_j": e_i, "cost_integral": c_i,
-            })
-        cycles += np.bincount(out_rate[:steps], minlength=n)
-        for ridx in out_rate[:steps].tolist():
-            if seg_runs and seg_runs[-1][1] == ridx:
-                seg_runs[-1][0] += 1
-            else:
-                seg_runs.append([1, ridx])
+        for col, vals in zip(samples, (out_t[:steps], out_h[:steps] * 1000.0,
+                                       out_rhat[:steps], out_level[:steps] + 1,
+                                       out_energy[:steps], out_cost[:steps])):
+            col.extend(vals.tolist())
+        rate_parts.append(out_rate[:steps].copy())
         if w == 0:
             energy_after_w0 = energy
         fr = tuple(float(v / level_time.sum()) for v in level_time)
@@ -311,7 +387,7 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
                       "level_time_s": [float(v) for v in level_time],
                       "fractions": [float(v) for v in fr],
                       "energy_j": float(energy), "cost_integral": float(cost)}
-        events.append(win_record)
+        records.append((len(samples.t), win_record))
         windows.append(dict(win_record))
         if strategy.kind == "adaptive" and w + 1 < n_windows:
             pattern = floor_pattern(fr, rates, window)
@@ -323,7 +399,7 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
                 mmap = np.full(k, n - 1, dtype=np.int64)  # slowest rate everywhere
             else:
                 mmap = np.array(result.controller.choice, dtype=np.int64)
-            events.append({
+            records.append((len(samples.t), {
                 "type": "synthesis", "window": w + 1, "algo": strategy.algo,
                 "pattern": [float(f) for f in pattern],
                 "budget_j": float(budget_w.e_max),
@@ -333,11 +409,17 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
                 "explored": int(result.explored),
                 "feasible": bool(result.feasible),
                 "fallback": bool(fallback),
-            })
+            }))
 
-    realized = [(cnt * rates.periods[i], rates.periods[i]) for cnt, i in seg_runs]
+    # (length, rate index) runs of the realized rate sequence
+    rate = np.concatenate(rate_parts)
+    run_starts = np.flatnonzero(np.diff(rate, prepend=-1))
+    run_lengths = np.diff(run_starts, append=len(rate))
+    realized = [(cnt * rates.periods[i], rates.periods[i])
+                for cnt, i in zip(run_lengths.tolist(), rate[run_starts].tolist())]
     return SimulationTrace(
-        events=events, windows=windows, cycles_per_rate=cycles,
+        samples=samples, records=records, windows=windows,
+        cycles_per_rate=np.bincount(rate, minlength=n),
         realized_segments=realized, total_time=t, total_energy=energy,
         cost_integral=cost,
         steady_time=max(t - window, 0.0),

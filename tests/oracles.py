@@ -5,19 +5,32 @@ equation solvers: transition matrices come from RK4 integration, integrals
 from Simpson quadrature, costs from time-domain Monte-Carlo simulation, and
 scalar Riccati roots from the quadratic formula.
 
-The one exception is ``evaluate_cost`` at the end: the earlier three-solve
-stationary-cost evaluation, kept verbatim as the bit-identity reference for
-``ratekit.lqg.evaluate_costs``.  It uses the package's Lyapunov solver on
-purpose, since only the same arithmetic can reproduce the same bits.
+Two exceptions follow at the end, each an earlier implementation kept
+verbatim as a bit-identity reference, since only the same arithmetic can
+reproduce the same bits: ``evaluate_cost``, the three-solve stationary-cost
+evaluation, for ``ratekit.lqg.evaluate_costs`` (it uses the package's
+Lyapunov solver), and ``trace_events_and_jsonl``, the simulation loop that
+builds one dict per event, for ``ratekit.sim.SimulationTrace`` (it uses the
+package's window loop and synthesis).
 """
 
 from __future__ import annotations
 
+import json
+from types import SimpleNamespace
+
 import numpy as np
 
+from ratekit import _kernels
+from ratekit.energy import FLOOR_EPS
 from ratekit.lqg import CostBreakdown, LqgController
 from ratekit.plant import PlantModel
 from ratekit.riccati import DesignError, solve_dlyap, spectral_radius
+from ratekit.search import synthesize
+from ratekit.sim import (MatchFixedBudget, NoiseScenario, Strategy, _psd_sqrt,
+                         floor_pattern)
+from ratekit.tables import (CostTable, LevelSpec, PowerTable, design_all,
+                            totals_over_window)
 
 
 def rk4_expm(a_mat: np.ndarray, t: float, steps: int = 400) -> np.ndarray:
@@ -227,3 +240,160 @@ def evaluate_cost(plant: PlantModel, ctrl: LqgController, r: float) -> CostBreak
             raise DesignError(f"negative noise-free cost {b:.3e}")
         b = 0.0
     return CostBreakdown(a=a, b=b, J=j)
+
+
+# ---------------------------------------------------------------------------
+# Per-sample trace events: the simulation loop that builds one dict per event
+# and encodes each with the JSON encoder, the reference for the columnar
+# SimulationTrace (its events, its JSONL bytes, its cycle counts and its
+# realized segments).
+# ---------------------------------------------------------------------------
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def trace_events_and_jsonl(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec,
+                           scenario: NoiseScenario, budget, strategy: Strategy, *,
+                           lam: float = 0.05, seed: int = None, backend: str = None,
+                           controllers: list = None) -> SimpleNamespace:
+    """Run the on-line loop over the scenario and return the full event trace.
+
+    ``budget`` is an EnergyBudget renewed every window, or a MatchFixedBudget
+    rule; its window is the hyper-period.  ``strategy`` selects a fixed rate
+    or per-window re-synthesis with one of the search algorithms.  Identical
+    (inputs, seed) produce an identical trace.
+    """
+    rates = ct.rates
+    if pt.rates.periods != rates.periods:
+        raise ValueError("cost and power tables use different rate sets")
+    window = budget.window
+    if scenario.total + FLOOR_EPS < window:
+        raise ValueError(
+            f"scenario ({scenario.total} s) shorter than one hyper-period ({window} s)")
+    if controllers is None:
+        controllers = design_all(plant, rates)
+    n = len(rates)
+    k = levels.k
+    nx, nu, ny = plant.nx, plant.nu, plant.ny
+
+    phis = np.stack([c.dp.Phi for c in controllers])
+    gammas = np.stack([c.dp.Gamma for c in controllers])
+    kgains = np.stack([c.K for c in controllers])
+    kfgains = np.stack([c.Kf for c in controllers])
+    chol_r1d = np.stack([_psd_sqrt(c.dp.R1d) for c in controllers])
+    qds = np.stack([c.dp.Qd for c in controllers])
+    jbars = np.array([c.dp.jbar1 for c in controllers])
+    snom_inv = np.stack([np.linalg.inv(c.S_innov) for c in controllers])
+    chol_r2 = _psd_sqrt(plant.R2)
+    periods = np.array(rates.periods)
+    thresholds = np.array(levels.thresholds)
+    phi_j = pt.phi_mj * 1e-3
+
+    seg_ends = np.cumsum([d for d, _ in scenario.segments])
+    seg_rs = np.array([r for _, r in scenario.segments])
+
+    n_windows = int(np.floor(scenario.total / window + FLOOR_EPS))
+    max_steps = int(np.ceil(window / periods[0])) + 2
+
+    rng = np.random.default_rng(scenario.seed if seed is None else seed)
+    x = np.zeros(nx)
+    xhat = np.zeros(nx)
+    r_hat = 0.0
+    t = 0.0
+    energy = 0.0
+    cost = 0.0
+
+    if strategy.kind == "fixed":
+        iref = rates.index_of(strategy.fixed_h)
+        mmap = np.full(k, iref, dtype=np.int64)
+    elif strategy.kind == "adaptive":
+        mmap = np.zeros(k, dtype=np.int64)  # start at the most frequent rate
+    else:
+        raise ValueError(f"unknown strategy kind {strategy.kind!r}")
+
+    events = []
+    windows = []
+    cycles = np.zeros(n, dtype=np.int64)
+    seg_runs = []   # (count, rate index) runs of the realized rate sequence
+    prev_level = None
+    energy_after_w0 = 0.0
+
+    out_t = np.zeros(max_steps)
+    out_h = np.zeros(max_steps)
+    out_rhat = np.zeros(max_steps)
+    out_level = np.zeros(max_steps, dtype=np.int64)
+    out_rate = np.zeros(max_steps, dtype=np.int64)
+    out_energy = np.zeros(max_steps)
+    out_cost = np.zeros(max_steps)
+
+    for w in range(n_windows):
+        window_end = (w + 1) * window
+        noise = rng.standard_normal((max_steps, nx + ny))
+        level_time = np.zeros(k)
+        steps, r_hat, t, energy, cost = _kernels.window_loop(
+            x, xhat, r_hat, t, window_end, mmap,
+            phis, gammas, kgains, kfgains, plant.C,
+            chol_r1d, chol_r2, qds, jbars, snom_inv,
+            periods, thresholds, lam, phi_j,
+            seg_ends, seg_rs, noise, energy, cost,
+            out_t, out_h, out_rhat, out_level, out_rate, out_energy, out_cost, level_time,
+            backend=backend,
+        )
+        for t_i, h_ms, r_i, lvl, e_i, c_i in zip(
+                out_t[:steps].tolist(), (out_h[:steps] * 1000.0).tolist(),
+                out_rhat[:steps].tolist(), (out_level[:steps] + 1).tolist(),
+                out_energy[:steps].tolist(), out_cost[:steps].tolist()):
+            if prev_level is not None and lvl != prev_level:
+                events.append({"type": "level_change", "t": t_i,
+                               "from": prev_level, "to": lvl})
+            prev_level = lvl
+            events.append({
+                "type": "sample", "t": t_i, "h_ms": h_ms, "r_hat": r_i,
+                "level": lvl, "energy_j": e_i, "cost_integral": c_i,
+            })
+        cycles += np.bincount(out_rate[:steps], minlength=n)
+        for ridx in out_rate[:steps].tolist():
+            if seg_runs and seg_runs[-1][1] == ridx:
+                seg_runs[-1][0] += 1
+            else:
+                seg_runs.append([1, ridx])
+        if w == 0:
+            energy_after_w0 = energy
+        fr = tuple(float(v / level_time.sum()) for v in level_time)
+        win_record = {"type": "window_end", "window": w, "t": float(t),
+                      "level_time_s": [float(v) for v in level_time],
+                      "fractions": [float(v) for v in fr],
+                      "energy_j": float(energy), "cost_integral": float(cost)}
+        events.append(win_record)
+        windows.append(dict(win_record))
+        if strategy.kind == "adaptive" and w + 1 < n_windows:
+            pattern = floor_pattern(fr, rates, window)
+            totals = totals_over_window(ct, pt, pattern, window)
+            budget_w = budget.budget_for(totals) if isinstance(budget, MatchFixedBudget) else budget
+            result = synthesize(strategy.algo, totals, budget_w, backend=backend)
+            fallback = not result.feasible
+            if fallback:
+                mmap = np.full(k, n - 1, dtype=np.int64)  # slowest rate everywhere
+            else:
+                mmap = np.array(result.controller.choice, dtype=np.int64)
+            events.append({
+                "type": "synthesis", "window": w + 1, "algo": strategy.algo,
+                "pattern": [float(f) for f in pattern],
+                "budget_j": float(budget_w.e_max),
+                "controller_ms": [float(rates.periods_ms[i]) for i in mmap],
+                "predicted_cost": float(result.predicted_cost),
+                "predicted_energy": float(result.predicted_energy),
+                "explored": int(result.explored),
+                "feasible": bool(result.feasible),
+                "fallback": bool(fallback),
+            })
+
+    realized = [(cnt * rates.periods[i], rates.periods[i]) for cnt, i in seg_runs]
+    return SimpleNamespace(
+        events=events, windows=windows, cycles_per_rate=cycles,
+        realized_segments=realized, total_time=t, total_energy=energy,
+        cost_integral=cost,
+        steady_time=max(t - window, 0.0),
+        steady_energy=energy - energy_after_w0,
+        jsonl="".join(_encode(ev) + "\n" for ev in events),
+    )

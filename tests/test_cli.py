@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -6,8 +8,12 @@ import pytest
 
 from ratekit import _kernels
 from ratekit.cli import main
-from ratekit.tables import (CostTable, RateSet, build_power_table, build_profit_tables,
-                            save_tables, totals_over_window)
+from ratekit.config import load_config
+from ratekit.tables import (CostTable, RateSet, build_cost_table, build_power_table,
+                            build_profit_tables, design_all, save_tables,
+                            totals_over_window)
+
+import oracles
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -149,6 +155,22 @@ def test_oversized_oracle_lattice_exits_one(tmp_path, capsys):
     assert err.startswith("error: ") and "n^k = 5000211" in err
 
 
+def plot_csvs_from_events(events, level0):
+    """The plot CSVs built from one dict per event, as the CLI once did."""
+    cost, batt = io.StringIO(newline=""), io.StringIO(newline="")
+    w = csv.writer(cost)
+    w.writerow(["t_s", "cost_integral"])
+    for ev in events:
+        if ev["type"] == "sample":
+            w.writerow([repr(ev["t"]), repr(ev["cost_integral"])])
+    w = csv.writer(batt)
+    w.writerow(["t_s", "battery_j"])
+    for ev in events:
+        if ev["type"] == "sample":
+            w.writerow([repr(ev["t"]), repr(level0 - ev["energy_j"])])
+    return cost.getvalue().encode(), batt.getvalue().encode()
+
+
 def test_simulate_determinism_and_plotdata(small_config, tmp_path, capsys):
     t1 = tmp_path / "a.jsonl"
     t2 = tmp_path / "b.jsonl"
@@ -156,13 +178,25 @@ def test_simulate_determinism_and_plotdata(small_config, tmp_path, capsys):
                  "--out", str(t1), "--emit-plotdata", str(tmp_path / "plots")]) == 0
     assert main(["simulate", "--config", str(small_config), "--seed", "9",
                  "--out", str(t2)]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert t1.read_bytes() == t2.read_bytes()
     cost_csv = (tmp_path / "plots" / "plot_cost.csv").read_text().splitlines()
     batt_csv = (tmp_path / "plots" / "plot_battery.csv").read_text().splitlines()
     assert cost_csv[0] == "t_s,cost_integral"
     assert batt_csv[0] == "t_s,battery_j"
     assert len(cost_csv) > 10
+    cfg = load_config(small_config)
+    controllers = design_all(cfg.plant, cfg.rates)
+    ref = oracles.trace_events_and_jsonl(
+        cfg.plant, build_cost_table(cfg.plant, cfg.rates, cfg.levels, controllers=controllers),
+        build_power_table(cfg.rates, cfg.peak_power_mw), cfg.levels, cfg.scenario, cfg.budget,
+        cfg.strategy, lam=cfg.rve_lambda, seed=9, controllers=controllers)
+    assert t1.read_bytes() == ref.jsonl.encode()
+    assert f"wrote {len(ref.events)} events to {t1}" in out
+    level0 = cfg.battery_capacity_mah * cfg.battery_voltage * 3.6
+    cost_ref, batt_ref = plot_csvs_from_events(ref.events, level0)
+    assert (tmp_path / "plots" / "plot_cost.csv").read_bytes() == cost_ref
+    assert (tmp_path / "plots" / "plot_battery.csv").read_bytes() == batt_ref
 
 
 def test_bench_cli(tmp_path, capsys):

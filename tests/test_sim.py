@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from ratekit.bench import BenchCase, synthetic_totals
 from ratekit.energy import EnergyBudget, ExecutionPattern, pattern_energy
 from ratekit.lqg import evaluate_cost
 from ratekit.sim import (HistoryWindow, MatchFixedBudget, NoiseScenario,
-                         RveState, Strategy, classify, rve_update,
-                         scenario_from_shares, simulate)
+                         RveState, SampleColumns, SimulationTrace, Strategy,
+                         classify, rve_update, scenario_from_shares, simulate)
 from ratekit.tables import LevelSpec, RateSet, WindowTotals, totals_over_window
+
+import oracles
 
 
 def test_classify_thresholds(levels):
@@ -322,6 +326,84 @@ def test_trace_bytes_pinned(kind, plant, cost_table, power_table, levels, contro
     digest, cycles = PINNED_TRACES[kind]
     assert hashlib.sha256(tr.jsonl().encode()).hexdigest() == digest
     assert tr.cycles_per_rate.tolist() == cycles
+
+
+# (budget, strategy, scenario) of runs compared with the per-event reference;
+# None budgets are the match-fixed rule at 50 ms, None scenarios the 200 s one
+REFERENCE_RUNS = {
+    "approach1": (None, Strategy.adaptive("approach1"), None),
+    "approach2": (1.5, Strategy.adaptive("approach2"), None),
+    "fixed": (1.5, Strategy.fixed(0.05), None),
+    "fallback": (1e-6, Strategy.adaptive("approach1"), None),
+    "one_window": (None, Strategy.adaptive("approach1"),
+                   scenario_from_shares((0.5, 0.3, 0.2), (5.0, 30.0, 75.0), 100.0, 5.0, seed=2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REFERENCE_RUNS))
+def test_trace_equals_per_event_reference(kind, plant, cost_table, power_table, levels,
+                                          controllers, low_scenario, hyper_period):
+    e_max, strategy, scen = REFERENCE_RUNS[kind]
+    budget = (MatchFixedBudget(0.05, hyper_period) if e_max is None
+              else EnergyBudget(e_max, hyper_period))
+    args = (plant, cost_table, power_table, levels, scen or low_scenario, budget, strategy)
+    tr = simulate(*args, lam=0.05, seed=7, controllers=controllers)
+    ref = oracles.trace_events_and_jsonl(*args, lam=0.05, seed=7, controllers=controllers)
+    assert tr.jsonl() == ref.jsonl
+    assert tr.events == ref.events
+    assert tr.n_events == len(ref.events)
+    assert tr.windows == ref.windows
+    assert tr.cycles_per_rate.dtype == ref.cycles_per_rate.dtype
+    assert tr.cycles_per_rate.tolist() == ref.cycles_per_rate.tolist()
+    assert tr.realized_segments == ref.realized_segments
+    for name in ("total_time", "total_energy", "cost_integral", "steady_time",
+                 "steady_energy"):
+        assert getattr(tr, name) == getattr(ref, name)
+    kinds = {ev["type"] for ev in ref.events}
+    assert {"sample", "window_end", "level_change"} <= kinds
+    assert ("synthesis" in kinds) == (strategy.kind == "adaptive" and scen is None)
+
+
+def test_trace_serializes_non_finite_values_as_json():
+    nan, inf, big = float("nan"), float("inf"), 1e308
+    cols = SampleColumns(t=[0.0, 0.01, 0.02, 0.03, 0.04], h_ms=[10.0] * 5,
+                         r_hat=[nan, 0.5, -0.0, -inf, big],
+                         level=[1, 2, 2, 1, 1],
+                         energy_j=[-0.0, inf, 0.5, 1.0, big],
+                         cost_integral=[0.1, 0.2, 2.0, nan, 3.0])
+    window_end = {"type": "window_end", "window": 0, "t": 0.03, "energy_j": inf,
+                  "level_time_s": [nan, -0.0]}
+    synthesis = {"type": "synthesis", "window": 1, "predicted_cost": -inf, "feasible": False}
+    tr = SimulationTrace(samples=cols, records=[(3, window_end), (4, synthesis)],
+                         windows=[], cycles_per_rate=np.zeros(1, dtype=np.int64),
+                         realized_segments=[], total_time=0.05, total_energy=0.0,
+                         cost_integral=0.0, steady_time=0.0, steady_energy=0.0)
+
+    def sample(i):
+        return {"type": "sample", "t": cols.t[i], "h_ms": cols.h_ms[i], "r_hat": cols.r_hat[i],
+                "level": cols.level[i], "energy_j": cols.energy_j[i],
+                "cost_integral": cols.cost_integral[i]}
+
+    def change(i):
+        return {"type": "level_change", "t": cols.t[i], "from": cols.level[i - 1],
+                "to": cols.level[i]}
+
+    # a record and a level change at the same position: the record ends the
+    # window, the change belongs to the sample that follows
+    expected = [sample(0), change(1), sample(1), sample(2), window_end, change(3), sample(3),
+                synthesis, sample(4)]
+    assert tr.events == expected
+    assert tr.n_events == len(expected)
+    text = tr.jsonl()
+    assert text == "".join(json.dumps(ev, separators=(",", ":")) + "\n" for ev in expected)
+    assert "NaN" in text and "-Infinity" in text and "-0.0" in text
+    # every value finite, but a column sum overflows
+    finite = tr.samples._replace(r_hat=[1.0, 0.5, -0.0, big, big],
+                                 energy_j=[-0.0, 0.1, 0.5, 1.0, big],
+                                 cost_integral=[0.1, 0.2, 2.0, 2.5, 3.0])
+    tr = dataclasses.replace(tr, samples=finite)
+    assert tr.jsonl() == "".join(json.dumps(ev, separators=(",", ":")) + "\n"
+                                 for ev in tr.events)
 
 
 def random_loop_inputs(rng, nx, ny, nu, n_rates=3, k=3, window=1.0, n_seg=8):
