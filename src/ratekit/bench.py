@@ -2,8 +2,7 @@
 
 Synthetic monotone tables stand in for real LQG tables at large n so the
 harness measures search, not table construction.  Exhaustive-style scans are
-skipped (with a note) once n^k exceeds the configured cap.  An optional
-backend axis times the jit kernels against the pure-numpy path.
+skipped (with a note) once n^k exceeds the configured cap.
 """
 
 from __future__ import annotations
@@ -18,11 +17,14 @@ from statistics import median
 import numpy as np
 
 from . import _kernels
+from .config import ConfigError
 from .energy import EnergyBudget
 from .search import approach1, approach2, exhaustive
 from .tables import ProfitTables, RateSet, WindowTotals, build_profit_tables
 
 DEFAULT_CAP = 10**8
+# the report's backend column; every kernel runs on numpy
+BACKEND = "numpy"
 # high-noise-dominant workload: the dominant-share level also carries the
 # dominant cost scale, which keeps the profit walk on one level's spoke
 DEFAULT_PATTERN = (0.2, 0.1, 0.7)
@@ -92,16 +94,16 @@ def case_budget(case: BenchCase, totals: WindowTotals) -> EnergyBudget:
 
 
 def _run_one(algo: str, totals: WindowTotals, budget: EnergyBudget,
-             profit: ProfitTables, backend: str, reps: int):
+             profit: ProfitTables, reps: int):
     times = []
     result = None
     for _ in range(reps):
         if algo == "exhaustive":
-            result = exhaustive(totals, budget, backend=backend)
+            result = exhaustive(totals, budget)
         elif algo == "approach1":
-            result = approach1(totals, budget, backend=backend)
+            result = approach1(totals, budget)
         elif algo == "approach2":
-            result = approach2(profit, totals, budget, backend=backend)
+            result = approach2(profit, totals, budget)
         else:
             raise ValueError(f"unknown algorithm {algo!r}")
         times.append(result.elapsed)
@@ -109,44 +111,38 @@ def _run_one(algo: str, totals: WindowTotals, budget: EnergyBudget,
 
 
 def run_bench(cases, algos=("exhaustive", "approach1", "approach2"),
-              backends=("auto",), cap: int = DEFAULT_CAP):
-    """Time every (case, algorithm, backend) cell; returns a list of row dicts."""
-    for backend in backends:
-        _kernels.warmup(backend if backend != "auto" else None)
+              cap: int = DEFAULT_CAP):
+    """Time every (case, algorithm) cell; returns a list of row dicts."""
     rows = []
     for case in cases:
         totals = synthetic_totals(case)
         budget = case_budget(case, totals)
         profit = build_profit_tables(totals)
         lattice = case.n ** case.k
-        for backend in backends:
-            cell = {}
-            be = None if backend == "auto" else backend
-            for algo in algos:
-                limit = cap
-                if algo == "exhaustive" and _kernels.resolve_backend(be) == "numpy":
-                    limit = min(cap, _kernels.MAX_ORACLE_CELLS)
-                if algo in ("exhaustive", "approach1") and lattice > limit:
-                    rows.append({
-                        "n": case.n, "k": case.k, "algo": algo, "backend": backend,
-                        "median_s": "", "explored": "", "cost": "", "energy": "",
-                        "feasible": "", "skipped": True,
-                        "note": f"lattice {lattice} exceeds cap {limit}",
-                    })
-                    continue
-                result, med = _run_one(algo, totals, budget, profit, be, case.reps)
-                cell[algo] = med
+        cell = {}
+        for algo in algos:
+            limit = min(cap, _kernels.MAX_ORACLE_CELLS) if algo == "exhaustive" else cap
+            if algo in ("exhaustive", "approach1") and lattice > limit:
                 rows.append({
-                    "n": case.n, "k": case.k, "algo": algo, "backend": backend,
-                    "median_s": med, "explored": result.explored,
-                    "cost": result.predicted_cost, "energy": result.predicted_energy,
-                    "feasible": result.feasible, "skipped": False, "note": "",
+                    "n": case.n, "k": case.k, "algo": algo, "backend": BACKEND,
+                    "median_s": "", "explored": "", "cost": "", "energy": "",
+                    "feasible": "", "skipped": True,
+                    "note": f"lattice {lattice} exceeds cap {limit}",
                 })
-            ref = cell.get("approach2")
-            if ref:
-                for row in rows[-len(algos):]:
-                    if row["backend"] == backend and not row["skipped"]:
-                        row["ratio_vs_approach2"] = row["median_s"] / ref
+                continue
+            result, med = _run_one(algo, totals, budget, profit, case.reps)
+            cell[algo] = med
+            rows.append({
+                "n": case.n, "k": case.k, "algo": algo, "backend": BACKEND,
+                "median_s": med, "explored": result.explored,
+                "cost": result.predicted_cost, "energy": result.predicted_energy,
+                "feasible": result.feasible, "skipped": False, "note": "",
+            })
+        ref = cell.get("approach2")
+        if ref:
+            for row in rows[-len(algos):]:
+                if not row["skipped"]:
+                    row["ratio_vs_approach2"] = row["median_s"] / ref
     for row in rows:
         row.setdefault("ratio_vs_approach2", "")
     return rows
@@ -177,9 +173,18 @@ def format_report(rows) -> str:
 
 def load_cases(path) -> list:
     doc = json.loads(Path(path).read_text())
-    cases = doc["cases"] if isinstance(doc, dict) else doc
+    if isinstance(doc, dict):
+        if "cases" not in doc:
+            raise ConfigError(f"{path}: missing key 'cases'")
+        doc = doc["cases"]
+    if not isinstance(doc, list):
+        raise ConfigError(f"{path}: 'cases' must be a JSON list")
     out = []
-    for c in cases:
+    for i, c in enumerate(doc):
+        if not isinstance(c, dict):
+            raise ConfigError(f"{path}: cases[{i}] must be a JSON object")
+        if "n" not in c:
+            raise ConfigError(f"{path}: cases[{i}]: missing key 'n'")
         out.append(BenchCase(
             n=int(c["n"]), k=int(c.get("k", 3)), reps=int(c.get("reps", 5)),
             budget=c.get("budget", "mid"), seed=int(c.get("seed", 0)),

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .config import ConfigError, load_config
 from .energy import Battery, EnergyBudget, battery_discharge
 from .riccati import DesignError
@@ -64,8 +64,7 @@ def cmd_synthesize(args) -> int:
     pattern = _parse_pattern(args.pattern)
     totals = totals_over_window(ct, pt, pattern, args.budget_window)
     budget = EnergyBudget(e_max=args.budget_energy, window=args.budget_window)
-    backend = args.backend if args.backend != "auto" else None
-    result = synthesize(args.algo, totals, budget, backend=backend)
+    result = synthesize(args.algo, totals, budget)
     doc = {
         "algo": result.algo,
         "controller": {
@@ -100,10 +99,9 @@ def cmd_simulate(args) -> int:
     pt = build_power_table(cfg.rates, cfg.peak_power_mw)
     budget = cfg.budget or EnergyBudget(e_max=1e18, window=cfg.hyper_period_s)
     seed = args.seed if args.seed is not None else cfg.seed
-    backend = args.backend if args.backend != "auto" else None
     trace = simulate(cfg.plant, ct, pt, cfg.levels, cfg.scenario, budget,
                      cfg.strategy, lam=cfg.rve_lambda, seed=seed,
-                     backend=backend, controllers=controllers)
+                     controllers=controllers)
     if args.out:
         trace.write_jsonl(args.out)
         print(f"wrote {trace.n_events} events to {args.out}")
@@ -131,14 +129,7 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     from .bench import format_report, load_cases, run_bench, write_report
 
-    cases = load_cases(args.cases)
-    if args.compare_backends:
-        backends = ["numba", "numpy"] if _kernels.HAS_NUMBA else ["numpy"]
-        if not _kernels.HAS_NUMBA:
-            print("numba unavailable; comparing numpy only", file=sys.stderr)
-    else:
-        backends = ["auto"]
-    rows = run_bench(cases, backends=tuple(backends), cap=args.cap)
+    rows = run_bench(load_cases(args.cases), cap=args.cap)
     print(format_report(rows))
     if args.out:
         write_report(rows, args.out)
@@ -198,9 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratekit",
         description="Energy-budgeted multi-rate LQG controller synthesis toolkit")
-    parser.add_argument("--version", action="version",
-                        version=f"ratekit {__version__} "
-                                f"(kernels: {_kernels.DEFAULT_BACKEND})")
+    parser.add_argument("--version", action="version", version=f"ratekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("precompute", help="build and persist the off-line tables")
@@ -215,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-window", type=float, required=True, help="window seconds")
     p.add_argument("--algo", default="approach1",
                    choices=["exhaustive", "approach1", "approach2"])
-    p.add_argument("--backend", default="auto", choices=["auto", "numba", "numpy"])
     p.add_argument("--strict", action="store_true",
                    help="exit 2 when no candidate fits the budget")
     p.add_argument("--out")
@@ -226,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")
     p.add_argument("--emit-plotdata", metavar="DIR")
-    p.add_argument("--backend", default="auto", choices=["auto", "numba", "numpy"])
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="time the three algorithms across cases")
@@ -234,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--cap", type=int, default=10**8,
                    help="skip full scans when n^k exceeds this")
-    p.add_argument("--compare-backends", action="store_true",
-                   help="time the jit kernels against the pure-numpy path")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("battery", help="battery discharge comparison")

@@ -37,21 +37,6 @@ class MultiRateController:
         return tuple(rates.periods[i] for i in self.choice)
 
 
-@dataclass(frozen=True)
-class DisturbancePattern:
-    """Share of the window spent at each disturbance level."""
-
-    fractions: tuple
-
-    def __post_init__(self):
-        fr = tuple(float(f) for f in self.fractions)
-        if any(f < 0.0 for f in fr):
-            raise ValueError("fractions must be non-negative")
-        if abs(sum(fr) - 1.0) > 1e-12:
-            raise ValueError(f"fractions must sum to 1, got {sum(fr)}")
-        object.__setattr__(self, "fractions", fr)
-
-
 @dataclass
 class SynthesisResult:
     controller: MultiRateController
@@ -97,7 +82,7 @@ def _wrap(idx, cost, energy, explored, feasible, totals, algo, t0, emissions=Non
     )
 
 
-def exhaustive(totals: WindowTotals, budget: EnergyBudget, backend=None) -> SynthesisResult:
+def exhaustive(totals: WindowTotals, budget: EnergyBudget) -> SynthesisResult:
     """Evaluate every candidate; return the cheapest feasible one.
 
     Explores exactly n^k candidates.  When nothing fits the budget the
@@ -106,7 +91,7 @@ def exhaustive(totals: WindowTotals, budget: EnergyBudget, backend=None) -> Synt
     e_max = _check_budget(totals, budget)
     t0 = time.perf_counter()
     idx, cost, energy, explored, ok = _kernels.exhaustive_scan(
-        totals.cc_total, totals.ec_by_level, e_max, backend=backend)
+        totals.cc_total, totals.ec_by_level, e_max)
     return _wrap(idx, cost, energy, explored, ok, totals, "exhaustive", t0)
 
 
@@ -116,7 +101,7 @@ def _monotone_for_pruning(totals: WindowTotals) -> bool:
     return cc_ok and ec_ok
 
 
-def approach1(totals: WindowTotals, budget: EnergyBudget, backend=None) -> SynthesisResult:
+def approach1(totals: WindowTotals, budget: EnergyBudget) -> SynthesisResult:
     """Dominance-pruned scan; result-equivalent to the exhaustive baseline.
 
     Candidates over budget prune everything component-wise at least as fast;
@@ -131,16 +116,16 @@ def approach1(totals: WindowTotals, budget: EnergyBudget, backend=None) -> Synth
                       "dominance pruning downgraded to the exhaustive scan")
         t0 = time.perf_counter()
         idx, cost, energy, explored, ok = _kernels.exhaustive_scan(
-            totals.cc_total, totals.ec_by_level, e_max, backend=backend)
+            totals.cc_total, totals.ec_by_level, e_max)
         return _wrap(idx, cost, energy, explored, ok, totals, "approach1", t0)
     t0 = time.perf_counter()
     idx, cost, energy, explored, ok = _kernels.approach1_scan(
-        totals.cc_total, totals.ec_by_level, e_max, backend=backend)
+        totals.cc_total, totals.ec_by_level, e_max)
     return _wrap(idx, cost, energy, explored, ok, totals, "approach1", t0)
 
 
 def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
-              record_emissions: bool = False, backend=None) -> SynthesisResult:
+              record_emissions: bool = False) -> SynthesisResult:
     """Best-first walk of the profit-sorted tables.
 
     Starts from the top-profit row of every level table and repeatedly emits
@@ -150,15 +135,8 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
     non-increasing collective profit; explored counts emitted candidates.
     """
     e_max = _check_budget(totals, budget)
-    backend = _kernels.resolve_backend(backend)
     t0 = time.perf_counter()
     k, n = profit.order.shape
-    if (not record_emissions and n <= _kernels.MAX_BESTFIRST_N
-            and k <= _kernels.MAX_BESTFIRST_K and backend == "numba"):
-        ranks, cost, energy, explored, ok = _kernels.bestfirst_scan(
-            profit.profit, profit.order, totals.cc_total, totals.ec_by_level, e_max)
-        choice = tuple(int(profit.order[j, ranks[j]]) for j in range(k))
-        return _wrap(choice, cost, energy, explored, ok, totals, "approach2", t0)
     # plain lists keep the pop/push loop free of numpy scalar overhead
     prof = profit.profit.tolist()
     order = profit.order.tolist()
@@ -221,7 +199,7 @@ ALGORITHMS = {
 
 
 def synthesize(algo: str, totals: WindowTotals, budget: EnergyBudget,
-               profit: ProfitTables = None, backend=None) -> SynthesisResult:
+               profit: ProfitTables = None) -> SynthesisResult:
     """Dispatch by algorithm name, building profit tables when needed."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {sorted(ALGORITHMS)}")
@@ -229,5 +207,5 @@ def synthesize(algo: str, totals: WindowTotals, budget: EnergyBudget,
         if profit is None:
             from .tables import build_profit_tables
             profit = build_profit_tables(totals)
-        return approach2(profit, totals, budget, backend=backend)
-    return ALGORITHMS[algo](totals, budget, backend=backend)
+        return approach2(profit, totals, budget)
+    return ALGORITHMS[algo](totals, budget)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
@@ -60,68 +60,12 @@ class NoiseScenario:
         return sum(d for d, _ in self.segments)
 
 
-@dataclass(frozen=True)
-class RveState:
-    """Exponentially weighted residual-variance estimate of the intensity."""
-
-    r_hat: float
-    lam: float
-    sigma_nom_sq: float
-
-    def __post_init__(self):
-        if self.r_hat < 0.0:
-            raise ValueError("r_hat must be non-negative")
-        if not 0.0 < self.lam <= 1.0:
-            raise ValueError("forgetting factor must lie in (0, 1]")
-        if self.sigma_nom_sq <= 0.0:
-            raise ValueError("nominal innovation variance must be positive")
-
-
-def rve_update(state: RveState, innovation: float) -> RveState:
-    """One estimator step: blend in the normalized squared innovation."""
-    ratio = float(innovation) ** 2 / state.sigma_nom_sq
-    return RveState(r_hat=(1.0 - state.lam) * state.r_hat + state.lam * ratio,
-                    lam=state.lam, sigma_nom_sq=state.sigma_nom_sq)
-
-
 def classify(r_hat: float, levels: LevelSpec) -> int:
     """1-based level of an intensity estimate; values above the top clamp to k."""
-    thr = np.asarray(levels.thresholds)
-    return _kernels.classify_scalar(float(r_hat), thr) + 1
-
-
-@dataclass
-class HistoryWindow:
-    """Accumulates time spent per disturbance level over one hyper-period."""
-
-    duration: float
-    level_time: np.ndarray = field(default=None)
-    k: int = 0
-
-    def __post_init__(self):
-        if self.level_time is None:
-            if self.k <= 0:
-                raise ValueError("provide k or an explicit level_time array")
-            self.level_time = np.zeros(self.k)
-        self.level_time = np.asarray(self.level_time, dtype=np.float64)
-        self.k = len(self.level_time)
-
-    def add(self, level: int, dt: float) -> None:
-        if dt < 0.0:
-            raise ValueError("cannot accumulate negative time")
-        total = self.level_time.sum() + dt
-        if total > self.duration * (1.0 + 1e-9):
-            raise ValueError("accumulated level time exceeds the window duration")
-        self.level_time[level - 1] += dt
-
-    def fractions(self) -> tuple:
-        total = self.level_time.sum()
-        if total <= 0.0:
-            raise ValueError("empty history window")
-        return tuple(float(v / total) for v in self.level_time)
-
-    def reset(self) -> None:
-        self.level_time[:] = 0.0
+    for j in range(1, levels.k):
+        if r_hat <= levels.thresholds[j]:
+            return j
+    return levels.k
 
 
 @dataclass(frozen=True)
@@ -290,7 +234,7 @@ def floor_pattern(fractions, rates: RateSet, window: float) -> tuple:
 
 def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec,
              scenario: NoiseScenario, budget, strategy: Strategy, *,
-             lam: float = 0.05, seed: int = None, backend: str = None,
+             lam: float = 0.05, seed: int = None,
              controllers: list = None) -> SimulationTrace:
     """Run the on-line loop over the scenario and return the full event trace.
 
@@ -373,7 +317,6 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
             periods, thresholds, lam, phi_j,
             seg_ends, seg_rs, noise, energy, cost,
             out_t, out_h, out_rhat, out_level, out_rate, out_energy, out_cost, level_time,
-            backend=backend,
         )
         for col, vals in zip(samples, (out_t[:steps], out_h[:steps] * 1000.0,
                                        out_rhat[:steps], out_level[:steps] + 1,
@@ -393,7 +336,7 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
             pattern = floor_pattern(fr, rates, window)
             totals = totals_over_window(ct, pt, pattern, window)
             budget_w = budget.budget_for(totals) if isinstance(budget, MatchFixedBudget) else budget
-            result = synthesize(strategy.algo, totals, budget_w, backend=backend)
+            result = synthesize(strategy.algo, totals, budget_w)
             fallback = not result.feasible
             if fallback:
                 mmap = np.full(k, n - 1, dtype=np.int64)  # slowest rate everywhere

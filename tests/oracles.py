@@ -5,13 +5,15 @@ equation solvers: transition matrices come from RK4 integration, integrals
 from Simpson quadrature, costs from time-domain Monte-Carlo simulation, and
 scalar Riccati roots from the quadratic formula.
 
-Two exceptions follow at the end, each an earlier implementation kept
+The exceptions follow at the end, each an earlier implementation kept
 verbatim as a bit-identity reference, since only the same arithmetic can
 reproduce the same bits: ``evaluate_cost``, the three-solve stationary-cost
 evaluation, for ``ratekit.lqg.evaluate_costs`` (it uses the package's
-Lyapunov solver), and ``trace_events_and_jsonl``, the simulation loop that
+Lyapunov solver); ``trace_events_and_jsonl``, the simulation loop that
 builds one dict per event, for ``ratekit.sim.SimulationTrace`` (it uses the
-package's window loop and synthesis).
+package's window loop and synthesis); and the one-candidate-at-a-time loops
+``_exhaustive_impl``, ``_approach1_impl`` and ``_window_loop_impl`` for the
+scans and the window loop of ``ratekit._kernels``.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 def trace_events_and_jsonl(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec,
                            scenario: NoiseScenario, budget, strategy: Strategy, *,
-                           lam: float = 0.05, seed: int = None, backend: str = None,
+                           lam: float = 0.05, seed: int = None,
                            controllers: list = None) -> SimpleNamespace:
     """Run the on-line loop over the scenario and return the full event trace.
 
@@ -337,7 +339,6 @@ def trace_events_and_jsonl(plant: PlantModel, ct: CostTable, pt: PowerTable, lev
             periods, thresholds, lam, phi_j,
             seg_ends, seg_rs, noise, energy, cost,
             out_t, out_h, out_rhat, out_level, out_rate, out_energy, out_cost, level_time,
-            backend=backend,
         )
         for t_i, h_ms, r_i, lvl, e_i, c_i in zip(
                 out_t[:steps].tolist(), (out_h[:steps] * 1000.0).tolist(),
@@ -370,7 +371,7 @@ def trace_events_and_jsonl(plant: PlantModel, ct: CostTable, pt: PowerTable, lev
             pattern = floor_pattern(fr, rates, window)
             totals = totals_over_window(ct, pt, pattern, window)
             budget_w = budget.budget_for(totals) if isinstance(budget, MatchFixedBudget) else budget
-            result = synthesize(strategy.algo, totals, budget_w, backend=backend)
+            result = synthesize(strategy.algo, totals, budget_w)
             fallback = not result.feasible
             if fallback:
                 mmap = np.full(k, n - 1, dtype=np.int64)  # slowest rate everywhere
@@ -397,3 +398,270 @@ def trace_events_and_jsonl(plant: PlantModel, ct: CostTable, pt: PowerTable, lev
         steady_energy=energy - energy_after_w0,
         jsonl="".join(_encode(ev) + "\n" for ev in events),
     )
+
+
+# ---------------------------------------------------------------------------
+# Loop references of the lattice scans and of the window loop: plain loops
+# over one candidate (or one sample) at a time, which the vectorized scans in
+# ratekit._kernels and its Python-float window loop must match.  Lattice
+# scans tie-break on cost, then energy, then the lexicographically smallest
+# index vector; with nothing feasible they report the minimum-energy vector.
+# ---------------------------------------------------------------------------
+
+
+def _exhaustive_impl(cc, ec, budget):
+    n, k = cc.shape
+    idx = np.zeros(k, np.int64)
+    best = np.zeros(k, np.int64)
+    best_cost = np.inf
+    best_energy = np.inf
+    inf_best = np.zeros(k, np.int64)
+    inf_energy = np.inf
+    feasible = False
+    explored = 0
+    while True:
+        cost = 0.0
+        energy = 0.0
+        for j in range(k):
+            cost += cc[idx[j], j]
+            energy += ec[idx[j], j]
+        explored += 1
+        if energy <= budget:
+            if cost < best_cost or (cost == best_cost and energy < best_energy):
+                best_cost = cost
+                best_energy = energy
+                for j in range(k):
+                    best[j] = idx[j]
+                feasible = True
+        elif energy < inf_energy:
+            inf_energy = energy
+            for j in range(k):
+                inf_best[j] = idx[j]
+        j = k - 1
+        while j >= 0:
+            idx[j] += 1
+            if idx[j] < n:
+                break
+            idx[j] = 0
+            j -= 1
+        if j < 0:
+            break
+    if not feasible:
+        inf_cost = 0.0
+        for j in range(k):
+            inf_cost += cc[inf_best[j], j]
+        return inf_best, inf_cost, inf_energy, explored, False
+    return best, best_cost, best_energy, explored, True
+
+
+def _approach1_impl(cc, ec, budget):
+    n, k = cc.shape
+    idx = np.zeros(k, np.int64)
+    best = np.zeros(k, np.int64)
+    best_cost = np.inf
+    best_energy = np.inf
+    inf_best = np.zeros(k, np.int64)
+    inf_energy = np.inf
+    feasible = False
+    explored = 0
+    last = k - 1
+    while True:
+        # prefix energy over axes 0..k-2, summed left to right
+        prefix = 0.0
+        for j in range(last):
+            prefix += ec[idx[j], j]
+        for i in range(n):
+            idx[last] = i
+            energy = prefix + ec[i, last]
+            if energy > budget:
+                explored += 1
+                if energy < inf_energy:
+                    inf_energy = energy
+                    for j in range(k):
+                        inf_best[j] = idx[j]
+            else:
+                # first feasible index of this prefix; later ones are
+                # dominated through their inner-axis decrement
+                minimal = True
+                for j in range(last):
+                    if idx[j] == 0:
+                        continue
+                    dec = 0.0
+                    for m in range(k):
+                        if m == j:
+                            dec += ec[idx[m] - 1, m]
+                        else:
+                            dec += ec[idx[m], m]
+                    if dec <= budget:
+                        minimal = False
+                        break
+                if minimal:
+                    explored += 1
+                    cost = 0.0
+                    for j in range(k):
+                        cost += cc[idx[j], j]
+                    if cost < best_cost or (cost == best_cost and energy < best_energy):
+                        best_cost = cost
+                        best_energy = energy
+                        for j in range(k):
+                            best[j] = idx[j]
+                        feasible = True
+                break
+        # advance the prefix odometer
+        j = last - 1
+        while j >= 0:
+            idx[j] += 1
+            if idx[j] < n:
+                break
+            idx[j] = 0
+            j -= 1
+        if j < 0:
+            break
+    if not feasible:
+        inf_cost = 0.0
+        for j in range(k):
+            inf_cost += cc[inf_best[j], j]
+        return inf_best, inf_cost, inf_energy, explored, False
+    return best, best_cost, best_energy, explored, True
+
+
+def _window_loop_impl(
+    x,
+    xhat,
+    r_hat,
+    t,
+    window_end,
+    mmap,
+    phis,
+    gammas,
+    kgains,
+    kfgains,
+    cmat,
+    chol_r1d,
+    chol_r2,
+    qds,
+    jbars,
+    snom_inv,
+    periods,
+    thresholds,
+    lam,
+    phi_j,
+    seg_ends,
+    seg_rs,
+    noise,
+    energy,
+    cost,
+    out_t,
+    out_h,
+    out_rhat,
+    out_level,
+    out_rate,
+    out_energy,
+    out_cost,
+    out_level_time,
+):
+    nx = x.shape[0]
+    ny = cmat.shape[0]
+    nu = gammas.shape[2]
+    nseg = seg_ends.shape[0]
+    nlevels = thresholds.shape[0] - 1
+    level = nlevels - 1
+    for j in range(1, nlevels):
+        if r_hat <= thresholds[j]:
+            level = j - 1
+            break
+    seg = 0
+    step = 0
+    y = np.zeros(ny)
+    innov = np.zeros(ny)
+    xupd = np.zeros(nx)
+    u = np.zeros(nu)
+    xnew = np.zeros(nx)
+    xhatnew = np.zeros(nx)
+    while t < window_end:
+        rate = mmap[level]
+        h = periods[rate]
+        while seg < nseg - 1 and t >= seg_ends[seg]:
+            seg += 1
+        r_true = seg_rs[seg]
+        # measurement y = C x + e, with e = chol_r2 @ z_e
+        for a in range(ny):
+            acc = 0.0
+            for b in range(nx):
+                acc += cmat[a, b] * x[b]
+            for b in range(ny):
+                acc += chol_r2[a, b] * noise[step, nx + b]
+            y[a] = acc
+        for a in range(ny):
+            acc = y[a]
+            for b in range(nx):
+                acc -= cmat[a, b] * xhat[b]
+            innov[a] = acc
+        # residual-variance update of the intensity estimate
+        ratio = 0.0
+        for a in range(ny):
+            for b in range(ny):
+                ratio += innov[a] * snom_inv[rate, a, b] * innov[b]
+        ratio /= ny
+        r_hat = (1.0 - lam) * r_hat + lam * ratio
+        new_level = nlevels - 1
+        for j in range(1, nlevels):
+            if r_hat <= thresholds[j]:
+                new_level = j - 1
+                break
+        # measurement update then feedback
+        for a in range(nx):
+            acc = xhat[a]
+            for b in range(ny):
+                acc += kfgains[rate, a, b] * innov[b]
+            xupd[a] = acc
+        for a in range(nu):
+            acc = 0.0
+            for b in range(nx):
+                acc -= kgains[rate, a, b] * xupd[b]
+            u[a] = acc
+        # stage cost on [x; u] plus the expected intra-sample noise term
+        stage = 0.0
+        for a in range(nx + nu):
+            za = x[a] if a < nx else u[a - nx]
+            for b in range(nx + nu):
+                zb = x[b] if b < nx else u[b - nx]
+                stage += za * qds[rate, a, b] * zb
+        cost += stage + r_true * jbars[rate]
+        energy += phi_j
+        out_t[step] = t
+        out_h[step] = h
+        out_rhat[step] = r_hat
+        out_level[step] = new_level
+        out_rate[step] = rate
+        out_energy[step] = energy
+        out_cost[step] = cost
+        dt_attr = h
+        if window_end - t < dt_attr:
+            dt_attr = window_end - t
+        out_level_time[new_level] += dt_attr
+        # propagate plant and estimator over one period
+        for a in range(nx):
+            acc = 0.0
+            for b in range(nx):
+                acc += phis[rate, a, b] * x[b]
+            for b in range(nu):
+                acc += gammas[rate, a, b] * u[b]
+            wnoise = 0.0
+            for b in range(nx):
+                wnoise += chol_r1d[rate, a, b] * noise[step, b]
+            xnew[a] = acc + np.sqrt(r_true) * wnoise
+        for a in range(nx):
+            acc = 0.0
+            for b in range(nx):
+                acc += phis[rate, a, b] * xupd[b]
+            for b in range(nu):
+                acc += gammas[rate, a, b] * u[b]
+            xhatnew[a] = acc
+        for a in range(nx):
+            x[a] = xnew[a]
+            xhat[a] = xhatnew[a]
+        t += h
+        level = new_level
+        step += 1
+    return step, r_hat, t, energy, cost

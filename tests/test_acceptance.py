@@ -10,7 +10,6 @@ from statistics import median
 import numpy as np
 import pytest
 
-from ratekit import _kernels
 from ratekit.bench import BenchCase, case_budget, synthetic_totals
 from ratekit.energy import EnergyBudget
 from ratekit.lqg import closed_loop_matrix, evaluate_cost, lyapunov_residual
@@ -89,7 +88,6 @@ def test_criterion_3_approach2_soundness():
 
 def test_criterion_4_search_efficiency_ordering():
     t0 = time.perf_counter()
-    _kernels.warmup()
     sizes = (32, 80, 160)
     seeds = range(10)
     reps = 5

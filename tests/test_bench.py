@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from ratekit import _kernels
 from ratekit.bench import (BenchCase, case_budget, format_report, load_cases,
                            run_bench, synthetic_totals, write_report)
+from ratekit.cli import main
+from ratekit.config import ConfigError
 
 
 def test_synthetic_tables_are_monotone():
@@ -50,21 +53,9 @@ def test_cap_skips_full_scans():
 
 
 def test_numpy_oracle_skipped_over_its_limit():
-    rows = run_bench([BenchCase(n=171, reps=1, seed=0)], algos=("exhaustive",),
-                     backends=("numpy",))
+    rows = run_bench([BenchCase(n=171, reps=1, seed=0)], algos=("exhaustive",))
     assert rows[0]["skipped"]
     assert f"exceeds cap {_kernels.MAX_ORACLE_CELLS}" in rows[0]["note"]
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="needs both backends")
-def test_backend_comparison_rows():
-    rows = run_bench([BenchCase(n=6, reps=2, seed=3)], backends=("numba", "numpy"))
-    backends = {r["backend"] for r in rows}
-    assert backends == {"numba", "numpy"}
-    # identical results regardless of backend
-    for algo in ("exhaustive", "approach1", "approach2"):
-        vals = {r["cost"] for r in rows if r["algo"] == algo}
-        assert len(vals) == 1
 
 
 def test_report_io(tmp_path):
@@ -87,3 +78,17 @@ def test_load_cases(tmp_path):
     assert cases[1].budget == 4.5 and cases[1].seed == 7
     with pytest.raises(ValueError):
         BenchCase(n=0)
+
+
+@pytest.mark.parametrize("doc, cause", [
+    ({"runs": [{"n": 9}]}, "missing key 'cases'"),
+    ({"cases": [{"n": 9}, {"k": 3}]}, "cases[1]: missing key 'n'"),
+    ([{"n": 9}, 12], "cases[1] must be a JSON object"),
+], ids=["missing_cases", "missing_n", "not_object"])
+def test_bench_rejects_malformed_cases(tmp_path, capsys, doc, cause):
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {cause}")):
+        load_cases(path)
+    assert main(["bench", "--cases", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {cause}\n"

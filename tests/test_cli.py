@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratekit import _kernels
 from ratekit.cli import main
 from ratekit.config import load_config
 from ratekit.tables import (CostTable, RateSet, build_cost_table, build_power_table,
@@ -129,18 +128,6 @@ def test_design_failure_exits_one(tmp_path, capsys):
     assert err.startswith("error: ") and "h=0.01" in err
 
 
-def test_unavailable_backend_exits_one(small_config, tmp_path, capsys, monkeypatch):
-    tables = tmp_path / "tables"
-    main(["precompute", "--config", str(small_config), "--out", str(tables)])
-    capsys.readouterr()
-    monkeypatch.setattr(_kernels, "HAS_NUMBA", False)
-    rc = main(["synthesize", "--tables", str(tables), "--pattern", "0.7,0.1,0.2",
-               "--budget-energy", "0.4", "--budget-window", "20", "--backend", "numba"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "numba" in err
-
-
 def test_oversized_oracle_lattice_exits_one(tmp_path, capsys):
     rates = RateSet.from_milliseconds(range(10, 181))
     ct = CostTable(rates=rates, entries=np.outer(np.arange(1.0, 172.0), [1.0, 2.0, 3.0]))
@@ -148,8 +135,7 @@ def test_oversized_oracle_lattice_exits_one(tmp_path, capsys):
     totals = totals_over_window(ct, pt, (0.7, 0.1, 0.2), 100.0)
     save_tables(tmp_path, ct, pt, build_profit_tables(totals), {})
     rc = main(["synthesize", "--tables", str(tmp_path), "--pattern", "0.7,0.1,0.2",
-               "--budget-energy", "5", "--budget-window", "100", "--algo", "exhaustive",
-               "--backend", "numpy"])
+               "--budget-energy", "5", "--budget-window", "100", "--algo", "exhaustive"])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "n^k = 5000211" in err

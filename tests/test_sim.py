@@ -12,9 +12,9 @@ from ratekit import _kernels
 from ratekit.bench import BenchCase, synthetic_totals
 from ratekit.energy import EnergyBudget, ExecutionPattern, pattern_energy
 from ratekit.lqg import evaluate_cost
-from ratekit.sim import (HistoryWindow, MatchFixedBudget, NoiseScenario,
-                         RveState, SampleColumns, SimulationTrace, Strategy,
-                         classify, rve_update, scenario_from_shares, simulate)
+from ratekit.sim import (MatchFixedBudget, NoiseScenario, SampleColumns,
+                         SimulationTrace, Strategy, classify, scenario_from_shares,
+                         simulate)
 from ratekit.tables import LevelSpec, RateSet, WindowTotals, totals_over_window
 
 import oracles
@@ -41,16 +41,6 @@ def test_classify_is_right_closed(bounds):
         assert classify(np.nextafter(thr[j], np.inf), levels) == j + 1
     assert classify(thr[k], levels) == k
     assert classify(np.nextafter(thr[k], np.inf), levels) == k
-
-
-def test_rve_decay_and_instantaneous():
-    st = RveState(r_hat=8.0, lam=0.25, sigma_nom_sq=4.0)
-    for _ in range(200):
-        st = rve_update(st, 0.0)
-    assert st.r_hat < 1e-20
-    st = RveState(r_hat=3.0, lam=1.0, sigma_nom_sq=4.0)
-    st = rve_update(st, 3.0)
-    assert st.r_hat == pytest.approx(9.0 / 4.0)
 
 
 def test_rve_long_run_mean_matches_analytics(plant, controllers):
@@ -80,20 +70,6 @@ def test_rve_long_run_mean_matches_analytics(plant, controllers):
             assert expect == pytest.approx(r_true, rel=0.01)
 
 
-def test_history_window_normalizes():
-    hw = HistoryWindow(duration=100.0, k=3)
-    hw.add(1, 70.0)
-    hw.add(2, 10.0)
-    hw.add(3, 20.0)
-    assert hw.fractions() == (0.7, 0.1, 0.2)
-    hw.reset()
-    with pytest.raises(ValueError):
-        hw.fractions()
-    hw.add(1, 50.0)
-    with pytest.raises(ValueError):
-        hw.add(2, 60.0)  # exceeds the window duration
-
-
 def test_scenario_generation():
     scen = scenario_from_shares((0.7, 0.2, 0.1), (5.0, 30.0, 75.0), 100.0, 5.0, seed=4)
     assert scen.total == pytest.approx(100.0)
@@ -120,10 +96,9 @@ def low_scenario():
 
 
 def run_sim(plant, cost_table, power_table, levels, scenario, budget, strategy,
-            controllers, seed=7, backend=None):
+            controllers, seed=7):
     return simulate(plant, cost_table, power_table, levels, scenario, budget,
-                    strategy, lam=0.05, seed=seed, controllers=controllers,
-                    backend=backend)
+                    strategy, lam=0.05, seed=seed, controllers=controllers)
 
 
 def test_trace_determinism(plant, cost_table, power_table, levels, controllers,
@@ -132,17 +107,6 @@ def test_trace_determinism(plant, cost_table, power_table, levels, controllers,
                 Strategy.adaptive("approach1"), controllers)
     b = run_sim(plant, cost_table, power_table, levels, low_scenario, short_budget,
                 Strategy.adaptive("approach1"), controllers)
-    assert a.jsonl() == b.jsonl()
-
-
-def test_backend_equivalence(plant, cost_table, power_table, levels, controllers,
-                             low_scenario, short_budget):
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    a = run_sim(plant, cost_table, power_table, levels, low_scenario, short_budget,
-                Strategy.adaptive("approach1"), controllers, backend="numba")
-    b = run_sim(plant, cost_table, power_table, levels, low_scenario, short_budget,
-                Strategy.adaptive("approach1"), controllers, backend="numpy")
     assert a.jsonl() == b.jsonl()
 
 
@@ -467,8 +431,8 @@ def test_window_loop_py_matches_reference(nx, ny, nu):
     for _ in range(3):
         inputs = random_loop_inputs(rng, nx, ny, nu)
         r_hat = float(rng.uniform(0.0, 5.0))
-        ref = LoopRun(_kernels._window_loop_impl, inputs, nx, 3, r_hat)
-        new = LoopRun(_kernels._window_loop_py, inputs, nx, 3, r_hat)
+        ref = LoopRun(oracles._window_loop_impl, inputs, nx, 3, r_hat)
+        new = LoopRun(_kernels.window_loop, inputs, nx, 3, r_hat)
         for w in range(4):  # the last window runs past the final segment end
             mmap = rng.integers(0, 3, 3)
             noise = rng.standard_normal((inputs["max_steps"], nx + ny))
@@ -491,7 +455,7 @@ def test_loop_levels_classify_their_estimates(seed, nx, ny, nu):
     r_hat = float(rng.uniform(0.0, 5.0))
     mmap = np.full(3, rng.integers(0, 3))
     noise = rng.standard_normal((inputs["max_steps"], nx + ny))
-    first = LoopRun(_kernels._window_loop_py, inputs, nx, 3, r_hat)
+    first = LoopRun(_kernels.window_loop, inputs, nx, 3, r_hat)
     steps = first.window(1.0, mmap, noise)[0]
     est = np.unique(first.out[2][:steps])
     est = est[(est > 0.0) & (est < 1e3)]
@@ -501,7 +465,7 @@ def test_loop_levels_classify_their_estimates(seed, nx, ny, nu):
     inputs["thresholds"] = np.array([0.0, *inner, 1e3])
     levels = LevelSpec(thresholds=tuple(inputs["thresholds"]),
                        representative_r=tuple(inputs["thresholds"][1:]))
-    run = LoopRun(_kernels._window_loop_py, inputs, nx, 3, r_hat)
+    run = LoopRun(_kernels.window_loop, inputs, nx, 3, r_hat)
     assert run.window(1.0, mmap, noise)[0] == steps
     out_rhat, out_level = run.out[2][:steps], run.out[3][:steps]
     assert np.array_equal(out_rhat, first.out[2][:steps])
