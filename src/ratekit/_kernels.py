@@ -1,15 +1,17 @@
 """Hot numeric kernels: lattice search scans and the closed-loop sample loop.
 
-The search scans are vectorized numpy; the inherently sequential simulation
-loop runs on Python floats and converts its operands to lists once per
-window.  Each kernel has a one-candidate (or one-sample) loop reference in
-``tests/oracles.py`` that it matches bit for bit: the kernels sum the same
-terms in the same order.
+The search scans are vectorized numpy.  The inherently sequential simulation
+loop runs on Python floats: its operands become lists once per run
+(``loop_operands``), and each window takes the loop state and returns the
+new state with its samples as lists (``window_loop``).  Each kernel has a
+one-candidate (or one-sample) loop reference in ``tests/oracles.py`` that it
+matches bit for bit: the kernels sum the same terms in the same order.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,82 +186,80 @@ def approach1_scan(cc, ec, budget):
 # ---------------------------------------------------------------------------
 
 
-def window_loop(
-    x,
-    xhat,
-    r_hat,
-    t,
-    window_end,
-    mmap,
-    phis,
-    gammas,
-    kgains,
-    kfgains,
-    cmat,
-    chol_r1d,
-    chol_r2,
-    qds,
-    jbars,
-    snom_inv,
-    periods,
-    thresholds,
-    lam,
-    phi_j,
-    seg_ends,
-    seg_rs,
-    noise,
-    energy,
-    cost,
-    out_t,
-    out_h,
-    out_rhat,
-    out_level,
-    out_rate,
-    out_energy,
-    out_cost,
-    out_level_time,
-):
-    # Every operand becomes a list once per window, then each step does the
-    # multiplies and adds of the index-loop reference in the same order,
-    # without numpy scalar boxing.  math.sqrt and np.sqrt are both correctly
-    # rounded, so all outputs match the reference bit for bit.  Rows that the
-    # reference walks one after another are joined ([C | chol_r2] against
-    # [x; z_e], [Phi | Gamma] against [x; u]), which keeps the order.
-    nx = x.shape[0]
-    ny = cmat.shape[0]
-    nlevels = thresholds.shape[0] - 1
-    thr = thresholds.tolist()
-    inner_thr = thr[1:nlevels]
-    mm = mmap.tolist()
-    per = periods.tolist()
-    seg_r = seg_rs.tolist()
-    # the end of every segment but the last; the last one never ends
-    seg_bounds = seg_ends[:-1].tolist() + [math.inf]
-    meas_rows = list(zip(np.hstack([cmat, chol_r2]).tolist(), cmat.tolist()))
-    prop_l = np.concatenate([phis, gammas], axis=2).tolist()
-    k_l, kf_l, r1_l = kgains.tolist(), kfgains.tolist(), chol_r1d.tolist()
-    q_l, jbars_l, sinv_l = qds.tolist(), jbars.tolist(), snom_inv.tolist()
+class LoopOperands(NamedTuple):
+    """Everything the sample loop reads but never changes, as Python lists."""
+
+    per_rate: list    # per rate: (h, [Phi | Gamma], K, Kf, chol R1d, Qd, jbar, S^-1)
+    meas_rows: list   # per output: ([C | chol_r2] row, C row)
+    inner_thr: list   # the k - 1 boundaries between levels
+    seg_bounds: list  # end of every noise segment but the last, then inf
+    seg_r: list       # true noise intensity of each segment
+    lam: float
+    phi_j: float
+
+
+class LoopState(NamedTuple):
+    """What one window hands the next: plant and estimate, estimator, clocks."""
+
+    x: list
+    xhat: list
+    r_hat: float
+    t: float
+    energy: float
+    cost: float
+
+
+def loop_operands(*, phis, gammas, kgains, kfgains, cmat, chol_r1d, chol_r2, qds, jbars,
+                  snom_inv, periods, thresholds, lam, phi_j, seg_ends, seg_rs) -> LoopOperands:
+    """Turn the stacked per-rate arrays and the run's settings into lists, once per run.
+
+    Rows that the loop walks one after another are joined ([C | chol_r2]
+    against [x; z_e], [Phi | Gamma] against [x; u]), which keeps the order of
+    the index-loop reference.
+    """
+    per_rate = zip(periods.tolist(), np.concatenate([phis, gammas], axis=2).tolist(),
+                   kgains.tolist(), kfgains.tolist(), chol_r1d.tolist(), qds.tolist(),
+                   jbars.tolist(), snom_inv.tolist())
+    return LoopOperands(
+        per_rate=list(per_rate),
+        meas_rows=list(zip(np.hstack([cmat, chol_r2]).tolist(), cmat.tolist())),
+        inner_thr=thresholds[1:-1].tolist(),
+        seg_bounds=seg_ends[:-1].tolist() + [math.inf],  # the last segment never ends
+        seg_r=seg_rs.tolist(),
+        lam=float(lam),
+        phi_j=float(phi_j),
+    )
+
+
+def _level_of(r_hat, inner_thr):
+    level = 0
+    for bound in inner_thr:
+        if r_hat <= bound:
+            break
+        level += 1
+    return level
+
+
+def window_loop(ops: LoopOperands, mmap, state: LoopState, window_end, noise):
+    """Run the samples of one window at the rates ``mmap`` gives each level.
+
+    Returns the new state, the seven per-sample columns (t, h, r_hat, level,
+    rate, energy, cost; levels and rates 0-based) and the time spent at each
+    level.  Each step does the multiplies and adds of the index-loop
+    reference in the same order, on Python floats; math.sqrt and np.sqrt are
+    both correctly rounded, so every output matches the reference bit for bit.
+    """
+    per_rate, meas_rows, inner_thr, seg_bounds, seg_r, lam, phi_j = ops
+    xs, xh, r_hat, t, energy, cost = state
+    nx, ny = len(xs), len(meas_rows)
+    keep = 1.0 - lam
     # only the rows this window can reach at its fastest deployed rate, as one
     # flat list: nested lists would be objects the garbage collector tracks
-    reach = min(noise.shape[0], int((window_end - t) / min(per[r] for r in mm)) + 2)
+    reach = min(noise.shape[0], int((window_end - t) / min(per_rate[r][0] for r in mmap)) + 2)
     width = nx + ny
     noise_flat = noise[:reach].ravel().tolist()
-    level_time = out_level_time.tolist()
-    xs = x.tolist()
-    xh = xhat.tolist()
-    r_hat = float(r_hat)
-    t = float(t)
-    window_end = float(window_end)
-    energy = float(energy)
-    cost = float(cost)
-    lam = float(lam)
-    keep = 1.0 - lam
-    phi_j = float(phi_j)
-    level = nlevels - 1
-    for j in range(1, nlevels):
-        if r_hat <= thr[j]:
-            level = j - 1
-            break
+    level_time = [0.0] * (len(inner_thr) + 1)
+    level = _level_of(r_hat, inner_thr)
     seg = 0
     seg_end = seg_bounds[0]
     r_true = seg_r[0]
@@ -271,11 +271,9 @@ def window_loop(
     ts, hs, rhats, energies, costs = ([0.0] * reach for _ in range(5))
     levels, rates = [0] * reach, [0] * reach
     while t < window_end:
-        if mm[level] != rate:
-            rate = mm[level]
-            h = per[rate]
-            prop_r, k_r, kf_r, r1_r = prop_l[rate], k_l[rate], kf_l[rate], r1_l[rate]
-            q_r, jbar, sinv_r = q_l[rate], jbars_l[rate], sinv_l[rate]
+        if mmap[level] != rate:
+            rate = mmap[level]
+            h, prop_r, k_r, kf_r, r1_r, q_r, jbar, sinv_r = per_rate[rate]
         if t >= seg_end:
             while t >= seg_end:
                 seg += 1
@@ -301,11 +299,7 @@ def window_loop(
                 ratio += ia * s * ib
         ratio /= ny
         r_hat = keep * r_hat + lam * ratio
-        new_level = 0
-        for bound in inner_thr:
-            if r_hat <= bound:
-                break
-            new_level += 1
+        new_level = _level_of(r_hat, inner_thr)
         # measurement update then feedback
         xupd = []
         for xa, kf_row in zip(xh, kf_r):
@@ -357,14 +351,7 @@ def window_loop(
         t += h
         level = new_level
         step += 1
-    x[:] = xs
-    xhat[:] = xh
-    out_t[:step] = ts[:step]
-    out_h[:step] = hs[:step]
-    out_rhat[:step] = rhats[:step]
-    out_level[:step] = levels[:step]
-    out_rate[:step] = rates[:step]
-    out_energy[:step] = energies[:step]
-    out_cost[:step] = costs[:step]
-    out_level_time[:] = level_time
-    return step, r_hat, t, energy, cost
+    columns = (ts, hs, rhats, levels, rates, energies, costs)
+    for col in columns:
+        del col[step:]
+    return LoopState(xs, xh, r_hat, t, energy, cost), columns, level_time

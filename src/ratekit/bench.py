@@ -20,7 +20,8 @@ from . import _kernels
 from .config import ConfigError
 from .energy import EnergyBudget
 from .search import approach1, approach2, exhaustive
-from .tables import ProfitTables, RateSet, WindowTotals, build_profit_tables
+from .tables import (CostTable, PowerTable, ProfitTables, RateSet, WindowTotals,
+                     build_profit_tables, totals_over_window)
 
 DEFAULT_CAP = 10**8
 # the report's backend column; every kernel runs on numpy
@@ -64,23 +65,12 @@ def synthetic_totals(case: BenchCase) -> WindowTotals:
     entries[0] = base
     for i in range(1, n):
         entries[i] = entries[i - 1] * rng.uniform(1.3, 1.8, size=k)
-    phi_mj = 1.0
-    phi_j = phi_mj * 1e-3
-    fr = case.fractions[:k] if len(case.fractions) >= k else None
-    if fr is None or len(fr) != k or abs(sum(fr) - 1.0) > 1e-9:
-        fr = tuple(1.0 / k for _ in range(k))
-    cc = np.empty((n, k))
-    ec_lvl = np.empty((n, k))
-    ec_tot = np.empty(n)
-    for i, h in enumerate(periods):
-        ec_tot[i] = np.floor(case.window / h + 1e-9) * phi_j
-        for j in range(k):
-            tj = fr[j] * case.window
-            cc[i, j] = entries[i, j] * tj
-            ec_lvl[i, j] = np.floor(tj / h + 1e-9) * phi_j
-    return WindowTotals(rates=rates, fractions=tuple(fr), window=case.window,
-                        cc_total=cc, ec_total=ec_tot, ec_by_level=ec_lvl,
-                        phi_mj=phi_mj)
+    ct = CostTable(rates=rates, entries=entries)
+    pt = PowerTable(rates=rates, power_mw=1.0 / periods, phi_mj=1.0)
+    try:
+        return totals_over_window(ct, pt, case.fractions[:k], case.window)
+    except ValueError:  # not a pattern over the k levels: spread the window evenly
+        return totals_over_window(ct, pt, (1.0 / k,) * k, case.window)
 
 
 def case_budget(case: BenchCase, totals: WindowTotals) -> EnergyBudget:

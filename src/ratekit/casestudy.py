@@ -39,10 +39,3 @@ def case_study_levels() -> LevelSpec:
     return LevelSpec(thresholds=(0.0, 10.0, 50.0, 100.0),
                      representative_r=(5.0, 30.0, 75.0))
 
-
-def plant_json() -> dict:
-    p = dc_servo_plant()
-    return {
-        "A": p.A.tolist(), "B": p.B.tolist(), "C": p.C.tolist(), "D": p.D.tolist(),
-        "Rc": p.Rc.tolist(), "R2": p.R2.tolist(), "Qxu": p.Qxu.tolist(),
-    }

@@ -14,7 +14,7 @@ from . import __version__
 from .config import ConfigError, load_config
 from .energy import Battery, EnergyBudget, battery_discharge
 from .riccati import DesignError
-from .search import synthesize
+from .search import ALGORITHMS, synthesize
 from .sim import MatchFixedBudget, classify, simulate
 from .tables import (build_cost_table, build_power_table, build_profit_tables,
                      design_all, load_tables, save_tables, totals_over_window)
@@ -202,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True, help="comma-separated level fractions")
     p.add_argument("--budget-energy", type=float, required=True, help="joules per window")
     p.add_argument("--budget-window", type=float, required=True, help="window seconds")
-    p.add_argument("--algo", default="approach1",
-                   choices=["exhaustive", "approach1", "approach2"])
+    p.add_argument("--algo", default="approach1", choices=list(ALGORITHMS))
     p.add_argument("--strict", action="store_true",
                    help="exit 2 when no candidate fits the budget")
     p.add_argument("--out")
@@ -231,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-ms", type=float, default=50.0)
     p.add_argument("--budget-energy", type=float, default=None,
                    help="joules per window; default matches the fixed rate's cost")
-    p.add_argument("--algo", default="approach1",
-                   choices=["exhaustive", "approach1", "approach2"])
+    p.add_argument("--algo", default="approach1", choices=list(ALGORITHMS))
     p.add_argument("--horizon", type=float, default=None, help="trace horizon seconds")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_battery)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .energy import EnergyBudget
 from .plant import PlantModel, load_plant
+from .search import ALGORITHMS
 from .sim import MatchFixedBudget, NoiseScenario, Strategy, scenario_from_shares
 from .tables import LevelSpec, RateSet
 
@@ -21,6 +22,19 @@ def _require(doc: dict, field: str, where: str):
     if field not in doc:
         raise ConfigError(f"{where}: missing required field '{field}'")
     return doc[field]
+
+
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _number(value, field: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field}: expected a number, got {value!r}") from exc
 
 
 @dataclass
@@ -50,16 +64,21 @@ def _load_scenario(doc, base: Path, seed: int):
         if not path.exists():
             raise ConfigError(f"scenario: file not found: {path}")
         doc = json.loads(path.read_text())
-    if "segments" in doc:
-        return NoiseScenario(segments=tuple((float(d), float(r)) for d, r in doc["segments"]),
-                             seed=int(doc.get("seed", seed)))
-    if "shares" in doc:
+    _object(doc, "scenario")
+    seed = _number(doc.get("seed", seed), "scenario.seed", int)
+    if "segments" not in doc:
+        if "shares" not in doc:
+            raise ConfigError("scenario: expected 'segments' or 'shares'")
         for field in ("r_values", "total_s", "piece_s"):
             _require(doc, field, "scenario")
+    try:
+        if "segments" in doc:
+            return NoiseScenario(segments=tuple((float(d), float(r)) for d, r in doc["segments"]),
+                                 seed=seed)
         return scenario_from_shares(doc["shares"], doc["r_values"],
-                                    float(doc["total_s"]), float(doc["piece_s"]),
-                                    seed=int(doc.get("seed", seed)))
-    raise ConfigError("scenario: expected 'segments' or 'shares'")
+                                    float(doc["total_s"]), float(doc["piece_s"]), seed=seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"scenario: {exc}") from exc
 
 
 def load_config(path) -> ToolConfig:
@@ -81,45 +100,50 @@ def load_config(path) -> ToolConfig:
         except ValueError as exc:
             raise ConfigError(f"plant: {exc}") from exc
     else:
-        plant_bytes = json.dumps(plant_doc, sort_keys=True).encode()
+        plant_bytes = json.dumps(_object(plant_doc, "plant"), sort_keys=True).encode()
         try:
             plant = load_plant(plant_doc)
         except ValueError as exc:
             raise ConfigError(f"plant: {exc}") from exc
 
+    rates_ms = _require(doc, "rates_ms", "config")
     try:
-        rates = RateSet.from_milliseconds(_require(doc, "rates_ms", "config"))
-    except ValueError as exc:
+        rates = RateSet.from_milliseconds(rates_ms)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"rates_ms: {exc}") from exc
 
-    lv = _require(doc, "levels", "config")
+    lv = _object(_require(doc, "levels", "config"), "levels")
+    thresholds = _require(lv, "thresholds", "levels")
+    representative_r = _require(lv, "representative_r", "levels")
     try:
-        levels = LevelSpec(thresholds=tuple(_require(lv, "thresholds", "levels")),
-                           representative_r=tuple(_require(lv, "representative_r", "levels")))
-    except ValueError as exc:
+        levels = LevelSpec(thresholds=tuple(thresholds), representative_r=tuple(representative_r))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"levels: {exc}") from exc
 
-    peak = float(doc.get("peak_power_mw", 100.0))
+    peak = _number(doc.get("peak_power_mw", 100.0), "peak_power_mw")
     if peak <= 0:
         raise ConfigError(f"peak_power_mw: must be positive, got {peak}")
-    hyper = float(doc.get("hyper_period_s", 100.0))
+    hyper = _number(doc.get("hyper_period_s", 100.0), "hyper_period_s")
     if hyper <= 0:
         raise ConfigError(f"hyper_period_s: must be positive, got {hyper}")
     if hyper < rates.periods[-1]:
         raise ConfigError("hyper_period_s: shorter than the slowest sampling period")
 
-    seed = int(doc.get("seed", 0))
+    seed = _number(doc.get("seed", 0), "seed", int)
 
     budget = None
     budget_doc = doc.get("budget")
     if budget_doc is not None:
+        _object(budget_doc, "budget")
         if "energy_j" in budget_doc:
+            e_max = _number(budget_doc["energy_j"], "budget.energy_j")
             try:
-                budget = EnergyBudget(e_max=float(budget_doc["energy_j"]), window=hyper)
+                budget = EnergyBudget(e_max=e_max, window=hyper)
             except ValueError as exc:
                 raise ConfigError(f"budget.energy_j: {exc}") from exc
         elif budget_doc.get("mode") == "match-fixed":
-            ref_ms = float(_require(budget_doc, "reference_h_ms", "budget"))
+            ref_ms = _number(_require(budget_doc, "reference_h_ms", "budget"),
+                             "budget.reference_h_ms")
             try:
                 rates.index_of(ref_ms / 1000.0)
             except ValueError as exc:
@@ -128,9 +152,9 @@ def load_config(path) -> ToolConfig:
         else:
             raise ConfigError("budget: expected 'energy_j' or mode 'match-fixed'")
 
-    strategy_doc = doc.get("strategy", {"adaptive": "approach1"})
+    strategy_doc = _object(doc.get("strategy", {"adaptive": "approach1"}), "strategy")
     if "fixed_ms" in strategy_doc:
-        h = float(strategy_doc["fixed_ms"]) / 1000.0
+        h = _number(strategy_doc["fixed_ms"], "strategy.fixed_ms") / 1000.0
         try:
             rates.index_of(h)
         except ValueError as exc:
@@ -138,7 +162,7 @@ def load_config(path) -> ToolConfig:
         strategy = Strategy.fixed(h)
     elif "adaptive" in strategy_doc:
         algo = strategy_doc["adaptive"]
-        if algo not in ("exhaustive", "approach1", "approach2"):
+        if not isinstance(algo, str) or algo not in ALGORITHMS:
             raise ConfigError(f"strategy.adaptive: unknown algorithm {algo!r}")
         strategy = Strategy.adaptive(algo)
     else:
@@ -146,19 +170,22 @@ def load_config(path) -> ToolConfig:
 
     scenario = _load_scenario(doc.get("scenario"), base, seed)
 
-    lam = float(doc.get("rve_lambda", 0.05))
+    lam = _number(doc.get("rve_lambda", 0.05), "rve_lambda")
     if not 0.0 < lam <= 1.0:
         raise ConfigError(f"rve_lambda: must lie in (0, 1], got {lam}")
 
-    pattern = tuple(float(f) for f in doc.get("pattern", [1.0 / levels.k] * levels.k))
+    try:
+        pattern = tuple(float(f) for f in doc.get("pattern", [1.0 / levels.k] * levels.k))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"pattern: expected a list of fractions: {exc}") from exc
     if len(pattern) != levels.k:
         raise ConfigError(f"pattern: expected {levels.k} fractions, got {len(pattern)}")
     if abs(sum(pattern) - 1.0) > 1e-9:
         raise ConfigError(f"pattern: fractions must sum to 1, got {sum(pattern)}")
 
-    batt = doc.get("battery", {})
-    cap = float(batt.get("capacity_mah", 1000.0))
-    volt = float(batt.get("voltage", 3.7))
+    batt = _object(doc.get("battery", {}), "battery")
+    cap = _number(batt.get("capacity_mah", 1000.0), "battery.capacity_mah")
+    volt = _number(batt.get("voltage", 3.7), "battery.voltage")
     if cap <= 0 or volt <= 0:
         raise ConfigError("battery: capacity_mah and voltage must be positive")
 

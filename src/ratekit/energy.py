@@ -103,16 +103,15 @@ def pattern_energy(pattern: ExecutionPattern, phi_mj: float) -> float:
     return cycles * phi_mj * 1e-3
 
 
-def battery_discharge(battery: Battery, avg_power_mw: float, horizon_s: float,
-                      n_samples: int = 101):
-    """Linear coulomb-counting drain.
+def battery_discharge(battery: Battery, avg_power_mw: float, horizon_s: float):
+    """Linear coulomb-counting drain, at 101 evenly spaced times over the horizon.
 
     Returns (times, levels, depletion_time); levels are clamped at zero and
     depletion_time is inf for zero draw.
     """
     if avg_power_mw < 0.0:
         raise ValueError(f"average power must be non-negative, got {avg_power_mw}")
-    times = np.linspace(0.0, horizon_s, n_samples)
+    times = np.linspace(0.0, horizon_s, 101)
     watts = avg_power_mw * 1e-3
     levels = np.maximum(battery.level_j - watts * times, 0.0)
     depletion = np.inf if watts == 0.0 else battery.level_j / watts

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-12
-MAX_ITER = 10_000
+# relative Frobenius change at which an iteration has converged
+TOL = 1e-12
+DARE_MAX_ITER = 10_000
+DLYAP_MAX_ITER = 200
 
 
 class DesignError(RuntimeError):
@@ -20,7 +22,7 @@ def spectral_radius(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
-def solve_dare(A, B, Q, R, S=None, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER):
+def solve_dare(A, B, Q, R, S=None):
     """Stabilizing solution of P = A'PA - (A'PB+S)(R+B'PB)^{-1}(B'PA+S') + Q.
 
     Uses the structured doubling iteration after reducing away the cross
@@ -34,7 +36,7 @@ def solve_dare(A, B, Q, R, S=None, tol: float = DEFAULT_TOL, max_iter: int = MAX
     if np.linalg.eigvalsh(0.5 * (R + R.T)).min() <= 0.0:
         # singular noise/input weight: the doubling transform needs R^{-1},
         # but the fixed-point map only needs R + B'PB invertible
-        return _solve_dare_fixed_point(A, B, Q, R, S, tol, max_iter)
+        return _solve_dare_fixed_point(A, B, Q, R, S)
     if S is not None:
         S = np.asarray(S, dtype=np.float64)
         rs = np.linalg.solve(R, S.T)
@@ -48,7 +50,7 @@ def solve_dare(A, B, Q, R, S=None, tol: float = DEFAULT_TOL, max_iter: int = MAX
     eye = np.eye(n)
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(DARE_MAX_ITER):
             try:
                 w = eye + gk @ hk
                 wa = np.linalg.solve(w, ak)
@@ -65,7 +67,7 @@ def solve_dare(A, B, Q, R, S=None, tol: float = DEFAULT_TOL, max_iter: int = MAX
                                   "system may be unstabilizable/undetectable")
             delta = np.linalg.norm(hnew - hk, "fro") / max(1.0, np.linalg.norm(hnew, "fro"))
             ak, gk, hk = anew, gnew, hnew
-            if delta < tol:
+            if delta < TOL:
                 converged = True
                 break
     res = dare_residual(hk, A, B, Q, R, S)
@@ -74,9 +76,9 @@ def solve_dare(A, B, Q, R, S=None, tol: float = DEFAULT_TOL, max_iter: int = MAX
     return hk
 
 
-def _solve_dare_fixed_point(A, B, Q, R, S, tol, max_iter):
+def _solve_dare_fixed_point(A, B, Q, R, S):
     p = 0.5 * (Q + Q.T)
-    for _ in range(max_iter):
+    for _ in range(DARE_MAX_ITER):
         btp = B.T @ p
         m = R + btp @ B
         rhs = btp @ A
@@ -92,7 +94,7 @@ def _solve_dare_fixed_point(A, B, Q, R, S, tol, max_iter):
             raise DesignError("fixed-point iteration diverged (non-finite iterate)")
         delta = np.linalg.norm(pnew - p, "fro") / max(1.0, np.linalg.norm(pnew, "fro"))
         p = pnew
-        if delta < tol:
+        if delta < TOL:
             res = dare_residual(p, A, B, Q, R, S)
             if np.isfinite(res):
                 return p
@@ -113,19 +115,19 @@ def dare_residual(P, A, B, Q, R, S=None) -> float:
     return float(np.linalg.norm(P - f, "fro"))
 
 
-def solve_dlyap(A, W, tol: float = DEFAULT_TOL, max_iter: int = 200):
+def solve_dlyap(A, W):
     """Solution of Z = A Z A' + W by squaring (requires spectral radius < 1)."""
     A = np.asarray(A, dtype=np.float64)
     zk = 0.5 * (W + W.T)
     ak = A.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(DLYAP_MAX_ITER):
             znew = zk + ak @ zk @ ak.T
             znew = 0.5 * (znew + znew.T)
             anew = ak @ ak
             delta = np.linalg.norm(znew - zk, "fro") / max(1.0, np.linalg.norm(znew, "fro"))
             zk, ak = znew, anew
-            if delta < tol:
+            if delta < TOL:
                 return zk
             if not np.all(np.isfinite(zk)):
                 break

@@ -6,6 +6,10 @@ the window's energy budget, and deploys it for the next window.  Within a
 window the active rate follows the classified disturbance level.  The first
 window always runs at the fastest admissible rate.
 
+The sample loop gets its operands as lists once per run
+(``_kernels.loop_operands``) and, window by window, returns the new loop
+state with the window's samples as lists (``_kernels.window_loop``).
+
 A trace keeps its samples as columns, one Python list per sample field, and
 writes its JSONL straight from them; ``SimulationTrace.events`` (one dict per
 event) is built only on first access.  The JSONL bytes are the same as
@@ -254,82 +258,59 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
         controllers = design_all(plant, rates)
     n = len(rates)
     k = levels.k
-    nx, nu, ny = plant.nx, plant.nu, plant.ny
-
-    phis = np.stack([c.dp.Phi for c in controllers])
-    gammas = np.stack([c.dp.Gamma for c in controllers])
-    kgains = np.stack([c.K for c in controllers])
-    kfgains = np.stack([c.Kf for c in controllers])
-    chol_r1d = np.stack([_psd_sqrt(c.dp.R1d) for c in controllers])
-    qds = np.stack([c.dp.Qd for c in controllers])
-    jbars = np.array([c.dp.jbar1 for c in controllers])
-    snom_inv = np.stack([np.linalg.inv(c.S_innov) for c in controllers])
-    chol_r2 = _psd_sqrt(plant.R2)
     periods = np.array(rates.periods)
-    thresholds = np.array(levels.thresholds)
-    phi_j = pt.phi_mj * 1e-3
-
-    seg_ends = np.cumsum([d for d, _ in scenario.segments])
-    seg_rs = np.array([r for _, r in scenario.segments])
+    segments = scenario.segments
+    ops = _kernels.loop_operands(
+        phis=np.stack([c.dp.Phi for c in controllers]),
+        gammas=np.stack([c.dp.Gamma for c in controllers]),
+        kgains=np.stack([c.K for c in controllers]),
+        kfgains=np.stack([c.Kf for c in controllers]),
+        cmat=plant.C,
+        chol_r1d=np.stack([_psd_sqrt(c.dp.R1d) for c in controllers]),
+        chol_r2=_psd_sqrt(plant.R2),
+        qds=np.stack([c.dp.Qd for c in controllers]),
+        jbars=np.array([c.dp.jbar1 for c in controllers]),
+        snom_inv=np.stack([np.linalg.inv(c.S_innov) for c in controllers]),
+        periods=periods, thresholds=np.array(levels.thresholds), lam=lam,
+        phi_j=pt.phi_mj * 1e-3,
+        seg_ends=np.cumsum([d for d, _ in segments]), seg_rs=np.array([r for _, r in segments]))
 
     n_windows = int(np.floor(scenario.total / window + FLOOR_EPS))
     max_steps = int(np.ceil(window / periods[0])) + 2
 
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
-    x = np.zeros(nx)
-    xhat = np.zeros(nx)
-    r_hat = 0.0
-    t = 0.0
-    energy = 0.0
-    cost = 0.0
+    state = _kernels.LoopState([0.0] * plant.nx, [0.0] * plant.nx, 0.0, 0.0, 0.0, 0.0)
 
     if strategy.kind == "fixed":
-        iref = rates.index_of(strategy.fixed_h)
-        mmap = np.full(k, iref, dtype=np.int64)
+        mmap = [rates.index_of(strategy.fixed_h)] * k
     elif strategy.kind == "adaptive":
-        mmap = np.zeros(k, dtype=np.int64)  # start at the most frequent rate
+        mmap = [0] * k  # start at the most frequent rate
     else:
         raise ValueError(f"unknown strategy kind {strategy.kind!r}")
 
     samples = SampleColumns([], [], [], [], [], [])
     records = []
     windows = []
-    rate_parts = []
+    rate_col = []
     energy_after_w0 = 0.0
-
-    out_t = np.zeros(max_steps)
-    out_h = np.zeros(max_steps)
-    out_rhat = np.zeros(max_steps)
-    out_level = np.zeros(max_steps, dtype=np.int64)
-    out_rate = np.zeros(max_steps, dtype=np.int64)
-    out_energy = np.zeros(max_steps)
-    out_cost = np.zeros(max_steps)
 
     for w in range(n_windows):
         window_end = (w + 1) * window
         # max_steps rows whatever rates are deployed: the trace bytes depend on it
-        noise = rng.standard_normal((max_steps, nx + ny))
-        level_time = np.zeros(k)
-        steps, r_hat, t, energy, cost = _kernels.window_loop(
-            x, xhat, r_hat, t, window_end, mmap,
-            phis, gammas, kgains, kfgains, plant.C,
-            chol_r1d, chol_r2, qds, jbars, snom_inv,
-            periods, thresholds, lam, phi_j,
-            seg_ends, seg_rs, noise, energy, cost,
-            out_t, out_h, out_rhat, out_level, out_rate, out_energy, out_cost, level_time,
-        )
-        for col, vals in zip(samples, (out_t[:steps], out_h[:steps] * 1000.0,
-                                       out_rhat[:steps], out_level[:steps] + 1,
-                                       out_energy[:steps], out_cost[:steps])):
-            col.extend(vals.tolist())
-        rate_parts.append(out_rate[:steps].copy())
+        noise = rng.standard_normal((max_steps, plant.nx + plant.ny))
+        state, (t_w, h_w, rhat_w, level_w, rate_w, energy_w, cost_w), level_time = \
+            _kernels.window_loop(ops, mmap, state, window_end, noise)
+        for col, vals in zip(samples, (t_w, [h * 1000.0 for h in h_w], rhat_w,
+                                       [lv + 1 for lv in level_w], energy_w, cost_w)):
+            col.extend(vals)
+        rate_col.extend(rate_w)
         if w == 0:
-            energy_after_w0 = energy
-        fr = tuple(float(v / level_time.sum()) for v in level_time)
-        win_record = {"type": "window_end", "window": w, "t": float(t),
-                      "level_time_s": [float(v) for v in level_time],
-                      "fractions": [float(v) for v in fr],
-                      "energy_j": float(energy), "cost_integral": float(cost)}
+            energy_after_w0 = state.energy
+        spent = np.array(level_time)
+        fr = tuple((spent / spent.sum()).tolist())
+        win_record = {"type": "window_end", "window": w, "t": state.t,
+                      "level_time_s": level_time, "fractions": list(fr),
+                      "energy_j": state.energy, "cost_integral": state.cost}
         records.append((len(samples.t), win_record))
         windows.append(dict(win_record))
         if strategy.kind == "adaptive" and w + 1 < n_windows:
@@ -338,10 +319,8 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
             budget_w = budget.budget_for(totals) if isinstance(budget, MatchFixedBudget) else budget
             result = synthesize(strategy.algo, totals, budget_w)
             fallback = not result.feasible
-            if fallback:
-                mmap = np.full(k, n - 1, dtype=np.int64)  # slowest rate everywhere
-            else:
-                mmap = np.array(result.controller.choice, dtype=np.int64)
+            # the slowest rate everywhere when nothing fits the budget
+            mmap = [n - 1] * k if fallback else list(result.controller.choice)
             records.append((len(samples.t), {
                 "type": "synthesis", "window": w + 1, "algo": strategy.algo,
                 "pattern": [float(f) for f in pattern],
@@ -355,7 +334,7 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
             }))
 
     # (length, rate index) runs of the realized rate sequence
-    rate = np.concatenate(rate_parts)
+    rate = np.array(rate_col, dtype=np.int64)
     run_starts = np.flatnonzero(np.diff(rate, prepend=-1))
     run_lengths = np.diff(run_starts, append=len(rate))
     realized = [(cnt * rates.periods[i], rates.periods[i])
@@ -363,10 +342,10 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
     return SimulationTrace(
         samples=samples, records=records, windows=windows,
         cycles_per_rate=np.bincount(rate, minlength=n),
-        realized_segments=realized, total_time=t, total_energy=energy,
-        cost_integral=cost,
-        steady_time=max(t - window, 0.0),
-        steady_energy=energy - energy_after_w0,
+        realized_segments=realized, total_time=state.t, total_energy=state.energy,
+        cost_integral=state.cost,
+        steady_time=max(state.t - window, 0.0),
+        steady_energy=state.energy - energy_after_w0,
     )
 
 

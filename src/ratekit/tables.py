@@ -49,9 +49,9 @@ class RateSet:
     def __len__(self) -> int:
         return len(self.periods)
 
-    def index_of(self, h: float, tol: float = 1e-12) -> int:
+    def index_of(self, h: float) -> int:
         for i, v in enumerate(self.periods):
-            if abs(v - h) <= tol * max(1.0, abs(v)):
+            if abs(v - h) <= 1e-12 * max(1.0, abs(v)):
                 return i
         raise ValueError(f"period {h} s is not in the rate set")
 

@@ -11,7 +11,8 @@ reproduce the same bits: ``evaluate_cost``, the three-solve stationary-cost
 evaluation, for ``ratekit.lqg.evaluate_costs`` (it uses the package's
 Lyapunov solver); ``trace_events_and_jsonl``, the simulation loop that
 builds one dict per event, for ``ratekit.sim.SimulationTrace`` (it uses the
-package's window loop and synthesis); and the one-candidate-at-a-time loops
+package's synthesis, and the window-loop reference below, not the kernel it
+checks); and the one-candidate-at-a-time loops
 ``_exhaustive_impl``, ``_approach1_impl`` and ``_window_loop_impl`` for the
 scans and the window loop of ``ratekit._kernels``.
 """
@@ -23,7 +24,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ratekit import _kernels
 from ratekit.energy import FLOOR_EPS
 from ratekit.lqg import CostBreakdown, LqgController
 from ratekit.plant import PlantModel
@@ -332,7 +332,7 @@ def trace_events_and_jsonl(plant: PlantModel, ct: CostTable, pt: PowerTable, lev
         window_end = (w + 1) * window
         noise = rng.standard_normal((max_steps, nx + ny))
         level_time = np.zeros(k)
-        steps, r_hat, t, energy, cost = _kernels.window_loop(
+        steps, r_hat, t, energy, cost = _window_loop_impl(
             x, xhat, r_hat, t, window_end, mmap,
             phis, gammas, kgains, kfgains, plant.C,
             chol_r1d, chol_r2, qds, jbars, snom_inv,

@@ -114,6 +114,27 @@ def test_config_error_names_field(tmp_path, capsys):
     assert "rates_ms" in capsys.readouterr().err
 
 
+# a config field holding the wrong JSON type, and the value it holds
+WRONG_TYPES = {"strategy": "adaptive", "budget": 1.5, "battery": [1000, 3.7], "pattern": 0.5,
+               "levels": [0, 10, 50, 100], "plant": 5, "rates_ms": 10, "scenario": 5,
+               "peak_power_mw": [100], "seed": [1]}
+
+
+@pytest.mark.parametrize("field", list(WRONG_TYPES))
+def test_config_wrong_json_type_names_field(tmp_path, capsys, field):
+    cfg = json.loads((CONFIG_DIR / "sim_low.json").read_text())
+    cfg[field] = WRONG_TYPES[field]
+    for name in ("plant_dcservo.json", "scenario_low.json"):
+        (tmp_path / name).write_text((CONFIG_DIR / name).read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "trace.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field}: ")
+    assert not err[0].startswith(f"error: {field}: {field}")
+
+
 def test_design_failure_exits_one(tmp_path, capsys):
     plant = json.loads((CONFIG_DIR / "plant_dcservo.json").read_text())
     plant["B"] = [[0.0], [0.0]]  # no actuation: no stabilizing controller exists

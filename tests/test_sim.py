@@ -402,25 +402,49 @@ def random_loop_inputs(rng, nx, ny, nu, n_rates=3, k=3, window=1.0, n_seg=8):
     return mats
 
 
+# dtypes of the per-sample outputs: t, h, r_hat, level, rate, energy, cost
+LOOP_DTYPES = (np.float64, np.float64, np.float64, np.int64, np.int64, np.float64, np.float64)
+
+
 class LoopRun:
-    """State and output buffers of one caller of a window loop."""
+    """One caller of a window loop, with the same view of either signature.
+
+    The index-loop reference writes into caller-owned state arrays and output
+    buffers; the kernel takes operands built once per run and returns its
+    state and samples.  After each window ``x``, ``xhat``, ``columns`` (the
+    per-sample outputs cut to the step count) and ``level_time`` are arrays,
+    whichever loop ran.
+    """
 
     def __init__(self, fn, inputs, nx, k, r_hat):
-        self.fn, self.inp = fn, inputs
+        self.fn, self.inp, self.k = fn, inputs, k
         self.x, self.xhat = np.zeros(nx), np.zeros(nx)
         self.r_hat, self.t, self.energy, self.cost = r_hat, 0.0, 0.0, 0.0
-        m = inputs["max_steps"]
-        self.out = [np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m, np.int64),
-                    np.zeros(m, np.int64), np.zeros(m), np.zeros(m), np.zeros(k)]
+        if fn is _kernels.window_loop:
+            self.ops = _kernels.loop_operands(
+                phi_j=1e-3, **{name: v for name, v in inputs.items() if name != "max_steps"})
+            self.state = _kernels.LoopState([0.0] * nx, [0.0] * nx, r_hat, 0.0, 0.0, 0.0)
 
     def window(self, window_end, mmap, noise):
+        """Run one window; returns (steps, r_hat, t, energy, cost)."""
+        if self.fn is _kernels.window_loop:
+            self.state, cols, level_time = self.fn(self.ops, mmap.tolist(), self.state,
+                                                   window_end, noise)
+            x, xhat, r_hat, t, energy, cost = self.state
+            self.x, self.xhat = np.array(x), np.array(xhat)
+            self.columns = [np.array(c, dtype) for c, dtype in zip(cols, LOOP_DTYPES)]
+            self.level_time = np.array(level_time)
+            return len(cols[0]), r_hat, t, energy, cost
         i = self.inp
+        out = [np.zeros(i["max_steps"], dtype) for dtype in LOOP_DTYPES]
+        self.level_time = np.zeros(self.k)
         ret = self.fn(self.x, self.xhat, self.r_hat, self.t, window_end, mmap,
                       i["phis"], i["gammas"], i["kgains"], i["kfgains"], i["cmat"],
                       i["chol_r1d"], i["chol_r2"], i["qds"], i["jbars"], i["snom_inv"],
                       i["periods"], i["thresholds"], i["lam"], 1e-3, i["seg_ends"], i["seg_rs"],
-                      noise, self.energy, self.cost, *self.out)
-        _, self.r_hat, self.t, self.energy, self.cost = ret
+                      noise, self.energy, self.cost, *out, self.level_time)
+        steps, self.r_hat, self.t, self.energy, self.cost = ret
+        self.columns = [o[:steps] for o in out]
         return ret
 
 
@@ -440,7 +464,8 @@ def test_window_loop_py_matches_reference(nx, ny, nu):
             got_new = new.window(w + 1.0, mmap, noise)
             assert got_ref[0] > 0
             assert np.array(got_new).tobytes() == np.array(got_ref).tobytes()
-            for a, b in zip([new.x, new.xhat, *new.out], [ref.x, ref.xhat, *ref.out]):
+            for a, b in zip([new.x, new.xhat, new.level_time, *new.columns],
+                            [ref.x, ref.xhat, ref.level_time, *ref.columns]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
                 assert a.tobytes() == b.tobytes()  # also the sign of zeros
 
@@ -457,7 +482,7 @@ def test_loop_levels_classify_their_estimates(seed, nx, ny, nu):
     noise = rng.standard_normal((inputs["max_steps"], nx + ny))
     first = LoopRun(_kernels.window_loop, inputs, nx, 3, r_hat)
     steps = first.window(1.0, mmap, noise)[0]
-    est = np.unique(first.out[2][:steps])
+    est = np.unique(first.columns[2])
     est = est[(est > 0.0) & (est < 1e3)]
     if len(est) < 3:
         return
@@ -467,6 +492,6 @@ def test_loop_levels_classify_their_estimates(seed, nx, ny, nu):
                        representative_r=tuple(inputs["thresholds"][1:]))
     run = LoopRun(_kernels.window_loop, inputs, nx, 3, r_hat)
     assert run.window(1.0, mmap, noise)[0] == steps
-    out_rhat, out_level = run.out[2][:steps], run.out[3][:steps]
-    assert np.array_equal(out_rhat, first.out[2][:steps])
+    out_rhat, out_level = run.columns[2], run.columns[3]
+    assert np.array_equal(out_rhat, first.columns[2])
     assert [classify(r, levels) for r in out_rhat] == (out_level + 1).tolist()
