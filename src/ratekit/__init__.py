@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .energy import (Battery, EnergyBudget, ExecutionPattern, battery_discharge,
                      floor_cycles, pattern_cost, pattern_energy)
-from .lqg import CostBreakdown, LqgController, design, evaluate_cost, evaluate_costs
+from .lqg import LqgController, design, evaluate_cost, evaluate_costs
 from .plant import DiscretePlant, PlantModel, discretize, load_plant
 from .riccati import DesignError
 from .search import (MultiRateController, SynthesisResult, approach1, approach2,
@@ -21,7 +21,7 @@ DEFAULT_BACKEND = "numpy"
 HAS_NUMBA = False
 
 __all__ = [
-    "Battery", "CostBreakdown", "CostTable", "DesignError", "DiscretePlant",
+    "Battery", "CostTable", "DesignError", "DiscretePlant",
     "EnergyBudget", "ExecutionPattern", "LevelSpec", "LqgController",
     "MatchFixedBudget", "MultiRateController", "NoiseScenario", "PlantModel",
     "PowerTable", "ProfitTables", "RateSet", "SimulationTrace", "Strategy",

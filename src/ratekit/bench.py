@@ -8,7 +8,6 @@ skipped (with a note) once n^k exceeds the configured cap.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,11 +16,10 @@ from statistics import median
 import numpy as np
 
 from . import _kernels
-from .config import ConfigError
+from .config import ConfigError, parse_json
 from .energy import EnergyBudget
-from .search import approach1, approach2, exhaustive
-from .tables import (CostTable, PowerTable, ProfitTables, RateSet, WindowTotals,
-                     build_profit_tables, totals_over_window)
+from .search import ALGORITHMS, synthesize
+from .tables import CostTable, PowerTable, RateSet, WindowTotals, totals_over_window
 
 DEFAULT_CAP = 10**8
 # the report's backend column; every kernel runs on numpy
@@ -83,34 +81,19 @@ def case_budget(case: BenchCase, totals: WindowTotals) -> EnergyBudget:
     return EnergyBudget(e_max=float(case.budget), window=case.window)
 
 
-def _run_one(algo: str, totals: WindowTotals, budget: EnergyBudget,
-             profit: ProfitTables, reps: int):
-    times = []
-    result = None
-    for _ in range(reps):
-        if algo == "exhaustive":
-            result = exhaustive(totals, budget)
-        elif algo == "approach1":
-            result = approach1(totals, budget)
-        elif algo == "approach2":
-            result = approach2(profit, totals, budget)
-        else:
-            raise ValueError(f"unknown algorithm {algo!r}")
-        times.append(result.elapsed)
-    return result, median(times)
+def run_bench(cases, cap: int = DEFAULT_CAP):
+    """Time every (case, algorithm) cell; returns a list of row dicts.
 
-
-def run_bench(cases, algos=("exhaustive", "approach1", "approach2"),
-              cap: int = DEFAULT_CAP):
-    """Time every (case, algorithm) cell; returns a list of row dicts."""
+    A cell's time is the median over the case's reps of the search alone
+    (``SynthesisResult.elapsed``), not of building its inputs.
+    """
     rows = []
     for case in cases:
         totals = synthetic_totals(case)
         budget = case_budget(case, totals)
-        profit = build_profit_tables(totals)
         lattice = case.n ** case.k
         cell = {}
-        for algo in algos:
+        for algo in ALGORITHMS:
             limit = min(cap, _kernels.MAX_ORACLE_CELLS) if algo == "exhaustive" else cap
             if algo in ("exhaustive", "approach1") and lattice > limit:
                 rows.append({
@@ -120,7 +103,8 @@ def run_bench(cases, algos=("exhaustive", "approach1", "approach2"),
                     "note": f"lattice {lattice} exceeds cap {limit}",
                 })
                 continue
-            result, med = _run_one(algo, totals, budget, profit, case.reps)
+            results = [synthesize(algo, totals, budget) for _ in range(case.reps)]
+            result, med = results[-1], median(r.elapsed for r in results)
             cell[algo] = med
             rows.append({
                 "n": case.n, "k": case.k, "algo": algo, "backend": BACKEND,
@@ -130,7 +114,7 @@ def run_bench(cases, algos=("exhaustive", "approach1", "approach2"),
             })
         ref = cell.get("approach2")
         if ref:
-            for row in rows[-len(algos):]:
+            for row in rows[-len(ALGORITHMS):]:
                 if not row["skipped"]:
                     row["ratio_vs_approach2"] = row["median_s"] / ref
     for row in rows:
@@ -162,7 +146,7 @@ def format_report(rows) -> str:
 
 
 def load_cases(path) -> list:
-    doc = json.loads(Path(path).read_text())
+    doc = parse_json(Path(path).read_text(), path)
     if isinstance(doc, dict):
         if "cases" not in doc:
             raise ConfigError(f"{path}: missing key 'cases'")

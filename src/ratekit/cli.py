@@ -11,30 +11,54 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, parse_json
 from .energy import Battery, EnergyBudget, battery_discharge
 from .riccati import DesignError
 from .search import ALGORITHMS, synthesize
 from .sim import MatchFixedBudget, classify, simulate
-from .tables import (build_cost_table, build_power_table, build_profit_tables,
+from .tables import (LevelSpec, build_cost_table, build_power_table, build_profit_tables,
                      design_all, load_tables, save_tables, totals_over_window)
 
 
 def _parse_pattern(text: str):
     try:
-        parts = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"pattern: {exc}") from exc
-    if abs(sum(parts) - 1.0) > 1e-9:
-        raise ConfigError(f"pattern: fractions must sum to 1, got {sum(parts)}")
-    return parts
 
 
 def _parse_capacity(text: str) -> float:
     text = text.strip().lower()
     if text.endswith("mah"):
         text = text[:-3]
-    return float(text)
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"--capacity: {exc}") from exc
+
+
+def _battery_fractions(path, meta: dict) -> tuple:
+    """Level shares from a pattern file: its 'shares', or its 'segments'
+    classified by the tables' thresholds and weighted by duration."""
+    if not Path(path).exists():
+        raise ConfigError(f"pattern: file not found: {path}")
+    doc = parse_json(Path(path).read_text(), path)
+    thresholds = meta.get("thresholds")
+    try:
+        if isinstance(doc, dict) and "shares" in doc:
+            return tuple(float(f) for f in doc["shares"])
+        if isinstance(doc, dict) and "segments" in doc and thresholds:
+            levels = LevelSpec(thresholds=tuple(thresholds),
+                               representative_r=tuple(meta.get("representative_r")))
+            acc = np.zeros(levels.k)
+            for d, r in doc["segments"]:
+                acc[classify(float(r), levels) - 1] += float(d)
+            if not acc.sum() > 0.0:
+                raise ValueError("segments hold no time")
+            return tuple(float(v / acc.sum()) for v in acc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"pattern: {exc}") from exc
+    raise ConfigError("pattern: expected 'shares', or 'segments' with table metadata")
 
 
 def cmd_precompute(args) -> int:
@@ -138,24 +162,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_battery(args) -> int:
+    battery = Battery(capacity_mah=_parse_capacity(args.capacity), voltage=args.voltage)
     ct, pt, meta = load_tables(args.tables)
     window = float(meta.get("window_s", 100.0))
-    thresholds = meta.get("thresholds")
-    doc = json.loads(Path(args.pattern).read_text()) if Path(args.pattern).exists() else None
-    if doc is None:
-        raise ConfigError(f"pattern: file not found: {args.pattern}")
-    if "shares" in doc:
-        fractions = tuple(float(f) for f in doc["shares"])
-    elif "segments" in doc and thresholds:
-        from .tables import LevelSpec
-        rep = meta.get("representative_r")
-        levels = LevelSpec(thresholds=tuple(thresholds), representative_r=tuple(rep))
-        acc = np.zeros(levels.k)
-        for d, r in doc["segments"]:
-            acc[classify(float(r), levels) - 1] += float(d)
-        fractions = tuple(float(v / acc.sum()) for v in acc)
-    else:
-        raise ConfigError("pattern: expected 'shares', or 'segments' with table metadata")
+    fractions = _battery_fractions(args.pattern, meta)
     totals = totals_over_window(ct, pt, fractions, window)
     iref = ct.rates.index_of(args.fixed_ms / 1000.0)
     if args.budget_energy is not None:
@@ -167,7 +177,6 @@ def cmd_battery(args) -> int:
     fixed_energy = float(totals.ec_total[iref])
     fixed_power = 1000.0 * fixed_energy / window
     multi_power = 1000.0 * result.predicted_energy / window
-    battery = Battery(capacity_mah=_parse_capacity(args.capacity), voltage=args.voltage)
     horizon = args.horizon if args.horizon else battery.full_j / (fixed_power * 1e-3)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,11 +11,22 @@ from .energy import EnergyBudget
 from .plant import PlantModel, load_plant
 from .search import ALGORITHMS
 from .sim import MatchFixedBudget, NoiseScenario, Strategy, scenario_from_shares
-from .tables import LevelSpec, RateSet
+from .tables import LevelSpec, RateSet, check_pattern
 
 
 class ConfigError(ValueError):
     """Configuration problem; the message names the offending field."""
+
+
+def parse_json(text: str, path):
+    """The JSON document ``text`` read from ``path``.
+
+    Raises ConfigError naming the file when ``text`` is not JSON.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _require(doc: dict, field: str, where: str):
@@ -63,7 +74,7 @@ def _load_scenario(doc, base: Path, seed: int):
         path = base / doc
         if not path.exists():
             raise ConfigError(f"scenario: file not found: {path}")
-        doc = json.loads(path.read_text())
+        doc = parse_json(path.read_text(), path)
     _object(doc, "scenario")
     seed = _number(doc.get("seed", seed), "scenario.seed", int)
     if "segments" not in doc:
@@ -86,7 +97,7 @@ def load_config(path) -> ToolConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     raw = path.read_text()
-    doc = json.loads(raw)
+    doc = _object(parse_json(raw, path), str(path))
     base = path.parent
 
     plant_doc = _require(doc, "plant", "config")
@@ -178,10 +189,10 @@ def load_config(path) -> ToolConfig:
         pattern = tuple(float(f) for f in doc.get("pattern", [1.0 / levels.k] * levels.k))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"pattern: expected a list of fractions: {exc}") from exc
-    if len(pattern) != levels.k:
-        raise ConfigError(f"pattern: expected {levels.k} fractions, got {len(pattern)}")
-    if abs(sum(pattern) - 1.0) > 1e-9:
-        raise ConfigError(f"pattern: fractions must sum to 1, got {sum(pattern)}")
+    try:
+        check_pattern(pattern, levels.k)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     batt = _object(doc.get("battery", {}), "battery")
     cap = _number(batt.get("capacity_mah", 1000.0), "battery.capacity_mah")

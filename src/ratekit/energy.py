@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,24 +58,18 @@ class ExecutionPattern:
 
 @dataclass
 class Battery:
-    """Ideal linear battery tracked in joules."""
+    """Ideal linear battery, starting full."""
 
     capacity_mah: float
     voltage: float
-    level_j: float = field(default=None)
 
     def __post_init__(self):
         if self.capacity_mah <= 0.0 or self.voltage <= 0.0:
             raise ValueError("battery capacity and voltage must be positive")
-        full = self.capacity_mah * self.voltage * 3.6  # mAh * V -> J
-        if self.level_j is None:
-            self.level_j = full
-        if not 0.0 <= self.level_j <= full * (1 + 1e-12):
-            raise ValueError(f"battery level {self.level_j} J outside [0, {full}] J")
 
     @property
     def full_j(self) -> float:
-        return self.capacity_mah * self.voltage * 3.6
+        return self.capacity_mah * self.voltage * 3.6  # mAh * V -> J
 
 
 def pattern_cost(pattern: ExecutionPattern, cost_table, levels_per_segment) -> float:
@@ -113,6 +107,6 @@ def battery_discharge(battery: Battery, avg_power_mw: float, horizon_s: float):
         raise ValueError(f"average power must be non-negative, got {avg_power_mw}")
     times = np.linspace(0.0, horizon_s, 101)
     watts = avg_power_mw * 1e-3
-    levels = np.maximum(battery.level_j - watts * times, 0.0)
-    depletion = np.inf if watts == 0.0 else battery.level_j / watts
+    levels = np.maximum(battery.full_j - watts * times, 0.0)
+    depletion = np.inf if watts == 0.0 else battery.full_j / watts
     return times, levels, depletion

@@ -33,8 +33,6 @@ class LqgController:
     dp: DiscretePlant
     K: np.ndarray
     Kf: np.ndarray
-    P_ctrl: np.ndarray
-    P_pred: np.ndarray
     S_innov: np.ndarray
     control_residual: float
     filter_residual: float
@@ -42,15 +40,6 @@ class LqgController:
     @property
     def h(self) -> float:
         return self.dp.h
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Affine decomposition J = a * r + b of the stationary cost."""
-
-    a: float
-    b: float
-    J: float
 
 
 def design(plant: PlantModel, h: float) -> LqgController:
@@ -76,7 +65,7 @@ def design(plant: PlantModel, h: float) -> LqgController:
     except np.linalg.LinAlgError as exc:
         raise DesignError(f"singular innovation covariance at h={h}") from exc
     ctrl = LqgController(
-        dp=dp, K=k, Kf=kf, P_ctrl=p_ctrl, P_pred=p_pred, S_innov=s_innov,
+        dp=dp, K=k, Kf=kf, S_innov=s_innov,
         control_residual=dare_residual(p_ctrl, dp.Phi, dp.Gamma, q1d, q2d, q12),
         filter_residual=dare_residual(p_pred, dp.Phi.T, plant.C.T, dp.R1d, plant.R2),
     )
@@ -131,12 +120,12 @@ class _Loop:
 
 
 def evaluate_costs(plant: PlantModel, ctrl: LqgController, rs) -> tuple:
-    """Stationary per-time cost of the closed loop at each intensity in ``rs``.
+    """Stationary per-time cost J(r) of the closed loop at each intensity in ``rs``.
 
     Solves the discrete Lyapunov equation for the stationary covariance of
     the plant + estimator state, contracts with the lifted cost, and divides
-    by the period.  The stability check and the affine decomposition (J at
-    r = 0 and r = 1) run once; each J(r) is still its own direct solve.
+    by the period: one solve per r.  The closed loop and its stability check
+    are shared by every r.
     """
     rs = tuple(rs)
     for r in rs:
@@ -146,26 +135,10 @@ def evaluate_costs(plant: PlantModel, ctrl: LqgController, rs) -> tuple:
     rho = spectral_radius(loop.acl)
     if rho >= 1.0:
         raise DesignError(f"cannot evaluate cost: closed loop unstable (rho={rho:.6f})")
-    b0 = loop.cost(0.0)
-    a0 = loop.cost(1.0) - b0
-    out = []
-    for r in rs:
-        a, b = a0, b0
-        j = loop.cost(float(r))
-        # a and b are exact quadratic-form traces; clip roundoff-level negatives
-        if a < 0.0:
-            if a < -1e-9 * max(1.0, abs(j)):
-                raise DesignError(f"negative noise-cost slope {a:.3e}")
-            a = 0.0
-        if b < 0.0:
-            if b < -1e-9 * max(1.0, abs(j)):
-                raise DesignError(f"negative noise-free cost {b:.3e}")
-            b = 0.0
-        out.append(CostBreakdown(a=a, b=b, J=j))
-    return tuple(out)
+    return tuple(loop.cost(float(r)) for r in rs)
 
 
-def evaluate_cost(plant: PlantModel, ctrl: LqgController, r: float) -> CostBreakdown:
+def evaluate_cost(plant: PlantModel, ctrl: LqgController, r: float) -> float:
     """Stationary per-time cost at one intensity ``r``; see evaluate_costs."""
     return evaluate_costs(plant, ctrl, (r,))[0]
 

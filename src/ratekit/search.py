@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .energy import EnergyBudget
-from .tables import ProfitTables, WindowTotals
+from .tables import ProfitTables, WindowTotals, build_profit_tables
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,6 @@ class MultiRateController:
 
     def __post_init__(self):
         object.__setattr__(self, "choice", tuple(int(i) for i in self.choice))
-
-    def rate_index(self, level: int) -> int:
-        """Rate index for a 1-based disturbance level."""
-        return self.choice[level - 1]
-
-    def periods(self, rates) -> tuple:
-        return tuple(rates.periods[i] for i in self.choice)
 
 
 @dataclass
@@ -198,14 +191,10 @@ ALGORITHMS = {
 }
 
 
-def synthesize(algo: str, totals: WindowTotals, budget: EnergyBudget,
-               profit: ProfitTables = None) -> SynthesisResult:
-    """Dispatch by algorithm name, building profit tables when needed."""
+def synthesize(algo: str, totals: WindowTotals, budget: EnergyBudget) -> SynthesisResult:
+    """Dispatch by algorithm name; approach2 gets the profit tables of ``totals``."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {sorted(ALGORITHMS)}")
     if algo == "approach2":
-        if profit is None:
-            from .tables import build_profit_tables
-            profit = build_profit_tables(totals)
-        return approach2(profit, totals, budget)
+        return approach2(build_profit_tables(totals), totals, budget)
     return ALGORITHMS[algo](totals, budget)

@@ -66,10 +66,7 @@ class NoiseScenario:
 
 def classify(r_hat: float, levels: LevelSpec) -> int:
     """1-based level of an intensity estimate; values above the top clamp to k."""
-    for j in range(1, levels.k):
-        if r_hat <= levels.thresholds[j]:
-            return j
-    return levels.k
+    return _kernels._level_of(r_hat, levels.thresholds[1:-1]) + 1
 
 
 @dataclass(frozen=True)
@@ -160,7 +157,6 @@ class SimulationTrace:
 
     samples: SampleColumns
     records: list                # (samples before it, event dict)
-    windows: list
     cycles_per_rate: np.ndarray
     realized_segments: list      # (duration seconds, period seconds)
     total_time: float
@@ -290,7 +286,6 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
 
     samples = SampleColumns([], [], [], [], [], [])
     records = []
-    windows = []
     rate_col = []
     energy_after_w0 = 0.0
 
@@ -308,11 +303,9 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
             energy_after_w0 = state.energy
         spent = np.array(level_time)
         fr = tuple((spent / spent.sum()).tolist())
-        win_record = {"type": "window_end", "window": w, "t": state.t,
-                      "level_time_s": level_time, "fractions": list(fr),
-                      "energy_j": state.energy, "cost_integral": state.cost}
-        records.append((len(samples.t), win_record))
-        windows.append(dict(win_record))
+        records.append((len(samples.t), {
+            "type": "window_end", "window": w, "t": state.t, "level_time_s": level_time,
+            "fractions": list(fr), "energy_j": state.energy, "cost_integral": state.cost}))
         if strategy.kind == "adaptive" and w + 1 < n_windows:
             pattern = floor_pattern(fr, rates, window)
             totals = totals_over_window(ct, pt, pattern, window)
@@ -340,7 +333,7 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
     realized = [(cnt * rates.periods[i], rates.periods[i])
                 for cnt, i in zip(run_lengths.tolist(), rate[run_starts].tolist())]
     return SimulationTrace(
-        samples=samples, records=records, windows=windows,
+        samples=samples, records=records,
         cycles_per_rate=np.bincount(rate, minlength=n),
         realized_segments=realized, total_time=state.t, total_energy=state.energy,
         cost_integral=state.cost,

@@ -172,7 +172,7 @@ def build_cost_table(plant: PlantModel, rates: RateSet, levels: LevelSpec,
     if controllers is None:
         controllers = design_all(plant, rates)
     n, k = len(rates), levels.k
-    entries = np.array([[cb.J for cb in evaluate_costs(plant, ctrl, levels.representative_r)]
+    entries = np.array([evaluate_costs(plant, ctrl, levels.representative_r)
                         for ctrl in controllers], dtype=np.float64)
     if not np.all(np.isfinite(entries)) or entries.min() < 0.0:
         raise ValueError("cost table has non-finite or negative entries")
@@ -197,15 +197,21 @@ def build_power_table(rates: RateSet, peak_power_mw: float) -> PowerTable:
     return PowerTable(rates=rates, power_mw=power, phi_mj=peak_power_mw * h1)
 
 
+def check_pattern(fractions, k: int) -> tuple:
+    """``fractions`` as floats, if they are k non-negative level shares summing to 1."""
+    fr = tuple(float(f) for f in fractions)
+    if len(fr) != k:
+        raise ValueError(f"pattern: expected {k} fractions, got {len(fr)}")
+    if any(f < 0.0 for f in fr):
+        raise ValueError("pattern: fractions must be non-negative")
+    if not abs(sum(fr) - 1.0) <= 1e-12:
+        raise ValueError(f"pattern: fractions must sum to 1, got {sum(fr)}")
+    return fr
+
+
 def totals_over_window(ct: CostTable, pt: PowerTable, fractions, window: float) -> WindowTotals:
     """Expand the tables into window totals for a disturbance pattern."""
-    fr = tuple(float(f) for f in fractions)
-    if len(fr) != ct.k:
-        raise ValueError(f"expected {ct.k} fractions, got {len(fr)}")
-    if any(f < 0.0 for f in fr):
-        raise ValueError("pattern fractions must be non-negative")
-    if abs(sum(fr) - 1.0) > 1e-12:
-        raise ValueError(f"pattern fractions must sum to 1, got {sum(fr)}")
+    fr = check_pattern(fractions, ct.k)
     if window <= 0.0:
         raise ValueError(f"window must be positive, got {window}")
     periods = np.array(ct.rates.periods)

@@ -8,9 +8,10 @@ scalar Riccati roots from the quadratic formula.
 The exceptions follow at the end, each an earlier implementation kept
 verbatim as a bit-identity reference, since only the same arithmetic can
 reproduce the same bits: ``evaluate_cost``, the three-solve stationary-cost
-evaluation, for ``ratekit.lqg.evaluate_costs`` (it uses the package's
-Lyapunov solver); ``trace_events_and_jsonl``, the simulation loop that
-builds one dict per event, for ``ratekit.sim.SimulationTrace`` (it uses the
+evaluation with its affine split J = a * r + b, whose J is the reference
+for ``ratekit.lqg.evaluate_costs`` (it uses the package's Lyapunov
+solver); ``trace_events_and_jsonl``, the simulation loop that builds one
+dict per event, for ``ratekit.sim.SimulationTrace`` (it uses the
 package's synthesis, and the window-loop reference below, not the kernel it
 checks); and the one-candidate-at-a-time loops
 ``_exhaustive_impl``, ``_approach1_impl`` and ``_window_loop_impl`` for the
@@ -20,12 +21,13 @@ scans and the window loop of ``ratekit._kernels``.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from ratekit.energy import FLOOR_EPS
-from ratekit.lqg import CostBreakdown, LqgController
+from ratekit.lqg import LqgController
 from ratekit.plant import PlantModel
 from ratekit.riccati import DesignError, solve_dlyap, spectral_radius
 from ratekit.search import synthesize
@@ -204,6 +206,15 @@ def _loop_operators(plant: PlantModel, ctrl: LqgController):
     ])
     te = np.vstack([np.zeros((nx, ny)), -ctrl.K @ ctrl.Kf])
     return acl, ge, t_map, te
+
+
+@dataclass(frozen=True)
+class CostBreakdown:
+    """Affine decomposition J = a * r + b of the stationary cost."""
+
+    a: float
+    b: float
+    J: float
 
 
 def _stationary_cost(plant: PlantModel, ctrl: LqgController, r: float) -> float:

@@ -129,7 +129,7 @@ def test_criterion_5_lqg_numerics(plant, controllers):
 def test_criterion_6_cost_affinity(plant, controllers):
     t0 = time.perf_counter()
     for ctrl in controllers:
-        j0, j1, j2 = (evaluate_cost(plant, ctrl, r).J for r in (0.0, 1.0, 2.0))
+        j0, j1, j2 = (evaluate_cost(plant, ctrl, r) for r in (0.0, 1.0, 2.0))
         assert np.isclose(j2 - j0, 2.0 * (j1 - j0), rtol=1e-9)
     report(6, time.perf_counter() - t0, 10.0,
            "J(r) collinear over r in {0,1,2} to 1e-9 at every rate")
@@ -138,7 +138,7 @@ def test_criterion_6_cost_affinity(plant, controllers):
 def test_criterion_7_cost_engine_oracle(plant, controllers, rates):
     t0 = time.perf_counter()
     ctrl = controllers[rates.index_of(0.05)]
-    engine = evaluate_cost(plant, ctrl, 1.0).J
+    engine = evaluate_cost(plant, ctrl, 1.0)
     mc, se = mc_closed_loop_cost(plant, ctrl, 1.0, nchains=64, nsteps=15_625,
                                  burn=2000, substeps=20)
     dev = abs(engine - mc) / se

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from ratekit.cli import main
-from ratekit.config import load_config
+from ratekit.config import ConfigError, load_config
 from ratekit.tables import (CostTable, RateSet, build_cost_table, build_power_table,
                             build_profit_tables, design_all, save_tables,
                             totals_over_window)
@@ -235,6 +236,16 @@ def test_battery_cli(small_config, tmp_path, capsys):
     assert len(fixed) == len(multi) == 102
 
 
+# sha256 of each table `ratekit precompute --config configs/tool.json` writes
+PINNED_TABLES = {
+    "ct.csv": "7015a494af49946dc2b41996d44e7caa691045adac4d7d4f95a91c93f8b6914e",
+    "pt.csv": "3ad869ad555eedfede0d08eceb97dd8bb24324c9cf08e2bacec88f8a2fd67086",
+    "profit_l1.csv": "ad6fd9ed9dde43e456399921c4563fe5b9c806712c5a4c1d7ca3394ad891f981",
+    "profit_l2.csv": "3f61991ffb707dbbf1ee325d608779f10641488ce471a7f045ea71e602aa09b2",
+    "profit_l3.csv": "00557384825fd0de3d9318702f3018faebb9f46a967a430bfed8fabdabc13a32",
+}
+
+
 def test_precompute_bundled_case_study(tmp_path, capsys):
     out = tmp_path / "tables"
     rc = main(["precompute", "--config", str(CONFIG_DIR / "tool.json"),
@@ -243,6 +254,92 @@ def test_precompute_bundled_case_study(tmp_path, capsys):
     rows = (out / "ct.csv").read_text().strip().splitlines()
     assert len(rows) == 18  # header + 17 rates
     assert rows[0] == "h_ms,J_l1,J_l2,J_l3"
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in read_primary_outputs(out).items()}
+    assert digests == PINNED_TABLES
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    return err[0]
+
+
+@pytest.mark.parametrize("doc", [{"shares": 5}, 5, {"segments": [[1]]}, {"segments": []}],
+                         ids=["shares_not_list", "bare_number", "short_segment",
+                              "no_segments"])
+def test_battery_pattern_of_wrong_shape_exits_one(small_config, tmp_path, capsys, doc):
+    tables = tmp_path / "tables"
+    main(["precompute", "--config", str(small_config), "--out", str(tables)])
+    capsys.readouterr()
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps(doc))
+    rc = main(["battery", "--tables", str(tables), "--pattern", str(pattern),
+               "--capacity", "1000mAh", "--voltage", "3.7", "--out", str(tmp_path / "b")])
+    assert rc == 1
+    assert one_error_line(capsys).startswith("error: pattern: ")
+
+
+@pytest.mark.parametrize("which", ["config", "scenario", "pattern", "cases"])
+def test_invalid_json_names_the_file(small_config, tmp_path, capsys, which):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json\n")
+    if which == "config":
+        argv = ["precompute", "--config", str(bad), "--out", str(tmp_path / "t")]
+    elif which == "scenario":
+        cfg = json.loads(small_config.read_text())
+        cfg["plant"] = str(small_config.parent / cfg["plant"])
+        cfg["scenario"] = bad.name
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "trace.jsonl")]
+    elif which == "pattern":
+        main(["precompute", "--config", str(small_config), "--out", str(tmp_path / "t")])
+        capsys.readouterr()
+        argv = ["battery", "--tables", str(tmp_path / "t"), "--pattern", str(bad),
+                "--capacity", "1000mAh", "--voltage", "3.7", "--out", str(tmp_path / "b")]
+    else:
+        argv = ["bench", "--cases", str(bad)]
+    assert main(argv) == 1
+    assert one_error_line(capsys).startswith(f"error: {bad}: invalid JSON: Expecting value")
+
+
+def test_config_not_an_object_names_file(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("5\n")
+    assert main(["precompute", "--config", str(path), "--out", str(tmp_path / "t")]) == 1
+    assert one_error_line(capsys) == f"error: {path}: expected a JSON object, got int"
+
+
+def test_battery_capacity_not_a_number_names_option(small_config, tmp_path, capsys):
+    tables = tmp_path / "tables"
+    main(["precompute", "--config", str(small_config), "--out", str(tables)])
+    capsys.readouterr()
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps({"shares": [0.7, 0.2, 0.1]}))
+    rc = main(["battery", "--tables", str(tables), "--pattern", str(pattern),
+               "--capacity", "lots", "--voltage", "3.7", "--out", str(tmp_path / "b")])
+    assert rc == 1
+    assert one_error_line(capsys).startswith("error: --capacity: ")
+
+
+def test_pattern_sum_tolerance_is_the_tables_one(small_config, tmp_path, capsys):
+    """A pattern off by 1e-10 fails where it enters: at config load, or in synthesize."""
+    cfg = json.loads(small_config.read_text())
+    cfg["plant"] = str(small_config.parent / cfg["plant"])
+    cfg["pattern"] = [0.7, 0.1, 0.2000000001]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match="^pattern: fractions must sum to 1"):
+        load_config(path)
+    assert main(["precompute", "--config", str(path), "--out", str(tmp_path / "t")]) == 1
+    assert one_error_line(capsys).startswith("error: pattern: fractions must sum to 1")
+    main(["precompute", "--config", str(small_config), "--out", str(tmp_path / "t")])
+    capsys.readouterr()
+    rc = main(["synthesize", "--tables", str(tmp_path / "t"), "--pattern", "0.7,0.1,0.2000000001",
+               "--budget-energy", "0.4", "--budget-window", "20"])
+    assert rc == 1
+    assert one_error_line(capsys).startswith("error: pattern: fractions must sum to 1")
 
 
 def test_unknown_subcommand_exits_one(capsys):

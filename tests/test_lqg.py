@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ratekit import lqg
 from ratekit.lqg import (closed_loop_matrix, design, evaluate_cost, evaluate_costs,
                          lyapunov_residual)
 from ratekit.plant import PlantModel, discretize
-from ratekit.riccati import DesignError, spectral_radius
+from ratekit.riccati import DesignError, solve_dlyap, spectral_radius
 from ratekit.tables import LevelSpec, RateSet, build_cost_table, design_all
 
 import oracles
@@ -42,32 +43,30 @@ def test_scalar_gain_matches_closed_form():
 def test_zero_noise_zero_cost():
     p = scalar_plant(r2=0.0)
     ctrl = design(p, 0.05)
-    cb = evaluate_cost(p, ctrl, 0.0)
-    assert cb.J == pytest.approx(0.0, abs=1e-15)
-    assert cb.b == pytest.approx(0.0, abs=1e-15)
+    assert evaluate_cost(p, ctrl, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_affinity_in_noise_intensity(plant, controllers):
     ctrl = controllers[8]
-    j0 = evaluate_cost(plant, ctrl, 0.0).J
-    j1 = evaluate_cost(plant, ctrl, 1.0).J
-    j2 = evaluate_cost(plant, ctrl, 2.0).J
+    j0 = evaluate_cost(plant, ctrl, 0.0)
+    j1 = evaluate_cost(plant, ctrl, 1.0)
+    j2 = evaluate_cost(plant, ctrl, 2.0)
     assert np.isclose(j2 - j0, 2.0 * (j1 - j0), rtol=1e-9)
+    # J(r) = a r + b with slope a = J(1) - J(0) and offset b = J(0), both non-negative
+    assert j1 - j0 >= 0.0 and j0 >= 0.0
     for r in (0.3, 5.0, 75.0):
-        cb = evaluate_cost(plant, ctrl, r)
-        assert np.isclose(cb.J, cb.a * r + cb.b, rtol=1e-9)
-        assert cb.a >= 0.0 and cb.b >= 0.0
+        assert np.isclose(evaluate_cost(plant, ctrl, r), (j1 - j0) * r + j0, rtol=1e-9)
 
 
 def test_collinearity_across_all_rates(plant, controllers):
     for ctrl in controllers:
-        js = [evaluate_cost(plant, ctrl, r).J for r in (0.0, 1.0, 2.0)]
+        js = [evaluate_cost(plant, ctrl, r) for r in (0.0, 1.0, 2.0)]
         assert np.isclose(js[2] - js[0], 2.0 * (js[1] - js[0]), rtol=1e-9)
 
 
 def test_cost_monotone_in_period(plant, controllers, levels):
     for r in levels.representative_r:
-        js = [evaluate_cost(plant, ctrl, r).J for ctrl in controllers]
+        js = [evaluate_cost(plant, ctrl, r) for ctrl in controllers]
         assert all(b >= a for a, b in zip(js, js[1:]))
 
 
@@ -89,7 +88,7 @@ def test_feedthrough_does_not_change_loop(plant, controllers):
     c2 = design(with_d, 0.05)
     assert np.array_equal(c1.K, c2.K)
     assert np.array_equal(c1.Kf, c2.Kf)
-    assert evaluate_cost(plant, c1, 1.0).J == evaluate_cost(with_d, c2, 1.0).J
+    assert evaluate_cost(plant, c1, 1.0) == evaluate_cost(with_d, c2, 1.0)
 
 
 FIVE_LEVELS = LevelSpec(thresholds=(0.0, 2.0, 10.0, 30.0, 60.0, 100.0),
@@ -120,11 +119,24 @@ def test_cost_breakdown_equals_three_solve_reference(which, plant, controllers):
         batch = evaluate_costs(plant, ctrl, rs)
         assert len(batch) == len(rs)
         assert evaluate_costs(plant, ctrl, iter(rs)) == batch
-        for r, cb in zip(rs, batch):
-            ref = oracles.evaluate_cost(plant, ctrl, r)
-            single = evaluate_cost(plant, ctrl, r)
-            assert (cb.a, cb.b, cb.J) == (ref.a, ref.b, ref.J)
-            assert (single.a, single.b, single.J) == (ref.a, ref.b, ref.J)
+        for r, j in zip(rs, batch):
+            ref = oracles.evaluate_cost(plant, ctrl, r).J
+            assert j == ref
+            assert evaluate_cost(plant, ctrl, r) == ref
+
+
+def test_cost_table_takes_one_lyapunov_solve_per_entry(plant, rates, levels, controllers,
+                                                       monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve_dlyap(*args)
+
+    monkeypatch.setattr(lqg, "solve_dlyap", counting)
+    ct = build_cost_table(plant, rates, levels, controllers=controllers)
+    assert ct.entries.shape == (17, 3)
+    assert len(calls) == 17 * 3
 
 
 def test_unstable_loop_raises_design_error(plant, controllers, levels):

@@ -26,9 +26,9 @@ def random_instance(rng, n=None, k=3):
 
 
 def test_pattern_and_controller_types():
-    ctrl = MultiRateController(choice=(2, 0, 1))
-    assert ctrl.rate_index(1) == 2
-    assert ctrl.rate_index(3) == 1
+    ctrl = MultiRateController(choice=(np.int64(2), 0, 1))
+    assert ctrl.choice == (2, 0, 1)
+    assert all(type(i) is int for i in ctrl.choice)
 
 
 def test_candidate_examples(cost_table, power_table, hyper_period):

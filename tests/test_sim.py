@@ -316,7 +316,6 @@ def test_trace_equals_per_event_reference(kind, plant, cost_table, power_table, 
     assert tr.jsonl() == ref.jsonl
     assert tr.events == ref.events
     assert tr.n_events == len(ref.events)
-    assert tr.windows == ref.windows
     assert tr.cycles_per_rate.dtype == ref.cycles_per_rate.dtype
     assert tr.cycles_per_rate.tolist() == ref.cycles_per_rate.tolist()
     assert tr.realized_segments == ref.realized_segments
@@ -339,7 +338,7 @@ def test_trace_serializes_non_finite_values_as_json():
                   "level_time_s": [nan, -0.0]}
     synthesis = {"type": "synthesis", "window": 1, "predicted_cost": -inf, "feasible": False}
     tr = SimulationTrace(samples=cols, records=[(3, window_end), (4, synthesis)],
-                         windows=[], cycles_per_rate=np.zeros(1, dtype=np.int64),
+                         cycles_per_rate=np.zeros(1, dtype=np.int64),
                          realized_segments=[], total_time=0.05, total_energy=0.0,
                          cost_integral=0.0, steady_time=0.0, steady_energy=0.0)
 

@@ -50,7 +50,7 @@ def test_degenerate_single_cell_table(plant, levels):
     lv = LevelSpec(thresholds=(0.0, 10.0), representative_r=(5.0,))
     ct = build_cost_table(plant, rs, lv)
     assert ct.entries.shape == (1, 1)
-    direct = evaluate_cost(plant, design(plant, 0.05), 5.0).J
+    direct = evaluate_cost(plant, design(plant, 0.05), 5.0)
     assert ct.entries[0, 0] == pytest.approx(direct, rel=1e-12)
 
 
