@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .energy import (Battery, EnergyBudget, ExecutionPattern, battery_discharge,
-                     floor_cycles, pattern_cost, pattern_energy)
+from .energy import Battery, EnergyBudget, battery_discharge
 from .lqg import LqgController, design, evaluate_cost, evaluate_costs
 from .plant import DiscretePlant, PlantModel, discretize, load_plant
 from .riccati import DesignError
@@ -21,15 +20,13 @@ DEFAULT_BACKEND = "numpy"
 HAS_NUMBA = False
 
 __all__ = [
-    "Battery", "CostTable", "DesignError", "DiscretePlant",
-    "EnergyBudget", "ExecutionPattern", "LevelSpec", "LqgController",
-    "MatchFixedBudget", "MultiRateController", "NoiseScenario", "PlantModel",
+    "Battery", "CostTable", "DesignError", "DiscretePlant", "EnergyBudget", "LevelSpec",
+    "LqgController", "MatchFixedBudget", "MultiRateController", "NoiseScenario", "PlantModel",
     "PowerTable", "ProfitTables", "RateSet", "SimulationTrace", "Strategy",
     "SynthesisResult", "WindowTotals", "approach1", "approach2",
     "battery_discharge", "build_cost_table", "build_power_table",
     "build_profit_tables", "candidate_cost_energy", "classify", "design",
     "design_all", "discretize", "evaluate_cost", "evaluate_costs", "exhaustive",
-    "floor_cycles", "load_plant", "load_tables", "pattern_cost", "pattern_energy",
-    "save_tables", "scenario_from_shares", "simulate", "synthesize",
-    "totals_over_window",
+    "load_plant", "load_tables", "save_tables", "scenario_from_shares", "simulate",
+    "synthesize", "totals_over_window",
 ]

@@ -16,10 +16,10 @@ from statistics import median
 import numpy as np
 
 from . import _kernels
-from .config import ConfigError, parse_json
 from .energy import EnergyBudget
 from .search import ALGORITHMS, synthesize
-from .tables import CostTable, PowerTable, RateSet, WindowTotals, totals_over_window
+from .tables import (ConfigError, CostTable, PowerTable, RateSet, WindowTotals,
+                     parse_json, totals_over_window)
 
 DEFAULT_CAP = 10**8
 # the report's backend column; every kernel runs on numpy
@@ -145,6 +145,26 @@ def format_report(rows) -> str:
     return "\n".join(lines)
 
 
+def _typed(value, *kinds):
+    """``value``, if its JSON type is one of ``kinds`` (a bool is not an int)."""
+    if type(value) not in kinds:
+        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    return float(_typed(value, int, float))
+
+
+# case field -> its JSON value, checked for type and converted to the BenchCase field
+CASE_FIELDS = {
+    "n": lambda v: _typed(v, int), "k": lambda v: _typed(v, int),
+    "reps": lambda v: _typed(v, int), "seed": lambda v: _typed(v, int),
+    "window": _number, "budget": lambda v: v if v == "mid" else _number(v),
+    "fractions": lambda v: tuple(map(_number, _typed(v, list))),
+}
+
+
 def load_cases(path) -> list:
     doc = parse_json(Path(path).read_text(), path)
     if isinstance(doc, dict):
@@ -159,10 +179,15 @@ def load_cases(path) -> list:
             raise ConfigError(f"{path}: cases[{i}] must be a JSON object")
         if "n" not in c:
             raise ConfigError(f"{path}: cases[{i}]: missing key 'n'")
-        out.append(BenchCase(
-            n=int(c["n"]), k=int(c.get("k", 3)), reps=int(c.get("reps", 5)),
-            budget=c.get("budget", "mid"), seed=int(c.get("seed", 0)),
-            fractions=tuple(c.get("fractions", DEFAULT_PATTERN)),
-            window=float(c.get("window", 100.0)),
-        ))
+        fields = {}
+        for name, check in CASE_FIELDS.items():
+            if name in c:
+                try:
+                    fields[name] = check(c[name])
+                except TypeError as exc:
+                    raise ConfigError(f"{path}: cases[{i}].{name}: {exc}") from exc
+        try:
+            out.append(BenchCase(**fields))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: cases[{i}]: {exc}") from exc
     return out

@@ -11,22 +11,7 @@ from .energy import EnergyBudget
 from .plant import PlantModel, load_plant
 from .search import ALGORITHMS
 from .sim import MatchFixedBudget, NoiseScenario, Strategy, scenario_from_shares
-from .tables import LevelSpec, RateSet, check_pattern
-
-
-class ConfigError(ValueError):
-    """Configuration problem; the message names the offending field."""
-
-
-def parse_json(text: str, path):
-    """The JSON document ``text`` read from ``path``.
-
-    Raises ConfigError naming the file when ``text`` is not JSON.
-    """
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+from .tables import ConfigError, LevelSpec, RateSet, check_pattern, parse_json
 
 
 def _require(doc: dict, field: str, where: str):
@@ -97,7 +82,7 @@ def load_config(path) -> ToolConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     raw = path.read_text()
-    doc = _object(parse_json(raw, path), str(path))
+    doc = parse_json(raw, path, obj=True)
     base = path.parent
 
     plant_doc = _require(doc, "plant", "config")
@@ -106,16 +91,13 @@ def load_config(path) -> ToolConfig:
         if not plant_path.exists():
             raise ConfigError(f"plant: file not found: {plant_path}")
         plant_bytes = plant_path.read_bytes()
-        try:
-            plant = load_plant(plant_path)
-        except ValueError as exc:
-            raise ConfigError(f"plant: {exc}") from exc
+        plant_doc = parse_json(plant_bytes, plant_path, obj=True)
     else:
         plant_bytes = json.dumps(_object(plant_doc, "plant"), sort_keys=True).encode()
-        try:
-            plant = load_plant(plant_doc)
-        except ValueError as exc:
-            raise ConfigError(f"plant: {exc}") from exc
+    try:
+        plant = load_plant(plant_doc)
+    except ValueError as exc:
+        raise ConfigError(f"plant: {exc}") from exc
 
     rates_ms = _require(doc, "rates_ms", "config")
     try:

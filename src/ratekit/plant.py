@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
@@ -97,24 +95,17 @@ class PlantModel:
 
 
 def load_plant(source) -> PlantModel:
-    """Read a plant from a JSON document (dense row-major matrices).
+    """Build a plant from a parsed JSON document (dense row-major matrices).
 
-    ``source`` may be a path or an already-parsed dict with keys
-    "A", "B", "C", "D", "Rc", "R2", "Qxu".  All units SI.
+    ``source`` is a dict with keys "A", "B", "C", "D", "Rc", "R2", "Qxu".
+    All units SI.
     """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        if not path.exists():
-            raise FileNotFoundError(f"plant file not found: {path}")
-        doc = json.loads(path.read_text())
-    else:
-        doc = source
-    missing = [k for k in ("A", "B", "C", "D", "Rc", "R2", "Qxu") if k not in doc]
+    missing = [k for k in ("A", "B", "C", "D", "Rc", "R2", "Qxu") if k not in source]
     if missing:
         raise ValueError(f"plant document missing keys: {', '.join(missing)}")
     return PlantModel(
-        A=doc["A"], B=doc["B"], C=doc["C"], D=doc["D"],
-        Rc=doc["Rc"], R2=doc["R2"], Qxu=doc["Qxu"],
+        A=source["A"], B=source["B"], C=source["C"], D=source["D"],
+        Rc=source["Rc"], R2=source["R2"], Qxu=source["Qxu"],
     )
 
 

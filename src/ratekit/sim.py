@@ -158,7 +158,6 @@ class SimulationTrace:
     samples: SampleColumns
     records: list                # (samples before it, event dict)
     cycles_per_rate: np.ndarray
-    realized_segments: list      # (duration seconds, period seconds)
     total_time: float
     total_energy: float
     cost_integral: float
@@ -326,17 +325,10 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
                 "fallback": bool(fallback),
             }))
 
-    # (length, rate index) runs of the realized rate sequence
-    rate = np.array(rate_col, dtype=np.int64)
-    run_starts = np.flatnonzero(np.diff(rate, prepend=-1))
-    run_lengths = np.diff(run_starts, append=len(rate))
-    realized = [(cnt * rates.periods[i], rates.periods[i])
-                for cnt, i in zip(run_lengths.tolist(), rate[run_starts].tolist())]
     return SimulationTrace(
         samples=samples, records=records,
-        cycles_per_rate=np.bincount(rate, minlength=n),
-        realized_segments=realized, total_time=state.t, total_energy=state.energy,
-        cost_integral=state.cost,
+        cycles_per_rate=np.bincount(np.array(rate_col, dtype=np.int64), minlength=n),
+        total_time=state.t, total_energy=state.energy, cost_integral=state.cost,
         steady_time=max(state.t - window, 0.0),
         steady_energy=state.energy - energy_after_w0,
     )

@@ -22,6 +22,24 @@ from .lqg import design, evaluate_costs
 from .plant import PlantModel
 
 
+# every JSON input file goes through parse_json; config imports this module,
+# so the reader lives here, where load_tables needs it too
+class ConfigError(ValueError):
+    """Input problem; the message names the offending file or field."""
+
+
+def parse_json(text, path, *, obj: bool = False):
+    """The JSON document ``text`` read from ``path``; ConfigError naming the
+    file when it is not JSON, or, with ``obj``, not a JSON object."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if obj and not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 @dataclass(frozen=True)
 class RateSet:
     """Strictly increasing admissible sampling periods, in seconds."""
@@ -101,9 +119,6 @@ class CostTable:
     @property
     def k(self) -> int:
         return self.entries.shape[1]
-
-    def rate_index(self, h: float) -> int:
-        return self.rates.index_of(h)
 
 
 @dataclass
@@ -291,19 +306,26 @@ def save_tables(out_dir, ct: CostTable, pt: PowerTable, profit: ProfitTables,
 
 
 def load_tables(table_dir):
-    """Read (CostTable, PowerTable, meta) back from a table directory."""
+    """Read (CostTable, PowerTable, meta) back from a table directory.
+
+    ct.csv, pt.csv and the tables.json sidecar are required; save_tables
+    always writes all three.
+    """
     base = Path(table_dir)
     ct_path = base / "ct.csv"
     pt_path = base / "pt.csv"
-    for p in (ct_path, pt_path):
+    sidecar = base / "tables.json"
+    for p in (ct_path, pt_path, sidecar):
         if not p.exists():
             raise FileNotFoundError(f"table file not found: {p}")
-    meta = {}
-    sidecar = base / "tables.json"
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-        if meta.get("schema") != 1:
-            raise ValueError(f"{sidecar}: schema {meta.get('schema')!r} is not 1")
+    meta = parse_json(sidecar.read_text(), sidecar, obj=True)
+    if meta.get("schema") != 1:
+        raise ValueError(f"{sidecar}: schema {meta.get('schema')!r} is not 1")
+    try:
+        rates_ms, phi_mj = [float(v) for v in meta["rates_ms"]], float(meta["phi_mj"])
+        violations = tuple(map(tuple, meta["cost_monotonicity_violations"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar}: missing or malformed field: {exc!r}") from exc
     with open(ct_path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -317,9 +339,9 @@ def load_tables(table_dir):
     body = rows[1:]
     ms = [float(r[0]) for r in body]
     entries = np.array([[float(v) for v in r[1:]] for r in body])
-    if "rates_ms" in meta and ms != [float(v) for v in meta["rates_ms"]]:
+    if ms != rates_ms:
         raise ValueError(f"{ct_path}: h_ms column {ms} differs from rates_ms "
-                         f"{meta['rates_ms']} in {sidecar}")
+                         f"{rates_ms} in {sidecar}")
     if not np.all(np.isfinite(entries)) or np.any(entries < 0.0):
         raise ValueError(f"{ct_path}: costs must be finite and non-negative")
     rates = RateSet(tuple(m / 1000.0 for m in ms))
@@ -328,8 +350,6 @@ def load_tables(table_dir):
     if [float(r[0]) for r in prow] != ms:
         raise ValueError(f"{pt_path}: periods differ from those in {ct_path}")
     power = np.array([float(r[1]) for r in prow])
-    phi_mj = meta.get("phi_mj", float(power[0] * rates.periods[0] * 1000.0))
-    violations = tuple(tuple(v) for v in meta.get("cost_monotonicity_violations", ()))
     ct = CostTable(rates=rates, entries=entries, violations=violations)
-    pt = PowerTable(rates=rates, power_mw=power, phi_mj=float(phi_mj))
+    pt = PowerTable(rates=rates, power_mw=power, phi_mj=phi_mj)
     return ct, pt, meta

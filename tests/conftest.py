@@ -1,23 +1,32 @@
+from pathlib import Path
+
 import pytest
 
-from ratekit.casestudy import (HYPER_PERIOD_S, PEAK_POWER_MW, case_study_levels,
-                               case_study_rates, dc_servo_plant)
+from ratekit.config import load_config
 from ratekit.tables import build_cost_table, build_power_table, design_all
 
-
-@pytest.fixture(scope="session")
-def plant():
-    return dc_servo_plant()
+# the bundled DC-servo case study: 17 rates of 10..90 ms, three levels
+CASE_STUDY = Path(__file__).resolve().parent.parent / "configs" / "tool.json"
 
 
 @pytest.fixture(scope="session")
-def rates():
-    return case_study_rates()
+def case_study():
+    return load_config(CASE_STUDY)
 
 
 @pytest.fixture(scope="session")
-def levels():
-    return case_study_levels()
+def plant(case_study):
+    return case_study.plant
+
+
+@pytest.fixture(scope="session")
+def rates(case_study):
+    return case_study.rates
+
+
+@pytest.fixture(scope="session")
+def levels(case_study):
+    return case_study.levels
 
 
 @pytest.fixture(scope="session")
@@ -31,10 +40,10 @@ def cost_table(plant, rates, levels, controllers):
 
 
 @pytest.fixture(scope="session")
-def power_table(rates):
-    return build_power_table(rates, PEAK_POWER_MW)
+def power_table(case_study):
+    return build_power_table(case_study.rates, case_study.peak_power_mw)
 
 
 @pytest.fixture(scope="session")
-def hyper_period():
-    return HYPER_PERIOD_S
+def hyper_period(case_study):
+    return case_study.hyper_period_s

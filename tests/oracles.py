@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the package's own discretization and
 equation solvers: transition matrices come from RK4 integration, integrals
-from Simpson quadrature, costs from time-domain Monte-Carlo simulation, and
-scalar Riccati roots from the quadratic formula.
+from Simpson quadrature, costs from time-domain Monte-Carlo simulation,
+scalar Riccati roots from the quadratic formula, and cycle counts from one
+scalar floor per (duration, period) pair (``floor_cycles``, the reference of
+``ratekit.tables.totals_over_window``).
 
 The exceptions follow at the end, each an earlier implementation kept
 verbatim as a bit-identity reference, since only the same arithmetic can
@@ -35,6 +37,15 @@ from ratekit.sim import (MatchFixedBudget, NoiseScenario, Strategy, _psd_sqrt,
                          floor_pattern)
 from ratekit.tables import (CostTable, LevelSpec, PowerTable, design_all,
                             totals_over_window)
+
+
+def floor_cycles(duration: float, period: float) -> int:
+    """Number of complete sense-compute-actuate cycles in ``duration``."""
+    if period <= 0.0:
+        raise ValueError(f"period must be positive, got {period}")
+    if duration < 0.0:
+        raise ValueError(f"duration must be non-negative, got {duration}")
+    return int(np.floor(duration / period + FLOOR_EPS))
 
 
 def rk4_expm(a_mat: np.ndarray, t: float, steps: int = 400) -> np.ndarray:
@@ -258,8 +269,7 @@ def evaluate_cost(plant: PlantModel, ctrl: LqgController, r: float) -> CostBreak
 # ---------------------------------------------------------------------------
 # Per-sample trace events: the simulation loop that builds one dict per event
 # and encodes each with the JSON encoder, the reference for the columnar
-# SimulationTrace (its events, its JSONL bytes, its cycle counts and its
-# realized segments).
+# SimulationTrace (its events, its JSONL bytes and its cycle counts).
 # ---------------------------------------------------------------------------
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -327,7 +337,6 @@ def trace_events_and_jsonl(plant: PlantModel, ct: CostTable, pt: PowerTable, lev
     events = []
     windows = []
     cycles = np.zeros(n, dtype=np.int64)
-    seg_runs = []   # (count, rate index) runs of the realized rate sequence
     prev_level = None
     energy_after_w0 = 0.0
 
@@ -364,11 +373,6 @@ def trace_events_and_jsonl(plant: PlantModel, ct: CostTable, pt: PowerTable, lev
                 "level": lvl, "energy_j": e_i, "cost_integral": c_i,
             })
         cycles += np.bincount(out_rate[:steps], minlength=n)
-        for ridx in out_rate[:steps].tolist():
-            if seg_runs and seg_runs[-1][1] == ridx:
-                seg_runs[-1][0] += 1
-            else:
-                seg_runs.append([1, ridx])
         if w == 0:
             energy_after_w0 = energy
         fr = tuple(float(v / level_time.sum()) for v in level_time)
@@ -400,11 +404,9 @@ def trace_events_and_jsonl(plant: PlantModel, ct: CostTable, pt: PowerTable, lev
                 "fallback": bool(fallback),
             })
 
-    realized = [(cnt * rates.periods[i], rates.periods[i]) for cnt, i in seg_runs]
     return SimpleNamespace(
         events=events, windows=windows, cycles_per_rate=cycles,
-        realized_segments=realized, total_time=t, total_energy=energy,
-        cost_integral=cost,
+        total_time=t, total_energy=energy, cost_integral=cost,
         steady_time=max(t - window, 0.0),
         steady_energy=energy - energy_after_w0,
         jsonl="".join(_encode(ev) + "\n" for ev in events),

@@ -92,3 +92,18 @@ def test_bench_rejects_malformed_cases(tmp_path, capsys, doc, cause):
         load_cases(path)
     assert main(["bench", "--cases", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}: {cause}\n"
+
+
+# a case field holding a JSON value of the wrong type
+WRONG_CASE_TYPES = {"n": "x", "k": [3], "reps": 2.5, "seed": {"s": 1}, "window": "100",
+                    "budget": "high", "fractions": 3}
+
+
+@pytest.mark.parametrize("field", list(WRONG_CASE_TYPES))
+def test_bench_case_field_of_wrong_type_names_file_and_case(tmp_path, capsys, field):
+    case = {"n": 9, field: WRONG_CASE_TYPES[field]}
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps({"cases": [{"n": 5}, case]}))
+    assert main(["bench", "--cases", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: cases[1].{field}: expected ")

@@ -304,6 +304,50 @@ def test_invalid_json_names_the_file(small_config, tmp_path, capsys, which):
     assert one_error_line(capsys).startswith(f"error: {bad}: invalid JSON: Expecting value")
 
 
+@pytest.mark.parametrize("which, text, cause", [
+    ("plant", "not json\n", "invalid JSON: Expecting value"),
+    ("plant", "5\n", "expected a JSON object, got int"),
+    ("tables.json", "not json\n", "invalid JSON: Expecting value"),
+    ("tables.json", "5\n", "expected a JSON object, got int"),
+], ids=["plant_not_json", "plant_not_object", "sidecar_not_json", "sidecar_not_object"])
+def test_bad_plant_or_sidecar_names_the_file(small_config, tmp_path, capsys, which, text, cause):
+    if which == "plant":
+        bad = tmp_path / "plant.json"
+        cfg = json.loads(small_config.read_text())
+        cfg["plant"] = bad.name
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["precompute", "--config", str(path), "--out", str(tmp_path / "t")]
+    else:
+        main(["precompute", "--config", str(small_config), "--out", str(tmp_path / "t")])
+        capsys.readouterr()
+        bad = tmp_path / "t" / "tables.json"
+        argv = ["synthesize", "--tables", str(tmp_path / "t"), "--pattern", "0.7,0.1,0.2",
+                "--budget-energy", "0.4", "--budget-window", "20"]
+    bad.write_text(text)
+    assert main(argv) == 1
+    assert one_error_line(capsys).startswith(f"error: {bad}: {cause}")
+
+
+@pytest.mark.parametrize("command", ["synthesize", "battery"])
+def test_tables_without_sidecar_exit_one(small_config, tmp_path, capsys, command):
+    # phi is read from tables.json only; without it no energy can be priced
+    tables = tmp_path / "t"
+    main(["precompute", "--config", str(small_config), "--out", str(tables)])
+    capsys.readouterr()
+    (tables / "tables.json").unlink()
+    if command == "synthesize":
+        argv = ["synthesize", "--tables", str(tables), "--pattern", "0.7,0.1,0.2",
+                "--budget-energy", "0.4", "--budget-window", "20"]
+    else:
+        pattern = tmp_path / "pattern.json"
+        pattern.write_text(json.dumps({"shares": [0.7, 0.2, 0.1]}))
+        argv = ["battery", "--tables", str(tables), "--pattern", str(pattern),
+                "--capacity", "1000mAh", "--voltage", "3.7", "--out", str(tmp_path / "b")]
+    assert main(argv) == 1
+    assert one_error_line(capsys) == f"error: table file not found: {tables / 'tables.json'}"
+
+
 def test_config_not_an_object_names_file(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("5\n")

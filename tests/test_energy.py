@@ -3,16 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratekit.energy import (Battery, EnergyBudget, ExecutionPattern,
-                            battery_discharge, floor_cycles, pattern_cost,
-                            pattern_energy)
+from ratekit.energy import Battery, EnergyBudget, battery_discharge
+from ratekit.search import candidate_cost_energy
+from ratekit.tables import CostTable, PowerTable, RateSet, totals_over_window
+
+# The energy and cost of a window are read off its totals: a level held for
+# T_j seconds at period h spends floor(T_j / h) cycles of phi each and costs
+# J * T_j.  A per-cycle energy of 1 J makes an energy a cycle count.
+
+
+def cycle_totals(periods, fractions, window, entries=None):
+    """Totals of a table over ``periods`` with phi = 1000 mJ (energies count cycles)."""
+    rates = RateSet(tuple(periods))
+    if entries is None:
+        entries = np.ones((len(rates), len(fractions)))
+    ct = CostTable(rates=rates, entries=np.asarray(entries, dtype=np.float64))
+    pt = PowerTable(rates=rates, power_mw=np.ones(len(rates)), phi_mj=1000.0)
+    return totals_over_window(ct, pt, fractions, window)
 
 
 def test_floor_cycles_examples():
-    assert floor_cycles(100.0, 0.01) == 10_000
-    assert floor_cycles(0.015, 0.01) == 1
-    assert floor_cycles(20.0, 0.09) == 222
-    assert floor_cycles(0.0, 0.01) == 0
+    whole = cycle_totals((0.01, 0.09), (0.8, 0.2), 100.0)
+    assert whole.ec_total[0] == 10_000                # 100 s at 10 ms
+    assert whole.ec_by_level[1, 1] == 222             # 20 s at 90 ms
+    assert cycle_totals((0.01,), (1.0,), 0.015).ec_total[0] == 1
+    assert cycle_totals((0.01,), (1.0, 0.0), 100.0).ec_by_level[0, 1] == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -22,81 +37,60 @@ def test_floor_cycles_near_integer_ratios(cycles, period_ms):
     # write (100 s at 0.01 s); neither may lose a cycle to rounding
     period = period_ms / 1000.0
     for duration in (cycles * period, cycles * period_ms / 1000.0):
-        assert floor_cycles(duration, period) == cycles
-        assert floor_cycles(duration * (1.0 - 1e-6), period) == cycles - 1
+        totals = cycle_totals((period,), (1.0,), duration)
+        assert totals.ec_total[0] == totals.ec_by_level[0, 0] == cycles
+        assert cycle_totals((period,), (1.0,), duration * (1.0 - 1e-6)).ec_total[0] == cycles - 1
 
 
-def test_pattern_energy_case_study():
-    pattern = ExecutionPattern(segments=((70.0, 0.01), (10.0, 0.05), (20.0, 0.09)))
-    assert pattern_energy(pattern, phi_mj=1.0) == pytest.approx(7.422, abs=1e-12)
+def test_pattern_energy_case_study(cost_table, power_table, hyper_period):
+    # 70/10/20 s of levels 1/2/3 at 10/50/90 ms with phi = 1 mJ
+    assert power_table.phi_mj == 1.0
+    totals = totals_over_window(cost_table, power_table, (0.7, 0.1, 0.2), hyper_period)
+    choice = [cost_table.rates.index_of(h) for h in (0.01, 0.05, 0.09)]
+    _, energy = candidate_cost_energy(choice, totals)
+    assert energy == pytest.approx(7.422, abs=1e-12)
 
 
-def test_pattern_energy_single_block():
-    assert pattern_energy(ExecutionPattern(segments=((100.0, 0.01),)), 1.0) == pytest.approx(10.0)
-    assert pattern_energy(ExecutionPattern(segments=((0.015, 0.01),)), 1.0) == pytest.approx(0.001)
+def test_pattern_energy_single_block(cost_table, power_table):
+    # one block at 10 ms with phi = 1 mJ
+    for window, joules in ((100.0, 10.0), (0.015, 0.001)):
+        totals = totals_over_window(cost_table, power_table, (1.0, 0.0, 0.0), window)
+        assert totals.ec_total[0] == totals.ec_by_level[0, 0] == pytest.approx(joules)
 
 
-def test_pattern_cost_degenerate_and_mean(cost_table):
-    single = ExecutionPattern(segments=((12.0, 0.05),))
-    i = cost_table.rate_index(0.05)
-    assert pattern_cost(single, cost_table, [2]) == pytest.approx(
-        cost_table.entries[i, 1])
+def test_pattern_cost_degenerate_and_mean(cost_table, power_table, hyper_period):
+    totals = totals_over_window(cost_table, power_table, (0.0, 1.0, 0.0), hyper_period)
+    i = cost_table.rates.index_of(0.05)
+    cost, _ = candidate_cost_energy([i, i, i], totals)
+    assert cost == pytest.approx(cost_table.entries[i, 1])
 
 
 def test_pattern_cost_equal_segments_average():
-    class FakeTable:
-        entries = np.array([[2.0, 4.0]])
-
-        def rate_index(self, h):
-            return 0
-
-    pat = ExecutionPattern(segments=((5.0, 0.01), (5.0, 0.01)))
-    assert pattern_cost(pat, FakeTable(), [1, 2]) == pytest.approx(3.0)
+    totals = cycle_totals((0.01,), (0.5, 0.5), 10.0, [[2.0, 4.0]])
+    cost, _ = candidate_cost_energy([0, 0], totals)
+    assert cost == pytest.approx(3.0)
 
 
-def test_pattern_cost_case_study_hand_recomputation(cost_table):
-    pat = ExecutionPattern(segments=((70.0, 0.01), (10.0, 0.05), (20.0, 0.09)))
-    got = pattern_cost(pat, cost_table, [1, 2, 3])
-    i10, i50, i90 = (cost_table.rate_index(h) for h in (0.01, 0.05, 0.09))
+def test_pattern_cost_case_study_hand_recomputation(cost_table, power_table, hyper_period):
+    totals = totals_over_window(cost_table, power_table, (0.7, 0.1, 0.2), hyper_period)
+    i10, i50, i90 = (cost_table.rates.index_of(h) for h in (0.01, 0.05, 0.09))
+    got, _ = candidate_cost_energy([i10, i50, i90], totals)
     expect = (cost_table.entries[i10, 0] * 70.0
               + cost_table.entries[i50, 1] * 10.0
               + cost_table.entries[i90, 2] * 20.0) / 100.0
     assert got == pytest.approx(expect, rel=1e-15)
 
 
-def test_pattern_cost_unknown_period(cost_table):
-    with pytest.raises(ValueError):
-        pattern_cost(ExecutionPattern(segments=((1.0, 0.033),)), cost_table, [1])
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.floats(0.01, 50.0), st.floats(0.002, 0.5)),
-                min_size=1, max_size=5),
-       st.integers(0, 4), st.floats(0.3, 0.99))
-def test_energy_monotone_in_period(segments, idx, shrink):
-    pat = ExecutionPattern(segments=tuple(segments))
-    idx = idx % len(segments)
-    faster = list(segments)
-    faster[idx] = (faster[idx][0], faster[idx][1] * shrink)
-    assert pattern_energy(ExecutionPattern(segments=tuple(faster)), 1.0) >= \
-        pattern_energy(pat, 1.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(0.5, 40.0), st.floats(0.1, 0.9))
-def test_cost_invariant_to_segment_split(duration, frac):
-    class FakeTable:
-        entries = np.array([[3.7]])
-
-        def rate_index(self, h):
-            return 0
-
-    whole = ExecutionPattern(segments=((duration, 0.01),))
-    split = ExecutionPattern(segments=((duration * frac, 0.01),
-                                       (duration * (1 - frac), 0.01)))
-    a = pattern_cost(whole, FakeTable(), [1])
-    b = pattern_cost(split, FakeTable(), [1, 1])
-    assert np.isclose(a, b, rtol=1e-12)
+@given(st.lists(st.floats(0.002, 0.5), min_size=2, max_size=6, unique=True),
+       st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4), st.floats(0.01, 50.0))
+def test_energy_monotone_in_period(periods, weights, window):
+    # a faster period never spends less energy on any level, nor on the window
+    fractions = [w / sum(weights) for w in weights]
+    fractions[-1] = 1.0 - sum(fractions[:-1])
+    totals = cycle_totals(sorted(periods), fractions, window)
+    assert np.all(np.diff(totals.ec_total) <= 0.0)
+    assert np.all(np.diff(totals.ec_by_level, axis=0) <= 0.0)
 
 
 def test_battery_basics():
@@ -117,9 +111,5 @@ def test_budget_and_pattern_validation():
         EnergyBudget(e_max=0.0, window=10.0)
     with pytest.raises(ValueError):
         EnergyBudget(e_max=1.0, window=-1.0)
-    with pytest.raises(ValueError):
-        ExecutionPattern(segments=())
-    with pytest.raises(ValueError):
-        ExecutionPattern(segments=((0.0, 0.01),))
     with pytest.raises(ValueError):
         Battery(capacity_mah=-5.0, voltage=3.7)

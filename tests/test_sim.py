@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ratekit import _kernels
 from ratekit.bench import BenchCase, synthetic_totals
-from ratekit.energy import EnergyBudget, ExecutionPattern, pattern_energy
+from ratekit.energy import EnergyBudget
 from ratekit.lqg import evaluate_cost
 from ratekit.sim import (MatchFixedBudget, NoiseScenario, SampleColumns,
                          SimulationTrace, Strategy, classify, scenario_from_shares,
@@ -140,20 +140,8 @@ def test_energy_accounting_consistency(plant, cost_table, power_table, levels,
                                        controllers, low_scenario, short_budget):
     tr = run_sim(plant, cost_table, power_table, levels, low_scenario, short_budget,
                  Strategy.adaptive("approach2"), controllers)
-    pattern = ExecutionPattern(segments=tuple(tr.realized_segments))
-    assert pattern_energy(pattern, power_table.phi_mj) == pytest.approx(
-        tr.total_energy, rel=1e-12)
     assert tr.total_energy == pytest.approx(
         int(tr.cycles_per_rate.sum()) * power_table.phi_mj * 1e-3, rel=1e-12)
-
-
-def test_cycle_counts_match_floor(plant, cost_table, power_table, levels,
-                                  controllers, low_scenario, short_budget):
-    tr = run_sim(plant, cost_table, power_table, levels, low_scenario, short_budget,
-                 Strategy.adaptive("approach1"), controllers)
-    for duration, h in tr.realized_segments:
-        cycles = round(duration / h)
-        assert abs(cycles - np.floor(duration / h + 1e-9)) <= 1
 
 
 def test_active_rate_follows_deployed_map(plant, cost_table, power_table, levels,
@@ -318,7 +306,6 @@ def test_trace_equals_per_event_reference(kind, plant, cost_table, power_table, 
     assert tr.n_events == len(ref.events)
     assert tr.cycles_per_rate.dtype == ref.cycles_per_rate.dtype
     assert tr.cycles_per_rate.tolist() == ref.cycles_per_rate.tolist()
-    assert tr.realized_segments == ref.realized_segments
     for name in ("total_time", "total_energy", "cost_integral", "steady_time",
                  "steady_energy"):
         assert getattr(tr, name) == getattr(ref, name)
@@ -339,7 +326,7 @@ def test_trace_serializes_non_finite_values_as_json():
     synthesis = {"type": "synthesis", "window": 1, "predicted_cost": -inf, "feasible": False}
     tr = SimulationTrace(samples=cols, records=[(3, window_end), (4, synthesis)],
                          cycles_per_rate=np.zeros(1, dtype=np.int64),
-                         realized_segments=[], total_time=0.05, total_energy=0.0,
+                         total_time=0.05, total_energy=0.0,
                          cost_integral=0.0, steady_time=0.0, steady_energy=0.0)
 
     def sample(i):

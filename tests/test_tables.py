@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ratekit.energy import floor_cycles
 from ratekit.tables import (CostTable, LevelSpec, PowerTable, RateSet,
                             build_cost_table, build_power_table,
                             build_profit_tables, load_tables, save_tables,
                             totals_over_window)
+
+from oracles import floor_cycles
 
 
 def test_rateset_validation():
@@ -70,7 +71,7 @@ def test_totals_examples(cost_table, power_table, hyper_period):
     assert totals.ec_total[0] == pytest.approx(10.0)  # 10000 cycles of 1 mJ
     tj = [f * hyper_period for f in (0.7, 0.1, 0.2)]
     assert tj == [70.0, 10.0, 20.0]
-    i90 = cost_table.rate_index(0.09)
+    i90 = cost_table.rates.index_of(0.09)
     assert totals.ec_by_level[0, 0] == pytest.approx(7.0)
     assert totals.ec_by_level[i90, 2] == pytest.approx(0.222)
     # single-level pattern collapses the other columns
@@ -173,6 +174,15 @@ def test_load_missing_tables(tmp_path):
         load_tables(tmp_path / "nope")
 
 
+def test_load_requires_sidecar(tmp_path, cost_table, power_table, hyper_period):
+    # phi is read from tables.json only
+    totals = totals_over_window(cost_table, power_table, (0.7, 0.1, 0.2), hyper_period)
+    save_tables(tmp_path, cost_table, power_table, build_profit_tables(totals), {})
+    (tmp_path / "tables.json").unlink()
+    with pytest.raises(FileNotFoundError, match="tables.json"):
+        load_tables(tmp_path)
+
+
 def set_cell(row, col, value):
     """Edit that replaces one CSV cell, or deletes it when value is None."""
     def edit(text):
@@ -196,11 +206,15 @@ def each_line(fn):
     ("ct.csv", set_cell(4, 1, "inf")),
     ("ct.csv", set_cell(1, 3, "-0.5")),
     ("tables.json", lambda text: text.replace('"schema": 1', '"schema": 2')),
+    ("tables.json", lambda text: text.replace('"phi_mj"', '"phi"')),
+    ("tables.json", lambda text: "5\n"),
+    ("tables.json", lambda text: "not json\n"),
     ("ct.csv", each_line(lambda line: line + ",1.0")),
     ("ct.csv", each_line(lambda line: line.rsplit(",", 1)[0])),
     ("ct.csv", set_cell(4, 3, None)),
 ], ids=["h_ms_vs_sidecar", "pt_periods", "nan_cost", "inf_cost", "negative_cost",
-        "sidecar_schema", "extra_cost_column", "missing_cost_column", "ragged_row"])
+        "sidecar_schema", "sidecar_without_phi", "sidecar_not_object", "sidecar_not_json",
+        "extra_cost_column", "missing_cost_column", "ragged_row"])
 def test_load_rejects_tampered_tables(tmp_path, cost_table, power_table, levels, hyper_period,
                                       name, edit):
     totals = totals_over_window(cost_table, power_table, (0.7, 0.1, 0.2), hyper_period)
