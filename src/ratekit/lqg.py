@@ -5,6 +5,9 @@ disturbance levels; only the evaluation intensity changes.  The estimator is
 the current-estimator form: measure, update, then feed back, with the
 measurement taken while the previous input is still held (so any feedthrough
 D cancels out of the innovation and the closed loop).
+
+Every rate is designed, and every (rate, intensity) cost evaluated, in one
+pass over stacked matrices; each member gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import DiscretePlant, PlantModel, discretize
-from .riccati import (DesignError, dare_residual, dlyap_residual, solve_dare,
+from .plant import DiscretePlant, DiscreteStack, PlantModel, discretize_stack
+from .riccati import (DesignError, _t, dare_residual, dlyap_residual, solve_dare,
                       solve_dlyap, spectral_radius)
 
 
@@ -48,103 +51,175 @@ def design(plant: PlantModel, h: float) -> LqgController:
     Raises DesignError when a Riccati solve fails or the resulting loop is
     unstable.
     """
-    dp = discretize(plant, h)
-    nx, nu = plant.nx, plant.nu
-    q1d = dp.Qd[:nx, :nx]
-    q12 = dp.Qd[:nx, nx:]
-    q2d = dp.Qd[nx:, nx:]
-    if np.linalg.eigvalsh(0.5 * (q2d + q2d.T)).min() <= 0.0:
-        raise DesignError(f"input-weight block of the lifted cost is singular at h={h}")
-    p_ctrl = solve_dare(dp.Phi, dp.Gamma, q1d, q2d, S=q12)
-    k = np.linalg.solve(q2d + dp.Gamma.T @ p_ctrl @ dp.Gamma,
-                        dp.Gamma.T @ p_ctrl @ dp.Phi + q12.T)
-    p_pred = solve_dare(dp.Phi.T, plant.C.T, dp.R1d, plant.R2)
-    s_innov = plant.C @ p_pred @ plant.C.T + plant.R2
+    return _design_stack(plant, (h,))[0]
+
+
+def design_stack(plant: PlantModel, periods) -> list:
+    """The LQG controller at every period in ``periods``, designed in one pass.
+
+    On failure, raises the error of the first period, in order, whose
+    design fails, exactly as designing that period alone raises it.
+    """
+    periods = tuple(periods)
     try:
-        kf = np.linalg.solve(s_innov.T, (p_pred @ plant.C.T).T).T
+        return _design_stack(plant, periods)
+    except (ValueError, DesignError) as exc:
+        failure = exc
+    # the stacked pass stops at the first step any member fails; redo each
+    # period alone to find the first one that fails
+    for h in periods:
+        _design_stack(plant, (h,))
+    raise failure
+
+
+def _design_stack(plant: PlantModel, periods: tuple) -> list:
+    d = discretize_stack(plant, periods)
+    nx, c = plant.nx, plant.C
+    q1d = d.Qd[:, :nx, :nx]
+    q12 = d.Qd[:, :nx, nx:]
+    q2d = d.Qd[:, nx:, nx:]
+    singular = np.linalg.eigvalsh(0.5 * (q2d + _t(q2d))).min(axis=-1) <= 0.0
+    if singular.any():
+        raise DesignError("input-weight block of the lifted cost is singular at "
+                          f"h={periods[np.argmax(singular)]}")
+    p_ctrl = solve_dare(d.Phi, d.Gamma, q1d, q2d, S=q12)
+    k = np.linalg.solve(q2d + _t(d.Gamma) @ p_ctrl @ d.Gamma,
+                        _t(d.Gamma) @ p_ctrl @ d.Phi + _t(q12))
+    p_pred = solve_dare(_t(d.Phi), c.T, d.R1d, plant.R2)
+    s_innov = c @ p_pred @ c.T + plant.R2
+    try:
+        kf = _t(np.linalg.solve(_t(s_innov), _t(p_pred @ c.T)))
     except np.linalg.LinAlgError as exc:
-        raise DesignError(f"singular innovation covariance at h={h}") from exc
-    ctrl = LqgController(
-        dp=dp, K=k, Kf=kf, S_innov=s_innov,
-        control_residual=dare_residual(p_ctrl, dp.Phi, dp.Gamma, q1d, q2d, q12),
-        filter_residual=dare_residual(p_pred, dp.Phi.T, plant.C.T, dp.R1d, plant.R2),
-    )
-    rho = spectral_radius(closed_loop_matrix(plant, ctrl))
-    if rho >= 1.0:
-        raise DesignError(f"closed loop unstable at h={h} (spectral radius {rho:.6f})")
-    return ctrl
+        raise DesignError("singular innovation covariance at "
+                          f"h={periods[_first_singular(_t(s_innov))]}") from exc
+    res_ctrl = dare_residual(p_ctrl, d.Phi, d.Gamma, q1d, q2d, q12)
+    res_filt = dare_residual(p_pred, _t(d.Phi), c.T, d.R1d, plant.R2)
+    rho = spectral_radius(_Loop(plant, d, k, kf).acl)
+    if np.any(rho >= 1.0):
+        i = int(np.argmax(rho >= 1.0))
+        raise DesignError(f"closed loop unstable at h={periods[i]} (spectral radius {rho[i]:.6f})")
+    return [LqgController(dp=d.member(i), K=k[i], Kf=kf[i], S_innov=s_innov[i],
+                          control_residual=float(res_ctrl[i]),
+                          filter_residual=float(res_filt[i]))
+            for i in range(len(periods))]
+
+
+def _first_singular(mats: np.ndarray) -> int:
+    """Index of the first member of the stack np.linalg.solve rejects."""
+    for i, mat in enumerate(mats):
+        try:
+            np.linalg.solve(mat, np.eye(len(mat)))
+        except np.linalg.LinAlgError:
+            return i
+    return 0
 
 
 def closed_loop_matrix(plant: PlantModel, ctrl: LqgController) -> np.ndarray:
     """Transition matrix of the stacked [plant state; predicted estimate]."""
-    return _Loop(plant, ctrl).acl
+    return _Loop.of(plant, [ctrl]).acl[0]
 
 
 class _Loop:
-    """One controller's closed loop, shared by every cost evaluation at its rate.
+    """The closed loops of a stack of controllers, one per rate, shared by
+    every cost evaluation at those rates.
 
     Measurement noise enters the stacked state through the fed-back
     innovation (ge) and the instantaneous [x; u] directly (te); ge R2 ge' and
     te R2 te' do not depend on the intensity r, so they are formed once.
     """
 
-    def __init__(self, plant: PlantModel, ctrl: LqgController):
-        nx, ny = plant.nx, plant.ny
-        phi, gamma = ctrl.dp.Phi, ctrl.dp.Gamma
-        gk = gamma @ ctrl.K
-        m = ctrl.Kf @ plant.C
+    def __init__(self, plant: PlantModel, dp: DiscreteStack, k: np.ndarray, kf: np.ndarray):
+        nx, nu, ny = plant.nx, plant.nu, plant.ny
+        n = len(k)
+        phi, gamma = dp.Phi, dp.Gamma
+        gk = gamma @ k
+        m = kf @ plant.C
         eye = np.eye(nx)
-        self.acl = np.block([
-            [phi - gk @ m, -gk @ (eye - m)],
-            [(phi - gk) @ m, (phi - gk) @ (eye - m)],
-        ])
-        ge = np.vstack([-gk @ ctrl.Kf, (phi - gk) @ ctrl.Kf])
+        self.acl = np.empty((n, 2 * nx, 2 * nx))
+        self.acl[:, :nx, :nx] = phi - gk @ m
+        self.acl[:, :nx, nx:] = -gk @ (eye - m)
+        self.acl[:, nx:, :nx] = (phi - gk) @ m
+        self.acl[:, nx:, nx:] = (phi - gk) @ (eye - m)
+        ge = np.concatenate([-gk @ kf, (phi - gk) @ kf], axis=1)
         # instantaneous [x; u] as a function of [x; xhat] and of e
-        self.t_map = np.block([[eye, np.zeros((nx, nx))], [-ctrl.K @ m, -ctrl.K @ (eye - m)]])
-        te = np.vstack([np.zeros((nx, ny)), -ctrl.K @ ctrl.Kf])
-        self.ge_w = ge @ plant.R2 @ ge.T
-        self.te_w = te @ plant.R2 @ te.T
-        self.dp = ctrl.dp
+        self.t_map = np.zeros((n, nx + nu, 2 * nx))
+        self.t_map[:, :nx, :nx] = eye
+        self.t_map[:, nx:, :nx] = -k @ m
+        self.t_map[:, nx:, nx:] = -k @ (eye - m)
+        te = np.concatenate([np.zeros((n, nx, ny)), -k @ kf], axis=1)
+        self.ge_w = ge @ plant.R2 @ _t(ge)
+        self.te_w = te @ plant.R2 @ _t(te)
+        self.dp = dp
         self.nx = nx
 
-    def noise_cov(self, r: float) -> np.ndarray:
-        """W(r) in Z = acl Z acl' + W(r): measurement noise plus r times R1d."""
-        w = self.ge_w.copy()
-        w[:self.nx, :self.nx] += r * self.dp.R1d
+    @classmethod
+    def of(cls, plant: PlantModel, ctrls) -> "_Loop":
+        dps = [c.dp for c in ctrls]
+        dp = DiscreteStack(
+            h=tuple(d.h for d in dps), Phi=np.stack([d.Phi for d in dps]),
+            Gamma=np.stack([d.Gamma for d in dps]), R1d=np.stack([d.R1d for d in dps]),
+            Qd=np.stack([d.Qd for d in dps]), jbar1=np.array([d.jbar1 for d in dps]))
+        return cls(plant, dp, np.stack([c.K for c in ctrls]), np.stack([c.Kf for c in ctrls]))
+
+    def noise_cov(self, rs: np.ndarray) -> np.ndarray:
+        """W(r) in Z = acl Z acl' + W(r), measurement noise plus r times R1d,
+        for every (rate i, intensity rs[j]) pair at index i * len(rs) + j."""
+        n, k, nx = len(self.acl), len(rs), self.nx
+        w = np.repeat(self.ge_w, k, axis=0)
+        w[:, :nx, :nx] += (rs[:, None, None] * self.dp.R1d[:, None]).reshape(n * k, nx, nx)
         return w
 
-    def cost(self, r: float) -> float:
-        z = solve_dlyap(self.acl, self.noise_cov(r))
-        per_step = float(np.trace(self.dp.Qd @ (self.t_map @ z @ self.t_map.T + self.te_w)))
-        return (per_step + r * self.dp.jbar1) / self.dp.h
+    def costs(self, rs: np.ndarray) -> np.ndarray:
+        """Stationary per-time cost J[i, j] of loop i at intensity rs[j]:
+        one stacked Lyapunov solve over every (rate, intensity) pair."""
+        n, k = len(self.acl), len(rs)
+        z = solve_dlyap(np.repeat(self.acl, k, axis=0), self.noise_cov(rs))
+        z = z.reshape((n, k) + z.shape[1:])
+        t_map = self.t_map[:, None]
+        per_step = np.trace(self.dp.Qd[:, None] @ (t_map @ z @ _t(t_map) + self.te_w[:, None]),
+                            axis1=-2, axis2=-1)
+        return (per_step + rs * self.dp.jbar1[:, None]) / np.array(self.dp.h)[:, None]
 
 
-def evaluate_costs(plant: PlantModel, ctrl: LqgController, rs) -> tuple:
-    """Stationary per-time cost J(r) of the closed loop at each intensity in ``rs``.
+def stationary_costs(plant: PlantModel, ctrls, rs) -> np.ndarray:
+    """Stationary per-time cost J[i, j] of controller ``ctrls[i]`` at intensity ``rs[j]``.
 
     Solves the discrete Lyapunov equation for the stationary covariance of
     the plant + estimator state, contracts with the lifted cost, and divides
-    by the period: one solve per r.  The closed loop and its stability check
-    are shared by every r.
+    by the period: one solve per (controller, intensity) pair, all of them
+    stacked.  Each closed loop is checked for stability once; the first
+    unstable one raises, after the loops before it are evaluated.
     """
     rs = tuple(rs)
     for r in rs:
         if r < 0.0:
             raise ValueError(f"noise intensity must be non-negative, got {r}")
-    loop = _Loop(plant, ctrl)
+    ctrls = list(ctrls)
+    rs = np.array(rs, dtype=np.float64)
+    loop = _Loop.of(plant, ctrls)
     rho = spectral_radius(loop.acl)
-    if rho >= 1.0:
-        raise DesignError(f"cannot evaluate cost: closed loop unstable (rho={rho:.6f})")
-    return tuple(loop.cost(float(r)) for r in rs)
+    unstable = np.flatnonzero(rho >= 1.0)
+    if unstable.size:
+        first = unstable[0]
+        if first:
+            _Loop.of(plant, ctrls[:first]).costs(rs)
+        raise DesignError(f"cannot evaluate cost: closed loop unstable (rho={rho[first]:.6f})")
+    return loop.costs(rs)
+
+
+def evaluate_costs(plant: PlantModel, ctrl: LqgController, rs) -> tuple:
+    """Stationary per-time cost J(r) of one controller at each intensity in
+    ``rs``; see stationary_costs."""
+    return tuple(float(j) for j in stationary_costs(plant, [ctrl], rs)[0])
 
 
 def evaluate_cost(plant: PlantModel, ctrl: LqgController, r: float) -> float:
-    """Stationary per-time cost at one intensity ``r``; see evaluate_costs."""
+    """Stationary per-time cost at one intensity ``r``; see stationary_costs."""
     return evaluate_costs(plant, ctrl, (r,))[0]
 
 
 def lyapunov_residual(plant: PlantModel, ctrl: LqgController, r: float = 1.0) -> float:
-    """Residual of the stationary-covariance solve used by evaluate_costs."""
-    loop = _Loop(plant, ctrl)
-    w = loop.noise_cov(r)
-    return dlyap_residual(solve_dlyap(loop.acl, w), loop.acl, w)
+    """Residual of the stationary-covariance solve used by stationary_costs."""
+    loop = _Loop.of(plant, [ctrl])
+    acl, w = loop.acl[0], loop.noise_cov(np.array([r], dtype=np.float64))[0]
+    return dlyap_residual(solve_dlyap(acl, w), acl, w)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -128,17 +129,42 @@ class DiscretePlant:
     jbar1: float
 
 
+class DiscreteStack(NamedTuple):
+    """Zero-order-hold discretizations at several periods, stacked along axis 0."""
+
+    h: tuple
+    Phi: np.ndarray
+    Gamma: np.ndarray
+    R1d: np.ndarray
+    Qd: np.ndarray
+    jbar1: np.ndarray
+
+    def member(self, i: int) -> DiscretePlant:
+        return DiscretePlant(h=float(self.h[i]), Phi=self.Phi[i], Gamma=self.Gamma[i],
+                             R1d=self.R1d[i], Qd=self.Qd[i], jbar1=float(self.jbar1[i]))
+
+
 def discretize(plant: PlantModel, h: float) -> DiscretePlant:
-    """Discretize ``plant`` at period ``h`` (seconds) by augmented-matrix exponentials.
+    """Discretize ``plant`` at period ``h`` (seconds); see discretize_stack."""
+    return discretize_stack(plant, (h,)).member(0)
+
+
+def discretize_stack(plant: PlantModel, periods) -> DiscreteStack:
+    """Discretize ``plant`` at every period in ``periods`` (seconds) by
+    augmented-matrix exponentials.
 
     One exponential of the lifted [x; u] dynamics yields Phi, Gamma and Qd in
     a single pass; companion exponentials yield R1d and the intra-sample
-    noise cost constant.
+    noise cost constant.  Each exponential is one expm call on the stack of
+    all periods, which computes every member as a lone call would.
     """
-    if not np.isfinite(h) or h <= 0.0:
-        raise ValueError(f"sampling period must be positive, got {h}")
-    if h < MIN_PERIOD_S:
-        raise ValueError(f"sampling period {h} s below the {MIN_PERIOD_S} s floor")
+    periods = tuple(periods)
+    for h in periods:
+        if not np.isfinite(h) or h <= 0.0:
+            raise ValueError(f"sampling period must be positive, got {h}")
+        if h < MIN_PERIOD_S:
+            raise ValueError(f"sampling period {h} s below the {MIN_PERIOD_S} s floor")
+    hs = np.array(periods, dtype=np.float64)[:, None, None]
     nx, nu = plant.nx, plant.nu
     nz = nx + nu
     A, B = plant.A, plant.B
@@ -150,20 +176,20 @@ def discretize(plant: PlantModel, h: float) -> DiscretePlant:
     m1[:nz, :nz] = -abar.T
     m1[:nz, nz:] = plant.Qxu
     m1[nz:, nz:] = abar
-    e1 = expm(m1 * h)
-    f2 = e1[nz:, nz:]
-    qd = f2.T @ e1[:nz, nz:]
-    qd = 0.5 * (qd + qd.T)
-    phi = f2[:nx, :nx]
-    gamma = f2[:nx, nx:]
+    e1 = expm(m1 * hs)
+    f2 = e1[:, nz:, nz:]
+    qd = f2.swapaxes(1, 2) @ e1[:, :nz, nz:]
+    qd = 0.5 * (qd + qd.swapaxes(1, 2))
+    phi = f2[:, :nx, :nx]
+    gamma = f2[:, :nx, nx:]
 
     m2 = np.zeros((2 * nx, 2 * nx))
     m2[:nx, :nx] = -A
     m2[:nx, nx:] = plant.Rc
     m2[nx:, nx:] = A.T
-    e2 = expm(m2 * h)
-    r1d = e2[nx:, nx:].T @ e2[:nx, nx:]
-    r1d = 0.5 * (r1d + r1d.T)
+    e2 = expm(m2 * hs)
+    r1d = e2[:, nx:, nx:].swapaxes(1, 2) @ e2[:, :nx, nx:]
+    r1d = 0.5 * (r1d + r1d.swapaxes(1, 2))
 
     # double integral of tr(Q1 * S(s)) via the (1,3) block of a triple-block
     # exponential; S(s) is the intra-sample noise covariance at unit intensity
@@ -174,10 +200,12 @@ def discretize(plant: PlantModel, h: float) -> DiscretePlant:
     m3[nx:2 * nx, nx:2 * nx] = A
     m3[nx:2 * nx, 2 * nx:] = plant.Rc
     m3[2 * nx:, 2 * nx:] = -A.T
-    e3 = expm(m3 * h)
-    jbar1 = float(np.trace(phi.T @ e3[:nx, 2 * nx:]))
+    e3 = expm(m3 * hs)
+    jbar1 = np.trace(phi.swapaxes(1, 2) @ e3[:, :nx, 2 * nx:], axis1=1, axis2=2)
 
-    for name, mat in (("Phi", phi), ("Gamma", gamma), ("R1d", r1d), ("Qd", qd)):
-        if not np.all(np.isfinite(mat)):
-            raise ValueError(f"discretization produced non-finite {name} at h={h}")
-    return DiscretePlant(h=float(h), Phi=phi, Gamma=gamma, R1d=r1d, Qd=qd, jbar1=jbar1)
+    mats = (("Phi", phi), ("Gamma", gamma), ("R1d", r1d), ("Qd", qd))
+    if not all(np.all(np.isfinite(mat)) for _, mat in mats):
+        h, name = next((h, name) for i, h in enumerate(periods) for name, mat in mats
+                       if not np.all(np.isfinite(mat[i])))
+        raise ValueError(f"discretization produced non-finite {name} at h={h}")
+    return DiscreteStack(h=periods, Phi=phi, Gamma=gamma, R1d=r1d, Qd=qd, jbar1=jbar1)

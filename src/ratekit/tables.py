@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import FLOOR_EPS
-from .lqg import design, evaluate_costs
+from .lqg import design_stack, stationary_costs
 from .plant import PlantModel
 
 
@@ -173,22 +173,22 @@ class ProfitTables:
 
 
 def design_all(plant: PlantModel, rates: RateSet) -> list:
-    """Design the LQG controller for every rate."""
-    return [design(plant, h) for h in rates.periods]
+    """Design the LQG controller for every rate, all rates in one stacked pass."""
+    return design_stack(plant, rates.periods)
 
 
 def build_cost_table(plant: PlantModel, rates: RateSet, levels: LevelSpec,
                      controllers=None) -> CostTable:
     """Evaluate J at every (rate, representative intensity) pair.
 
-    Monotonicity violations along the period axis are recorded on the table
-    and reported as warnings; they disable dominance pruning downstream.
+    All n * k entries come from one stacked Lyapunov solve.  Monotonicity
+    violations along the period axis are recorded on the table and reported
+    as warnings; they disable dominance pruning downstream.
     """
     if controllers is None:
         controllers = design_all(plant, rates)
     n, k = len(rates), levels.k
-    entries = np.array([evaluate_costs(plant, ctrl, levels.representative_r)
-                        for ctrl in controllers], dtype=np.float64)
+    entries = stationary_costs(plant, controllers, levels.representative_r)
     if not np.all(np.isfinite(entries)) or entries.min() < 0.0:
         raise ValueError("cost table has non-finite or negative entries")
     violations = []
@@ -305,11 +305,34 @@ def save_tables(out_dir, ct: CostTable, pt: PowerTable, profit: ProfitTables,
     (out / "tables.json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
+# relative tolerance between the sidecar's phi_mj and power_mw * h on each
+# pt.csv row; both are rounded products of the same peak power and period
+PHI_RTOL = 1e-9
+
+
+def _read_table(path) -> tuple:
+    """(header, body) of a CSV table: every row as wide as the header and every
+    body cell a number, else ValueError naming the file."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path}: file is empty")
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError(f"{path}: rows differ in length from the {width}-column header")
+    try:
+        body = np.array([[float(v) for v in r] for r in rows[1:]]).reshape(-1, width)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return rows[0], body
+
+
 def load_tables(table_dir):
     """Read (CostTable, PowerTable, meta) back from a table directory.
 
     ct.csv, pt.csv and the tables.json sidecar are required; save_tables
-    always writes all three.
+    always writes all three.  Every malformed cell, row or field raises a
+    ValueError that names its file.
     """
     base = Path(table_dir)
     ct_path = base / "ct.csv"
@@ -326,30 +349,32 @@ def load_tables(table_dir):
         violations = tuple(map(tuple, meta["cost_monotonicity_violations"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{sidecar}: missing or malformed field: {exc!r}") from exc
-    with open(ct_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{ct_path}: file is empty")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{ct_path}: rows differ in length from the {width}-column header")
+    header, body = _read_table(ct_path)
+    width = len(header)
     if "representative_r" in meta and width - 1 != len(meta["representative_r"]):
         raise ValueError(f"{ct_path}: {width - 1} cost columns but {sidecar} lists "
                          f"{len(meta['representative_r'])} levels")
-    body = rows[1:]
-    ms = [float(r[0]) for r in body]
-    entries = np.array([[float(v) for v in r[1:]] for r in body])
+    ms = body[:, 0].tolist()
+    entries = np.ascontiguousarray(body[:, 1:])
     if ms != rates_ms:
         raise ValueError(f"{ct_path}: h_ms column {ms} differs from rates_ms "
                          f"{rates_ms} in {sidecar}")
     if not np.all(np.isfinite(entries)) or np.any(entries < 0.0):
         raise ValueError(f"{ct_path}: costs must be finite and non-negative")
     rates = RateSet(tuple(m / 1000.0 for m in ms))
-    with open(pt_path, newline="") as fh:
-        prow = list(csv.reader(fh))[1:]
-    if [float(r[0]) for r in prow] != ms:
+    header, prow = _read_table(pt_path)
+    if len(header) != 2:
+        raise ValueError(f"{pt_path}: expected 2 columns (h_ms, power_mw), got {len(header)}")
+    if prow[:, 0].tolist() != ms:
         raise ValueError(f"{pt_path}: periods differ from those in {ct_path}")
-    power = np.array([float(r[1]) for r in prow])
+    power = np.ascontiguousarray(prow[:, 1])
+    # phi is the energy of one cycle at every rate: power_mw[i] * h_i
+    phi_rows = power * np.array(ms) / 1000.0
+    off = ~(np.abs(phi_rows - phi_mj) <= PHI_RTOL * abs(phi_mj))
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValueError(f"{sidecar}: phi_mj {phi_mj!r} disagrees with {pt_path}, where "
+                         f"power_mw * h is {float(phi_rows[i])!r} mJ at h_ms={ms[i]!r}")
     ct = CostTable(rates=rates, entries=entries, violations=violations)
     pt = PowerTable(rates=rates, power_mw=power, phi_mj=phi_mj)
     return ct, pt, meta

@@ -11,13 +11,17 @@ The exceptions follow at the end, each an earlier implementation kept
 verbatim as a bit-identity reference, since only the same arithmetic can
 reproduce the same bits: ``evaluate_cost``, the three-solve stationary-cost
 evaluation with its affine split J = a * r + b, whose J is the reference
-for ``ratekit.lqg.evaluate_costs`` (it uses the package's Lyapunov
-solver); ``trace_events_and_jsonl``, the simulation loop that builds one
+for ``ratekit.lqg.evaluate_costs`` (it uses the per-rate Lyapunov solver
+below); ``trace_events_and_jsonl``, the simulation loop that builds one
 dict per event, for ``ratekit.sim.SimulationTrace`` (it uses the
 package's synthesis, and the window-loop reference below, not the kernel it
 checks); and the one-candidate-at-a-time loops
 ``_exhaustive_impl``, ``_approach1_impl`` and ``_window_loop_impl`` for the
-scans and the window loop of ``ratekit._kernels``.
+scans and the window loop of ``ratekit._kernels``; and the per-rate
+design path (``discretize``, ``solve_dare``, ``solve_dlyap``, ``design``,
+``_Loop`` and ``evaluate_costs``), one rate and one intensity at a time, for
+the stacked pass of ``ratekit.plant``, ``ratekit.riccati``, ``ratekit.lqg``
+and ``ratekit.tables``.
 """
 
 from __future__ import annotations
@@ -27,11 +31,13 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg import expm
 
 from ratekit.energy import FLOOR_EPS
 from ratekit.lqg import LqgController
-from ratekit.plant import PlantModel
-from ratekit.riccati import DesignError, solve_dlyap, spectral_radius
+from ratekit.plant import MIN_PERIOD_S, DiscretePlant, PlantModel
+from ratekit.riccati import (DARE_MAX_ITER, DLYAP_MAX_ITER, TOL, DesignError,
+                             spectral_radius)
 from ratekit.search import synthesize
 from ratekit.sim import (MatchFixedBudget, NoiseScenario, Strategy, _psd_sqrt,
                          floor_pattern)
@@ -678,3 +684,270 @@ def _window_loop_impl(
         level = new_level
         step += 1
     return step, r_hat, t, energy, cost
+
+
+# ---------------------------------------------------------------------------
+# Per-rate design references: the discretization, the doubling Riccati and
+# Lyapunov solvers, the controller design and the closed-loop cost
+# evaluation as they ran one rate (and one intensity) at a time, before the
+# package stacked every rate into one pass.  Every stacked result must equal
+# these bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def discretize(plant: PlantModel, h: float) -> DiscretePlant:
+    """Discretize ``plant`` at period ``h`` (seconds) by augmented-matrix exponentials.
+
+    One exponential of the lifted [x; u] dynamics yields Phi, Gamma and Qd in
+    a single pass; companion exponentials yield R1d and the intra-sample
+    noise cost constant.
+    """
+    if not np.isfinite(h) or h <= 0.0:
+        raise ValueError(f"sampling period must be positive, got {h}")
+    if h < MIN_PERIOD_S:
+        raise ValueError(f"sampling period {h} s below the {MIN_PERIOD_S} s floor")
+    nx, nu = plant.nx, plant.nu
+    nz = nx + nu
+    A, B = plant.A, plant.B
+
+    abar = np.zeros((nz, nz))
+    abar[:nx, :nx] = A
+    abar[:nx, nx:] = B
+    m1 = np.zeros((2 * nz, 2 * nz))
+    m1[:nz, :nz] = -abar.T
+    m1[:nz, nz:] = plant.Qxu
+    m1[nz:, nz:] = abar
+    e1 = expm(m1 * h)
+    f2 = e1[nz:, nz:]
+    qd = f2.T @ e1[:nz, nz:]
+    qd = 0.5 * (qd + qd.T)
+    phi = f2[:nx, :nx]
+    gamma = f2[:nx, nx:]
+
+    m2 = np.zeros((2 * nx, 2 * nx))
+    m2[:nx, :nx] = -A
+    m2[:nx, nx:] = plant.Rc
+    m2[nx:, nx:] = A.T
+    e2 = expm(m2 * h)
+    r1d = e2[nx:, nx:].T @ e2[:nx, nx:]
+    r1d = 0.5 * (r1d + r1d.T)
+
+    # double integral of tr(Q1 * S(s)) via the (1,3) block of a triple-block
+    # exponential; S(s) is the intra-sample noise covariance at unit intensity
+    q1 = plant.Qxu[:nx, :nx]
+    m3 = np.zeros((3 * nx, 3 * nx))
+    m3[:nx, :nx] = -A.T
+    m3[:nx, nx:2 * nx] = q1
+    m3[nx:2 * nx, nx:2 * nx] = A
+    m3[nx:2 * nx, 2 * nx:] = plant.Rc
+    m3[2 * nx:, 2 * nx:] = -A.T
+    e3 = expm(m3 * h)
+    jbar1 = float(np.trace(phi.T @ e3[:nx, 2 * nx:]))
+
+    for name, mat in (("Phi", phi), ("Gamma", gamma), ("R1d", r1d), ("Qd", qd)):
+        if not np.all(np.isfinite(mat)):
+            raise ValueError(f"discretization produced non-finite {name} at h={h}")
+    return DiscretePlant(h=float(h), Phi=phi, Gamma=gamma, R1d=r1d, Qd=qd, jbar1=jbar1)
+
+
+def solve_dare(A, B, Q, R, S=None):
+    """Stabilizing solution of P = A'PA - (A'PB+S)(R+B'PB)^{-1}(B'PA+S') + Q.
+
+    Uses the structured doubling iteration after reducing away the cross
+    term.  Raises DesignError on non-convergence, reporting the residual.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
+    R = np.asarray(R, dtype=np.float64)
+    n = A.shape[0]
+    if np.linalg.eigvalsh(0.5 * (R + R.T)).min() <= 0.0:
+        # singular noise/input weight: the doubling transform needs R^{-1},
+        # but the fixed-point map only needs R + B'PB invertible
+        return _solve_dare_fixed_point(A, B, Q, R, S)
+    if S is not None:
+        S = np.asarray(S, dtype=np.float64)
+        rs = np.linalg.solve(R, S.T)
+        a1 = A - B @ rs
+        q1 = Q - S @ rs
+    else:
+        a1, q1 = A, Q
+    ak = a1.copy()
+    gk = B @ np.linalg.solve(R, B.T)
+    hk = 0.5 * (q1 + q1.T)
+    eye = np.eye(n)
+    converged = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(DARE_MAX_ITER):
+            try:
+                w = eye + gk @ hk
+                wa = np.linalg.solve(w, ak)
+                wg = np.linalg.solve(w, gk)
+            except np.linalg.LinAlgError as exc:
+                raise DesignError(f"doubling iteration broke down: {exc}") from exc
+            anew = ak @ wa
+            gnew = gk + ak @ wg @ ak.T
+            hnew = hk + ak.T @ hk @ wa
+            gnew = 0.5 * (gnew + gnew.T)
+            hnew = 0.5 * (hnew + hnew.T)
+            if not np.all(np.isfinite(hnew)):
+                raise DesignError("doubling iteration diverged (non-finite iterate); "
+                                  "system may be unstabilizable/undetectable")
+            delta = np.linalg.norm(hnew - hk, "fro") / max(1.0, np.linalg.norm(hnew, "fro"))
+            ak, gk, hk = anew, gnew, hnew
+            if delta < TOL:
+                converged = True
+                break
+    res = dare_residual(hk, A, B, Q, R, S)
+    if not converged or not np.isfinite(res):
+        raise DesignError(f"Riccati iteration did not converge; residual {res:.3e}")
+    return hk
+
+
+def _solve_dare_fixed_point(A, B, Q, R, S):
+    p = 0.5 * (Q + Q.T)
+    for _ in range(DARE_MAX_ITER):
+        btp = B.T @ p
+        m = R + btp @ B
+        rhs = btp @ A
+        if S is not None:
+            rhs = rhs + S.T
+        try:
+            k = np.linalg.solve(m, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise DesignError(f"fixed-point iteration broke down: {exc}") from exc
+        pnew = A.T @ p @ A - rhs.T @ k + Q
+        pnew = 0.5 * (pnew + pnew.T)
+        if not np.all(np.isfinite(pnew)):
+            raise DesignError("fixed-point iteration diverged (non-finite iterate)")
+        delta = np.linalg.norm(pnew - p, "fro") / max(1.0, np.linalg.norm(pnew, "fro"))
+        p = pnew
+        if delta < TOL:
+            res = dare_residual(p, A, B, Q, R, S)
+            if np.isfinite(res):
+                return p
+            break
+    res = dare_residual(p, A, B, Q, R, S)
+    raise DesignError(f"Riccati iteration did not converge; residual {res:.3e}")
+
+
+def dare_residual(P, A, B, Q, R, S=None) -> float:
+    """Frobenius norm of P minus its Riccati fixed-point map."""
+    btp = B.T @ P
+    m = R + btp @ B
+    rhs = btp @ A
+    if S is not None:
+        rhs = rhs + S.T
+    k = np.linalg.solve(m, rhs)
+    f = A.T @ P @ A - rhs.T @ k + Q
+    return float(np.linalg.norm(P - f, "fro"))
+
+
+def solve_dlyap(A, W):
+    """Solution of Z = A Z A' + W by squaring (requires spectral radius < 1)."""
+    A = np.asarray(A, dtype=np.float64)
+    zk = 0.5 * (W + W.T)
+    ak = A.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(DLYAP_MAX_ITER):
+            znew = zk + ak @ zk @ ak.T
+            znew = 0.5 * (znew + znew.T)
+            anew = ak @ ak
+            delta = np.linalg.norm(znew - zk, "fro") / max(1.0, np.linalg.norm(znew, "fro"))
+            zk, ak = znew, anew
+            if delta < TOL:
+                return zk
+            if not np.all(np.isfinite(zk)):
+                break
+    raise DesignError("Lyapunov iteration did not converge (closed loop unstable?)")
+
+
+def design(plant: PlantModel, h: float) -> LqgController:
+    """Design the LQG controller for ``plant`` at period ``h`` seconds.
+
+    Raises DesignError when a Riccati solve fails or the resulting loop is
+    unstable.
+    """
+    dp = discretize(plant, h)
+    nx, nu = plant.nx, plant.nu
+    q1d = dp.Qd[:nx, :nx]
+    q12 = dp.Qd[:nx, nx:]
+    q2d = dp.Qd[nx:, nx:]
+    if np.linalg.eigvalsh(0.5 * (q2d + q2d.T)).min() <= 0.0:
+        raise DesignError(f"input-weight block of the lifted cost is singular at h={h}")
+    p_ctrl = solve_dare(dp.Phi, dp.Gamma, q1d, q2d, S=q12)
+    k = np.linalg.solve(q2d + dp.Gamma.T @ p_ctrl @ dp.Gamma,
+                        dp.Gamma.T @ p_ctrl @ dp.Phi + q12.T)
+    p_pred = solve_dare(dp.Phi.T, plant.C.T, dp.R1d, plant.R2)
+    s_innov = plant.C @ p_pred @ plant.C.T + plant.R2
+    try:
+        kf = np.linalg.solve(s_innov.T, (p_pred @ plant.C.T).T).T
+    except np.linalg.LinAlgError as exc:
+        raise DesignError(f"singular innovation covariance at h={h}") from exc
+    ctrl = LqgController(
+        dp=dp, K=k, Kf=kf, S_innov=s_innov,
+        control_residual=dare_residual(p_ctrl, dp.Phi, dp.Gamma, q1d, q2d, q12),
+        filter_residual=dare_residual(p_pred, dp.Phi.T, plant.C.T, dp.R1d, plant.R2),
+    )
+    rho = spectral_radius(closed_loop_matrix(plant, ctrl))
+    if rho >= 1.0:
+        raise DesignError(f"closed loop unstable at h={h} (spectral radius {rho:.6f})")
+    return ctrl
+
+
+class _Loop:
+    """One controller's closed loop, shared by every cost evaluation at its rate.
+
+    Measurement noise enters the stacked state through the fed-back
+    innovation (ge) and the instantaneous [x; u] directly (te); ge R2 ge' and
+    te R2 te' do not depend on the intensity r, so they are formed once.
+    """
+
+    def __init__(self, plant: PlantModel, ctrl: LqgController):
+        nx, ny = plant.nx, plant.ny
+        phi, gamma = ctrl.dp.Phi, ctrl.dp.Gamma
+        gk = gamma @ ctrl.K
+        m = ctrl.Kf @ plant.C
+        eye = np.eye(nx)
+        self.acl = np.block([
+            [phi - gk @ m, -gk @ (eye - m)],
+            [(phi - gk) @ m, (phi - gk) @ (eye - m)],
+        ])
+        ge = np.vstack([-gk @ ctrl.Kf, (phi - gk) @ ctrl.Kf])
+        # instantaneous [x; u] as a function of [x; xhat] and of e
+        self.t_map = np.block([[eye, np.zeros((nx, nx))], [-ctrl.K @ m, -ctrl.K @ (eye - m)]])
+        te = np.vstack([np.zeros((nx, ny)), -ctrl.K @ ctrl.Kf])
+        self.ge_w = ge @ plant.R2 @ ge.T
+        self.te_w = te @ plant.R2 @ te.T
+        self.dp = ctrl.dp
+        self.nx = nx
+
+    def noise_cov(self, r: float) -> np.ndarray:
+        """W(r) in Z = acl Z acl' + W(r): measurement noise plus r times R1d."""
+        w = self.ge_w.copy()
+        w[:self.nx, :self.nx] += r * self.dp.R1d
+        return w
+
+    def cost(self, r: float) -> float:
+        z = solve_dlyap(self.acl, self.noise_cov(r))
+        per_step = float(np.trace(self.dp.Qd @ (self.t_map @ z @ self.t_map.T + self.te_w)))
+        return (per_step + r * self.dp.jbar1) / self.dp.h
+
+
+def evaluate_costs(plant: PlantModel, ctrl: LqgController, rs) -> tuple:
+    """Stationary per-time cost J(r) of the closed loop at each intensity in ``rs``.
+
+    Solves the discrete Lyapunov equation for the stationary covariance of
+    the plant + estimator state, contracts with the lifted cost, and divides
+    by the period: one solve per r.  The closed loop and its stability check
+    are shared by every r.
+    """
+    rs = tuple(rs)
+    for r in rs:
+        if r < 0.0:
+            raise ValueError(f"noise intensity must be non-negative, got {r}")
+    loop = _Loop(plant, ctrl)
+    rho = spectral_radius(loop.acl)
+    if rho >= 1.0:
+        raise DesignError(f"cannot evaluate cost: closed loop unstable (rho={rho:.6f})")
+    return tuple(loop.cost(float(r)) for r in rs)

@@ -259,6 +259,24 @@ def test_precompute_bundled_case_study(tmp_path, capsys):
     assert digests == PINNED_TABLES
 
 
+# sha256 of ct.csv from `ratekit precompute` on the 161-rate 10..90 ms grid
+# (0.5 ms steps) with the bundled plant and levels: its rates stop their
+# Riccati and Lyapunov doublings at different steps
+PINNED_FINE_CT = "6e7afa0597c476a88185f89c2476acce511f07d23de6b9b547756642d611e85c"
+
+
+def test_precompute_fine_grid_cost_table_pinned(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "tool.json").read_text())
+    cfg["plant"] = str(CONFIG_DIR / cfg["plant"])
+    cfg["scenario"] = str(CONFIG_DIR / cfg["scenario"])
+    cfg["rates_ms"] = [10 + 0.5 * i for i in range(161)]
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "tables"
+    assert main(["precompute", "--config", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "ct.csv").read_bytes()).hexdigest() == PINNED_FINE_CT
+
+
 def one_error_line(capsys) -> str:
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
@@ -390,3 +408,55 @@ def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
     assert "usage" in capsys.readouterr().err.lower()
     assert main(["--version"]) == 0
+
+
+def edit_lines(fn):
+    """Edit that maps the list of a file's lines to new lines."""
+    return lambda text: "".join(line + "\n" for line in fn(text.splitlines()))
+
+
+def replace_line(index, line):
+    return edit_lines(lambda lines: lines[:index] + [line] + lines[index + 1:])
+
+
+@pytest.mark.parametrize("name, edit, cause", [
+    ("pt.csv", replace_line(1, "10.0"), "rows differ in length"),
+    ("pt.csv", replace_line(2, "20.0,abc"), "could not convert string to float: 'abc'"),
+    ("ct.csv", replace_line(2, "20.0,abc,1.0,2.0"), "could not convert string to float: 'abc'"),
+    ("pt.csv", lambda text: "", "file is empty"),
+    ("pt.csv", replace_line(3, "40.0,25.0,7"), "rows differ in length"),
+    ("pt.csv", edit_lines(lambda lines: [line.split(",")[0] for line in lines]),
+     "expected 2 columns"),
+], ids=["pt_row_cut", "pt_non_numeric", "ct_non_numeric", "pt_empty", "pt_ragged",
+        "pt_power_column_missing"])
+def test_bad_table_cells_name_the_file(small_config, tmp_path, capsys, name, edit, cause):
+    tables = tmp_path / "t"
+    main(["precompute", "--config", str(small_config), "--out", str(tables)])
+    capsys.readouterr()
+    path = tables / name
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    rc = main(["synthesize", "--tables", str(tables), "--pattern", "0.7,0.1,0.2",
+               "--budget-energy", "0.4", "--budget-window", "20"])
+    assert rc == 1
+    line = one_error_line(capsys)
+    assert line.startswith(f"error: {path}: ") and cause in line, line
+
+
+def test_sidecar_phi_must_match_the_power_table(tmp_path, capsys):
+    tables = tmp_path / "tables"
+    assert main(["precompute", "--config", str(CONFIG_DIR / "tool.json"),
+                 "--out", str(tables)]) == 0
+    argv = ["synthesize", "--tables", str(tables), "--pattern", "0.7,0.1,0.2",
+            "--budget-energy", "1.5", "--budget-window", "100", "--algo", "approach2"]
+    capsys.readouterr()
+    assert main(argv) == 0  # the untouched tables load
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+    sidecar = tables / "tables.json"
+    text = sidecar.read_text()
+    assert '"phi_mj": 1.0' in text
+    sidecar.write_text(text.replace('"phi_mj": 1.0', '"phi_mj": 2.0'))
+    assert main(argv) == 1
+    line = one_error_line(capsys)
+    assert line.startswith(f"error: {sidecar}: phi_mj 2.0 disagrees with "), line
