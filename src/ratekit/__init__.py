@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .energy import Battery, EnergyBudget, battery_discharge
-from .lqg import LqgController, design, evaluate_cost, evaluate_costs
-from .plant import DiscretePlant, PlantModel, discretize, load_plant
+from .lqg import LqgController, design, evaluate_cost
+from .plant import PlantModel, discretize, load_plant
 from .riccati import DesignError
 from .search import (MultiRateController, SynthesisResult, approach1, approach2,
                      candidate_cost_energy, exhaustive, synthesize)
@@ -20,13 +20,13 @@ DEFAULT_BACKEND = "numpy"
 HAS_NUMBA = False
 
 __all__ = [
-    "Battery", "CostTable", "DesignError", "DiscretePlant", "EnergyBudget", "LevelSpec",
+    "Battery", "CostTable", "DesignError", "EnergyBudget", "LevelSpec",
     "LqgController", "MatchFixedBudget", "MultiRateController", "NoiseScenario", "PlantModel",
     "PowerTable", "ProfitTables", "RateSet", "SimulationTrace", "Strategy",
     "SynthesisResult", "WindowTotals", "approach1", "approach2",
     "battery_discharge", "build_cost_table", "build_power_table",
     "build_profit_tables", "candidate_cost_energy", "classify", "design",
-    "design_all", "discretize", "evaluate_cost", "evaluate_costs", "exhaustive",
+    "design_all", "discretize", "evaluate_cost", "exhaustive",
     "load_plant", "load_tables", "save_tables", "scenario_from_shares", "simulate",
     "synthesize", "totals_over_window",
 ]

@@ -134,7 +134,7 @@ def cmd_simulate(args) -> int:
     if args.emit_plotdata:
         out_dir = Path(args.emit_plotdata)
         out_dir.mkdir(parents=True, exist_ok=True)
-        level0 = cfg.battery_capacity_mah * cfg.battery_voltage * 3.6
+        level0 = cfg.battery.full_j
         samples = trace.samples
         with open(out_dir / "plot_cost.csv", "w", newline="") as fh:
             w = csv.writer(fh)

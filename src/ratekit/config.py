@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .energy import EnergyBudget
+from .energy import Battery, EnergyBudget
 from .plant import PlantModel, load_plant
 from .search import ALGORITHMS
 from .sim import MatchFixedBudget, NoiseScenario, Strategy, scenario_from_shares
@@ -46,8 +46,7 @@ class ToolConfig:
     rve_lambda: float
     seed: int
     pattern: tuple            # default pattern for precompute/profit tables
-    battery_capacity_mah: float
-    battery_voltage: float
+    battery: Battery
     plant_sha256: str
     config_sha256: str
 
@@ -179,14 +178,16 @@ def load_config(path) -> ToolConfig:
     batt = _object(doc.get("battery", {}), "battery")
     cap = _number(batt.get("capacity_mah", 1000.0), "battery.capacity_mah")
     volt = _number(batt.get("voltage", 3.7), "battery.voltage")
-    if cap <= 0 or volt <= 0:
-        raise ConfigError("battery: capacity_mah and voltage must be positive")
+    try:
+        battery = Battery(capacity_mah=cap, voltage=volt)
+    except ValueError as exc:
+        raise ConfigError(f"battery: {exc}") from exc
 
     return ToolConfig(
         plant=plant, rates=rates, levels=levels, peak_power_mw=peak,
         hyper_period_s=hyper, budget=budget, scenario=scenario,
         strategy=strategy, rve_lambda=lam, seed=seed, pattern=pattern,
-        battery_capacity_mah=cap, battery_voltage=volt,
+        battery=battery,
         plant_sha256=hashlib.sha256(plant_bytes).hexdigest(),
         config_sha256=hashlib.sha256(raw.encode()).hexdigest(),
     )

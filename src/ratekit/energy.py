@@ -33,8 +33,9 @@ class Battery:
     voltage: float
 
     def __post_init__(self):
-        if self.capacity_mah <= 0.0 or self.voltage <= 0.0:
-            raise ValueError("battery capacity and voltage must be positive")
+        if not (self.capacity_mah > 0.0 and self.voltage > 0.0):
+            raise ValueError("capacity and voltage must be positive, "
+                             f"got {self.capacity_mah} mAh and {self.voltage} V")
 
     @property
     def full_j(self) -> float:

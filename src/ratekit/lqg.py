@@ -8,6 +8,8 @@ D cancels out of the innovation and the closed loop).
 
 Every rate is designed, and every (rate, intensity) cost evaluated, in one
 pass over stacked matrices; each member gets the bits it would get alone.
+A designed set is one controller stack (``LqgController``), which the cost
+table and the sample loop use as it is.
 """
 
 from __future__ import annotations
@@ -16,46 +18,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import DiscretePlant, DiscreteStack, PlantModel, discretize_stack
+from .plant import DiscreteStack, PlantModel, discretize_stack
 from .riccati import (DesignError, _t, dare_residual, dlyap_residual, solve_dare,
                       solve_dlyap, spectral_radius)
 
 
 @dataclass(frozen=True)
 class LqgController:
-    """Stationary LQG controller for one sampling period.
+    """Stationary LQG controllers, one per sampling period, stacked along axis 0.
 
-    K is the state-feedback gain on the updated estimate; Kf the stationary
-    measurement-update Kalman gain; S_innov the innovation covariance at
-    r = 1 (the per-rate normalizer of the intensity estimator).  The
-    estimator recurrence is
-        xupd = xhat + Kf (y - C xhat);  u = -K xupd;
-        xhat+ = Phi xupd + Gamma u.
+    K (n, nu, nx) is the state-feedback gain on the updated estimate; Kf
+    (n, nx, ny) the stationary measurement-update Kalman gain; S_innov
+    (n, ny, ny) the innovation covariance at r = 1 (the per-rate normalizer
+    of the intensity estimator); the residuals (n,) are those of the two
+    Riccati solves.  The estimator recurrence of member i is
+        xupd = xhat + Kf[i] (y - C xhat);  u = -K[i] xupd;
+        xhat+ = Phi[i] xupd + Gamma[i] u.
     """
 
-    dp: DiscretePlant
+    dp: DiscreteStack
     K: np.ndarray
     Kf: np.ndarray
     S_innov: np.ndarray
-    control_residual: float
-    filter_residual: float
+    control_residual: np.ndarray
+    filter_residual: np.ndarray
 
     @property
-    def h(self) -> float:
+    def h(self) -> tuple:
         return self.dp.h
 
 
 def design(plant: PlantModel, h: float) -> LqgController:
-    """Design the LQG controller for ``plant`` at period ``h`` seconds.
+    """Design the LQG controller for ``plant`` at period ``h`` seconds: a
+    stack of one.
 
     Raises DesignError when a Riccati solve fails or the resulting loop is
     unstable.
     """
-    return _design_stack(plant, (h,))[0]
+    return _design_stack(plant, (h,))
 
 
-def design_stack(plant: PlantModel, periods) -> list:
-    """The LQG controller at every period in ``periods``, designed in one pass.
+def design_stack(plant: PlantModel, periods) -> LqgController:
+    """The LQG controllers at every period in ``periods``, designed in one pass.
 
     On failure, raises the error of the first period, in order, whose
     design fails, exactly as designing that period alone raises it.
@@ -72,7 +76,7 @@ def design_stack(plant: PlantModel, periods) -> list:
     raise failure
 
 
-def _design_stack(plant: PlantModel, periods: tuple) -> list:
+def _design_stack(plant: PlantModel, periods: tuple) -> LqgController:
     d = discretize_stack(plant, periods)
     nx, c = plant.nx, plant.C
     q1d = d.Qd[:, :nx, :nx]
@@ -98,10 +102,8 @@ def _design_stack(plant: PlantModel, periods: tuple) -> list:
     if np.any(rho >= 1.0):
         i = int(np.argmax(rho >= 1.0))
         raise DesignError(f"closed loop unstable at h={periods[i]} (spectral radius {rho[i]:.6f})")
-    return [LqgController(dp=d.member(i), K=k[i], Kf=kf[i], S_innov=s_innov[i],
-                          control_residual=float(res_ctrl[i]),
-                          filter_residual=float(res_filt[i]))
-            for i in range(len(periods))]
+    return LqgController(dp=d, K=k, Kf=kf, S_innov=s_innov,
+                         control_residual=res_ctrl, filter_residual=res_filt)
 
 
 def _first_singular(mats: np.ndarray) -> int:
@@ -115,8 +117,8 @@ def _first_singular(mats: np.ndarray) -> int:
 
 
 def closed_loop_matrix(plant: PlantModel, ctrl: LqgController) -> np.ndarray:
-    """Transition matrix of the stacked [plant state; predicted estimate]."""
-    return _Loop.of(plant, [ctrl]).acl[0]
+    """Transition matrices of [plant state; predicted estimate], one per rate."""
+    return _Loop(plant, ctrl.dp, ctrl.K, ctrl.Kf).acl
 
 
 class _Loop:
@@ -152,15 +154,6 @@ class _Loop:
         self.dp = dp
         self.nx = nx
 
-    @classmethod
-    def of(cls, plant: PlantModel, ctrls) -> "_Loop":
-        dps = [c.dp for c in ctrls]
-        dp = DiscreteStack(
-            h=tuple(d.h for d in dps), Phi=np.stack([d.Phi for d in dps]),
-            Gamma=np.stack([d.Gamma for d in dps]), R1d=np.stack([d.R1d for d in dps]),
-            Qd=np.stack([d.Qd for d in dps]), jbar1=np.array([d.jbar1 for d in dps]))
-        return cls(plant, dp, np.stack([c.K for c in ctrls]), np.stack([c.Kf for c in ctrls]))
-
     def noise_cov(self, rs: np.ndarray) -> np.ndarray:
         """W(r) in Z = acl Z acl' + W(r), measurement noise plus r times R1d,
         for every (rate i, intensity rs[j]) pair at index i * len(rs) + j."""
@@ -181,8 +174,8 @@ class _Loop:
         return (per_step + rs * self.dp.jbar1[:, None]) / np.array(self.dp.h)[:, None]
 
 
-def stationary_costs(plant: PlantModel, ctrls, rs) -> np.ndarray:
-    """Stationary per-time cost J[i, j] of controller ``ctrls[i]`` at intensity ``rs[j]``.
+def stationary_costs(plant: PlantModel, ctrl: LqgController, rs) -> np.ndarray:
+    """Stationary per-time cost J[i, j] of member i of ``ctrl`` at intensity ``rs[j]``.
 
     Solves the discrete Lyapunov equation for the stationary covariance of
     the plant + estimator state, contracts with the lifted cost, and divides
@@ -194,32 +187,28 @@ def stationary_costs(plant: PlantModel, ctrls, rs) -> np.ndarray:
     for r in rs:
         if r < 0.0:
             raise ValueError(f"noise intensity must be non-negative, got {r}")
-    ctrls = list(ctrls)
     rs = np.array(rs, dtype=np.float64)
-    loop = _Loop.of(plant, ctrls)
+    loop = _Loop(plant, ctrl.dp, ctrl.K, ctrl.Kf)
     rho = spectral_radius(loop.acl)
     unstable = np.flatnonzero(rho >= 1.0)
     if unstable.size:
         first = unstable[0]
         if first:
-            _Loop.of(plant, ctrls[:first]).costs(rs)
+            _Loop(plant, DiscreteStack(*(f[:first] for f in ctrl.dp)), ctrl.K[:first],
+                  ctrl.Kf[:first]).costs(rs)
         raise DesignError(f"cannot evaluate cost: closed loop unstable (rho={rho[first]:.6f})")
     return loop.costs(rs)
 
 
-def evaluate_costs(plant: PlantModel, ctrl: LqgController, rs) -> tuple:
-    """Stationary per-time cost J(r) of one controller at each intensity in
-    ``rs``; see stationary_costs."""
-    return tuple(float(j) for j in stationary_costs(plant, [ctrl], rs)[0])
-
-
 def evaluate_cost(plant: PlantModel, ctrl: LqgController, r: float) -> float:
-    """Stationary per-time cost at one intensity ``r``; see stationary_costs."""
-    return evaluate_costs(plant, ctrl, (r,))[0]
+    """Stationary per-time cost of a stack of one at one intensity ``r``; see
+    stationary_costs."""
+    return stationary_costs(plant, ctrl, (r,)).item()
 
 
-def lyapunov_residual(plant: PlantModel, ctrl: LqgController, r: float = 1.0) -> float:
-    """Residual of the stationary-covariance solve used by stationary_costs."""
-    loop = _Loop.of(plant, [ctrl])
-    acl, w = loop.acl[0], loop.noise_cov(np.array([r], dtype=np.float64))[0]
-    return dlyap_residual(solve_dlyap(acl, w), acl, w)
+def lyapunov_residual(plant: PlantModel, ctrl: LqgController, r: float = 1.0) -> np.ndarray:
+    """Residuals of the stationary-covariance solves stationary_costs makes
+    at intensity ``r``, one per rate."""
+    loop = _Loop(plant, ctrl.dp, ctrl.K, ctrl.Kf)
+    w = loop.noise_cov(np.array([r], dtype=np.float64))
+    return dlyap_residual(solve_dlyap(loop.acl, w), loop.acl, w)

@@ -1,4 +1,8 @@
-"""Continuous-time plant description and exact zero-order-hold discretization."""
+"""Continuous-time plant description and exact zero-order-hold discretization.
+
+Every set of periods is discretized in one pass and kept as one stack
+(``DiscreteStack``), the form the controller design takes it in.
+"""
 
 from __future__ import annotations
 
@@ -110,9 +114,8 @@ def load_plant(source) -> PlantModel:
     )
 
 
-@dataclass(frozen=True)
-class DiscretePlant:
-    """Zero-order-hold discretization of a plant over one sampling period.
+class DiscreteStack(NamedTuple):
+    """Zero-order-hold discretizations at several periods, stacked along axis 0.
 
     Phi = e^{Ah}; Gamma = int_0^h e^{As} B ds; R1d is the covariance of the
     sampled process noise at unit intensity; Qd is the lift of the continuous
@@ -121,17 +124,6 @@ class DiscretePlant:
     noise-induced per-period cost constant at unit intensity (scales with r).
     """
 
-    h: float
-    Phi: np.ndarray
-    Gamma: np.ndarray
-    R1d: np.ndarray
-    Qd: np.ndarray
-    jbar1: float
-
-
-class DiscreteStack(NamedTuple):
-    """Zero-order-hold discretizations at several periods, stacked along axis 0."""
-
     h: tuple
     Phi: np.ndarray
     Gamma: np.ndarray
@@ -139,14 +131,10 @@ class DiscreteStack(NamedTuple):
     Qd: np.ndarray
     jbar1: np.ndarray
 
-    def member(self, i: int) -> DiscretePlant:
-        return DiscretePlant(h=float(self.h[i]), Phi=self.Phi[i], Gamma=self.Gamma[i],
-                             R1d=self.R1d[i], Qd=self.Qd[i], jbar1=float(self.jbar1[i]))
 
-
-def discretize(plant: PlantModel, h: float) -> DiscretePlant:
-    """Discretize ``plant`` at period ``h`` (seconds); see discretize_stack."""
-    return discretize_stack(plant, (h,)).member(0)
+def discretize(plant: PlantModel, h: float) -> DiscreteStack:
+    """Discretize ``plant`` at period ``h`` (seconds): a stack of one."""
+    return discretize_stack(plant, (h,))
 
 
 def discretize_stack(plant: PlantModel, periods) -> DiscreteStack:

@@ -7,8 +7,9 @@ window the active rate follows the classified disturbance level.  The first
 window always runs at the fastest admissible rate.
 
 The sample loop gets its operands as lists once per run
-(``_kernels.loop_operands``) and, window by window, returns the new loop
-state with the window's samples as lists (``_kernels.window_loop``).
+(``_kernels.loop_operands``), taken from the designed controller stack as it
+is, and, window by window, returns the new loop state with the window's
+samples as lists (``_kernels.window_loop``).
 
 A trace keeps its samples as columns, one Python list per sample field, and
 writes its JSONL straight from them; ``SimulationTrace.events`` (one dict per
@@ -37,8 +38,10 @@ from .energy import FLOOR_EPS, EnergyBudget
 from .lqg import LqgController
 from .plant import PlantModel
 from .search import MultiRateController, SynthesisResult, synthesize
-from .tables import (CostTable, LevelSpec, PowerTable, RateSet, design_all,
-                     totals_over_window)
+from .tables import CostTable, LevelSpec, PowerTable, RateSet, totals_over_window
+
+# the most pieces scenario_from_shares builds; the bundled scenarios have 80
+MAX_SCENARIO_PIECES = 100_000
 
 
 @dataclass(frozen=True)
@@ -215,9 +218,9 @@ class SimulationTrace:
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    vals = np.clip(vals, 0.0, None)
-    return vecs @ np.diag(np.sqrt(vals))
+    """A square root of each symmetric PSD matrix in a stack ``(..., m, m)``."""
+    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.swapaxes(-1, -2)))
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
 
 
 def floor_pattern(fractions, rates: RateSet, window: float) -> tuple:
@@ -234,9 +237,10 @@ def floor_pattern(fractions, rates: RateSet, window: float) -> tuple:
 def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec,
              scenario: NoiseScenario, budget, strategy: Strategy, *,
              lam: float = 0.05, seed: int = None,
-             controllers: list = None) -> SimulationTrace:
+             controllers: LqgController) -> SimulationTrace:
     """Run the on-line loop over the scenario and return the full event trace.
 
+    ``controllers`` is the controller stack of ``ct``'s rates (design_all).
     ``budget`` is an EnergyBudget renewed every window, or a MatchFixedBudget
     rule; its window is the hyper-period.  ``strategy`` selects a fixed rate
     or per-window re-synthesis with one of the search algorithms.  Identical
@@ -245,27 +249,21 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
     rates = ct.rates
     if pt.rates.periods != rates.periods:
         raise ValueError("cost and power tables use different rate sets")
+    if controllers.h != rates.periods:
+        raise ValueError("controllers were designed for other rates than the tables'")
     window = budget.window
     if scenario.total + FLOOR_EPS < window:
         raise ValueError(
             f"scenario ({scenario.total} s) shorter than one hyper-period ({window} s)")
-    if controllers is None:
-        controllers = design_all(plant, rates)
     n = len(rates)
     k = levels.k
     periods = np.array(rates.periods)
     segments = scenario.segments
+    dp = controllers.dp
     ops = _kernels.loop_operands(
-        phis=np.stack([c.dp.Phi for c in controllers]),
-        gammas=np.stack([c.dp.Gamma for c in controllers]),
-        kgains=np.stack([c.K for c in controllers]),
-        kfgains=np.stack([c.Kf for c in controllers]),
-        cmat=plant.C,
-        chol_r1d=np.stack([_psd_sqrt(c.dp.R1d) for c in controllers]),
-        chol_r2=_psd_sqrt(plant.R2),
-        qds=np.stack([c.dp.Qd for c in controllers]),
-        jbars=np.array([c.dp.jbar1 for c in controllers]),
-        snom_inv=np.stack([np.linalg.inv(c.S_innov) for c in controllers]),
+        phis=dp.Phi, gammas=dp.Gamma, kgains=controllers.K, kfgains=controllers.Kf,
+        cmat=plant.C, chol_r1d=_psd_sqrt(dp.R1d), chol_r2=_psd_sqrt(plant.R2), qds=dp.Qd,
+        jbars=dp.jbar1, snom_inv=np.linalg.inv(controllers.S_innov),
         periods=periods, thresholds=np.array(levels.thresholds), lam=lam,
         phi_j=pt.phi_mj * 1e-3,
         seg_ends=np.cumsum([d for d, _ in segments]), seg_rs=np.array([r for _, r in segments]))
@@ -341,7 +339,14 @@ def scenario_from_shares(shares, r_values, total_s: float, piece_s: float,
         raise ValueError("one r value per share is required")
     if abs(sum(shares) - 1.0) > 1e-9:
         raise ValueError("shares must sum to 1")
-    n_pieces = int(round(total_s / piece_s))
+    for name, value in (("piece_s", piece_s), ("total_s", total_s)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    ratio = total_s / piece_s
+    if not ratio <= MAX_SCENARIO_PIECES:
+        raise ValueError(f"total_s / piece_s = {ratio:.6g} pieces, above the limit of "
+                         f"{MAX_SCENARIO_PIECES}")
+    n_pieces = int(round(ratio))
     counts = [int(round(s * n_pieces)) for s in shares]
     while sum(counts) < n_pieces:
         counts[int(np.argmax(shares))] += 1

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import FLOOR_EPS
-from .lqg import design_stack, stationary_costs
+from .lqg import LqgController, design_stack, stationary_costs
 from .plant import PlantModel
 
 
@@ -172,21 +172,23 @@ class ProfitTables:
     ec: np.ndarray       # (k, n)
 
 
-def design_all(plant: PlantModel, rates: RateSet) -> list:
+def design_all(plant: PlantModel, rates: RateSet) -> LqgController:
     """Design the LQG controller for every rate, all rates in one stacked pass."""
     return design_stack(plant, rates.periods)
 
 
 def build_cost_table(plant: PlantModel, rates: RateSet, levels: LevelSpec,
-                     controllers=None) -> CostTable:
-    """Evaluate J at every (rate, representative intensity) pair.
+                     controllers: LqgController) -> CostTable:
+    """Evaluate J at every (rate, representative intensity) pair of the
+    controller stack ``controllers`` (one member per rate, as design_all
+    returns it).
 
     All n * k entries come from one stacked Lyapunov solve.  Monotonicity
     violations along the period axis are recorded on the table and reported
     as warnings; they disable dominance pruning downstream.
     """
-    if controllers is None:
-        controllers = design_all(plant, rates)
+    if controllers.h != rates.periods:
+        raise ValueError("controllers were designed for other rates than the table's")
     n, k = len(rates), levels.k
     entries = stationary_costs(plant, controllers, levels.representative_r)
     if not np.all(np.isfinite(entries)) or entries.min() < 0.0:

@@ -11,17 +11,20 @@ The exceptions follow at the end, each an earlier implementation kept
 verbatim as a bit-identity reference, since only the same arithmetic can
 reproduce the same bits: ``evaluate_cost``, the three-solve stationary-cost
 evaluation with its affine split J = a * r + b, whose J is the reference
-for ``ratekit.lqg.evaluate_costs`` (it uses the per-rate Lyapunov solver
+for ``ratekit.lqg.stationary_costs`` (it uses the per-rate Lyapunov solver
 below); ``trace_events_and_jsonl``, the simulation loop that builds one
 dict per event, for ``ratekit.sim.SimulationTrace`` (it uses the
 package's synthesis, and the window-loop reference below, not the kernel it
-checks); and the one-candidate-at-a-time loops
+checks, and builds the loop's operands one controller at a time); and the
+one-candidate-at-a-time loops
 ``_exhaustive_impl``, ``_approach1_impl`` and ``_window_loop_impl`` for the
 scans and the window loop of ``ratekit._kernels``; and the per-rate
 design path (``discretize``, ``solve_dare``, ``solve_dlyap``, ``design``,
 ``_Loop`` and ``evaluate_costs``), one rate and one intensity at a time, for
 the stacked pass of ``ratekit.plant``, ``ratekit.riccati``, ``ratekit.lqg``
-and ``ratekit.tables``.
+and ``ratekit.tables``.  These take and return per-rate records
+(``DiscretePlant``, ``Controller``); ``members`` splits a package controller
+stack into them and ``stack`` joins them back into one.
 """
 
 from __future__ import annotations
@@ -35,14 +38,70 @@ from scipy.linalg import expm
 
 from ratekit.energy import FLOOR_EPS
 from ratekit.lqg import LqgController
-from ratekit.plant import MIN_PERIOD_S, DiscretePlant, PlantModel
+from ratekit.plant import MIN_PERIOD_S, DiscreteStack, PlantModel
 from ratekit.riccati import (DARE_MAX_ITER, DLYAP_MAX_ITER, TOL, DesignError,
                              spectral_radius)
 from ratekit.search import synthesize
-from ratekit.sim import (MatchFixedBudget, NoiseScenario, Strategy, _psd_sqrt,
-                         floor_pattern)
-from ratekit.tables import (CostTable, LevelSpec, PowerTable, design_all,
-                            totals_over_window)
+from ratekit.sim import MatchFixedBudget, NoiseScenario, Strategy, floor_pattern
+from ratekit.tables import CostTable, LevelSpec, PowerTable, totals_over_window
+
+
+@dataclass(frozen=True)
+class DiscretePlant:
+    """Zero-order-hold discretization of a plant over one sampling period."""
+
+    h: float
+    Phi: np.ndarray
+    Gamma: np.ndarray
+    R1d: np.ndarray
+    Qd: np.ndarray
+    jbar1: float
+
+
+@dataclass(frozen=True)
+class Controller:
+    """Stationary LQG controller for one sampling period: one member of a
+    ``ratekit.lqg.LqgController`` stack."""
+
+    dp: DiscretePlant
+    K: np.ndarray
+    Kf: np.ndarray
+    S_innov: np.ndarray
+    control_residual: float
+    filter_residual: float
+
+    @property
+    def h(self) -> float:
+        return self.dp.h
+
+
+def members(ctrl: LqgController) -> list:
+    """The per-rate records of a controller stack, in rate order."""
+    d = ctrl.dp
+    return [Controller(dp=DiscretePlant(h=float(d.h[i]), Phi=d.Phi[i], Gamma=d.Gamma[i],
+                                        R1d=d.R1d[i], Qd=d.Qd[i], jbar1=float(d.jbar1[i])),
+                       K=ctrl.K[i], Kf=ctrl.Kf[i], S_innov=ctrl.S_innov[i],
+                       control_residual=float(ctrl.control_residual[i]),
+                       filter_residual=float(ctrl.filter_residual[i]))
+            for i in range(len(d.h))]
+
+
+def stack(records) -> LqgController:
+    """The controller stack of per-rate records, the inverse of ``members``."""
+    dps = [c.dp for c in records]
+    dp = DiscreteStack(h=tuple(d.h for d in dps),
+                       **{f: np.array([getattr(d, f) for d in dps])
+                          for f in ("Phi", "Gamma", "R1d", "Qd", "jbar1")})
+    return LqgController(dp=dp, **{f: np.array([getattr(c, f) for c in records])
+                                   for f in ("K", "Kf", "S_innov", "control_residual",
+                                             "filter_residual")})
+
+
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """A square root of one symmetric PSD matrix."""
+    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    vals = np.clip(vals, 0.0, None)
+    return vecs @ np.diag(np.sqrt(vals))
 
 
 def floor_cycles(duration: float, period: float) -> int:
@@ -198,13 +257,13 @@ def mc_closed_loop_cost(plant, ctrl, r: float, *, nchains: int = 64,
 # ---------------------------------------------------------------------------
 
 
-def closed_loop_matrix(plant: PlantModel, ctrl: LqgController) -> np.ndarray:
+def closed_loop_matrix(plant: PlantModel, ctrl: Controller) -> np.ndarray:
     """Transition matrix of the stacked [plant state; predicted estimate]."""
     acl, _, _, _ = _loop_operators(plant, ctrl)
     return acl
 
 
-def _loop_operators(plant: PlantModel, ctrl: LqgController):
+def _loop_operators(plant: PlantModel, ctrl: Controller):
     nx, ny = plant.nx, plant.ny
     phi, gamma = ctrl.dp.Phi, ctrl.dp.Gamma
     gk = gamma @ ctrl.K
@@ -234,7 +293,7 @@ class CostBreakdown:
     J: float
 
 
-def _stationary_cost(plant: PlantModel, ctrl: LqgController, r: float) -> float:
+def _stationary_cost(plant: PlantModel, ctrl: Controller, r: float) -> float:
     acl, ge, t_map, te = _loop_operators(plant, ctrl)
     nx = plant.nx
     w = ge @ plant.R2 @ ge.T
@@ -244,7 +303,7 @@ def _stationary_cost(plant: PlantModel, ctrl: LqgController, r: float) -> float:
     return (per_step + r * ctrl.dp.jbar1) / ctrl.dp.h
 
 
-def evaluate_cost(plant: PlantModel, ctrl: LqgController, r: float) -> CostBreakdown:
+def evaluate_cost(plant: PlantModel, ctrl: Controller, r: float) -> CostBreakdown:
     """Stationary per-time quadratic cost of the closed loop at intensity ``r``.
 
     Solves the discrete Lyapunov equation for the stationary covariance of
@@ -284,7 +343,7 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 def trace_events_and_jsonl(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec,
                            scenario: NoiseScenario, budget, strategy: Strategy, *,
                            lam: float = 0.05, seed: int = None,
-                           controllers: list = None) -> SimpleNamespace:
+                           controllers: LqgController) -> SimpleNamespace:
     """Run the on-line loop over the scenario and return the full event trace.
 
     ``budget`` is an EnergyBudget renewed every window, or a MatchFixedBudget
@@ -299,8 +358,7 @@ def trace_events_and_jsonl(plant: PlantModel, ct: CostTable, pt: PowerTable, lev
     if scenario.total + FLOOR_EPS < window:
         raise ValueError(
             f"scenario ({scenario.total} s) shorter than one hyper-period ({window} s)")
-    if controllers is None:
-        controllers = design_all(plant, rates)
+    controllers = members(controllers)
     n = len(rates)
     k = levels.k
     nx, nu, ny = plant.nx, plant.nu, plant.ny
@@ -862,7 +920,7 @@ def solve_dlyap(A, W):
     raise DesignError("Lyapunov iteration did not converge (closed loop unstable?)")
 
 
-def design(plant: PlantModel, h: float) -> LqgController:
+def design(plant: PlantModel, h: float) -> Controller:
     """Design the LQG controller for ``plant`` at period ``h`` seconds.
 
     Raises DesignError when a Riccati solve fails or the resulting loop is
@@ -884,7 +942,7 @@ def design(plant: PlantModel, h: float) -> LqgController:
         kf = np.linalg.solve(s_innov.T, (p_pred @ plant.C.T).T).T
     except np.linalg.LinAlgError as exc:
         raise DesignError(f"singular innovation covariance at h={h}") from exc
-    ctrl = LqgController(
+    ctrl = Controller(
         dp=dp, K=k, Kf=kf, S_innov=s_innov,
         control_residual=dare_residual(p_ctrl, dp.Phi, dp.Gamma, q1d, q2d, q12),
         filter_residual=dare_residual(p_pred, dp.Phi.T, plant.C.T, dp.R1d, plant.R2),
@@ -903,7 +961,7 @@ class _Loop:
     te R2 te' do not depend on the intensity r, so they are formed once.
     """
 
-    def __init__(self, plant: PlantModel, ctrl: LqgController):
+    def __init__(self, plant: PlantModel, ctrl: Controller):
         nx, ny = plant.nx, plant.ny
         phi, gamma = ctrl.dp.Phi, ctrl.dp.Gamma
         gk = gamma @ ctrl.K
@@ -934,7 +992,7 @@ class _Loop:
         return (per_step + r * self.dp.jbar1) / self.dp.h
 
 
-def evaluate_costs(plant: PlantModel, ctrl: LqgController, rs) -> tuple:
+def evaluate_costs(plant: PlantModel, ctrl: Controller, rs) -> tuple:
     """Stationary per-time cost J(r) of the closed loop at each intensity in ``rs``.
 
     Solves the discrete Lyapunov equation for the stationary covariance of

@@ -12,13 +12,13 @@ import pytest
 
 from ratekit.bench import BenchCase, case_budget, synthetic_totals
 from ratekit.energy import EnergyBudget
-from ratekit.lqg import closed_loop_matrix, evaluate_cost, lyapunov_residual
+from ratekit.lqg import closed_loop_matrix, lyapunov_residual, stationary_costs
 from ratekit.riccati import spectral_radius
 from ratekit.search import approach1, approach2, exhaustive
 from ratekit.sim import MatchFixedBudget, Strategy, scenario_from_shares, simulate
 from ratekit.tables import build_profit_tables, totals_over_window
 
-from oracles import mc_closed_loop_cost
+from oracles import mc_closed_loop_cost, members
 
 
 def report(num, elapsed, limit, detail):
@@ -117,19 +117,17 @@ def test_criterion_4_search_efficiency_ordering():
 
 def test_criterion_5_lqg_numerics(plant, controllers):
     t0 = time.perf_counter()
-    for ctrl in controllers:
-        assert ctrl.control_residual < 1e-8
-        assert ctrl.filter_residual < 1e-8
-        assert lyapunov_residual(plant, ctrl, 1.0) < 1e-8
-        assert spectral_radius(closed_loop_matrix(plant, ctrl)) < 1.0
+    assert np.all(controllers.control_residual < 1e-8)
+    assert np.all(controllers.filter_residual < 1e-8)
+    assert np.all(lyapunov_residual(plant, controllers, 1.0) < 1e-8)
+    assert np.all(spectral_radius(closed_loop_matrix(plant, controllers)) < 1.0)
     report(5, time.perf_counter() - t0, 30.0,
-           f"Riccati/Lyapunov residuals < 1e-8 and stable loops at all {len(controllers)} rates")
+           f"Riccati/Lyapunov residuals < 1e-8 and stable loops at all {len(controllers.h)} rates")
 
 
 def test_criterion_6_cost_affinity(plant, controllers):
     t0 = time.perf_counter()
-    for ctrl in controllers:
-        j0, j1, j2 = (evaluate_cost(plant, ctrl, r) for r in (0.0, 1.0, 2.0))
+    for j0, j1, j2 in stationary_costs(plant, controllers, (0.0, 1.0, 2.0)):
         assert np.isclose(j2 - j0, 2.0 * (j1 - j0), rtol=1e-9)
     report(6, time.perf_counter() - t0, 10.0,
            "J(r) collinear over r in {0,1,2} to 1e-9 at every rate")
@@ -137,14 +135,14 @@ def test_criterion_6_cost_affinity(plant, controllers):
 
 def test_criterion_7_cost_engine_oracle(plant, controllers, rates):
     t0 = time.perf_counter()
-    ctrl = controllers[rates.index_of(0.05)]
-    engine = evaluate_cost(plant, ctrl, 1.0)
-    mc, se = mc_closed_loop_cost(plant, ctrl, 1.0, nchains=64, nsteps=15_625,
+    i = rates.index_of(0.05)
+    engine = float(stationary_costs(plant, controllers, (1.0,))[i, 0])
+    mc, se = mc_closed_loop_cost(plant, members(controllers)[i], 1.0, nchains=64, nsteps=15_625,
                                  burn=2000, substeps=20)
     dev = abs(engine - mc) / se
     assert dev <= 3.0, f"engine {engine} vs MC {mc} +- {se} ({dev:.2f} SE)"
     report(7, time.perf_counter() - t0, 120.0,
-           f"evaluate_cost {engine:.4f} within {dev:.2f} SE of MC {mc:.4f} (1e6 steps)")
+           f"stationary cost {engine:.4f} within {dev:.2f} SE of MC {mc:.4f} (1e6 steps)")
 
 
 def test_criterion_8_multirate_beats_fixed(cost_table, power_table, hyper_period):

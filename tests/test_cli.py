@@ -136,6 +136,26 @@ def test_config_wrong_json_type_names_field(tmp_path, capsys, field):
     assert not err[0].startswith(f"error: {field}: {field}")
 
 
+@pytest.mark.parametrize("section, field, value, message", [
+    ("scenario", "piece_s", 0, "scenario: piece_s must be positive, got 0.0"),
+    ("scenario", "piece_s", -5, "scenario: piece_s must be positive, got -5.0"),
+    ("scenario", "total_s", 0, "scenario: total_s must be positive, got 0.0"),
+    ("battery", "voltage", -3.7,
+     "battery: capacity and voltage must be positive, got 1000.0 mAh and -3.7 V"),
+], ids=["piece_s_zero", "piece_s_negative", "total_s_zero", "battery_voltage_negative"])
+def test_config_bad_value_exits_one_naming_field(tmp_path, capsys, section, field, value,
+                                                 message):
+    cfg = json.loads((CONFIG_DIR / "sim_low.json").read_text())
+    cfg["scenario"] = json.loads((CONFIG_DIR / "scenario_low.json").read_text())
+    cfg[section][field] = value
+    (tmp_path / "plant_dcservo.json").write_text((CONFIG_DIR / "plant_dcservo.json").read_text())
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "trace.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_design_failure_exits_one(tmp_path, capsys):
     plant = json.loads((CONFIG_DIR / "plant_dcservo.json").read_text())
     plant["B"] = [[0.0], [0.0]]  # no actuation: no stabilizing controller exists
@@ -201,7 +221,7 @@ def test_simulate_determinism_and_plotdata(small_config, tmp_path, capsys):
         cfg.strategy, lam=cfg.rve_lambda, seed=9, controllers=controllers)
     assert t1.read_bytes() == ref.jsonl.encode()
     assert f"wrote {len(ref.events)} events to {t1}" in out
-    level0 = cfg.battery_capacity_mah * cfg.battery_voltage * 3.6
+    level0 = cfg.battery.capacity_mah * cfg.battery.voltage * 3.6
     cost_ref, batt_ref = plot_csvs_from_events(ref.events, level0)
     assert (tmp_path / "plots" / "plot_cost.csv").read_bytes() == cost_ref
     assert (tmp_path / "plots" / "plot_battery.csv").read_bytes() == batt_ref

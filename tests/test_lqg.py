@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ratekit import lqg
-from ratekit.lqg import (closed_loop_matrix, design, evaluate_cost, evaluate_costs,
-                         lyapunov_residual)
+from ratekit.lqg import (closed_loop_matrix, design, evaluate_cost, lyapunov_residual,
+                         stationary_costs)
 from ratekit.plant import PlantModel, discretize
 from ratekit.riccati import DesignError, solve_dlyap, spectral_radius
 from ratekit.tables import LevelSpec, RateSet, build_cost_table, design_all
@@ -23,10 +23,10 @@ def scalar_plant(r2=1.0):
 
 
 def test_design_residuals_and_stability(plant, rates, controllers):
-    for ctrl in controllers:
-        assert ctrl.control_residual < 1e-8
-        assert ctrl.filter_residual < 1e-8
-        assert spectral_radius(closed_loop_matrix(plant, ctrl)) < 1.0
+    assert controllers.control_residual.shape == (len(rates),)
+    assert np.all(controllers.control_residual < 1e-8)
+    assert np.all(controllers.filter_residual < 1e-8)
+    assert np.all(spectral_radius(closed_loop_matrix(plant, controllers)) < 1.0)
 
 
 def test_scalar_gain_matches_closed_form():
@@ -34,10 +34,11 @@ def test_scalar_gain_matches_closed_form():
     h = 0.1
     ctrl = design(p, h)
     dp = discretize(p, h)
-    a, b = dp.Phi[0, 0], dp.Gamma[0, 0]
-    root = scalar_dare_root(a, b, dp.Qd[0, 0], dp.Qd[1, 1], dp.Qd[0, 1])
-    k_expected = (b * root * a + dp.Qd[0, 1]) / (dp.Qd[1, 1] + b * b * root)
-    assert np.isclose(ctrl.K[0, 0], k_expected, rtol=1e-10)
+    a, b = dp.Phi[0, 0, 0], dp.Gamma[0, 0, 0]
+    qd = dp.Qd[0]
+    root = scalar_dare_root(a, b, qd[0, 0], qd[1, 1], qd[0, 1])
+    k_expected = (b * root * a + qd[0, 1]) / (qd[1, 1] + b * b * root)
+    assert np.isclose(ctrl.K[0, 0, 0], k_expected, rtol=1e-10)
 
 
 def test_zero_noise_zero_cost():
@@ -47,37 +48,34 @@ def test_zero_noise_zero_cost():
 
 
 def test_affinity_in_noise_intensity(plant, controllers):
-    ctrl = controllers[8]
-    j0 = evaluate_cost(plant, ctrl, 0.0)
-    j1 = evaluate_cost(plant, ctrl, 1.0)
-    j2 = evaluate_cost(plant, ctrl, 2.0)
+    rs = (0.0, 1.0, 2.0, 0.3, 5.0, 75.0)
+    j0, j1, j2, *rest = stationary_costs(plant, controllers, rs)[8]
     assert np.isclose(j2 - j0, 2.0 * (j1 - j0), rtol=1e-9)
     # J(r) = a r + b with slope a = J(1) - J(0) and offset b = J(0), both non-negative
     assert j1 - j0 >= 0.0 and j0 >= 0.0
-    for r in (0.3, 5.0, 75.0):
-        assert np.isclose(evaluate_cost(plant, ctrl, r), (j1 - j0) * r + j0, rtol=1e-9)
+    for r, j in zip(rs[3:], rest):
+        assert np.isclose(j, (j1 - j0) * r + j0, rtol=1e-9)
 
 
 def test_collinearity_across_all_rates(plant, controllers):
-    for ctrl in controllers:
-        js = [evaluate_cost(plant, ctrl, r) for r in (0.0, 1.0, 2.0)]
-        assert np.isclose(js[2] - js[0], 2.0 * (js[1] - js[0]), rtol=1e-9)
+    js = stationary_costs(plant, controllers, (0.0, 1.0, 2.0))
+    assert np.all(np.isclose(js[:, 2] - js[:, 0], 2.0 * (js[:, 1] - js[:, 0]), rtol=1e-9))
 
 
 def test_cost_monotone_in_period(plant, controllers, levels):
-    for r in levels.representative_r:
-        js = [evaluate_cost(plant, ctrl, r) for ctrl in controllers]
+    for js in stationary_costs(plant, controllers, levels.representative_r).T:
         assert all(b >= a for a, b in zip(js, js[1:]))
 
 
 def test_lyapunov_residual_small(plant, controllers):
-    for ctrl in controllers[::4]:
-        assert lyapunov_residual(plant, ctrl, 1.0) < 1e-8
+    assert np.all(lyapunov_residual(plant, controllers, 1.0) < 1e-8)
 
 
 def test_negative_intensity_rejected(plant, controllers):
     with pytest.raises(ValueError):
-        evaluate_cost(plant, controllers[0], -0.5)
+        stationary_costs(plant, controllers, (-0.5,))
+    with pytest.raises(ValueError):
+        evaluate_cost(plant, design(plant, 0.05), -0.5)
 
 
 def test_feedthrough_does_not_change_loop(plant, controllers):
@@ -104,7 +102,7 @@ def test_cost_table_equals_three_solve_reference(grid, plant, rates, levels, con
         controllers = design_all(plant, rates)
     ct = build_cost_table(plant, rates, levels, controllers=controllers)
     ref = np.array([[oracles.evaluate_cost(plant, ctrl, r).J for r in levels.representative_r]
-                    for ctrl in controllers])
+                    for ctrl in oracles.members(controllers)])
     assert ct.entries.shape == (len(rates), levels.k)
     assert np.array_equal(ct.entries, ref)
 
@@ -115,14 +113,14 @@ def test_cost_breakdown_equals_three_solve_reference(which, plant, controllers):
         plant = scalar_plant()
         controllers = design_all(plant, RateSet.from_milliseconds(range(10, 101, 10)))
     rs = (0.0, 0.3, 1.0, 2.0, 75.0)
-    for ctrl in controllers:
-        batch = evaluate_costs(plant, ctrl, rs)
-        assert len(batch) == len(rs)
-        assert evaluate_costs(plant, ctrl, iter(rs)) == batch
+    batches = stationary_costs(plant, controllers, rs)
+    assert batches.shape == (len(controllers.h), len(rs))
+    assert np.array_equal(stationary_costs(plant, controllers, iter(rs)), batches)
+    for ctrl, batch in zip(oracles.members(controllers), batches, strict=True):
         for r, j in zip(rs, batch):
             ref = oracles.evaluate_cost(plant, ctrl, r).J
             assert j == ref
-            assert evaluate_cost(plant, ctrl, r) == ref
+            assert evaluate_cost(plant, oracles.stack([ctrl]), r) == ref
 
 
 def test_cost_table_takes_one_lyapunov_solve_per_entry(plant, rates, levels, controllers,
@@ -141,16 +139,17 @@ def test_cost_table_takes_one_lyapunov_solve_per_entry(plant, rates, levels, con
 
 
 def test_unstable_loop_raises_design_error(plant, controllers, levels):
-    ctrl = controllers[8]
-    bad = dataclasses.replace(ctrl, K=50.0 * ctrl.K)
+    recs = oracles.members(controllers)
+    ctrl = recs[8]
+    bad = oracles.stack([dataclasses.replace(ctrl, K=50.0 * ctrl.K)])
     assert spectral_radius(closed_loop_matrix(plant, bad)) >= 1.0
     unstable = r"cannot evaluate cost: closed loop unstable \(rho="
     with pytest.raises(DesignError, match=unstable):
         evaluate_cost(plant, bad, 1.0)
     with pytest.raises(DesignError, match=unstable):
-        evaluate_costs(plant, bad, levels.representative_r)
+        stationary_costs(plant, bad, levels.representative_r)
     with pytest.raises(DesignError, match=unstable):
-        build_cost_table(plant, RateSet((ctrl.h,)), levels, controllers=[bad])
+        build_cost_table(plant, RateSet((ctrl.h,)), levels, controllers=bad)
     with pytest.raises(DesignError, match=unstable):
         build_cost_table(plant, RateSet((0.045, ctrl.h)), levels,
-                         controllers=[controllers[7], bad])
+                         controllers=oracles.stack([recs[7], *oracles.members(bad)]))

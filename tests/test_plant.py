@@ -32,11 +32,11 @@ def test_integrator_cost_lift_closed_form():
     # A = 0: Qd has blocks [hI, h^2/2 B; ., h^3/3 B'B + hI] for Qxu = I
     h = 0.04
     plant = integrator_plant()
-    dp = discretize(plant, h)
+    qd = discretize(plant, h).Qd[0]  # the stack of one's member
     b = plant.B
-    assert np.allclose(dp.Qd[:2, :2], h * np.eye(2), rtol=1e-12)
-    assert np.allclose(dp.Qd[:2, 2:], h**2 / 2 * b, rtol=1e-12)
-    assert np.allclose(dp.Qd[2:, 2:], h**3 / 3 * (b.T @ b) + h * np.eye(1), rtol=1e-12)
+    assert np.allclose(qd[:2, :2], h * np.eye(2), rtol=1e-12)
+    assert np.allclose(qd[:2, 2:], h**2 / 2 * b, rtol=1e-12)
+    assert np.allclose(qd[2:, 2:], h**3 / 3 * (b.T @ b) + h * np.eye(1), rtol=1e-12)
 
 
 def test_phi_matches_rk_oracle(plant):
@@ -71,7 +71,7 @@ def test_semigroup_property(plant):
 
 def test_noise_covariance_trace_monotone(plant):
     hs = [0.005, 0.01, 0.02, 0.04, 0.08]
-    traces = [np.trace(discretize(plant, h).R1d) for h in hs]
+    traces = [np.trace(discretize(plant, h).R1d[0]) for h in hs]
     assert all(t2 >= t1 for t1, t2 in zip(traces, traces[1:]))
 
 

@@ -12,12 +12,14 @@ from ratekit import _kernels
 from ratekit.bench import BenchCase, synthetic_totals
 from ratekit.energy import EnergyBudget
 from ratekit.lqg import evaluate_cost
-from ratekit.sim import (MatchFixedBudget, NoiseScenario, SampleColumns,
+from ratekit.sim import (MAX_SCENARIO_PIECES, MatchFixedBudget, NoiseScenario, SampleColumns,
                          SimulationTrace, Strategy, classify, scenario_from_shares,
                          simulate)
-from ratekit.tables import LevelSpec, RateSet, WindowTotals, totals_over_window
+from ratekit.tables import (LevelSpec, RateSet, WindowTotals, build_cost_table, design_all,
+                            totals_over_window)
 
 import oracles
+from test_stacked import seeded_plant
 
 
 def test_classify_thresholds(levels):
@@ -47,7 +49,7 @@ def test_rve_long_run_mean_matches_analytics(plant, controllers):
     # fixed designed gain, true intensity r: the stationary innovation
     # variance is affine in r, and E[r_hat] = S(r)/S(1)
     from ratekit.riccati import solve_dlyap
-    ctrl = controllers[8]
+    ctrl = oracles.members(controllers)[8]
     nx = plant.nx
     a_err = ctrl.dp.Phi @ (np.eye(nx) - ctrl.Kf @ plant.C)
     kf_pred = ctrl.dp.Phi @ ctrl.Kf
@@ -83,6 +85,16 @@ def test_scenario_generation():
         NoiseScenario(segments=((1.0, -2.0),))
     with pytest.raises(ValueError):
         NoiseScenario(segments=())
+
+
+def test_scenario_piece_count_is_bounded():
+    # 1e308 / 5 pieces: the count-fixing loops would step toward it one by one
+    with pytest.raises(ValueError, match="above the limit"):
+        scenario_from_shares((0.7, 0.2, 0.1), (5.0, 30.0, 75.0), 1e308, 5.0)
+    with pytest.raises(ValueError, match="above the limit"):
+        scenario_from_shares((0.5, 0.5), (5.0, 30.0), 5.0 * (MAX_SCENARIO_PIECES + 1), 5.0)
+    scen = scenario_from_shares((0.5, 0.5), (5.0, 30.0), 5.0 * MAX_SCENARIO_PIECES, 5.0)
+    assert len(scen.segments) == MAX_SCENARIO_PIECES
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +267,14 @@ def test_scenario_shorter_than_window_rejected(plant, cost_table, power_table,
                 EnergyBudget(1.0, hyper_period), Strategy.fixed(0.05), controllers)
 
 
+def test_controllers_of_other_rates_rejected(plant, cost_table, power_table, levels,
+                                             low_scenario, hyper_period):
+    other = design_all(plant, RateSet.from_milliseconds(range(10, 91, 10)))
+    with pytest.raises(ValueError, match="other rates"):
+        run_sim(plant, cost_table, power_table, levels, low_scenario,
+                EnergyBudget(1.0, hyper_period), Strategy.fixed(0.05), other)
+
+
 # sha256 of the JSONL trace and the cycles per rate of two 300 s runs,
 # recorded from the interpreted reference loop.  The controllers come from
 # LAPACK, so a different numpy/LAPACK build may move the last bit.
@@ -289,13 +309,19 @@ REFERENCE_RUNS = {
     "fallback": (1e-6, Strategy.adaptive("approach1"), None),
     "one_window": (None, Strategy.adaptive("approach1"),
                    scenario_from_shares((0.5, 0.3, 0.2), (5.0, 30.0, 75.0), 100.0, 5.0, seed=2)),
+    # the seeded 3-state, 2-input, 2-output plant in place of the DC servo
+    "seeded_3x2x2": (None, Strategy.adaptive("approach1"), None),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(REFERENCE_RUNS))
-def test_trace_equals_per_event_reference(kind, plant, cost_table, power_table, levels,
+def test_trace_equals_per_event_reference(kind, plant, rates, cost_table, power_table, levels,
                                           controllers, low_scenario, hyper_period):
     e_max, strategy, scen = REFERENCE_RUNS[kind]
+    if kind == "seeded_3x2x2":
+        plant = seeded_plant()
+        controllers = design_all(plant, rates)
+        cost_table = build_cost_table(plant, rates, levels, controllers=controllers)
     budget = (MatchFixedBudget(0.05, hyper_period) if e_max is None
               else EnergyBudget(e_max, hyper_period))
     args = (plant, cost_table, power_table, levels, scen or low_scenario, budget, strategy)

@@ -1,8 +1,9 @@
 """The stacked design pass against the per-rate references in oracles.py.
 
-Every controller field and every cost-table entry must be bit-identical
-(np.array_equal) to designing and evaluating one rate at a time, and a
-failing design must raise what the per-rate loop raises.
+Every field of every member of the controller stack and every cost-table
+entry must be bit-identical (np.array_equal) to designing and evaluating one
+rate at a time, and a failing design must raise what the per-rate loop
+raises.
 """
 
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratekit.lqg import design_stack, evaluate_costs
+from ratekit.lqg import design_stack, evaluate_cost
 from ratekit.plant import PlantModel, discretize, discretize_stack, load_plant
 from ratekit.riccati import (dare_residual, dlyap_residual, solve_dare, solve_dlyap,
                              spectral_radius)
@@ -94,14 +95,14 @@ def test_stacked_design_and_cost_table_bit_identical(case, levels):
     plant, rates, levels = CASES[case](levels)
     refs = [oracles.design(plant, h) for h in rates.periods]
     controllers = design_all(plant, rates)
-    assert len(controllers) == len(refs)
-    for ctrl, ref in zip(controllers, refs):
+    assert controllers.h == rates.periods
+    assert controllers.K.shape == (len(refs), plant.nu, plant.nx)
+    for ctrl, ref in zip(oracles.members(controllers), refs, strict=True):
         assert_same_controller(ctrl, ref)
     ct = build_cost_table(plant, rates, levels, controllers=controllers)
     expected = np.array([oracles.evaluate_costs(plant, ref, levels.representative_r)
                          for ref in refs])
     assert np.array_equal(ct.entries, expected)
-    assert np.array_equal(build_cost_table(plant, rates, levels).entries, expected)
 
 
 def test_zero_measurement_noise_takes_the_fixed_point_branch(levels):
@@ -113,7 +114,7 @@ def test_zero_measurement_noise_takes_the_fixed_point_branch(levels):
     if isinstance(ref, tuple):
         assert got == ref
         return
-    for ctrl, r in zip(got, ref):
+    for ctrl, r in zip(oracles.members(got), ref, strict=True):
         assert_same_controller(ctrl, r)
     assert np.array_equal(build_cost_table(plant, rates, levels, controllers=got).entries,
                           [oracles.evaluate_costs(plant, r, levels.representative_r)
@@ -138,11 +139,12 @@ def test_discretize_stack_members_equal_lone_calls():
     plant = seeded_plant()
     stack = discretize_stack(plant, SCALAR_RATES.periods)
     for i, h in enumerate(SCALAR_RATES.periods):
-        member, ref = stack.member(i), oracles.discretize(plant, h)
+        lone, ref = discretize(plant, h), oracles.discretize(plant, h)
         for name in ("Phi", "Gamma", "R1d", "Qd"):
-            assert np.array_equal(getattr(member, name), getattr(ref, name))
-            assert np.array_equal(getattr(discretize(plant, h), name), getattr(ref, name))
-        assert member.jbar1 == ref.jbar1 and member.h == ref.h
+            assert np.array_equal(getattr(stack, name)[i], getattr(ref, name))
+            assert np.array_equal(getattr(lone, name), [getattr(ref, name)])
+        assert stack.jbar1[i] == ref.jbar1 and stack.h[i] == ref.h
+        assert lone.jbar1.tolist() == [ref.jbar1] and lone.h == (ref.h,)
 
 
 def random_systems(seed, count, n=3, m=2):
@@ -192,7 +194,9 @@ def test_stacked_lyapunov_members_equal_lone_solves():
         assert res[i] == dlyap_residual(ref, a[i], w[i])
 
 
-def test_evaluate_costs_of_one_controller_equals_per_rate_reference(plant, controllers):
+def test_evaluate_cost_of_one_controller_equals_per_rate_reference(plant, controllers):
     rs = (0.0, 0.3, 1.0, 75.0)
-    for ctrl in controllers[::4]:
-        assert evaluate_costs(plant, ctrl, rs) == oracles.evaluate_costs(plant, ctrl, rs)
+    for ctrl in oracles.members(controllers)[::4]:
+        one = oracles.stack([ctrl])
+        assert (tuple(evaluate_cost(plant, one, r) for r in rs)
+                == oracles.evaluate_costs(plant, ctrl, rs))

@@ -3,7 +3,7 @@ import pytest
 
 from ratekit.tables import (CostTable, LevelSpec, PowerTable, RateSet,
                             build_cost_table, build_power_table,
-                            build_profit_tables, load_tables, save_tables,
+                            build_profit_tables, design_all, load_tables, save_tables,
                             totals_over_window)
 
 from oracles import floor_cycles
@@ -49,10 +49,16 @@ def test_degenerate_single_cell_table(plant, levels):
     from ratekit.lqg import design, evaluate_cost
     rs = RateSet((0.05,))
     lv = LevelSpec(thresholds=(0.0, 10.0), representative_r=(5.0,))
-    ct = build_cost_table(plant, rs, lv)
+    ct = build_cost_table(plant, rs, lv, controllers=design_all(plant, rs))
     assert ct.entries.shape == (1, 1)
     direct = evaluate_cost(plant, design(plant, 0.05), 5.0)
     assert ct.entries[0, 0] == pytest.approx(direct, rel=1e-12)
+
+
+def test_cost_table_rejects_controllers_of_other_rates(plant, levels):
+    from ratekit.lqg import design
+    with pytest.raises(ValueError, match="other rates"):
+        build_cost_table(plant, RateSet((0.05,)), levels, controllers=design(plant, 0.04))
 
 
 def test_power_table_rule(rates):
