@@ -18,8 +18,8 @@ import numpy as np
 from . import _kernels
 from .energy import EnergyBudget
 from .search import ALGORITHMS, synthesize
-from .tables import (ConfigError, CostTable, PowerTable, RateSet, WindowTotals,
-                     parse_json, totals_over_window)
+from .tables import (ConfigError, CostTable, PowerTable, RateSet, WindowTotals, json_field,
+                     json_list, json_number, parse_json, totals_over_window)
 
 DEFAULT_CAP = 10**8
 # the report's backend column; every kernel runs on numpy
@@ -42,6 +42,12 @@ class BenchCase:
     def __post_init__(self):
         if self.n < 1 or self.k < 1 or self.reps < 1:
             raise ValueError("n, k and reps must all be at least 1")
+        if not self.window > 0.0:
+            raise ValueError(f"window must be positive, got {self.window}")
+
+
+# numeric case field -> its kind
+CASE_NUMBERS = {"n": int, "k": int, "reps": int, "seed": int, "window": float}
 
 
 def synthetic_totals(case: BenchCase) -> WindowTotals:
@@ -78,7 +84,7 @@ def case_budget(case: BenchCase, totals: WindowTotals) -> EnergyBudget:
         e_min = float(totals.ec_by_level[-1].sum())
         e_max = float(totals.ec_by_level[0].sum())
         return EnergyBudget(e_max=e_min + 0.4 * (e_max - e_min), window=case.window)
-    return EnergyBudget(e_max=float(case.budget), window=case.window)
+    return EnergyBudget(e_max=case.budget, window=case.window)
 
 
 def run_bench(cases, cap: int = DEFAULT_CAP):
@@ -145,49 +151,27 @@ def format_report(rows) -> str:
     return "\n".join(lines)
 
 
-def _typed(value, *kinds):
-    """``value``, if its JSON type is one of ``kinds`` (a bool is not an int)."""
-    if type(value) not in kinds:
-        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
-    return value
-
-
-def _number(value) -> float:
-    return float(_typed(value, int, float))
-
-
-# case field -> its JSON value, checked for type and converted to the BenchCase field
-CASE_FIELDS = {
-    "n": lambda v: _typed(v, int), "k": lambda v: _typed(v, int),
-    "reps": lambda v: _typed(v, int), "seed": lambda v: _typed(v, int),
-    "window": _number, "budget": lambda v: v if v == "mid" else _number(v),
-    "fractions": lambda v: tuple(map(_number, _typed(v, list))),
-}
-
-
 def load_cases(path) -> list:
     doc = parse_json(Path(path).read_text(), path)
     if isinstance(doc, dict):
-        if "cases" not in doc:
-            raise ConfigError(f"{path}: missing key 'cases'")
-        doc = doc["cases"]
+        doc = json_field(doc, "cases", path)
     if not isinstance(doc, list):
         raise ConfigError(f"{path}: 'cases' must be a JSON list")
     out = []
     for i, c in enumerate(doc):
+        where = f"{path}: cases[{i}]"
         if not isinstance(c, dict):
-            raise ConfigError(f"{path}: cases[{i}] must be a JSON object")
-        if "n" not in c:
-            raise ConfigError(f"{path}: cases[{i}]: missing key 'n'")
-        fields = {}
-        for name, check in CASE_FIELDS.items():
-            if name in c:
-                try:
-                    fields[name] = check(c[name])
-                except TypeError as exc:
-                    raise ConfigError(f"{path}: cases[{i}].{name}: {exc}") from exc
+            raise ConfigError(f"{where} must be a JSON object")
+        json_field(c, "n", where)
+        fields = {name: json_number(c[name], f"{where}.{name}", kind)
+                  for name, kind in CASE_NUMBERS.items() if name in c}
+        if "budget" in c:
+            fields["budget"] = "mid" if c["budget"] == "mid" else json_number(
+                c["budget"], f"{where}.budget")
+        if "fractions" in c:
+            fields["fractions"] = json_list(c["fractions"], f"{where}.fractions")
         try:
             out.append(BenchCase(**fields))
         except ValueError as exc:
-            raise ConfigError(f"{path}: cases[{i}]: {exc}") from exc
+            raise ConfigError(f"{where}: {exc}") from exc
     return out

@@ -17,7 +17,8 @@ from .riccati import DesignError
 from .search import ALGORITHMS, synthesize
 from .sim import MatchFixedBudget, classify, simulate
 from .tables import (LevelSpec, build_cost_table, build_power_table, build_profit_tables,
-                     design_all, load_tables, save_tables, totals_over_window)
+                     design_all, json_list, load_tables, save_tables,
+                     totals_over_window)
 
 
 def _parse_pattern(text: str):
@@ -43,21 +44,20 @@ def _battery_fractions(path, meta: dict) -> tuple:
     if not Path(path).exists():
         raise ConfigError(f"pattern: file not found: {path}")
     doc = parse_json(Path(path).read_text(), path)
-    thresholds = meta.get("thresholds")
-    try:
-        if isinstance(doc, dict) and "shares" in doc:
-            return tuple(float(f) for f in doc["shares"])
-        if isinstance(doc, dict) and "segments" in doc and thresholds:
-            levels = LevelSpec(thresholds=tuple(thresholds),
-                               representative_r=tuple(meta.get("representative_r")))
+    if isinstance(doc, dict) and "shares" in doc:
+        return json_list(doc["shares"], "pattern: shares")
+    if isinstance(doc, dict) and "segments" in doc and meta.get("thresholds"):
+        segments = json_list(doc["segments"], "pattern: segments", json_list)
+        try:
+            levels = LevelSpec(meta["thresholds"], meta.get("representative_r", ()))
             acc = np.zeros(levels.k)
-            for d, r in doc["segments"]:
-                acc[classify(float(r), levels) - 1] += float(d)
-            if not acc.sum() > 0.0:
-                raise ValueError("segments hold no time")
-            return tuple(float(v / acc.sum()) for v in acc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"pattern: {exc}") from exc
+            for d, r in segments:
+                acc[classify(r, levels) - 1] += d
+        except ValueError as exc:
+            raise ConfigError(f"pattern: {exc}") from exc
+        if not acc.sum() > 0.0:
+            raise ConfigError("pattern: segments hold no time")
+        return tuple(float(v / acc.sum()) for v in acc)
     raise ConfigError("pattern: expected 'shares', or 'segments' with table metadata")
 
 
@@ -164,7 +164,7 @@ def cmd_bench(args) -> int:
 def cmd_battery(args) -> int:
     battery = Battery(capacity_mah=_parse_capacity(args.capacity), voltage=args.voltage)
     ct, pt, meta = load_tables(args.tables)
-    window = float(meta.get("window_s", 100.0))
+    window = meta.get("window_s", 100.0)
     fractions = _battery_fractions(args.pattern, meta)
     totals = totals_over_window(ct, pt, fractions, window)
     iref = ct.rates.index_of(args.fixed_ms / 1000.0)

@@ -11,26 +11,19 @@ from .energy import Battery, EnergyBudget
 from .plant import PlantModel, load_plant
 from .search import ALGORITHMS
 from .sim import MatchFixedBudget, NoiseScenario, Strategy, scenario_from_shares
-from .tables import ConfigError, LevelSpec, RateSet, check_pattern, parse_json
+from .tables import (ConfigError, LevelSpec, RateSet, check_pattern, json_field, json_list,
+                     json_number, json_object, parse_json)
 
 
-def _require(doc: dict, field: str, where: str):
-    if field not in doc:
-        raise ConfigError(f"{where}: missing required field '{field}'")
-    return doc[field]
-
-
-def _object(value, field: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{field}: expected a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _number(value, field: str, kind=float):
+def _checked(field: str, build, *args):
+    """``build(*args)``; its ValueError as a ConfigError naming ``field``.  A
+    ConfigError already names its field and passes unchanged."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: expected a number, got {value!r}") from exc
+        return build(*args)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
 
 
 @dataclass
@@ -59,21 +52,18 @@ def _load_scenario(doc, base: Path, seed: int):
         if not path.exists():
             raise ConfigError(f"scenario: file not found: {path}")
         doc = parse_json(path.read_text(), path)
-    _object(doc, "scenario")
-    seed = _number(doc.get("seed", seed), "scenario.seed", int)
-    if "segments" not in doc:
-        if "shares" not in doc:
-            raise ConfigError("scenario: expected 'segments' or 'shares'")
-        for field in ("r_values", "total_s", "piece_s"):
-            _require(doc, field, "scenario")
-    try:
-        if "segments" in doc:
-            return NoiseScenario(segments=tuple((float(d), float(r)) for d, r in doc["segments"]),
-                                 seed=seed)
-        return scenario_from_shares(doc["shares"], doc["r_values"],
-                                    float(doc["total_s"]), float(doc["piece_s"]), seed=seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
+    json_object(doc, "scenario")
+    seed = json_number(doc.get("seed", seed), "scenario.seed", int)
+    if "segments" in doc:
+        segments = json_list(doc["segments"], "scenario.segments", json_list)
+        return _checked("scenario", NoiseScenario, segments, seed)
+    if "shares" not in doc:
+        raise ConfigError("scenario: expected 'segments' or 'shares'")
+    shares = json_list(doc["shares"], "scenario.shares")
+    r_values = json_list(json_field(doc, "r_values", "scenario"), "scenario.r_values")
+    total_s, piece_s = (json_number(json_field(doc, name, "scenario"), f"scenario.{name}")
+                        for name in ("total_s", "piece_s"))
+    return _checked("scenario", scenario_from_shares, shares, r_values, total_s, piece_s, seed)
 
 
 def load_config(path) -> ToolConfig:
@@ -84,7 +74,7 @@ def load_config(path) -> ToolConfig:
     doc = parse_json(raw, path, obj=True)
     base = path.parent
 
-    plant_doc = _require(doc, "plant", "config")
+    plant_doc = json_field(doc, "plant", "config")
     if isinstance(plant_doc, str):
         plant_path = base / plant_doc
         if not plant_path.exists():
@@ -92,65 +82,47 @@ def load_config(path) -> ToolConfig:
         plant_bytes = plant_path.read_bytes()
         plant_doc = parse_json(plant_bytes, plant_path, obj=True)
     else:
-        plant_bytes = json.dumps(_object(plant_doc, "plant"), sort_keys=True).encode()
-    try:
-        plant = load_plant(plant_doc)
-    except ValueError as exc:
-        raise ConfigError(f"plant: {exc}") from exc
+        plant_bytes = json.dumps(json_object(plant_doc, "plant"), sort_keys=True).encode()
+    plant = _checked("plant", load_plant, plant_doc)
 
-    rates_ms = _require(doc, "rates_ms", "config")
-    try:
-        rates = RateSet.from_milliseconds(rates_ms)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"rates_ms: {exc}") from exc
+    rates = _checked("rates_ms", RateSet.from_milliseconds,
+                     json_list(json_field(doc, "rates_ms", "config"), "rates_ms"))
 
-    lv = _object(_require(doc, "levels", "config"), "levels")
-    thresholds = _require(lv, "thresholds", "levels")
-    representative_r = _require(lv, "representative_r", "levels")
-    try:
-        levels = LevelSpec(thresholds=tuple(thresholds), representative_r=tuple(representative_r))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"levels: {exc}") from exc
+    lv = json_object(json_field(doc, "levels", "config"), "levels")
+    levels = _checked("levels", LevelSpec, *(
+        json_list(json_field(lv, name, "levels"), f"levels.{name}")
+        for name in ("thresholds", "representative_r")))
 
-    peak = _number(doc.get("peak_power_mw", 100.0), "peak_power_mw")
-    if peak <= 0:
+    peak = json_number(doc.get("peak_power_mw", 100.0), "peak_power_mw")
+    if not peak > 0:
         raise ConfigError(f"peak_power_mw: must be positive, got {peak}")
-    hyper = _number(doc.get("hyper_period_s", 100.0), "hyper_period_s")
-    if hyper <= 0:
+    hyper = json_number(doc.get("hyper_period_s", 100.0), "hyper_period_s")
+    if not hyper > 0:
         raise ConfigError(f"hyper_period_s: must be positive, got {hyper}")
     if hyper < rates.periods[-1]:
         raise ConfigError("hyper_period_s: shorter than the slowest sampling period")
 
-    seed = _number(doc.get("seed", 0), "seed", int)
+    seed = json_number(doc.get("seed", 0), "seed", int)
 
     budget = None
     budget_doc = doc.get("budget")
     if budget_doc is not None:
-        _object(budget_doc, "budget")
+        json_object(budget_doc, "budget")
         if "energy_j" in budget_doc:
-            e_max = _number(budget_doc["energy_j"], "budget.energy_j")
-            try:
-                budget = EnergyBudget(e_max=e_max, window=hyper)
-            except ValueError as exc:
-                raise ConfigError(f"budget.energy_j: {exc}") from exc
+            budget = _checked("budget.energy_j", EnergyBudget,
+                              json_number(budget_doc["energy_j"], "budget.energy_j"), hyper)
         elif budget_doc.get("mode") == "match-fixed":
-            ref_ms = _number(_require(budget_doc, "reference_h_ms", "budget"),
-                             "budget.reference_h_ms")
-            try:
-                rates.index_of(ref_ms / 1000.0)
-            except ValueError as exc:
-                raise ConfigError(f"budget.reference_h_ms: {exc}") from exc
+            ref_ms = json_number(json_field(budget_doc, "reference_h_ms", "budget"),
+                                 "budget.reference_h_ms")
+            _checked("budget.reference_h_ms", rates.index_of, ref_ms / 1000.0)
             budget = MatchFixedBudget(reference_h=ref_ms / 1000.0, window=hyper)
         else:
             raise ConfigError("budget: expected 'energy_j' or mode 'match-fixed'")
 
-    strategy_doc = _object(doc.get("strategy", {"adaptive": "approach1"}), "strategy")
+    strategy_doc = json_object(doc.get("strategy", {"adaptive": "approach1"}), "strategy")
     if "fixed_ms" in strategy_doc:
-        h = _number(strategy_doc["fixed_ms"], "strategy.fixed_ms") / 1000.0
-        try:
-            rates.index_of(h)
-        except ValueError as exc:
-            raise ConfigError(f"strategy.fixed_ms: {exc}") from exc
+        h = json_number(strategy_doc["fixed_ms"], "strategy.fixed_ms") / 1000.0
+        _checked("strategy.fixed_ms", rates.index_of, h)
         strategy = Strategy.fixed(h)
     elif "adaptive" in strategy_doc:
         algo = strategy_doc["adaptive"]
@@ -162,26 +134,17 @@ def load_config(path) -> ToolConfig:
 
     scenario = _load_scenario(doc.get("scenario"), base, seed)
 
-    lam = _number(doc.get("rve_lambda", 0.05), "rve_lambda")
+    lam = json_number(doc.get("rve_lambda", 0.05), "rve_lambda")
     if not 0.0 < lam <= 1.0:
         raise ConfigError(f"rve_lambda: must lie in (0, 1], got {lam}")
 
-    try:
-        pattern = tuple(float(f) for f in doc.get("pattern", [1.0 / levels.k] * levels.k))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"pattern: expected a list of fractions: {exc}") from exc
-    try:
-        check_pattern(pattern, levels.k)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    pattern = check_pattern(json_list(doc.get("pattern", [1.0 / levels.k] * levels.k), "pattern"),
+                            levels.k)
 
-    batt = _object(doc.get("battery", {}), "battery")
-    cap = _number(batt.get("capacity_mah", 1000.0), "battery.capacity_mah")
-    volt = _number(batt.get("voltage", 3.7), "battery.voltage")
-    try:
-        battery = Battery(capacity_mah=cap, voltage=volt)
-    except ValueError as exc:
-        raise ConfigError(f"battery: {exc}") from exc
+    batt = json_object(doc.get("battery", {}), "battery")
+    battery = _checked("battery", Battery,
+                       json_number(batt.get("capacity_mah", 1000.0), "battery.capacity_mah"),
+                       json_number(batt.get("voltage", 3.7), "battery.voltage"))
 
     return ToolConfig(
         plant=plant, rates=rates, levels=levels, peak_power_mw=peak,

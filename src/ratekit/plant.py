@@ -102,16 +102,16 @@ class PlantModel:
 def load_plant(source) -> PlantModel:
     """Build a plant from a parsed JSON document (dense row-major matrices).
 
-    ``source`` is a dict with keys "A", "B", "C", "D", "Rc", "R2", "Qxu".
-    All units SI.
+    ``source`` is a dict with keys "A", "B", "C", "D", "Rc", "R2", "Qxu", each
+    a list of rows of finite JSON numbers.  All units SI.
     """
-    missing = [k for k in ("A", "B", "C", "D", "Rc", "R2", "Qxu") if k not in source]
+    from .tables import json_list  # tables imports this module
+
+    names = ("A", "B", "C", "D", "Rc", "R2", "Qxu")
+    missing = [k for k in names if k not in source]
     if missing:
         raise ValueError(f"plant document missing keys: {', '.join(missing)}")
-    return PlantModel(
-        A=source["A"], B=source["B"], C=source["C"], D=source["D"],
-        Rc=source["Rc"], R2=source["R2"], Qxu=source["Qxu"],
-    )
+    return PlantModel(**{k: json_list(source[k], f"plant.{k}", json_list) for k in names})
 
 
 class DiscreteStack(NamedTuple):

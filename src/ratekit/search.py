@@ -104,16 +104,13 @@ def approach1(totals: WindowTotals, budget: EnergyBudget) -> SynthesisResult:
     warning.  Explored counts evaluated candidates only.
     """
     e_max = _check_budget(totals, budget)
+    scan = _kernels.approach1_scan
     if not _monotone_for_pruning(totals):
         warnings.warn("cost/energy tables not monotone along the period axis; "
                       "dominance pruning downgraded to the exhaustive scan")
-        t0 = time.perf_counter()
-        idx, cost, energy, explored, ok = _kernels.exhaustive_scan(
-            totals.cc_total, totals.ec_by_level, e_max)
-        return _wrap(idx, cost, energy, explored, ok, totals, "approach1", t0)
+        scan = _kernels.exhaustive_scan
     t0 = time.perf_counter()
-    idx, cost, energy, explored, ok = _kernels.approach1_scan(
-        totals.cc_total, totals.ec_by_level, e_max)
+    idx, cost, energy, explored, ok = scan(totals.cc_total, totals.ec_by_level, e_max)
     return _wrap(idx, cost, energy, explored, ok, totals, "approach1", t0)
 
 

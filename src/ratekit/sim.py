@@ -56,9 +56,9 @@ class NoiseScenario:
         if not segs:
             raise ValueError("scenario needs at least one segment")
         for d, r in segs:
-            if d <= 0.0:
+            if not d > 0.0:
                 raise ValueError(f"segment duration must be positive, got {d}")
-            if r < 0.0:
+            if not r >= 0.0:
                 raise ValueError(f"noise intensity must be non-negative, got {r}")
         object.__setattr__(self, "segments", segs)
 

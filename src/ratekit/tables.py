@@ -8,8 +8,10 @@ is seconds and joules.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -22,8 +24,9 @@ from .lqg import LqgController, design_stack, stationary_costs
 from .plant import PlantModel
 
 
-# every JSON input file goes through parse_json; config imports this module,
-# so the reader lives here, where load_tables needs it too
+# every JSON input file goes through parse_json and every value read from it
+# through json_field, json_object, json_number or json_list; config imports
+# this module, so the reader lives here, where load_tables needs it too
 class ConfigError(ValueError):
     """Input problem; the message names the offending file or field."""
 
@@ -35,9 +38,40 @@ def parse_json(text, path, *, obj: bool = False):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if obj and not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    return doc
+    return json_object(doc, path) if obj else doc
+
+
+def json_object(value, field) -> dict:
+    """``value``, if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def json_field(doc: dict, name: str, where):
+    """``doc[name]``; ConfigError from ``where`` when the key is missing."""
+    if name not in doc:
+        raise ConfigError(f"{where}: missing key '{name}'")
+    return doc[name]
+
+
+def json_number(value, field: str, kind=float):
+    """``value`` as ``kind``, if it is a finite JSON number, and an integer
+    where ``kind`` is int: no bool, no string, no NaN or Infinity."""
+    if type(value) is int or (type(value) is float and kind is float):
+        with contextlib.suppress(OverflowError):  # an integer beyond any float
+            if math.isfinite(value):
+                return kind(value)
+    expected = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"{field}: expected {expected}, got {json.dumps(value)}")
+
+
+def json_list(value, field: str, read=json_number, *args) -> tuple:
+    """``value`` as a tuple, if it is a JSON list; ``read(item, field[i], *args)``
+    reads each item (a number by default, a row of numbers with ``json_list``)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{field}: expected a JSON list, got {json.dumps(value)}")
+    return tuple(read(v, f"{field}[{i}]", *args) for i, v in enumerate(value))
 
 
 @dataclass(frozen=True)
@@ -50,7 +84,7 @@ class RateSet:
         p = tuple(float(v) for v in self.periods)
         if not p:
             raise ValueError("rate set must not be empty")
-        if any(v <= 0.0 for v in p):
+        if not all(v > 0.0 for v in p):
             raise ValueError("all periods must be positive")
         if any(b <= a for a, b in zip(p, p[1:])):
             raise ValueError("periods must be strictly increasing")
@@ -206,7 +240,7 @@ def build_cost_table(plant: PlantModel, rates: RateSet, levels: LevelSpec,
 
 def build_power_table(rates: RateSet, peak_power_mw: float) -> PowerTable:
     """Power per rate from constant energy per cycle: P[i] = peak * h_1 / h_i."""
-    if peak_power_mw <= 0.0:
+    if not peak_power_mw > 0.0:
         raise ValueError(f"peak power must be positive, got {peak_power_mw}")
     h1 = rates.periods[0]
     power = np.array([peak_power_mw * h1 / h for h in rates.periods])
@@ -215,21 +249,22 @@ def build_power_table(rates: RateSet, peak_power_mw: float) -> PowerTable:
 
 
 def check_pattern(fractions, k: int) -> tuple:
-    """``fractions`` as floats, if they are k non-negative level shares summing to 1."""
+    """``fractions`` as floats, if they are k non-negative level shares summing
+    to 1; else ConfigError naming the pattern."""
     fr = tuple(float(f) for f in fractions)
     if len(fr) != k:
-        raise ValueError(f"pattern: expected {k} fractions, got {len(fr)}")
-    if any(f < 0.0 for f in fr):
-        raise ValueError("pattern: fractions must be non-negative")
+        raise ConfigError(f"pattern: expected {k} fractions, got {len(fr)}")
+    if not all(f >= 0.0 for f in fr):
+        raise ConfigError("pattern: fractions must be non-negative")
     if not abs(sum(fr) - 1.0) <= 1e-12:
-        raise ValueError(f"pattern: fractions must sum to 1, got {sum(fr)}")
+        raise ConfigError(f"pattern: fractions must sum to 1, got {sum(fr)}")
     return fr
 
 
 def totals_over_window(ct: CostTable, pt: PowerTable, fractions, window: float) -> WindowTotals:
     """Expand the tables into window totals for a disturbance pattern."""
     fr = check_pattern(fractions, ct.k)
-    if window <= 0.0:
+    if not window > 0.0:
         raise ValueError(f"window must be positive, got {window}")
     periods = np.array(ct.rates.periods)
     t_j = np.array(fr) * window
@@ -346,11 +381,16 @@ def load_tables(table_dir):
     meta = parse_json(sidecar.read_text(), sidecar, obj=True)
     if meta.get("schema") != 1:
         raise ValueError(f"{sidecar}: schema {meta.get('schema')!r} is not 1")
-    try:
-        rates_ms, phi_mj = [float(v) for v in meta["rates_ms"]], float(meta["phi_mj"])
-        violations = tuple(map(tuple, meta["cost_monotonicity_violations"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{sidecar}: missing or malformed field: {exc!r}") from exc
+    rates_ms = list(json_list(json_field(meta, "rates_ms", sidecar), f"{sidecar}: rates_ms"))
+    phi_mj = json_number(json_field(meta, "phi_mj", sidecar), f"{sidecar}: phi_mj")
+    violations = json_list(json_field(meta, "cost_monotonicity_violations", sidecar),
+                           f"{sidecar}: cost_monotonicity_violations", json_list, json_number, int)
+    # the fields battery reads, when present
+    for name in ("thresholds", "representative_r"):
+        if name in meta:
+            meta[name] = json_list(meta[name], f"{sidecar}: {name}")
+    if "window_s" in meta:
+        meta["window_s"] = json_number(meta["window_s"], f"{sidecar}: window_s")
     header, body = _read_table(ct_path)
     width = len(header)
     if "representative_r" in meta and width - 1 != len(meta["representative_r"]):

@@ -107,3 +107,16 @@ def test_bench_case_field_of_wrong_type_names_file_and_case(tmp_path, capsys, fi
     assert main(["bench", "--cases", str(path)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path}: cases[1].{field}: expected ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"cases": [{"n": 9, "window": NaN}]}', "cases[0].window: expected a finite number, got NaN"),
+    ('{"cases": [{"n": 9, "window": 0}]}', "cases[0]: window must be positive, got 0.0"),
+    ('{"cases": [{"n": 9, "budget": Infinity}]}',
+     "cases[0].budget: expected a finite number, got Infinity"),
+], ids=["window_nan", "window_zero", "budget_infinity"])
+def test_bench_case_bad_number_names_file_and_field(tmp_path, capsys, text, message):
+    path = tmp_path / "cases.json"
+    path.write_text(text)
+    assert main(["bench", "--cases", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -480,3 +481,53 @@ def test_sidecar_phi_must_match_the_power_table(tmp_path, capsys):
     assert main(argv) == 1
     line = one_error_line(capsys)
     assert line.startswith(f"error: {sidecar}: phi_mj 2.0 disagrees with "), line
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("seed",), 2.7, "seed: expected an integer, got 2.7"),
+    (("peak_power_mw",), True, "peak_power_mw: expected a finite number, got true"),
+    (("hyper_period_s",), "100", 'hyper_period_s: expected a finite number, got "100"'),
+    (("hyper_period_s",), math.nan, "hyper_period_s: expected a finite number, got NaN"),
+    (("peak_power_mw",), math.inf, "peak_power_mw: expected a finite number, got Infinity"),
+    (("plant", "A", 0, 0), "-1", 'plant.A[0][0]: expected a finite number, got "-1"'),
+], ids=["seed_fraction", "peak_true", "hyper_string", "hyper_nan", "peak_infinity",
+        "plant_string"])
+def test_config_number_not_finite_json_number_exits_one(tmp_path, capsys, path, value,
+                                                        message):
+    cfg = json.loads((CONFIG_DIR / "sim_low.json").read_text())
+    cfg["plant"] = json.loads((CONFIG_DIR / "plant_dcservo.json").read_text())
+    cfg["scenario"] = json.loads((CONFIG_DIR / "scenario_low.json").read_text())
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["precompute", "--config", str(config), "--out", str(tmp_path / "t")]) == 1
+    assert one_error_line(capsys) == f"error: {message}"
+
+
+@pytest.mark.parametrize("command, field, value, cause", [
+    ("synthesize", "representative_r", None, "expected a JSON list, got null"),
+    ("battery", "window_s", None, "expected a finite number, got null"),
+    ("battery", "window_s", "abc", 'expected a finite number, got "abc"'),
+], ids=["representative_r_null", "window_s_null", "window_s_string"])
+def test_bad_sidecar_field_names_the_sidecar(small_config, tmp_path, capsys, command, field,
+                                             value, cause):
+    tables = tmp_path / "t"
+    main(["precompute", "--config", str(small_config), "--out", str(tables)])
+    capsys.readouterr()
+    sidecar = tables / "tables.json"
+    meta = json.loads(sidecar.read_text())
+    meta[field] = value
+    sidecar.write_text(json.dumps(meta))
+    if command == "synthesize":
+        argv = ["synthesize", "--tables", str(tables), "--pattern", "0.7,0.1,0.2",
+                "--budget-energy", "0.4", "--budget-window", "20"]
+    else:
+        pattern = tmp_path / "pattern.json"
+        pattern.write_text(json.dumps({"shares": [0.7, 0.2, 0.1]}))
+        argv = ["battery", "--tables", str(tables), "--pattern", str(pattern),
+                "--capacity", "1000mAh", "--voltage", "3.7", "--out", str(tmp_path / "b")]
+    assert main(argv) == 1
+    assert one_error_line(capsys) == f"error: {sidecar}: {field}: {cause}"

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from ratekit.sim import NoiseScenario
 from ratekit.tables import (CostTable, LevelSpec, PowerTable, RateSet,
                             build_cost_table, build_power_table,
                             build_profit_tables, design_all, load_tables, save_tables,
@@ -233,3 +236,20 @@ def test_load_rejects_tampered_tables(tmp_path, cost_table, power_table, levels,
     assert path.read_text() != text
     with pytest.raises(ValueError, match=name):
         load_tables(tmp_path)
+
+
+TWO_RATES = RateSet((0.01, 0.02))
+
+
+@pytest.mark.parametrize("build, cause", [
+    (lambda: RateSet((0.01, math.nan)), "all periods must be positive"),
+    (lambda: NoiseScenario(((math.nan, 1.0),)), "segment duration must be positive, got nan"),
+    (lambda: NoiseScenario(((1.0, math.nan),)), "noise intensity must be non-negative, got nan"),
+    (lambda: build_power_table(TWO_RATES, math.nan), "peak power must be positive, got nan"),
+    (lambda: totals_over_window(CostTable(TWO_RATES, np.ones((2, 1))),
+                                build_power_table(TWO_RATES, 100.0), (1.0,), math.nan),
+     "window must be positive, got nan"),
+], ids=["rate_period", "scenario_duration", "scenario_intensity", "peak_power", "window"])
+def test_nan_fails_the_library_checks(build, cause):
+    with pytest.raises(ValueError, match=cause):
+        build()
