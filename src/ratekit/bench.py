@@ -44,6 +44,8 @@ class BenchCase:
             raise ValueError("n, k and reps must all be at least 1")
         if not self.window > 0.0:
             raise ValueError(f"window must be positive, got {self.window}")
+        if not self.fractions:
+            raise ValueError("fractions must not be empty")
 
 
 # numeric case field -> its kind

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from .search import ALGORITHMS, synthesize
 from .sim import MatchFixedBudget, classify, simulate
 from .tables import (LevelSpec, build_cost_table, build_power_table, build_profit_tables,
                      design_all, json_list, load_tables, save_tables,
-                     totals_over_window)
+                     totals_over_window, write_table)
 
 
 def _parse_pattern(text: str):
@@ -39,26 +38,41 @@ def _parse_capacity(text: str) -> float:
 
 
 def _battery_fractions(path, meta: dict) -> tuple:
-    """Level shares from a pattern file: its 'shares', or its 'segments'
-    classified by the tables' thresholds and weighted by duration."""
+    """Level shares from a pattern file: its 'shares' in level order, or, with
+    one of its 'r_values' per share, each share added to the level of its r;
+    or its 'segments' classified and weighted by duration.  Levels are the
+    tables' thresholds."""
     if not Path(path).exists():
         raise ConfigError(f"pattern: file not found: {path}")
     doc = parse_json(Path(path).read_text(), path)
     if isinstance(doc, dict) and "shares" in doc:
-        return json_list(doc["shares"], "pattern: shares")
-    if isinstance(doc, dict) and "segments" in doc and meta.get("thresholds"):
-        segments = json_list(doc["segments"], "pattern: segments", json_list)
-        try:
-            levels = LevelSpec(meta["thresholds"], meta.get("representative_r", ()))
-            acc = np.zeros(levels.k)
-            for d, r in segments:
-                acc[classify(r, levels) - 1] += d
-        except ValueError as exc:
-            raise ConfigError(f"pattern: {exc}") from exc
+        shares = json_list(doc["shares"], "pattern: shares")
+        if "r_values" not in doc:
+            return shares
+        r_values = json_list(doc["r_values"], "pattern: r_values")
+        if len(r_values) != len(shares):
+            raise ConfigError(f"pattern: {len(shares)} shares but {len(r_values)} r_values")
+        return tuple(_level_sums(zip(shares, r_values), meta).tolist())
+    if isinstance(doc, dict) and "segments" in doc:
+        acc = _level_sums(json_list(doc["segments"], "pattern: segments", json_list), meta)
         if not acc.sum() > 0.0:
             raise ConfigError("pattern: segments hold no time")
         return tuple(float(v / acc.sum()) for v in acc)
-    raise ConfigError("pattern: expected 'shares', or 'segments' with table metadata")
+    raise ConfigError("pattern: expected 'shares' or 'segments'")
+
+
+def _level_sums(pairs, meta: dict) -> np.ndarray:
+    """The weights of (weight, r) pairs summed per level of r."""
+    if not meta.get("thresholds"):
+        raise ConfigError("pattern: classifying r needs the tables' thresholds")
+    try:
+        levels = LevelSpec(meta["thresholds"], meta.get("representative_r", ()))
+        acc = np.zeros(levels.k)
+        for w, r in pairs:
+            acc[classify(r, levels) - 1] += w
+    except ValueError as exc:
+        raise ConfigError(f"pattern: {exc}") from exc
+    return acc
 
 
 def cmd_precompute(args) -> int:
@@ -136,14 +150,10 @@ def cmd_simulate(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         level0 = cfg.battery.full_j
         samples = trace.samples
-        with open(out_dir / "plot_cost.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t_s", "cost_integral"])
-            w.writerows(zip(map(repr, samples.t), map(repr, samples.cost_integral)))
-        with open(out_dir / "plot_battery.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t_s", "battery_j"])
-            w.writerows((repr(t), repr(level0 - e)) for t, e in zip(samples.t, samples.energy_j))
+        write_table(out_dir / "plot_cost.csv", ["t_s", "cost_integral"], samples.t,
+                    samples.cost_integral)
+        write_table(out_dir / "plot_battery.csv", ["t_s", "battery_j"], samples.t,
+                    [level0 - e for e in samples.energy_j])
         print(f"wrote plot data to {out_dir}")
     print(f"duration {trace.total_time:.1f} s, energy {trace.total_energy:.3f} J, "
           f"avg power {trace.avg_power_mw():.2f} mW", file=sys.stderr)
@@ -182,11 +192,8 @@ def cmd_battery(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, power in (("fixed", fixed_power), ("multirate", multi_power)):
         times, levels_j, depletion = battery_discharge(battery, power, horizon)
-        with open(out_dir / f"battery_{name}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t_s", "level_j"])
-            for t, lv in zip(times, levels_j):
-                w.writerow([repr(float(t)), repr(float(lv))])
+        write_table(out_dir / f"battery_{name}.csv", ["t_s", "level_j"], times.tolist(),
+                    levels_j.tolist())
         print(f"{name:<10} avg power {power:8.3f} mW, depletion {depletion:12.0f} s")
     if fixed_power > 0:
         print(f"power reduction {(1 - multi_power / fixed_power) * 100.0:.2f} % "

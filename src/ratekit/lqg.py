@@ -6,10 +6,11 @@ the current-estimator form: measure, update, then feed back, with the
 measurement taken while the previous input is still held (so any feedthrough
 D cancels out of the innovation and the closed loop).
 
-Every rate is designed, and every (rate, intensity) cost evaluated, in one
-pass over stacked matrices; each member gets the bits it would get alone.
-A designed set is one controller stack (``LqgController``), which the cost
-table and the sample loop use as it is.
+``design(plant, periods)`` designs every rate of a sequence, and
+``evaluate_cost(plant, ctrl, rs)`` evaluates every (rate, intensity) pair of a
+sequence of intensities, each in one pass over stacked matrices; each member
+gets the bits it would get alone.  A designed set is one controller stack
+(``LqgController``), which the cost table and the sample loop use as it is.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plant import DiscreteStack, PlantModel, discretize_stack
+from .plant import DiscreteStack, PlantModel, discretize
 from .riccati import (DesignError, _t, dare_residual, dlyap_residual, solve_dare,
                       solve_dlyap, spectral_radius)
 
@@ -48,36 +49,28 @@ class LqgController:
         return self.dp.h
 
 
-def design(plant: PlantModel, h: float) -> LqgController:
-    """Design the LQG controller for ``plant`` at period ``h`` seconds: a
-    stack of one.
+def design(plant: PlantModel, periods) -> LqgController:
+    """The LQG controllers of ``plant`` at every period in ``periods``
+    (seconds), designed in one pass.
 
-    Raises DesignError when a Riccati solve fails or the resulting loop is
-    unstable.
-    """
-    return _design_stack(plant, (h,))
-
-
-def design_stack(plant: PlantModel, periods) -> LqgController:
-    """The LQG controllers at every period in ``periods``, designed in one pass.
-
-    On failure, raises the error of the first period, in order, whose
-    design fails, exactly as designing that period alone raises it.
+    Raises DesignError when a Riccati solve fails or a resulting loop is
+    unstable: the error of the first period, in order, whose design fails,
+    exactly as designing that period alone raises it.
     """
     periods = tuple(periods)
     try:
-        return _design_stack(plant, periods)
+        return _design_pass(plant, periods)
     except (ValueError, DesignError) as exc:
         failure = exc
     # the stacked pass stops at the first step any member fails; redo each
     # period alone to find the first one that fails
     for h in periods:
-        _design_stack(plant, (h,))
+        _design_pass(plant, (h,))
     raise failure
 
 
-def _design_stack(plant: PlantModel, periods: tuple) -> LqgController:
-    d = discretize_stack(plant, periods)
+def _design_pass(plant: PlantModel, periods: tuple) -> LqgController:
+    d = discretize(plant, periods)
     nx, c = plant.nx, plant.C
     q1d = d.Qd[:, :nx, :nx]
     q12 = d.Qd[:, :nx, nx:]
@@ -174,7 +167,7 @@ class _Loop:
         return (per_step + rs * self.dp.jbar1[:, None]) / np.array(self.dp.h)[:, None]
 
 
-def stationary_costs(plant: PlantModel, ctrl: LqgController, rs) -> np.ndarray:
+def evaluate_cost(plant: PlantModel, ctrl: LqgController, rs) -> np.ndarray:
     """Stationary per-time cost J[i, j] of member i of ``ctrl`` at intensity ``rs[j]``.
 
     Solves the discrete Lyapunov equation for the stationary covariance of
@@ -200,14 +193,8 @@ def stationary_costs(plant: PlantModel, ctrl: LqgController, rs) -> np.ndarray:
     return loop.costs(rs)
 
 
-def evaluate_cost(plant: PlantModel, ctrl: LqgController, r: float) -> float:
-    """Stationary per-time cost of a stack of one at one intensity ``r``; see
-    stationary_costs."""
-    return stationary_costs(plant, ctrl, (r,)).item()
-
-
 def lyapunov_residual(plant: PlantModel, ctrl: LqgController, r: float = 1.0) -> np.ndarray:
-    """Residuals of the stationary-covariance solves stationary_costs makes
+    """Residuals of the stationary-covariance solves evaluate_cost makes
     at intensity ``r``, one per rate."""
     loop = _Loop(plant, ctrl.dp, ctrl.K, ctrl.Kf)
     w = loop.noise_cov(np.array([r], dtype=np.float64))

@@ -1,7 +1,8 @@
 """Continuous-time plant description and exact zero-order-hold discretization.
 
-Every set of periods is discretized in one pass and kept as one stack
-(``DiscreteStack``), the form the controller design takes it in.
+``discretize(plant, periods)`` takes a sequence of periods, discretizes all
+of them in one pass and keeps them as one stack (``DiscreteStack``), the form
+the controller design takes it in.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ def _check_symmetric_psd(mat: np.ndarray, name: str, *, definite: bool = False) 
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.T).max() > 1e-10 * scale:
+    # halved first, so entries near the float limit cannot overflow
+    half = 0.5 * mat
+    if np.abs(half - half.T).max() > 0.5e-10 * scale:
         raise ValueError(f"{name} must be symmetric")
-    eigmin = float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
+    eigmin = float(np.linalg.eigvalsh(half + half.T).min())
     if definite:
         if eigmin <= 0.0:
             raise ValueError(f"{name} must be positive definite (min eig {eigmin:.3e})")
@@ -132,12 +135,7 @@ class DiscreteStack(NamedTuple):
     jbar1: np.ndarray
 
 
-def discretize(plant: PlantModel, h: float) -> DiscreteStack:
-    """Discretize ``plant`` at period ``h`` (seconds): a stack of one."""
-    return discretize_stack(plant, (h,))
-
-
-def discretize_stack(plant: PlantModel, periods) -> DiscreteStack:
+def discretize(plant: PlantModel, periods) -> DiscreteStack:
     """Discretize ``plant`` at every period in ``periods`` (seconds) by
     augmented-matrix exponentials.
 
@@ -157,39 +155,42 @@ def discretize_stack(plant: PlantModel, periods) -> DiscreteStack:
     nz = nx + nu
     A, B = plant.A, plant.B
 
-    abar = np.zeros((nz, nz))
-    abar[:nx, :nx] = A
-    abar[:nx, nx:] = B
-    m1 = np.zeros((2 * nz, 2 * nz))
-    m1[:nz, :nz] = -abar.T
-    m1[:nz, nz:] = plant.Qxu
-    m1[nz:, nz:] = abar
-    e1 = expm(m1 * hs)
-    f2 = e1[:, nz:, nz:]
-    qd = f2.swapaxes(1, 2) @ e1[:, :nz, nz:]
-    qd = 0.5 * (qd + qd.swapaxes(1, 2))
-    phi = f2[:, :nx, :nx]
-    gamma = f2[:, :nx, nx:]
+    # an overflowing exponential leaves non-finite members, which the check
+    # below reports as the one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        abar = np.zeros((nz, nz))
+        abar[:nx, :nx] = A
+        abar[:nx, nx:] = B
+        m1 = np.zeros((2 * nz, 2 * nz))
+        m1[:nz, :nz] = -abar.T
+        m1[:nz, nz:] = plant.Qxu
+        m1[nz:, nz:] = abar
+        e1 = expm(m1 * hs)
+        f2 = e1[:, nz:, nz:]
+        qd = f2.swapaxes(1, 2) @ e1[:, :nz, nz:]
+        qd = 0.5 * (qd + qd.swapaxes(1, 2))
+        phi = f2[:, :nx, :nx]
+        gamma = f2[:, :nx, nx:]
 
-    m2 = np.zeros((2 * nx, 2 * nx))
-    m2[:nx, :nx] = -A
-    m2[:nx, nx:] = plant.Rc
-    m2[nx:, nx:] = A.T
-    e2 = expm(m2 * hs)
-    r1d = e2[:, nx:, nx:].swapaxes(1, 2) @ e2[:, :nx, nx:]
-    r1d = 0.5 * (r1d + r1d.swapaxes(1, 2))
+        m2 = np.zeros((2 * nx, 2 * nx))
+        m2[:nx, :nx] = -A
+        m2[:nx, nx:] = plant.Rc
+        m2[nx:, nx:] = A.T
+        e2 = expm(m2 * hs)
+        r1d = e2[:, nx:, nx:].swapaxes(1, 2) @ e2[:, :nx, nx:]
+        r1d = 0.5 * (r1d + r1d.swapaxes(1, 2))
 
-    # double integral of tr(Q1 * S(s)) via the (1,3) block of a triple-block
-    # exponential; S(s) is the intra-sample noise covariance at unit intensity
-    q1 = plant.Qxu[:nx, :nx]
-    m3 = np.zeros((3 * nx, 3 * nx))
-    m3[:nx, :nx] = -A.T
-    m3[:nx, nx:2 * nx] = q1
-    m3[nx:2 * nx, nx:2 * nx] = A
-    m3[nx:2 * nx, 2 * nx:] = plant.Rc
-    m3[2 * nx:, 2 * nx:] = -A.T
-    e3 = expm(m3 * hs)
-    jbar1 = np.trace(phi.swapaxes(1, 2) @ e3[:, :nx, 2 * nx:], axis1=1, axis2=2)
+        # double integral of tr(Q1 * S(s)) via the (1,3) block of a triple-block
+        # exponential; S(s) is the intra-sample noise covariance at unit intensity
+        q1 = plant.Qxu[:nx, :nx]
+        m3 = np.zeros((3 * nx, 3 * nx))
+        m3[:nx, :nx] = -A.T
+        m3[:nx, nx:2 * nx] = q1
+        m3[nx:2 * nx, nx:2 * nx] = A
+        m3[nx:2 * nx, 2 * nx:] = plant.Rc
+        m3[2 * nx:, 2 * nx:] = -A.T
+        e3 = expm(m3 * hs)
+        jbar1 = np.trace(phi.swapaxes(1, 2) @ e3[:, :nx, 2 * nx:], axis1=1, axis2=2)
 
     mats = (("Phi", phi), ("Gamma", gamma), ("R1d", r1d), ("Qd", qd))
     if not all(np.all(np.isfinite(mat)) for _, mat in mats):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import FLOOR_EPS
-from .lqg import LqgController, design_stack, stationary_costs
+from .lqg import LqgController, design, evaluate_cost
 from .plant import PlantModel
 
 
@@ -208,7 +208,7 @@ class ProfitTables:
 
 def design_all(plant: PlantModel, rates: RateSet) -> LqgController:
     """Design the LQG controller for every rate, all rates in one stacked pass."""
-    return design_stack(plant, rates.periods)
+    return design(plant, rates.periods)
 
 
 def build_cost_table(plant: PlantModel, rates: RateSet, levels: LevelSpec,
@@ -224,7 +224,7 @@ def build_cost_table(plant: PlantModel, rates: RateSet, levels: LevelSpec,
     if controllers.h != rates.periods:
         raise ValueError("controllers were designed for other rates than the table's")
     n, k = len(rates), levels.k
-    entries = stationary_costs(plant, controllers, levels.representative_r)
+    entries = evaluate_cost(plant, controllers, levels.representative_r)
     if not np.all(np.isfinite(entries)) or entries.min() < 0.0:
         raise ValueError("cost table has non-finite or negative entries")
     violations = []
@@ -308,31 +308,25 @@ def build_profit_tables(totals: WindowTotals) -> ProfitTables:
 # ---------------------------------------------------------------------------
 
 
+def write_table(path, header, *columns) -> None:
+    """Write a CSV file: the ``header`` row, then one row per position of the
+    equally long ``columns`` of floats, each cell the float's repr."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *zip(*(map(repr, col) for col in columns))])
+
+
 def save_tables(out_dir, ct: CostTable, pt: PowerTable, profit: ProfitTables,
                 meta: dict) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n, k = len(ct.rates), ct.k
     ms = ct.rates.periods_ms
-    with open(out / "ct.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["h_ms"] + [f"J_l{j + 1}" for j in range(k)])
-        for i in range(n):
-            w.writerow([repr(ms[i])] + [repr(float(v)) for v in ct.entries[i]])
-    with open(out / "pt.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["h_ms", "power_mw"])
-        for i in range(n):
-            w.writerow([repr(ms[i]), repr(float(pt.power_mw[i]))])
-    for j in range(k):
-        with open(out / f"profit_l{j + 1}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["h_ms", "cc_total", "ec_total", "profit"])
-            for rank in range(n):
-                i = int(profit.order[j, rank])
-                w.writerow([repr(ms[i]), repr(float(profit.cc[j, rank])),
-                            repr(float(profit.ec[j, rank])),
-                            repr(float(profit.profit[j, rank]))])
+    write_table(out / "ct.csv", ["h_ms"] + [f"J_l{j + 1}" for j in range(ct.k)],
+                ms, *ct.entries.T.tolist())
+    write_table(out / "pt.csv", ["h_ms", "power_mw"], ms, pt.power_mw.tolist())
+    for j in range(ct.k):
+        write_table(out / f"profit_l{j + 1}.csv", ["h_ms", "cc_total", "ec_total", "profit"],
+                    [ms[i] for i in profit.order[j].tolist()], profit.cc[j].tolist(),
+                    profit.ec[j].tolist(), profit.profit[j].tolist())
     sidecar = dict(meta)
     sidecar.setdefault("schema", 1)
     sidecar["rates_ms"] = list(ms)
@@ -391,6 +385,8 @@ def load_tables(table_dir):
             meta[name] = json_list(meta[name], f"{sidecar}: {name}")
     if "window_s" in meta:
         meta["window_s"] = json_number(meta["window_s"], f"{sidecar}: window_s")
+        if not meta["window_s"] > 0.0:
+            raise ValueError(f"{sidecar}: window_s: must be positive, got {meta['window_s']!r}")
     header, body = _read_table(ct_path)
     width = len(header)
     if "representative_r" in meta and width - 1 != len(meta["representative_r"]):

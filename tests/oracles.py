@@ -11,7 +11,7 @@ The exceptions follow at the end, each an earlier implementation kept
 verbatim as a bit-identity reference, since only the same arithmetic can
 reproduce the same bits: ``evaluate_cost``, the three-solve stationary-cost
 evaluation with its affine split J = a * r + b, whose J is the reference
-for ``ratekit.lqg.stationary_costs`` (it uses the per-rate Lyapunov solver
+for ``ratekit.lqg.evaluate_cost`` (it uses the per-rate Lyapunov solver
 below); ``trace_events_and_jsonl``, the simulation loop that builds one
 dict per event, for ``ratekit.sim.SimulationTrace`` (it uses the
 package's synthesis, and the window-loop reference below, not the kernel it

@@ -12,7 +12,7 @@ import pytest
 
 from ratekit.bench import BenchCase, case_budget, synthetic_totals
 from ratekit.energy import EnergyBudget
-from ratekit.lqg import closed_loop_matrix, lyapunov_residual, stationary_costs
+from ratekit.lqg import closed_loop_matrix, evaluate_cost, lyapunov_residual
 from ratekit.riccati import spectral_radius
 from ratekit.search import approach1, approach2, exhaustive
 from ratekit.sim import MatchFixedBudget, Strategy, scenario_from_shares, simulate
@@ -127,7 +127,7 @@ def test_criterion_5_lqg_numerics(plant, controllers):
 
 def test_criterion_6_cost_affinity(plant, controllers):
     t0 = time.perf_counter()
-    for j0, j1, j2 in stationary_costs(plant, controllers, (0.0, 1.0, 2.0)):
+    for j0, j1, j2 in evaluate_cost(plant, controllers, (0.0, 1.0, 2.0)):
         assert np.isclose(j2 - j0, 2.0 * (j1 - j0), rtol=1e-9)
     report(6, time.perf_counter() - t0, 10.0,
            "J(r) collinear over r in {0,1,2} to 1e-9 at every rate")
@@ -136,7 +136,7 @@ def test_criterion_6_cost_affinity(plant, controllers):
 def test_criterion_7_cost_engine_oracle(plant, controllers, rates):
     t0 = time.perf_counter()
     i = rates.index_of(0.05)
-    engine = float(stationary_costs(plant, controllers, (1.0,))[i, 0])
+    engine = float(evaluate_cost(plant, controllers, (1.0,))[i, 0])
     mc, se = mc_closed_loop_cost(plant, members(controllers)[i], 1.0, nchains=64, nsteps=15_625,
                                  burn=2000, substeps=20)
     dev = abs(engine - mc) / se

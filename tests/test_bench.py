@@ -114,7 +114,8 @@ def test_bench_case_field_of_wrong_type_names_file_and_case(tmp_path, capsys, fi
     ('{"cases": [{"n": 9, "window": 0}]}', "cases[0]: window must be positive, got 0.0"),
     ('{"cases": [{"n": 9, "budget": Infinity}]}',
      "cases[0].budget: expected a finite number, got Infinity"),
-], ids=["window_nan", "window_zero", "budget_infinity"])
+    ('{"cases": [{"n": 9, "fractions": []}]}', "cases[0]: fractions must not be empty"),
+], ids=["window_nan", "window_zero", "budget_infinity", "fractions_empty"])
 def test_bench_case_bad_number_names_file_and_field(tmp_path, capsys, text, message):
     path = tmp_path / "cases.json"
     path.write_text(text)

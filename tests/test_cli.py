@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -507,11 +508,48 @@ def test_config_number_not_finite_json_number_exits_one(tmp_path, capsys, path, 
     assert one_error_line(capsys) == f"error: {message}"
 
 
+def test_plant_entry_near_float_limit_is_one_error_and_no_warning(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "sim_low.json").read_text())
+    cfg["plant"] = json.loads((CONFIG_DIR / "plant_dcservo.json").read_text())
+    cfg["plant"]["Qxu"][0][0] = 1e308
+    cfg["scenario"] = json.loads((CONFIG_DIR / "scenario_low.json").read_text())
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["precompute", "--config", str(config), "--out", str(tmp_path / "t")])
+    assert rc == 1
+    assert one_error_line(capsys) == "error: discretization produced non-finite Phi at h=0.01"
+    assert [str(w.message) for w in caught] == []
+
+
+def test_battery_shares_follow_their_r_values(small_config, tmp_path, capsys):
+    tables = tmp_path / "tables"
+    main(["precompute", "--config", str(small_config), "--out", str(tables)])
+    docs = {"r_values": {"shares": [0.7, 0.2, 0.1], "r_values": [75, 30, 5]},
+            "segments": {"segments": [[280, 75], [80, 30], [40, 5]]},
+            "level_order": {"shares": [0.1, 0.2, 0.7]}}
+    outputs = {}
+    for name, doc in docs.items():
+        pattern = tmp_path / f"{name}.json"
+        pattern.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["battery", "--tables", str(tables), "--pattern", str(pattern),
+                     "--capacity", "1000mAh", "--voltage", "3.7", "--fixed-ms", "40",
+                     "--out", str(tmp_path / name)]) == 0
+        outputs[name] = (capsys.readouterr().out,
+                         (tmp_path / name / "battery_multirate.csv").read_bytes())
+    assert outputs["r_values"] == outputs["segments"] == outputs["level_order"]
+
+
 @pytest.mark.parametrize("command, field, value, cause", [
     ("synthesize", "representative_r", None, "expected a JSON list, got null"),
     ("battery", "window_s", None, "expected a finite number, got null"),
     ("battery", "window_s", "abc", 'expected a finite number, got "abc"'),
-], ids=["representative_r_null", "window_s_null", "window_s_string"])
+    ("battery", "window_s", 0, "must be positive, got 0.0"),
+    ("battery", "window_s", -20, "must be positive, got -20.0"),
+], ids=["representative_r_null", "window_s_null", "window_s_string", "window_s_zero",
+        "window_s_negative"])
 def test_bad_sidecar_field_names_the_sidecar(small_config, tmp_path, capsys, command, field,
                                              value, cause):
     tables = tmp_path / "t"

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ratekit import lqg
-from ratekit.lqg import (closed_loop_matrix, design, evaluate_cost, lyapunov_residual,
-                         stationary_costs)
+from ratekit.lqg import closed_loop_matrix, design, evaluate_cost, lyapunov_residual
 from ratekit.plant import PlantModel, discretize
 from ratekit.riccati import DesignError, solve_dlyap, spectral_radius
 from ratekit.tables import LevelSpec, RateSet, build_cost_table, design_all
@@ -32,8 +31,8 @@ def test_design_residuals_and_stability(plant, rates, controllers):
 def test_scalar_gain_matches_closed_form():
     p = scalar_plant()
     h = 0.1
-    ctrl = design(p, h)
-    dp = discretize(p, h)
+    ctrl = design(p, (h,))
+    dp = discretize(p, (h,))
     a, b = dp.Phi[0, 0, 0], dp.Gamma[0, 0, 0]
     qd = dp.Qd[0]
     root = scalar_dare_root(a, b, qd[0, 0], qd[1, 1], qd[0, 1])
@@ -43,13 +42,13 @@ def test_scalar_gain_matches_closed_form():
 
 def test_zero_noise_zero_cost():
     p = scalar_plant(r2=0.0)
-    ctrl = design(p, 0.05)
-    assert evaluate_cost(p, ctrl, 0.0) == pytest.approx(0.0, abs=1e-15)
+    ctrl = design(p, (0.05,))
+    assert evaluate_cost(p, ctrl, (0.0,)).item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_affinity_in_noise_intensity(plant, controllers):
     rs = (0.0, 1.0, 2.0, 0.3, 5.0, 75.0)
-    j0, j1, j2, *rest = stationary_costs(plant, controllers, rs)[8]
+    j0, j1, j2, *rest = evaluate_cost(plant, controllers, rs)[8]
     assert np.isclose(j2 - j0, 2.0 * (j1 - j0), rtol=1e-9)
     # J(r) = a r + b with slope a = J(1) - J(0) and offset b = J(0), both non-negative
     assert j1 - j0 >= 0.0 and j0 >= 0.0
@@ -58,12 +57,12 @@ def test_affinity_in_noise_intensity(plant, controllers):
 
 
 def test_collinearity_across_all_rates(plant, controllers):
-    js = stationary_costs(plant, controllers, (0.0, 1.0, 2.0))
+    js = evaluate_cost(plant, controllers, (0.0, 1.0, 2.0))
     assert np.all(np.isclose(js[:, 2] - js[:, 0], 2.0 * (js[:, 1] - js[:, 0]), rtol=1e-9))
 
 
 def test_cost_monotone_in_period(plant, controllers, levels):
-    for js in stationary_costs(plant, controllers, levels.representative_r).T:
+    for js in evaluate_cost(plant, controllers, levels.representative_r).T:
         assert all(b >= a for a, b in zip(js, js[1:]))
 
 
@@ -73,20 +72,20 @@ def test_lyapunov_residual_small(plant, controllers):
 
 def test_negative_intensity_rejected(plant, controllers):
     with pytest.raises(ValueError):
-        stationary_costs(plant, controllers, (-0.5,))
+        evaluate_cost(plant, controllers, (-0.5,))
     with pytest.raises(ValueError):
-        evaluate_cost(plant, design(plant, 0.05), -0.5)
+        evaluate_cost(plant, design(plant, (0.05,)), (-0.5,))
 
 
 def test_feedthrough_does_not_change_loop(plant, controllers):
     # measurement taken before actuation: D cancels out of the innovation
     with_d = PlantModel(A=plant.A, B=plant.B, C=plant.C, D=np.array([[3.5]]),
                         Rc=plant.Rc, R2=plant.R2, Qxu=plant.Qxu)
-    c1 = design(plant, 0.05)
-    c2 = design(with_d, 0.05)
+    c1 = design(plant, (0.05,))
+    c2 = design(with_d, (0.05,))
     assert np.array_equal(c1.K, c2.K)
     assert np.array_equal(c1.Kf, c2.Kf)
-    assert evaluate_cost(plant, c1, 1.0) == evaluate_cost(with_d, c2, 1.0)
+    assert evaluate_cost(plant, c1, (1.0,)).item() == evaluate_cost(with_d, c2, (1.0,)).item()
 
 
 FIVE_LEVELS = LevelSpec(thresholds=(0.0, 2.0, 10.0, 30.0, 60.0, 100.0),
@@ -113,14 +112,14 @@ def test_cost_breakdown_equals_three_solve_reference(which, plant, controllers):
         plant = scalar_plant()
         controllers = design_all(plant, RateSet.from_milliseconds(range(10, 101, 10)))
     rs = (0.0, 0.3, 1.0, 2.0, 75.0)
-    batches = stationary_costs(plant, controllers, rs)
+    batches = evaluate_cost(plant, controllers, rs)
     assert batches.shape == (len(controllers.h), len(rs))
-    assert np.array_equal(stationary_costs(plant, controllers, iter(rs)), batches)
+    assert np.array_equal(evaluate_cost(plant, controllers, iter(rs)), batches)
     for ctrl, batch in zip(oracles.members(controllers), batches, strict=True):
         for r, j in zip(rs, batch):
             ref = oracles.evaluate_cost(plant, ctrl, r).J
             assert j == ref
-            assert evaluate_cost(plant, oracles.stack([ctrl]), r) == ref
+            assert evaluate_cost(plant, oracles.stack([ctrl]), (r,)).item() == ref
 
 
 def test_cost_table_takes_one_lyapunov_solve_per_entry(plant, rates, levels, controllers,
@@ -145,9 +144,9 @@ def test_unstable_loop_raises_design_error(plant, controllers, levels):
     assert spectral_radius(closed_loop_matrix(plant, bad)) >= 1.0
     unstable = r"cannot evaluate cost: closed loop unstable \(rho="
     with pytest.raises(DesignError, match=unstable):
-        evaluate_cost(plant, bad, 1.0)
+        evaluate_cost(plant, bad, (1.0,))
     with pytest.raises(DesignError, match=unstable):
-        stationary_costs(plant, bad, levels.representative_r)
+        evaluate_cost(plant, bad, levels.representative_r)
     with pytest.raises(DesignError, match=unstable):
         build_cost_table(plant, RateSet((ctrl.h,)), levels, controllers=bad)
     with pytest.raises(DesignError, match=unstable):

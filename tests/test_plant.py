@@ -17,14 +17,14 @@ def integrator_plant():
 
 
 def test_integrator_limit():
-    dp = discretize(integrator_plant(), 0.01)
+    dp = discretize(integrator_plant(), (0.01,))
     assert np.allclose(dp.Phi, np.eye(2), atol=1e-14)
     assert np.allclose(dp.Gamma, [[0.01], [0.0]], atol=1e-14)
 
 
 def test_constant_integrand_noise():
     for h in (0.001, 0.02, 0.5):
-        dp = discretize(integrator_plant(), h)
+        dp = discretize(integrator_plant(), (h,))
         assert np.allclose(dp.R1d, h * np.eye(2), rtol=1e-12)
 
 
@@ -32,7 +32,7 @@ def test_integrator_cost_lift_closed_form():
     # A = 0: Qd has blocks [hI, h^2/2 B; ., h^3/3 B'B + hI] for Qxu = I
     h = 0.04
     plant = integrator_plant()
-    qd = discretize(plant, h).Qd[0]  # the stack of one's member
+    qd = discretize(plant, (h,)).Qd[0]  # the stack of one's member
     b = plant.B
     assert np.allclose(qd[:2, :2], h * np.eye(2), rtol=1e-12)
     assert np.allclose(qd[:2, 2:], h**2 / 2 * b, rtol=1e-12)
@@ -40,14 +40,14 @@ def test_integrator_cost_lift_closed_form():
 
 
 def test_phi_matches_rk_oracle(plant):
-    dp = discretize(plant, 0.01)
+    dp = discretize(plant, (0.01,))
     phi_oracle = rk4_expm(plant.A, 0.01, steps=10_000)
     assert np.allclose(dp.Phi, phi_oracle, rtol=1e-12, atol=1e-14)
 
 
 def test_discretization_matches_quadrature_oracle(plant):
     for h in (0.01, 0.05, 0.09):
-        dp = discretize(plant, h)
+        dp = discretize(plant, (h,))
         phi_o, gam_o, r1d_o = zoh_matrices(plant, h)
         assert np.allclose(dp.Phi, phi_o, rtol=1e-9)
         assert np.allclose(dp.Gamma, gam_o, rtol=1e-8, atol=1e-12)
@@ -56,7 +56,7 @@ def test_discretization_matches_quadrature_oracle(plant):
 
 def test_cost_lift_matches_quadrature_oracle(plant):
     for h in (0.01, 0.09):
-        dp = discretize(plant, h)
+        dp = discretize(plant, (h,))
         qd_o, jbar_o = lifted_cost_matrices(plant, h)
         assert np.allclose(dp.Qd, qd_o, rtol=1e-7, atol=1e-12)
         assert np.isclose(dp.jbar1, jbar_o, rtol=1e-6)
@@ -64,21 +64,21 @@ def test_cost_lift_matches_quadrature_oracle(plant):
 
 def test_semigroup_property(plant):
     for h in (0.005, 0.02, 0.045):
-        a = discretize(plant, 2 * h).Phi
-        b = discretize(plant, h).Phi
+        a = discretize(plant, (2 * h,)).Phi
+        b = discretize(plant, (h,)).Phi
         assert np.allclose(a, b @ b, rtol=1e-10)
 
 
 def test_noise_covariance_trace_monotone(plant):
     hs = [0.005, 0.01, 0.02, 0.04, 0.08]
-    traces = [np.trace(discretize(plant, h).R1d[0]) for h in hs]
+    traces = [np.trace(discretize(plant, (h,)).R1d[0]) for h in hs]
     assert all(t2 >= t1 for t1, t2 in zip(traces, traces[1:]))
 
 
 def test_cost_lift_vanishes_with_period(plant):
     prev = None
     for h in (1e-2, 1e-3, 1e-4, 1e-5):
-        qd = discretize(plant, h).Qd
+        qd = discretize(plant, (h,)).Qd
         mx = np.abs(qd).max()
         if prev is not None:
             assert mx < prev
@@ -87,7 +87,7 @@ def test_cost_lift_vanishes_with_period(plant):
 
 
 def test_psd_outputs(plant):
-    dp = discretize(plant, 0.05)
+    dp = discretize(plant, (0.05,))
     assert np.linalg.eigvalsh(dp.R1d).min() >= -1e-12
     assert np.linalg.eigvalsh(dp.Qd).min() >= -1e-12
     assert dp.jbar1 >= 0.0
@@ -95,13 +95,13 @@ def test_psd_outputs(plant):
 
 def test_rejects_bad_periods(plant):
     with pytest.raises(ValueError):
-        discretize(plant, 0.0)
+        discretize(plant, (0.0,))
     with pytest.raises(ValueError):
-        discretize(plant, -0.1)
+        discretize(plant, (-0.1,))
     with pytest.raises(ValueError):
-        discretize(plant, 5e-7)
+        discretize(plant, (5e-7,))
     with pytest.raises(ValueError):
-        discretize(plant, float("nan"))
+        discretize(plant, (float("nan"),))
 
 
 def test_plant_validation():

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratekit.lqg import design_stack, evaluate_cost
-from ratekit.plant import PlantModel, discretize, discretize_stack, load_plant
+from ratekit.lqg import design, evaluate_cost
+from ratekit.plant import PlantModel, discretize, load_plant
 from ratekit.riccati import (dare_residual, dlyap_residual, solve_dare, solve_dlyap,
                              spectral_radius)
 from ratekit.tables import LevelSpec, RateSet, build_cost_table, design_all
@@ -129,7 +129,7 @@ def test_zero_measurement_noise_takes_the_fixed_point_branch(levels):
     (oscillator(), (0.04, 0.05, 5e-7)),
 ], ids=["no_actuation", "middle_rate", "later_rate_fails_earlier"])
 def test_design_failure_is_attributed_like_the_per_rate_loop(plant, periods):
-    got = outcome(lambda: design_stack(plant, periods))
+    got = outcome(lambda: design(plant, periods))
     ref = outcome(lambda: [oracles.design(plant, h) for h in periods])
     assert isinstance(ref, tuple), "the reference design must fail"
     assert got == ref
@@ -137,9 +137,9 @@ def test_design_failure_is_attributed_like_the_per_rate_loop(plant, periods):
 
 def test_discretize_stack_members_equal_lone_calls():
     plant = seeded_plant()
-    stack = discretize_stack(plant, SCALAR_RATES.periods)
+    stack = discretize(plant, SCALAR_RATES.periods)
     for i, h in enumerate(SCALAR_RATES.periods):
-        lone, ref = discretize(plant, h), oracles.discretize(plant, h)
+        lone, ref = discretize(plant, (h,)), oracles.discretize(plant, h)
         for name in ("Phi", "Gamma", "R1d", "Qd"):
             assert np.array_equal(getattr(stack, name)[i], getattr(ref, name))
             assert np.array_equal(getattr(lone, name), [getattr(ref, name)])
@@ -198,5 +198,5 @@ def test_evaluate_cost_of_one_controller_equals_per_rate_reference(plant, contro
     rs = (0.0, 0.3, 1.0, 75.0)
     for ctrl in oracles.members(controllers)[::4]:
         one = oracles.stack([ctrl])
-        assert (tuple(evaluate_cost(plant, one, r) for r in rs)
+        assert (tuple(evaluate_cost(plant, one, (r,)).item() for r in rs)
                 == oracles.evaluate_costs(plant, ctrl, rs))

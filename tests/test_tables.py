@@ -54,14 +54,14 @@ def test_degenerate_single_cell_table(plant, levels):
     lv = LevelSpec(thresholds=(0.0, 10.0), representative_r=(5.0,))
     ct = build_cost_table(plant, rs, lv, controllers=design_all(plant, rs))
     assert ct.entries.shape == (1, 1)
-    direct = evaluate_cost(plant, design(plant, 0.05), 5.0)
+    direct = evaluate_cost(plant, design(plant, (0.05,)), (5.0,)).item()
     assert ct.entries[0, 0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_cost_table_rejects_controllers_of_other_rates(plant, levels):
     from ratekit.lqg import design
     with pytest.raises(ValueError, match="other rates"):
-        build_cost_table(plant, RateSet((0.05,)), levels, controllers=design(plant, 0.04))
+        build_cost_table(plant, RateSet((0.05,)), levels, controllers=design(plant, (0.04,)))
 
 
 def test_power_table_rule(rates):
