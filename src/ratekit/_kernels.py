@@ -52,9 +52,9 @@ def _select_min_energy(cost, energy):
     return np.unravel_index(flat, cost.shape), float(cost.ravel()[flat]), float(me)
 
 
-# Largest lattice the numpy oracle may build.  It holds several float64 grids
-# of n^k cells at once, about 175 MB at the limit; 161^3 (the largest lattice
-# in the tests and the benchmark) is about 4.2M cells.
+# Largest array a scan may build: the n^k cells of the exhaustive oracle
+# (several float64 grids, about 175 MB at the limit; 161^3 is about 4.2M) and
+# the n^(k-1) prefixes of the dominance-pruned scan and the match-fixed budget.
 MAX_ORACLE_CELLS = 5_000_000
 
 
@@ -106,6 +106,10 @@ def prefix_sums(table):
     entry reproduces the lattice sum bit for bit.
     """
     n, k = table.shape
+    if n**(k - 1) > MAX_ORACLE_CELLS:
+        raise ValueError(f"prefix scan over n={n} rates and k={k} levels would build "
+                         f"n^(k-1) = {n**(k - 1)} prefixes, more than the "
+                         f"{MAX_ORACLE_CELLS} allowed")
     return _grid_sum(table, n, k - 1).ravel()
 
 

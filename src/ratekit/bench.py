@@ -1,8 +1,9 @@
 """Benchmark harness for the three search algorithms across growing rate sets.
 
 Synthetic monotone tables stand in for real LQG tables at large n so the
-harness measures search, not table construction.  Exhaustive-style scans are
-skipped (with a note) once n^k exceeds the configured cap.
+harness measures search, not table construction.  An algorithm that refuses
+a case (a scan whose array would exceed ``_kernels.MAX_ORACLE_CELLS``) gets a
+skipped row whose note is the refusal.
 """
 
 from __future__ import annotations
@@ -15,17 +16,14 @@ from statistics import median
 
 import numpy as np
 
-from . import _kernels
 from .energy import EnergyBudget
 from .search import ALGORITHMS, synthesize
 from .tables import (ConfigError, CostTable, PowerTable, RateSet, WindowTotals, json_field,
                      json_list, json_number, parse_json, totals_over_window)
 
-DEFAULT_CAP = 10**8
-# the report's backend column; every kernel runs on numpy
-BACKEND = "numpy"
-# high-noise-dominant workload: the dominant-share level also carries the
-# dominant cost scale, which keeps the profit walk on one level's spoke
+# high-noise-dominant workload, the pattern of a 3-level case without
+# fractions: the dominant-share level also carries the dominant cost scale,
+# which keeps the profit walk on one level's spoke
 DEFAULT_PATTERN = (0.2, 0.1, 0.7)
 
 
@@ -36,7 +34,7 @@ class BenchCase:
     reps: int = 5
     budget: object = "mid"     # "mid" or an absolute energy in joules
     seed: int = 0
-    fractions: tuple = DEFAULT_PATTERN
+    fractions: tuple | None = None   # k positive shares; None: see synthetic_totals
     window: float = 100.0
 
     def __post_init__(self):
@@ -44,8 +42,14 @@ class BenchCase:
             raise ValueError("n, k and reps must all be at least 1")
         if not self.window > 0.0:
             raise ValueError(f"window must be positive, got {self.window}")
-        if not self.fractions:
+        if self.budget != "mid" and not self.budget > 0.0:
+            raise ValueError(f"budget must be positive, got {self.budget}")
+        fr = self.fractions
+        if fr is not None and not fr:
             raise ValueError("fractions must not be empty")
+        if fr and (len(fr) != self.k or min(fr) <= 0.0 or not abs(sum(fr) - 1.0) <= 1e-12):
+            raise ValueError(f"fractions must be k = {self.k} positive shares summing to 1, "
+                             f"got {list(fr)}")
 
 
 # numeric case field -> its kind
@@ -59,24 +63,24 @@ def synthetic_totals(case: BenchCase) -> WindowTotals:
     Costs grow steeply with the period (cheap control lives at the fast,
     energy-hungry end, as in real controller tables), level costs rise with
     the level, and the dominant-share level dominates the cost scale, so
-    mid-range budgets genuinely constrain all three algorithms.
+    mid-range budgets genuinely constrain all three algorithms.  A case
+    without fractions runs ``DEFAULT_PATTERN`` at k = 3 and the uniform
+    pattern otherwise, with ``argmax(DEFAULT_PATTERN[:k])`` the dominant level.
     """
     rng = np.random.default_rng(case.seed)
     n, k = case.n, case.k
     periods = np.linspace(0.010, 0.090, n)
     rates = RateSet(tuple(periods))
     base = rng.uniform(1.0, 3.0, size=k) * 3.0 ** np.arange(k)
-    base[int(np.argmax(case.fractions[:k]))] *= 100.0
+    base[int(np.argmax(case.fractions or DEFAULT_PATTERN[:k]))] *= 100.0
     entries = np.empty((n, k))
     entries[0] = base
     for i in range(1, n):
         entries[i] = entries[i - 1] * rng.uniform(1.3, 1.8, size=k)
     ct = CostTable(rates=rates, entries=entries)
     pt = PowerTable(rates=rates, power_mw=1.0 / periods, phi_mj=1.0)
-    try:
-        return totals_over_window(ct, pt, case.fractions[:k], case.window)
-    except ValueError:  # not a pattern over the k levels: spread the window evenly
-        return totals_over_window(ct, pt, (1.0 / k,) * k, case.window)
+    fractions = case.fractions or (DEFAULT_PATTERN if k == 3 else (1.0 / k,) * k)
+    return totals_over_window(ct, pt, fractions, case.window)
 
 
 def case_budget(case: BenchCase, totals: WindowTotals) -> EnergyBudget:
@@ -89,67 +93,60 @@ def case_budget(case: BenchCase, totals: WindowTotals) -> EnergyBudget:
     return EnergyBudget(e_max=case.budget, window=case.window)
 
 
-def run_bench(cases, cap: int = DEFAULT_CAP):
+FIELDS = ["n", "k", "algo", "median_s", "explored", "cost", "energy", "feasible", "skipped",
+          "ratio_vs_approach2", "note"]
+
+
+def run_bench(cases):
     """Time every (case, algorithm) cell; returns a list of row dicts.
 
     A cell's time is the median over the case's reps of the search alone
-    (``SynthesisResult.elapsed``), not of building its inputs.
+    (``SynthesisResult.elapsed``), not of building its inputs.  A cell whose
+    algorithm refuses the case is a skipped row with the refusal as its note.
     """
     rows = []
     for case in cases:
         totals = synthetic_totals(case)
         budget = case_budget(case, totals)
-        lattice = case.n ** case.k
-        cell = {}
+        done = {}
         for algo in ALGORITHMS:
-            limit = min(cap, _kernels.MAX_ORACLE_CELLS) if algo == "exhaustive" else cap
-            if algo in ("exhaustive", "approach1") and lattice > limit:
-                rows.append({
-                    "n": case.n, "k": case.k, "algo": algo, "backend": BACKEND,
-                    "median_s": "", "explored": "", "cost": "", "energy": "",
-                    "feasible": "", "skipped": True,
-                    "note": f"lattice {lattice} exceeds cap {limit}",
-                })
+            row = dict.fromkeys(FIELDS, "")
+            row.update(n=case.n, k=case.k, algo=algo, skipped=True)
+            rows.append(row)
+            try:
+                results = [synthesize(algo, totals, budget) for _ in range(case.reps)]
+            except ValueError as exc:
+                row["note"] = str(exc)
                 continue
-            results = [synthesize(algo, totals, budget) for _ in range(case.reps)]
-            result, med = results[-1], median(r.elapsed for r in results)
-            cell[algo] = med
-            rows.append({
-                "n": case.n, "k": case.k, "algo": algo, "backend": BACKEND,
-                "median_s": med, "explored": result.explored,
-                "cost": result.predicted_cost, "energy": result.predicted_energy,
-                "feasible": result.feasible, "skipped": False, "note": "",
-            })
-        ref = cell.get("approach2")
+            result = results[-1]
+            row.update(median_s=median(r.elapsed for r in results), explored=result.explored,
+                       cost=result.predicted_cost, energy=result.predicted_energy,
+                       feasible=result.feasible, skipped=False)
+            done[algo] = row
+        ref = done.get("approach2", {}).get("median_s")
         if ref:
-            for row in rows[-len(ALGORITHMS):]:
-                if not row["skipped"]:
-                    row["ratio_vs_approach2"] = row["median_s"] / ref
-    for row in rows:
-        row.setdefault("ratio_vs_approach2", "")
+            for row in done.values():
+                row["ratio_vs_approach2"] = row["median_s"] / ref
     return rows
 
 
 def write_report(rows, out_path) -> None:
-    fields = ["n", "k", "algo", "backend", "median_s", "explored", "cost",
-              "energy", "feasible", "skipped", "ratio_vs_approach2", "note"]
     with open(out_path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
+        w = csv.DictWriter(fh, fieldnames=FIELDS)
         w.writeheader()
-        for row in rows:
-            w.writerow({f: row.get(f, "") for f in fields})
+        w.writerows(rows)
 
 
 def format_report(rows) -> str:
-    header = f"{'n':>5} {'k':>2} {'algo':<11} {'backend':<7} {'median_s':>12} {'explored':>12} {'ratio/a2':>10}  note"
+    header = f"{'n':>5} {'k':>2} {'algo':<11} {'median_s':>12} {'explored':>12} {'ratio/a2':>10}  note"
     lines = [header, "-" * len(header)]
     for row in rows:
         med = f"{row['median_s']:.6f}" if row["median_s"] != "" else "-"
         exp = f"{row['explored']}" if row["explored"] != "" else "-"
-        ratio = row.get("ratio_vs_approach2", "")
+        ratio = row["ratio_vs_approach2"]
         ratio = f"{ratio:.2f}" if isinstance(ratio, float) else "-"
         lines.append(f"{row['n']:>5} {row['k']:>2} {row['algo']:<11} "
-                     f"{row['backend']:<7} {med:>12} {exp:>12} {ratio:>10}  {row['note']}")
+                     f"{med:>12} {exp:>12} {ratio:>10}  {row['note']}")
     return "\n".join(lines)
 
 

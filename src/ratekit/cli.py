@@ -163,7 +163,7 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     from .bench import format_report, load_cases, run_bench, write_report
 
-    rows = run_bench(load_cases(args.cases), cap=args.cap)
+    rows = run_bench(load_cases(args.cases))
     print(format_report(rows))
     if args.out:
         write_report(rows, args.out)
@@ -234,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the three algorithms across cases")
     p.add_argument("--cases", required=True)
     p.add_argument("--out")
-    p.add_argument("--cap", type=int, default=10**8,
-                   help="skip full scans when n^k exceeds this")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("battery", help="battery discharge comparison")

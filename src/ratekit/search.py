@@ -118,11 +118,15 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
               record_emissions: bool = False) -> SynthesisResult:
     """Best-first walk of the profit-sorted tables.
 
-    Starts from the top-profit row of every level table and repeatedly emits
-    the unvisited rank vector with maximal collective profit (sum of per-level
-    profits), generating successors by advancing exactly one level's rank.
-    The first emitted candidate inside the budget wins.  Emission order has
-    non-increasing collective profit; explored counts emitted candidates.
+    Starts from the top-profit row of every level table and emits rank
+    vectors by non-increasing collective profit (sum of per-level profits),
+    ties to the smaller rank vector; the first emitted candidate inside the
+    budget wins, and explored counts emitted candidates.  Each rank vector
+    has one parent, itself with its last advanced level one rank back: a
+    popped vector advances only that level or a later one, so each vector is
+    pushed once and the walk keeps only its heap frontier.  A parent's key
+    (-profit, rank) is strictly smaller than its child's, so pops follow key
+    order.
     """
     e_max = _check_budget(totals, budget)
     t0 = time.perf_counter()
@@ -132,18 +136,17 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
     order = profit.order.tolist()
     cc = totals.cc_total.T.tolist()
     ec = totals.ec_by_level.T.tolist()
-    start = (0,) * k
     p0 = 0.0
     for j in range(k):
         p0 += prof[j][0]
-    heap = [(-p0, start)]
-    visited = {start}
+    # (-profit, rank, last advanced level): ranks are unique, levels never compared
+    heap = [(-p0, (0,) * k, 0)]
     explored = 0
     emissions = [] if record_emissions else None
-    inf_idx = None
+    inf_idx = inf_cost = None
     inf_energy = float("inf")
     while heap:
-        negp, rank = heapq.heappop(heap)
+        negp, rank, last = heapq.heappop(heap)
         explored += 1
         cost = 0.0
         energy = 0.0
@@ -160,23 +163,18 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
             return _wrap(choice, cost, energy, explored, True, totals,
                          "approach2", t0, emissions)
         if energy < inf_energy:
-            inf_energy = energy
+            inf_energy, inf_cost = energy, cost
             inf_idx = tuple(order[j][rank[j]] for j in range(k))
-        for j in range(k):
+        for j in range(last, k):
             r = rank[j]
             if r + 1 < n:
                 succ = rank[:j] + (r + 1,) + rank[j + 1:]
-                if succ not in visited:
-                    visited.add(succ)
-                    # fresh left-to-right sum: float sums are monotone in
-                    # their terms, so children never out-rank their parent
-                    p = 0.0
-                    for m in range(k):
-                        p += prof[m][succ[m]]
-                    heapq.heappush(heap, (-p, succ))
-    inf_cost = 0.0
-    for j in range(k):
-        inf_cost += cc[j][inf_idx[j]]
+                # fresh left-to-right sum: float sums are monotone in
+                # their terms, so children never out-rank their parent
+                p = 0.0
+                for m in range(k):
+                    p += prof[m][succ[m]]
+                heapq.heappush(heap, (-p, succ, j))
     return _wrap(inf_idx, inf_cost, inf_energy, explored, False, totals,
                  "approach2", t0, emissions)
 

@@ -18,7 +18,10 @@ package's synthesis, and the window-loop reference below, not the kernel it
 checks, and builds the loop's operands one controller at a time); and the
 one-candidate-at-a-time loops
 ``_exhaustive_impl``, ``_approach1_impl`` and ``_window_loop_impl`` for the
-scans and the window loop of ``ratekit._kernels``; and the per-rate
+scans and the window loop of ``ratekit._kernels``; ``_approach2_impl``, the
+best-first walk that keeps a visited set of every rank vector it pushes, for
+the one-parent walk of ``ratekit.search.approach2`` (the same emissions and
+result); and the per-rate
 design path (``discretize``, ``solve_dare``, ``solve_dlyap``, ``design``,
 ``_Loop`` and ``evaluate_costs``), one rate and one intensity at a time, for
 the stacked pass of ``ratekit.plant``, ``ratekit.riccati``, ``ratekit.lqg``
@@ -29,21 +32,24 @@ stack into them and ``stack`` joins them back into one.
 
 from __future__ import annotations
 
+import heapq
 import json
+import time
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import expm
 
-from ratekit.energy import FLOOR_EPS
+from ratekit.energy import FLOOR_EPS, EnergyBudget
 from ratekit.lqg import LqgController
 from ratekit.plant import MIN_PERIOD_S, DiscreteStack, PlantModel
 from ratekit.riccati import (DARE_MAX_ITER, DLYAP_MAX_ITER, TOL, DesignError,
                              spectral_radius)
-from ratekit.search import synthesize
+from ratekit.search import SynthesisResult, _check_budget, _wrap, synthesize
 from ratekit.sim import MatchFixedBudget, NoiseScenario, Strategy, floor_pattern
-from ratekit.tables import CostTable, LevelSpec, PowerTable, totals_over_window
+from ratekit.tables import (CostTable, LevelSpec, PowerTable, ProfitTables, WindowTotals,
+                            totals_over_window)
 
 
 @dataclass(frozen=True)
@@ -600,6 +606,74 @@ def _approach1_impl(cc, ec, budget):
             inf_cost += cc[inf_best[j], j]
         return inf_best, inf_cost, inf_energy, explored, False
     return best, best_cost, best_energy, explored, True
+
+
+def _approach2_impl(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
+                    record_emissions: bool = False) -> SynthesisResult:
+    """Best-first walk of the profit-sorted tables.
+
+    Starts from the top-profit row of every level table and repeatedly emits
+    the unvisited rank vector with maximal collective profit (sum of per-level
+    profits), generating successors by advancing exactly one level's rank.
+    The first emitted candidate inside the budget wins.  Emission order has
+    non-increasing collective profit; explored counts emitted candidates.
+    """
+    e_max = _check_budget(totals, budget)
+    t0 = time.perf_counter()
+    k, n = profit.order.shape
+    # plain lists keep the pop/push loop free of numpy scalar overhead
+    prof = profit.profit.tolist()
+    order = profit.order.tolist()
+    cc = totals.cc_total.T.tolist()
+    ec = totals.ec_by_level.T.tolist()
+    start = (0,) * k
+    p0 = 0.0
+    for j in range(k):
+        p0 += prof[j][0]
+    heap = [(-p0, start)]
+    visited = {start}
+    explored = 0
+    emissions = [] if record_emissions else None
+    inf_idx = None
+    inf_energy = float("inf")
+    while heap:
+        negp, rank = heapq.heappop(heap)
+        explored += 1
+        cost = 0.0
+        energy = 0.0
+        for j in range(k):
+            i = order[j][rank[j]]
+            cost += cc[j][i]
+            energy += ec[j][i]
+        if record_emissions:
+            emissions.append((rank, -negp,
+                              tuple(order[j][rank[j]] for j in range(k)),
+                              cost, energy))
+        if energy <= e_max:
+            choice = tuple(order[j][rank[j]] for j in range(k))
+            return _wrap(choice, cost, energy, explored, True, totals,
+                         "approach2", t0, emissions)
+        if energy < inf_energy:
+            inf_energy = energy
+            inf_idx = tuple(order[j][rank[j]] for j in range(k))
+        for j in range(k):
+            r = rank[j]
+            if r + 1 < n:
+                succ = rank[:j] + (r + 1,) + rank[j + 1:]
+                if succ not in visited:
+                    visited.add(succ)
+                    # fresh left-to-right sum: float sums are monotone in
+                    # their terms, so children never out-rank their parent
+                    p = 0.0
+                    for m in range(k):
+                        p += prof[m][succ[m]]
+                    heapq.heappush(heap, (-p, succ))
+    inf_cost = 0.0
+    for j in range(k):
+        inf_cost += cc[j][inf_idx[j]]
+    return _wrap(inf_idx, inf_cost, inf_energy, explored, False, totals,
+                 "approach2", t0, emissions)
+
 
 
 def _window_loop_impl(

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ratekit import _kernels
-from ratekit.bench import (BenchCase, case_budget, format_report, load_cases,
-                           run_bench, synthetic_totals, write_report)
+from ratekit.bench import (DEFAULT_PATTERN, BenchCase, case_budget, format_report,
+                           load_cases, run_bench, synthetic_totals, write_report)
 from ratekit.cli import main
 from ratekit.config import ConfigError
 
@@ -43,19 +43,31 @@ def test_run_bench_rows_and_agreement():
         assert isinstance(algos["exhaustive"]["ratio_vs_approach2"], float)
 
 
-def test_cap_skips_full_scans():
-    rows = run_bench([BenchCase(n=30, reps=1, seed=0)], cap=1000)
-    skipped = {r["algo"]: r for r in rows if r["skipped"]}
-    assert set(skipped) == {"exhaustive", "approach1"}
-    assert "exceeds cap" in skipped["exhaustive"]["note"]
-    done = [r for r in rows if not r["skipped"]]
-    assert [r["algo"] for r in done] == ["approach2"]
-
-
 def test_numpy_oracle_skipped_over_its_limit():
     rows = run_bench([BenchCase(n=171, reps=1, seed=0)])
     assert [r["algo"] for r in rows if r["skipped"]] == ["exhaustive"]
-    assert f"exceeds cap {_kernels.MAX_ORACLE_CELLS}" in rows[0]["note"]
+    assert (f"n^k = 5000211 cells, more than the {_kernels.MAX_ORACLE_CELLS} allowed"
+            in rows[0]["note"])
+
+
+def test_pruned_scan_runs_where_the_oracle_is_refused():
+    # 800^3 cells are far over the oracle's limit, 800^2 prefixes are not
+    rows = {r["algo"]: r for r in run_bench([BenchCase(n=800, reps=1)])}
+    assert rows["exhaustive"]["skipped"] and "n^k = 512000000" in rows["exhaustive"]["note"]
+    assert not rows["approach1"]["skipped"] and rows["approach1"]["feasible"]
+    assert isinstance(rows["approach1"]["median_s"], float)
+    assert rows["approach1"]["note"] == ""
+
+
+def test_case_without_fractions_keeps_the_default_pattern():
+    assert synthetic_totals(BenchCase(n=4)).fractions == DEFAULT_PATTERN
+    for k in (1, 2, 4, 5):
+        default = synthetic_totals(BenchCase(n=6, k=k, seed=3))
+        assert default.fractions == (1.0 / k,) * k
+        # the dominant cost scale sits on argmax(DEFAULT_PATTERN[:k]), not on level 0
+        if k > 2:
+            given = synthetic_totals(BenchCase(n=6, k=k, seed=3, fractions=(1.0 / k,) * k))
+            assert not np.array_equal(default.cc_total, given.cc_total)
 
 
 def test_report_io(tmp_path):
@@ -63,7 +75,7 @@ def test_report_io(tmp_path):
     out = tmp_path / "report.csv"
     write_report(rows, out)
     text = out.read_text()
-    assert text.splitlines()[0].startswith("n,k,algo,backend,median_s")
+    assert text.splitlines()[0].startswith("n,k,algo,median_s")
     assert len(text.splitlines()) == len(rows) + 1
     table = format_report(rows)
     assert "exhaustive" in table and "approach2" in table
@@ -115,7 +127,15 @@ def test_bench_case_field_of_wrong_type_names_file_and_case(tmp_path, capsys, fi
     ('{"cases": [{"n": 9, "budget": Infinity}]}',
      "cases[0].budget: expected a finite number, got Infinity"),
     ('{"cases": [{"n": 9, "fractions": []}]}', "cases[0]: fractions must not be empty"),
-], ids=["window_nan", "window_zero", "budget_infinity", "fractions_empty"])
+    ('{"cases": [{"n": 9, "fractions": [0.5, 0.6, 0.2]}]}',
+     "cases[0]: fractions must be k = 3 positive shares summing to 1, got [0.5, 0.6, 0.2]"),
+    ('{"cases": [{"n": 9, "fractions": [0.5, 0.5, -0.0, 7]}]}',
+     "cases[0]: fractions must be k = 3 positive shares summing to 1, got [0.5, 0.5, -0.0, 7.0]"),
+    ('{"cases": [{"n": 9, "fractions": [0.5, 0.5, 0.0]}]}',
+     "cases[0]: fractions must be k = 3 positive shares summing to 1, got [0.5, 0.5, 0.0]"),
+    ('{"cases": [{"n": 9, "budget": -1}]}', "cases[0]: budget must be positive, got -1.0"),
+], ids=["window_nan", "window_zero", "budget_infinity", "fractions_empty", "fractions_sum",
+        "fractions_extra_levels", "fractions_zero_share", "budget_negative"])
 def test_bench_case_bad_number_names_file_and_field(tmp_path, capsys, text, message):
     path = tmp_path / "cases.json"
     path.write_text(text)

@@ -230,15 +230,39 @@ def test_simulate_determinism_and_plotdata(small_config, tmp_path, capsys):
 
 
 def test_bench_cli(tmp_path, capsys):
-    cases = {"cases": [{"n": 5, "reps": 1}, {"n": 12, "reps": 1}]}
+    cases = {"cases": [{"n": 5, "reps": 1}, {"n": 171, "reps": 1}]}
     path = tmp_path / "cases.json"
     path.write_text(json.dumps(cases))
     out = tmp_path / "report.csv"
-    rc = main(["bench", "--cases", str(path), "--out", str(out), "--cap", "1000"])
+    rc = main(["bench", "--cases", str(path), "--out", str(out)])
     assert rc == 0
     text = out.read_text()
-    assert "exceeds cap" in text  # 12^3 > 1000 mirrors the out-of-memory row
+    assert "n^k = 5000211" in text  # the oracle refuses 171^3 cells: a skipped row
     assert "approach2" in text
+
+
+def test_prefix_scans_over_the_limit_exit_one(tmp_path, capsys):
+    # 50 rates x 5 levels: 50^4 prefixes, over the limit of the pruned scan and
+    # of the match-fixed budget rule
+    plant = json.loads((CONFIG_DIR / "plant_dcservo.json").read_text())
+    (tmp_path / "plant.json").write_text(json.dumps(plant))
+    cfg = {"plant": "plant.json", "rates_ms": list(range(10, 60)),
+           "levels": {"thresholds": [0, 10, 30, 50, 75, 100],
+                      "representative_r": [5, 20, 40, 60, 90]},
+           "hyper_period_s": 100.0, "pattern": [0.2] * 5}
+    (tmp_path / "tool.json").write_text(json.dumps(cfg))
+    (tmp_path / "scenario.json").write_text(json.dumps({"shares": [0.2] * 5}))
+    tables = tmp_path / "tables"
+    assert main(["precompute", "--config", str(tmp_path / "tool.json"),
+                 "--out", str(tables)]) == 0
+    capsys.readouterr()
+    for argv in (["synthesize", "--tables", str(tables), "--pattern", "0.2,0.2,0.2,0.2,0.2",
+                  "--budget-energy", "5", "--budget-window", "100", "--algo", "approach1"],
+                 ["battery", "--tables", str(tables), "--pattern", str(tmp_path / "scenario.json"),
+                  "--capacity", "1000mAh", "--voltage", "3.7", "--out", str(tmp_path / "b")]):
+        assert main(argv) == 1
+        err = one_error_line(capsys)
+        assert err.startswith("error: ") and "n^(k-1) = 6250000" in err
 
 
 def test_battery_cli(small_config, tmp_path, capsys):

@@ -1,13 +1,17 @@
+from itertools import chain
+from operator import itemgetter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratekit import _kernels
-from ratekit.bench import BenchCase, synthetic_totals
+from ratekit.bench import BenchCase, case_budget, synthetic_totals
 from ratekit.energy import EnergyBudget
 from ratekit.search import (MultiRateController, approach1, approach2,
                             candidate_cost_energy, exhaustive, synthesize)
+from ratekit.sim import MatchFixedBudget
 from ratekit.tables import (RateSet, WindowTotals, build_profit_tables,
                             totals_over_window)
 
@@ -81,6 +85,21 @@ def test_exhaustive_oracle_refuses_oversized_lattice():
                           cc_total=table, ec_total=table[:, 0], ec_by_level=table, phi_mj=1.0)
     with pytest.raises(ValueError, match=r"n=171 .*k=3 .*n\^k = 5000211"):
         exhaustive(totals, EnergyBudget(1.0, 100.0))
+
+
+def test_prefix_scans_refuse_oversized_prefix_arrays():
+    # 50^4 prefixes: the pruned scan and the match-fixed budget refuse before
+    # building anything
+    rates = RateSet(tuple(0.001 * (i + 1) for i in range(50)))
+    cc = np.cumsum(np.ones((50, 5)), axis=0)
+    ec = np.ascontiguousarray(cc[::-1])
+    totals = WindowTotals(rates=rates, fractions=(0.2,) * 5, window=100.0, cc_total=cc,
+                          ec_total=ec.sum(axis=1), ec_by_level=ec, phi_mj=1.0)
+    message = r"n=50 .*k=5 .*n\^\(k-1\) = 6250000"
+    with pytest.raises(ValueError, match=message):
+        approach1(totals, EnergyBudget(1.0, 100.0))
+    with pytest.raises(ValueError, match=message):
+        MatchFixedBudget(reference_h=0.05, window=100.0).budget_for(totals)
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,6 +233,94 @@ def test_approach2_behaviour_on_random_instances():
                        and sum(a != b for a, b in zip(rank, prev)) == 1
                        for prev in seen)
             seen.add(rank)
+
+
+def integer_instance(rng):
+    """Small-integer tables, so that profits 1 / (cc * ec) and their sums tie."""
+    n, k = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+    cc = rng.integers(1, 4, size=(n, k)).astype(float)
+    ec = rng.integers(1, 4, size=(n, k)).astype(float)
+    totals = WindowTotals(
+        rates=RateSet(tuple(0.01 * (i + 1) for i in range(n))),
+        fractions=(1.0 / k,) * k, window=1.0, cc_total=cc,
+        ec_total=ec.sum(axis=1), ec_by_level=ec, phi_mj=1.0)
+    return totals, EnergyBudget(float(rng.integers(1, 3 * k + 2)), 1.0)
+
+
+def lattice_key_order(prof, totals):
+    """The emissions of a walk that nothing stops, as five columns (ranks,
+    profits, choices, costs, energies): every rank vector sorted by
+    (-collective profit, rank), each sum taken level by level from 0.0 as
+    the walk takes it."""
+    k, n = prof.order.shape
+    p, c, e = np.zeros(()), np.zeros(()), np.zeros(())
+    for j in range(k):
+        axis = (1,) * j + (n,) + (1,) * (k - 1 - j)
+        p = p + prof.profit[j].reshape(axis)
+        c = c + totals.cc_total[prof.order[j], j].reshape(axis)
+        e = e + totals.ec_by_level[prof.order[j], j].reshape(axis)
+    flat = np.argsort(-p.ravel(), kind="stable")  # stable: ties to the smaller rank
+    ranks = np.column_stack(np.unravel_index(flat, (n,) * k))
+    choices = np.column_stack([prof.order[j][ranks[:, j]] for j in range(k)])
+    return ranks, p.ravel()[flat], choices, c.ravel()[flat], e.ravel()[flat]
+
+
+def emitted(emissions):
+    """A walk's emissions as the five columns of ``lattice_key_order``."""
+    k = len(emissions[0][0])
+    ints = [np.fromiter(chain.from_iterable(map(itemgetter(i), emissions)), np.int64)
+            .reshape(-1, k) for i in (0, 2)]
+    floats = [np.fromiter(map(itemgetter(i), emissions), np.float64) for i in (1, 3, 4)]
+    return ints[0], floats[0], ints[1], floats[1], floats[2]
+
+
+def same_columns(got, ref):
+    return all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_approach2_walk_matches_visited_set_reference():
+    """The one-parent walk against the visited-set walk it replaced: the same
+    emissions and result on tie-heavy tables, and on bench tables at a tight
+    and the mid budget.  At a budget nothing fits both walks emit the whole
+    lattice in key order, and the bench tables are checked against that order
+    (the reference walk takes seconds on 12^5)."""
+    rng = np.random.default_rng(27)
+    infeasible = 0
+    for _ in range(500):
+        totals, budget = integer_instance(rng)
+        prof = build_profit_tables(totals)
+        got = approach2(prof, totals, budget, record_emissions=True)
+        ref = oracles._approach2_impl(prof, totals, budget, record_emissions=True)
+        assert got.emissions == ref.emissions
+        for name in ("controller", "predicted_cost", "predicted_energy", "explored",
+                     "feasible", "algo"):
+            assert getattr(got, name) == getattr(ref, name)
+        if not got.feasible:
+            infeasible += 1
+            assert same_columns(emitted(got.emissions), lattice_key_order(prof, totals))
+    assert infeasible >= 50
+    for n, k in ((9, 3), (17, 3), (32, 3), (17, 4), (12, 5)):
+        case = BenchCase(n=n, k=k)
+        totals = synthetic_totals(case)
+        prof = build_profit_tables(totals)
+        e_min = float(totals.ec_by_level[-1].sum())
+        e_max = float(totals.ec_by_level[0].sum())
+        for e in (e_min + 0.2 * (e_max - e_min), case_budget(case, totals).e_max):
+            budget = EnergyBudget(e, totals.window)
+            got = approach2(prof, totals, budget, record_emissions=True)
+            ref = oracles._approach2_impl(prof, totals, budget, record_emissions=True)
+            assert got.feasible and got.emissions == ref.emissions
+            assert (got.controller, got.predicted_cost, got.predicted_energy, got.explored) \
+                == (ref.controller, ref.predicted_cost, ref.predicted_energy, ref.explored)
+        got = approach2(prof, totals, EnergyBudget(0.5 * e_min, totals.window),
+                        record_emissions=True)
+        _, _, choices, costs, energies = order = lattice_key_order(prof, totals)
+        assert same_columns(emitted(got.emissions), order)
+        assert got.explored == n ** k and not got.feasible
+        least = int(np.argmin(energies))  # the fallback: the first emission of least energy
+        assert got.controller.choice == tuple(choices[least].tolist())
+        assert got.predicted_cost == costs[least] / totals.window
+        assert got.predicted_energy == energies[least]
 
 
 def test_determinism_repeated_runs():
