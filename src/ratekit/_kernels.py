@@ -2,8 +2,8 @@
 
 The search scans are vectorized numpy.  The inherently sequential simulation
 loop runs on Python floats: its operands become lists once per run
-(``loop_operands``), and each window takes the loop state and returns the
-new state with its samples as lists (``window_loop``).  Each kernel has a
+(``loop_operands``), and each window appends its samples to the trace's
+columns and returns the new loop state (``window_loop``).  Each kernel has a
 one-candidate (or one-sample) loop reference in ``tests/oracles.py`` that it
 matches bit for bit: the kernels sum the same terms in the same order.
 """
@@ -54,7 +54,8 @@ def _select_min_energy(cost, energy):
 
 # Largest array a scan may build: the n^k cells of the exhaustive oracle
 # (several float64 grids, about 175 MB at the limit; 161^3 is about 4.2M) and
-# the n^(k-1) prefixes of the dominance-pruned scan and the match-fixed budget.
+# the n^(k-1) prefixes of the dominance-pruned scan and the match-fixed
+# budget; also the most vectors approach2 may pop on a budget nothing fits.
 MAX_ORACLE_CELLS = 5_000_000
 
 
@@ -193,7 +194,7 @@ def approach1_scan(cc, ec, budget):
 class LoopOperands(NamedTuple):
     """Everything the sample loop reads but never changes, as Python lists."""
 
-    per_rate: list    # per rate: (h, [Phi | Gamma], K, Kf, chol R1d, Qd, jbar, S^-1)
+    per_rate: list    # per rate: (h, h_ms, [Phi | Gamma], K, Kf, chol R1d, Qd, jbar, S^-1)
     meas_rows: list   # per output: ([C | chol_r2] row, C row)
     inner_thr: list   # the k - 1 boundaries between levels
     seg_bounds: list  # end of every noise segment but the last, then inf
@@ -221,7 +222,8 @@ def loop_operands(*, phis, gammas, kgains, kfgains, cmat, chol_r1d, chol_r2, qds
     against [x; z_e], [Phi | Gamma] against [x; u]), which keeps the order of
     the index-loop reference.
     """
-    per_rate = zip(periods.tolist(), np.concatenate([phis, gammas], axis=2).tolist(),
+    per_rate = zip(periods.tolist(), (periods * 1000.0).tolist(),
+                   np.concatenate([phis, gammas], axis=2).tolist(),
                    kgains.tolist(), kfgains.tolist(), chol_r1d.tolist(), qds.tolist(),
                    jbars.tolist(), snom_inv.tolist())
     return LoopOperands(
@@ -244,11 +246,12 @@ def _level_of(r_hat, inner_thr):
     return level
 
 
-def window_loop(ops: LoopOperands, mmap, state: LoopState, window_end, noise):
+def window_loop(ops: LoopOperands, mmap, state: LoopState, window_end, noise, out):
     """Run the samples of one window at the rates ``mmap`` gives each level.
 
-    Returns the new state, the seven per-sample columns (t, h, r_hat, level,
-    rate, energy, cost; levels and rates 0-based) and the time spent at each
+    Appends each sample to the seven lists of ``out``: the trace's columns
+    t, h_ms, r_hat, level (1-based), energy_j and cost_integral, then the
+    0-based rate index.  Returns the new state and the time spent at each
     level.  Each step does the multiplies and adds of the index-loop
     reference in the same order, on Python floats; math.sqrt and np.sqrt are
     both correctly rounded, so every output matches the reference bit for bit.
@@ -270,14 +273,11 @@ def window_loop(ops: LoopOperands, mmap, state: LoopState, window_end, noise):
     sqrt_r = math.sqrt(r_true)
     step = 0
     rate = -1
-    # preallocated per-step outputs: storing into them creates no object that
-    # the cyclic garbage collector tracks, which keeps its collections rare
-    ts, hs, rhats, energies, costs = ([0.0] * reach for _ in range(5))
-    levels, rates = [0] * reach, [0] * reach
+    add_t, add_h_ms, add_rhat, add_level, add_energy, add_cost, add_rate = (c.append for c in out)
     while t < window_end:
         if mmap[level] != rate:
             rate = mmap[level]
-            h, prop_r, k_r, kf_r, r1_r, q_r, jbar, sinv_r = per_rate[rate]
+            h, h_ms, prop_r, k_r, kf_r, r1_r, q_r, jbar, sinv_r = per_rate[rate]
         if t >= seg_end:
             while t >= seg_end:
                 seg += 1
@@ -325,13 +325,13 @@ def window_loop(ops: LoopOperands, mmap, state: LoopState, window_end, noise):
                 stage += za * q * zb
         cost += stage + r_true * jbar
         energy += phi_j
-        ts[step] = t
-        hs[step] = h
-        rhats[step] = r_hat
-        levels[step] = new_level
-        rates[step] = rate
-        energies[step] = energy
-        costs[step] = cost
+        add_t(t)
+        add_h_ms(h_ms)
+        add_rhat(r_hat)
+        add_level(new_level + 1)
+        add_energy(energy)
+        add_cost(cost)
+        add_rate(rate)
         dt_attr = h
         if window_end - t < dt_attr:
             dt_attr = window_end - t
@@ -355,7 +355,4 @@ def window_loop(ops: LoopOperands, mmap, state: LoopState, window_end, noise):
         t += h
         level = new_level
         step += 1
-    columns = (ts, hs, rhats, levels, rates, energies, costs)
-    for col in columns:
-        del col[step:]
-    return LoopState(xs, xh, r_hat, t, energy, cost), columns, level_time
+    return LoopState(xs, xh, r_hat, t, energy, cost), level_time

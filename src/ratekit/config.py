@@ -56,7 +56,7 @@ def _load_scenario(doc, base: Path, seed: int):
     seed = json_number(doc.get("seed", seed), "scenario.seed", int)
     if "segments" in doc:
         segments = json_list(doc["segments"], "scenario.segments", json_list)
-        return _checked("scenario", NoiseScenario, segments, seed)
+        return _checked("scenario", NoiseScenario, segments)
     if "shares" not in doc:
         raise ConfigError("scenario: expected 'segments' or 'shares'")
     shares = json_list(doc["shares"], "scenario.shares")

@@ -8,8 +8,8 @@ window always runs at the fastest admissible rate.
 
 The sample loop gets its operands as lists once per run
 (``_kernels.loop_operands``), taken from the designed controller stack as it
-is, and, window by window, returns the new loop state with the window's
-samples as lists (``_kernels.window_loop``).
+is, and, window by window, appends the window's samples to the trace's
+columns and returns the new loop state (``_kernels.window_loop``).
 
 A trace keeps its samples as columns, one Python list per sample field, and
 writes its JSONL straight from them; ``SimulationTrace.events`` (one dict per
@@ -38,7 +38,7 @@ from .energy import FLOOR_EPS, EnergyBudget
 from .lqg import LqgController
 from .plant import PlantModel
 from .search import MultiRateController, SynthesisResult, synthesize
-from .tables import CostTable, LevelSpec, PowerTable, RateSet, totals_over_window
+from .tables import CostTable, LevelSpec, PowerTable, RateSet, check_pattern, totals_over_window
 
 # the most pieces scenario_from_shares builds; the bundled scenarios have 80
 MAX_SCENARIO_PIECES = 100_000
@@ -49,7 +49,6 @@ class NoiseScenario:
     """Piecewise-constant true noise intensity: (duration seconds, r) segments."""
 
     segments: tuple
-    seed: int = 0
 
     def __post_init__(self):
         segs = tuple((float(d), float(r)) for d, r in self.segments)
@@ -236,8 +235,7 @@ def floor_pattern(fractions, rates: RateSet, window: float) -> tuple:
 
 def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec,
              scenario: NoiseScenario, budget, strategy: Strategy, *,
-             lam: float = 0.05, seed: int = None,
-             controllers: LqgController) -> SimulationTrace:
+             lam: float, seed: int, controllers: LqgController) -> SimulationTrace:
     """Run the on-line loop over the scenario and return the full event trace.
 
     ``controllers`` is the controller stack of ``ct``'s rates (design_all).
@@ -271,7 +269,7 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
     n_windows = int(np.floor(scenario.total / window + FLOOR_EPS))
     max_steps = int(np.ceil(window / periods[0])) + 2
 
-    rng = np.random.default_rng(scenario.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     state = _kernels.LoopState([0.0] * plant.nx, [0.0] * plant.nx, 0.0, 0.0, 0.0, 0.0)
 
     if strategy.kind == "fixed":
@@ -290,12 +288,8 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
         window_end = (w + 1) * window
         # max_steps rows whatever rates are deployed: the trace bytes depend on it
         noise = rng.standard_normal((max_steps, plant.nx + plant.ny))
-        state, (t_w, h_w, rhat_w, level_w, rate_w, energy_w, cost_w), level_time = \
-            _kernels.window_loop(ops, mmap, state, window_end, noise)
-        for col, vals in zip(samples, (t_w, [h * 1000.0 for h in h_w], rhat_w,
-                                       [lv + 1 for lv in level_w], energy_w, cost_w)):
-            col.extend(vals)
-        rate_col.extend(rate_w)
+        state, level_time = _kernels.window_loop(ops, mmap, state, window_end, noise,
+                                                 (*samples, rate_col))
         if w == 0:
             energy_after_w0 = state.energy
         spent = np.array(level_time)
@@ -335,10 +329,7 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
 def scenario_from_shares(shares, r_values, total_s: float, piece_s: float,
                          seed: int = 0) -> NoiseScenario:
     """Deterministically interleave per-level pieces matching the given shares."""
-    if len(shares) != len(r_values):
-        raise ValueError("one r value per share is required")
-    if abs(sum(shares) - 1.0) > 1e-9:
-        raise ValueError("shares must sum to 1")
+    shares = check_pattern(shares, len(r_values), "scenario.shares")
     for name, value in (("piece_s", piece_s), ("total_s", total_s)):
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value}")
@@ -357,4 +348,4 @@ def scenario_from_shares(shares, r_values, total_s: float, piece_s: float,
         pieces.extend([r_values[j]] * c)
     order = np.random.default_rng(seed).permutation(len(pieces))
     segments = [(piece_s, pieces[i]) for i in order]
-    return NoiseScenario(segments=tuple(segments), seed=seed)
+    return NoiseScenario(segments=tuple(segments))

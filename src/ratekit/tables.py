@@ -248,16 +248,16 @@ def build_power_table(rates: RateSet, peak_power_mw: float) -> PowerTable:
     return PowerTable(rates=rates, power_mw=power, phi_mj=peak_power_mw * h1)
 
 
-def check_pattern(fractions, k: int) -> tuple:
+def check_pattern(fractions, k: int, field: str = "pattern") -> tuple:
     """``fractions`` as floats, if they are k non-negative level shares summing
-    to 1; else ConfigError naming the pattern."""
+    to 1; else ConfigError naming ``field``."""
     fr = tuple(float(f) for f in fractions)
     if len(fr) != k:
-        raise ConfigError(f"pattern: expected {k} fractions, got {len(fr)}")
+        raise ConfigError(f"{field}: expected {k} fractions, got {len(fr)}")
     if not all(f >= 0.0 for f in fr):
-        raise ConfigError("pattern: fractions must be non-negative")
+        raise ConfigError(f"{field}: fractions must be non-negative")
     if not abs(sum(fr) - 1.0) <= 1e-12:
-        raise ConfigError(f"pattern: fractions must sum to 1, got {sum(fr)}")
+        raise ConfigError(f"{field}: fractions must sum to 1, got {sum(fr)}")
     return fr
 
 

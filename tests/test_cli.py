@@ -158,6 +158,22 @@ def test_config_bad_value_exits_one_naming_field(tmp_path, capsys, section, fiel
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("shares, cause", [
+    ([0.8, 0.3, -0.1], "fractions must be non-negative"),
+    ([0.5, 0.3, 0.2 + 5e-10], "fractions must sum to 1, got 1.0000000005"),
+], ids=["negative_share", "sum_5e-10_over_one"])
+def test_scenario_shares_meet_the_pattern_rule(tmp_path, capsys, shares, cause):
+    cfg = json.loads((CONFIG_DIR / "sim_low.json").read_text())
+    cfg["scenario"] = {"shares": shares, "r_values": [5, 30, 75], "total_s": 400, "piece_s": 5}
+    (tmp_path / "plant_dcservo.json").write_text((CONFIG_DIR / "plant_dcservo.json").read_text())
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "trace.jsonl")])
+    assert rc == 1
+    err = one_error_line(capsys)
+    assert err.startswith("error: scenario.shares: ") and cause in err
+
+
 def test_design_failure_exits_one(tmp_path, capsys):
     plant = json.loads((CONFIG_DIR / "plant_dcservo.json").read_text())
     plant["B"] = [[0.0], [0.0]]  # no actuation: no stabilizing controller exists

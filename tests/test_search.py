@@ -1,3 +1,4 @@
+import time
 from itertools import chain
 from operator import itemgetter
 
@@ -100,6 +101,26 @@ def test_prefix_scans_refuse_oversized_prefix_arrays():
         approach1(totals, EnergyBudget(1.0, 100.0))
     with pytest.raises(ValueError, match=message):
         MatchFixedBudget(reference_h=0.05, window=100.0).budget_for(totals)
+
+
+def test_approach2_refuses_a_hopeless_walk_over_the_limit():
+    # 50^5 candidates, least energy 1 per level: below 5 J nothing fits, and
+    # the walk would pop all 312.5M vectors before reporting the least energy
+    rates = RateSet(tuple(0.001 * (i + 1) for i in range(50)))
+    cc = np.cumsum(np.ones((50, 5)), axis=0)
+    ec = np.ascontiguousarray(cc[::-1])
+    totals = WindowTotals(rates=rates, fractions=(0.2,) * 5, window=100.0, cc_total=cc,
+                          ec_total=ec.sum(axis=1), ec_by_level=ec, phi_mj=1.0)
+    prof = build_profit_tables(totals)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"n=50 .*k=5 .*n\^k = 312500000"):
+        approach2(prof, totals, EnergyBudget(4.999, 100.0))
+    assert time.perf_counter() - t0 < 1.0
+    # at exactly the least energy the least-energy vector fits: it is also the
+    # top-profit one, so the walk answers at its first pop
+    res = approach2(prof, totals, EnergyBudget(5.0, 100.0))
+    assert res.feasible and res.predicted_energy == 5.0 and res.explored == 1
+    assert res.controller.choice == (49,) * 5
 
 
 @settings(max_examples=60, deadline=None)

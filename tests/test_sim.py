@@ -136,7 +136,7 @@ def test_constant_noise_settles_to_one_level(plant, cost_table, power_table,
                                              levels, controllers, hyper_period):
     # r = 2 sits a dozen estimator standard deviations inside level 1, so the
     # stationary classification never wanders across a boundary
-    scen = NoiseScenario(segments=((200.0, 2.0),), seed=0)
+    scen = NoiseScenario(segments=((200.0, 2.0),))
     tr = run_sim(plant, cost_table, power_table, levels, scen,
                  EnergyBudget(1.5, hyper_period), Strategy.adaptive("approach1"),
                  controllers)
@@ -414,18 +414,22 @@ def random_loop_inputs(rng, nx, ny, nu, n_rates=3, k=3, window=1.0, n_seg=8):
     return mats
 
 
-# dtypes of the per-sample outputs: t, h, r_hat, level, rate, energy, cost
+# dtypes of the reference's per-sample outputs: t, h, r_hat, level, rate, energy, cost
 LOOP_DTYPES = (np.float64, np.float64, np.float64, np.int64, np.int64, np.float64, np.float64)
+# and of the kernel's, in trace order: t, h_ms, r_hat, level, energy, cost, then rate
+KERNEL_DTYPES = (np.float64, np.float64, np.float64, np.int64, np.float64, np.float64, np.int64)
 
 
 class LoopRun:
     """One caller of a window loop, with the same view of either signature.
 
     The index-loop reference writes into caller-owned state arrays and output
-    buffers; the kernel takes operands built once per run and returns its
-    state and samples.  After each window ``x``, ``xhat``, ``columns`` (the
-    per-sample outputs cut to the step count) and ``level_time`` are arrays,
-    whichever loop ran.
+    buffers, in seconds and with 0-based levels; the kernel takes operands
+    built once per run and appends its samples to run-long columns in trace
+    units.  After each window ``x``, ``xhat``, ``columns`` (the window's
+    samples in the kernel's order: t, h_ms, r_hat, 1-based level, energy,
+    cost, rate) and ``level_time`` are arrays, whichever loop ran; the
+    reference's period and level columns are converted forward.
     """
 
     def __init__(self, fn, inputs, nx, k, r_hat):
@@ -436,17 +440,20 @@ class LoopRun:
             self.ops = _kernels.loop_operands(
                 phi_j=1e-3, **{name: v for name, v in inputs.items() if name != "max_steps"})
             self.state = _kernels.LoopState([0.0] * nx, [0.0] * nx, r_hat, 0.0, 0.0, 0.0)
+            self.out = tuple([] for _ in KERNEL_DTYPES)  # run-long columns
 
     def window(self, window_end, mmap, noise):
         """Run one window; returns (steps, r_hat, t, energy, cost)."""
         if self.fn is _kernels.window_loop:
-            self.state, cols, level_time = self.fn(self.ops, mmap.tolist(), self.state,
-                                                   window_end, noise)
+            start = len(self.out[0])
+            self.state, level_time = self.fn(self.ops, mmap.tolist(), self.state,
+                                             window_end, noise, self.out)
             x, xhat, r_hat, t, energy, cost = self.state
             self.x, self.xhat = np.array(x), np.array(xhat)
-            self.columns = [np.array(c, dtype) for c, dtype in zip(cols, LOOP_DTYPES)]
+            self.columns = [np.array(c[start:], dtype)
+                            for c, dtype in zip(self.out, KERNEL_DTYPES)]
             self.level_time = np.array(level_time)
-            return len(cols[0]), r_hat, t, energy, cost
+            return len(self.out[0]) - start, r_hat, t, energy, cost
         i = self.inp
         out = [np.zeros(i["max_steps"], dtype) for dtype in LOOP_DTYPES]
         self.level_time = np.zeros(self.k)
@@ -456,7 +463,8 @@ class LoopRun:
                       i["periods"], i["thresholds"], i["lam"], 1e-3, i["seg_ends"], i["seg_rs"],
                       noise, self.energy, self.cost, *out, self.level_time)
         steps, self.r_hat, self.t, self.energy, self.cost = ret
-        self.columns = [o[:steps] for o in out]
+        t, h, rhat, level, rate, energy, cost = (o[:steps] for o in out)
+        self.columns = [t, h * 1000.0, rhat, level + 1, energy, cost, rate]
         return ret
 
 
@@ -506,4 +514,4 @@ def test_loop_levels_classify_their_estimates(seed, nx, ny, nu):
     assert run.window(1.0, mmap, noise)[0] == steps
     out_rhat, out_level = run.columns[2], run.columns[3]
     assert np.array_equal(out_rhat, first.columns[2])
-    assert [classify(r, levels) for r in out_rhat] == (out_level + 1).tolist()
+    assert [classify(r, levels) for r in out_rhat] == out_level.tolist()
