@@ -1,11 +1,12 @@
 """Hot numeric kernels: lattice search scans and the closed-loop sample loop.
 
 The search scans are vectorized numpy.  The inherently sequential simulation
-loop runs on Python floats: its operands become lists once per run
-(``loop_operands``), and each window appends its samples to the trace's
-columns and returns the new loop state (``window_loop``).  Each kernel has a
-one-candidate (or one-sample) loop reference in ``tests/oracles.py`` that it
-matches bit for bit: the kernels sum the same terms in the same order.
+loop is straight-line code on Python floats, generated from the four ints
+(nx, ny, nu, k) by ``loop_source`` and compiled once per shape; its operands
+become flat tuples once per run (``loop_operands``), and each window appends
+its samples to the trace's columns and returns the new state (``window_loop``).
+Each kernel matches a one-candidate (or one-sample) loop reference in
+``tests/oracles.py`` bit for bit: it sums the same terms in the same order.
 """
 
 from __future__ import annotations
@@ -183,20 +184,25 @@ def approach1_scan(cc, ec, budget):
 
 
 # ---------------------------------------------------------------------------
-# Closed-loop sample loop for one hyper-period window.
-#
-# Noise is consumed row-by-row from a pre-drawn buffer (plant noise first,
-# then measurement noise), so the draw sequence does not depend on the rate
-# trajectory.
+# Closed-loop sample loop for one hyper-period window, generated once per
+# plant shape (nx, ny, nu) and level count k as straight-line code on local
+# floats.  Noise is consumed row-by-row from a pre-drawn buffer (plant noise
+# first, then measurement noise), so the draws do not depend on the rates.
+# Each sum is one left-to-right chain of the index-loop reference's terms in
+# its order, from the reference's start (``0.0 +``, ``0.0 -`` or ``xh_a +``),
+# so it rounds, and signs a zero, as ``acc = 0.0; acc += ...`` does.  Chains
+# are written CHUNK terms a statement (``acc = acc + ...``), so no expression
+# nests deeper than one chunk whatever the shape.
 # ---------------------------------------------------------------------------
 
 
 class LoopOperands(NamedTuple):
-    """Everything the sample loop reads but never changes, as Python lists."""
+    """Everything the sample loop reads but never changes, as flat tuples of floats."""
 
-    per_rate: list    # per rate: (h, h_ms, [Phi | Gamma], K, Kf, chol R1d, Qd, jbar, S^-1)
-    meas_rows: list   # per output: ([C | chol_r2] row, C row)
-    inner_thr: list   # the k - 1 boundaries between levels
+    shape: tuple      # (nx, ny, nu, k): the key of the generated loop
+    per_rate: list    # per rate: h, h_ms, [Phi | Gamma], K, Kf, chol R1d, Qd, jbar, S^-1
+    meas: tuple       # C, then chol_r2
+    inner_thr: tuple  # the k - 1 boundaries between levels
     seg_bounds: list  # end of every noise segment but the last, then inf
     seg_r: list       # true noise intensity of each segment
     lam: float
@@ -216,20 +222,16 @@ class LoopState(NamedTuple):
 
 def loop_operands(*, phis, gammas, kgains, kfgains, cmat, chol_r1d, chol_r2, qds, jbars,
                   snom_inv, periods, thresholds, lam, phi_j, seg_ends, seg_rs) -> LoopOperands:
-    """Turn the stacked per-rate arrays and the run's settings into lists, once per run.
-
-    Rows that the loop walks one after another are joined ([C | chol_r2]
-    against [x; z_e], [Phi | Gamma] against [x; u]), which keeps the order of
-    the index-loop reference.
-    """
-    per_rate = zip(periods.tolist(), (periods * 1000.0).tolist(),
-                   np.concatenate([phis, gammas], axis=2).tolist(),
-                   kgains.tolist(), kfgains.tolist(), chol_r1d.tolist(), qds.tolist(),
-                   jbars.tolist(), snom_inv.tolist())
+    """Turn the stacked per-rate arrays and the run's settings into flat tuples,
+    once per run: matrices row-major, [Phi | Gamma] one block against [x; u]."""
+    n, nx, nu = gammas.shape
+    per_rate = [periods, periods * 1000.0, np.concatenate([phis, gammas], axis=2), kgains,
+                kfgains, chol_r1d, qds, jbars, snom_inv]
     return LoopOperands(
-        per_rate=list(per_rate),
-        meas_rows=list(zip(np.hstack([cmat, chol_r2]).tolist(), cmat.tolist())),
-        inner_thr=thresholds[1:-1].tolist(),
+        shape=(nx, cmat.shape[0], nu, len(thresholds) - 1),
+        per_rate=list(map(tuple, np.hstack([a.reshape(n, -1) for a in per_rate]).tolist())),
+        meas=tuple(cmat.ravel().tolist() + chol_r2.ravel().tolist()),
+        inner_thr=tuple(thresholds[1:-1].tolist()),
         seg_bounds=seg_ends[:-1].tolist() + [math.inf],  # the last segment never ends
         seg_r=seg_rs.tolist(),
         lam=float(lam),
@@ -237,13 +239,105 @@ def loop_operands(*, phis, gammas, kgains, kfgains, cmat, chol_r1d, chol_r2, qds
     )
 
 
-def _level_of(r_hat, inner_thr):
-    level = 0
-    for bound in inner_thr:
-        if r_hat <= bound:
-            break
-        level += 1
-    return level
+CHUNK = 64  # the most terms one generated statement adds
+
+_LOOP = """\
+def window_loop(ops, mmap, state, window_end, noise, out):
+    _, per_rate, {meas}, {bounds}, seg_bounds, seg_r, lam, phi_j = ops
+    {x}, {xh}, r_hat, t, energy, cost = state
+    keep = 1.0 - lam
+    # only the rows this window can reach at its fastest deployed rate
+    reach = min(noise.shape[0], int((window_end - t) / min(per_rate[r][0] for r in mmap)) + 2)
+    noise_flat = noise[:reach].ravel().tolist()
+    level_time = [0.0] * {k}
+    {classify}
+    seg = -1  # the first step enters the segment it lies in
+    seg_end = -inf
+    pos = 0
+    rate = -1
+    add_t, add_h_ms, add_rhat, add_level, add_energy, add_cost, add_rate = (c.append for c in out)
+    while t < window_end:
+        if mmap[level] != rate:
+            rate = mmap[level]
+            {per_rate} = per_rate[rate]
+        if t >= seg_end:
+            while t >= seg_end:
+                seg += 1
+                seg_end = seg_bounds[seg]
+            r_true = seg_r[seg]
+            sqrt_r = sqrt(r_true)
+        {z} = noise_flat[pos:pos + {width}]
+        pos += {width}
+        {step}
+    return LoopState(list({x}), list({xh}), r_hat, t, energy, cost), level_time
+"""
+
+
+def _chain(target, start, terms):
+    """``target = start + t0 + t1 ...``, left to right, CHUNK terms a statement."""
+    return [f"{target} = {start if i == 0 else target}{''.join(terms[i:i + CHUNK])}"
+            for i in range(0, len(terms), CHUNK)]
+
+
+def _dot(sign, row, vec):
+    return [f" {sign} {a}*{b}" for a, b in zip(row, vec)]
+
+
+def loop_source(nx, ny, nu, k):
+    """The source of the window loop for one plant shape and level count: only
+    these four ints go into the text, every number of a run is an operand."""
+    for name, v in (("nx", nx), ("ny", ny), ("nu", nu), ("k", k)):
+        if type(v) is not int or v < 1:
+            raise ValueError(f"loop_source: {name} must be an int of at least 1, got {v!r}")
+
+    def vec(name, size):
+        return [f"{name}{a}" for a in range(size)]
+
+    def mat(name, rows, cols):
+        return [vec(f"{name}{a}_", cols) for a in range(rows)]
+
+    def tup(*rows):  # a target list of any length: "(a, b,)", "(a,)" or "()"
+        return "(" + "".join(f"{e}, " for row in rows for e in row).rstrip() + ")"
+
+    x, xh, v, n, u, z, innov = (vec(*a) for a in (("x", nx), ("xh", nx), ("v", nx), ("n", nx),
+                                                   ("u", nu), ("z", nx + ny), ("i", ny)))
+    c, d, s, f = mat("c", ny, nx), mat("d", ny, ny), mat("s", ny, ny), mat("f", nx, ny)
+    p, kk, w = mat("p", nx, nx + nu), mat("k", nu, nx), mat("w", nx, nx)
+    q = mat("q", nx + nu, nx + nu)
+    classify = [f"{'el' * (j > 0)}if r_hat <= b{j}:\n    level = {j}" for j in range(k - 1)]
+    classify.append(f"else:\n    level = {k - 1}" if k > 1 else "level = 0")
+    step = []
+    for a in range(ny):  # the innovation y - C xhat, where y = C x + chol_r2 z_e
+        step += _chain(innov[a], "0.0", _dot("+", c[a], x) + _dot("+", d[a], z[nx:])
+                       + _dot("-", c[a], xh))
+    # residual-variance update of the intensity estimate, then its level
+    step += _chain("ratio", "0.0", [f" + {ia}*{s[a][b]}*{ib}" for a, ia in enumerate(innov)
+                                    for b, ib in enumerate(innov)])
+    step += [f"r_hat = keep * r_hat + lam * (ratio / {ny})", *classify]
+    for a in range(nx):  # measurement update then feedback
+        step += _chain(v[a], xh[a], _dot("+", f[a], innov))
+    for a in range(nu):
+        step += _chain(u[a], "0.0", _dot("-", kk[a], v))
+    # stage cost on [x; u] plus the expected intra-sample noise term
+    step += _chain("stage", "0.0", [f" + {za}*{q[a][b]}*{zb}" for a, za in enumerate(x + u)
+                                    for b, zb in enumerate(x + u)])
+    step += ["cost += stage + r_true * jbar", "energy += phi_j", "add_t(t)", "add_h_ms(h_ms)",
+             "add_rhat(r_hat)", "add_level(level + 1)", "add_energy(energy)", "add_cost(cost)",
+             "add_rate(rate)", "dt_attr = h", "if window_end - t < dt_attr:",
+             "    dt_attr = window_end - t", "level_time[level] += dt_attr"]
+    for a in range(nx):  # propagate plant and estimator over one period
+        step += _chain("acc", "0.0", _dot("+", p[a], x + u))
+        step += _chain("wnoise", "0.0", _dot("+", w[a], z[:nx]))
+        step += [f"{n[a]} = acc + sqrt_r * wnoise", *_chain(xh[a], "0.0", _dot("+", p[a], v + u))]
+    step += [f"{tup(x)} = {tup(n)}", "t += h"]
+    return _LOOP.format(
+        meas=tup(*c, *d), bounds=tup(vec("b", k - 1)), x=tup(x), xh=tup(xh), k=k,
+        classify="\n".join(classify).replace("\n", "\n    "), z=tup(z), width=nx + ny,
+        per_rate=tup(["h", "h_ms"], *p, *kk, *f, *w, *q, ["jbar"], *s),
+        step="\n".join(step).replace("\n", "\n        "))
+
+
+_LOOPS = {}  # (nx, ny, nu, k) -> the compiled window loop of that shape
 
 
 def window_loop(ops: LoopOperands, mmap, state: LoopState, window_end, noise, out):
@@ -252,107 +346,13 @@ def window_loop(ops: LoopOperands, mmap, state: LoopState, window_end, noise, ou
     Appends each sample to the seven lists of ``out``: the trace's columns
     t, h_ms, r_hat, level (1-based), energy_j and cost_integral, then the
     0-based rate index.  Returns the new state and the time spent at each
-    level.  Each step does the multiplies and adds of the index-loop
-    reference in the same order, on Python floats; math.sqrt and np.sqrt are
-    both correctly rounded, so every output matches the reference bit for bit.
+    level.  Runs ``loop_source(*ops.shape)``, compiled on first use and kept
+    in ``_LOOPS``; math.sqrt and np.sqrt are both correctly rounded, so every
+    output matches the index-loop reference bit for bit.
     """
-    per_rate, meas_rows, inner_thr, seg_bounds, seg_r, lam, phi_j = ops
-    xs, xh, r_hat, t, energy, cost = state
-    nx, ny = len(xs), len(meas_rows)
-    keep = 1.0 - lam
-    # only the rows this window can reach at its fastest deployed rate, as one
-    # flat list: nested lists would be objects the garbage collector tracks
-    reach = min(noise.shape[0], int((window_end - t) / min(per_rate[r][0] for r in mmap)) + 2)
-    width = nx + ny
-    noise_flat = noise[:reach].ravel().tolist()
-    level_time = [0.0] * (len(inner_thr) + 1)
-    level = _level_of(r_hat, inner_thr)
-    seg = 0
-    seg_end = seg_bounds[0]
-    r_true = seg_r[0]
-    sqrt_r = math.sqrt(r_true)
-    step = 0
-    rate = -1
-    add_t, add_h_ms, add_rhat, add_level, add_energy, add_cost, add_rate = (c.append for c in out)
-    while t < window_end:
-        if mmap[level] != rate:
-            rate = mmap[level]
-            h, h_ms, prop_r, k_r, kf_r, r1_r, q_r, jbar, sinv_r = per_rate[rate]
-        if t >= seg_end:
-            while t >= seg_end:
-                seg += 1
-                seg_end = seg_bounds[seg]
-            r_true = seg_r[seg]
-            sqrt_r = math.sqrt(r_true)
-        # this step's noise row z = [z_w; z_e]
-        z = noise_flat[step * width:(step + 1) * width]
-        # measurement y = C x + chol_r2 z_e, then the innovation y - C xhat
-        xe = xs + z[nx:]
-        innov = []
-        for meas_row, c_row in meas_rows:
-            acc = 0.0
-            for c, v in zip(meas_row, xe):
-                acc += c * v
-            for c, v in zip(c_row, xh):
-                acc -= c * v
-            innov.append(acc)
-        # residual-variance update of the intensity estimate
-        ratio = 0.0
-        for ia, s_row in zip(innov, sinv_r):
-            for s, ib in zip(s_row, innov):
-                ratio += ia * s * ib
-        ratio /= ny
-        r_hat = keep * r_hat + lam * ratio
-        new_level = _level_of(r_hat, inner_thr)
-        # measurement update then feedback
-        xupd = []
-        for xa, kf_row in zip(xh, kf_r):
-            acc = xa
-            for c, v in zip(kf_row, innov):
-                acc += c * v
-            xupd.append(acc)
-        u = []
-        for k_row in k_r:
-            acc = 0.0
-            for c, v in zip(k_row, xupd):
-                acc -= c * v
-            u.append(acc)
-        # stage cost on [x; u] plus the expected intra-sample noise term
-        xu = xs + u
-        stage = 0.0
-        for za, q_row in zip(xu, q_r):
-            for q, zb in zip(q_row, xu):
-                stage += za * q * zb
-        cost += stage + r_true * jbar
-        energy += phi_j
-        add_t(t)
-        add_h_ms(h_ms)
-        add_rhat(r_hat)
-        add_level(new_level + 1)
-        add_energy(energy)
-        add_cost(cost)
-        add_rate(rate)
-        dt_attr = h
-        if window_end - t < dt_attr:
-            dt_attr = window_end - t
-        level_time[new_level] += dt_attr
-        # propagate plant and estimator over one period
-        xupd_u = xupd + u
-        xs = []
-        xh = []
-        for prop_row, r1_row in zip(prop_r, r1_r):
-            acc = 0.0
-            for c, v in zip(prop_row, xu):
-                acc += c * v
-            wnoise = 0.0
-            for c, v in zip(r1_row, z):  # stops after the nx entries of z_w
-                wnoise += c * v
-            xs.append(acc + sqrt_r * wnoise)
-            acc = 0.0
-            for c, v in zip(prop_row, xupd_u):
-                acc += c * v
-            xh.append(acc)
-        t += h
-        level = new_level
-        step += 1
-    return LoopState(xs, xh, r_hat, t, energy, cost), level_time
+    loop = _LOOPS.get(ops.shape)
+    if loop is None:
+        namespace = {"sqrt": math.sqrt, "inf": math.inf, "LoopState": LoopState}
+        exec(compile(loop_source(*ops.shape), f"<window_loop {ops.shape}>", "exec"), namespace)
+        loop = _LOOPS[ops.shape] = namespace["window_loop"]
+    return loop(ops, mmap, state, window_end, noise, out)

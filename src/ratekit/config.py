@@ -53,10 +53,13 @@ def _load_scenario(doc, base: Path, seed: int):
             raise ConfigError(f"scenario: file not found: {path}")
         doc = parse_json(path.read_text(), path)
     json_object(doc, "scenario")
-    seed = json_number(doc.get("seed", seed), "scenario.seed", int)
     if "segments" in doc:
+        if "seed" in doc:
+            raise ConfigError("scenario.seed: a 'segments' scenario is not shuffled and "
+                              "takes no seed")
         segments = json_list(doc["segments"], "scenario.segments", json_list)
         return _checked("scenario", NoiseScenario, segments)
+    seed = json_number(doc.get("seed", seed), "scenario.seed", int)
     if "shares" not in doc:
         raise ConfigError("scenario: expected 'segments' or 'shares'")
     shares = json_list(doc["shares"], "scenario.shares")

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 MIN_PERIOD_S = 1e-6
 
@@ -144,6 +143,10 @@ def discretize(plant: PlantModel, periods) -> DiscreteStack:
     noise cost constant.  Each exponential is one expm call on the stack of
     all periods, which computes every member as a lone call would.
     """
+    # imported here, the one place ratekit takes a matrix exponential, so
+    # commands that only read tables never load scipy
+    from scipy.linalg import expm
+
     periods = tuple(periods)
     for h in periods:
         if not np.isfinite(h) or h <= 0.0:

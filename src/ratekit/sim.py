@@ -6,10 +6,14 @@ the window's energy budget, and deploys it for the next window.  Within a
 window the active rate follows the classified disturbance level.  The first
 window always runs at the fastest admissible rate.
 
-The sample loop gets its operands as lists once per run
-(``_kernels.loop_operands``), taken from the designed controller stack as it
-is, and, window by window, appends the window's samples to the trace's
-columns and returns the new loop state (``_kernels.window_loop``).
+The sample loop gets its operands as flat tuples once per run
+(``loop_operands``), taken from the designed controller stack as it is, and,
+window by window, appends the window's samples to the trace's columns and
+returns the new loop state (``_kernels.window_loop``).  The loop itself is
+straight-line code that ``_kernels.loop_source`` writes from the four ints
+(nx, ny, nu, k) alone, compiled once per shape and cached by it; it sums the
+index-loop reference's terms in their order from the same start (``0.0 +``),
+so its rounding and the sign of a zero, and so the trace bytes, match it.
 
 A trace keeps its samples as columns, one Python list per sample field, and
 writes its JSONL straight from them; ``SimulationTrace.events`` (one dict per
@@ -68,7 +72,8 @@ class NoiseScenario:
 
 def classify(r_hat: float, levels: LevelSpec) -> int:
     """1-based level of an intensity estimate; values above the top clamp to k."""
-    return _kernels._level_of(r_hat, levels.thresholds[1:-1]) + 1
+    inner = levels.thresholds[1:-1]
+    return 1 + next((j for j, bound in enumerate(inner) if r_hat <= bound), len(inner))
 
 
 @dataclass(frozen=True)
@@ -222,6 +227,20 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
 
 
+def loop_operands(plant: PlantModel, controllers: LqgController, levels: LevelSpec,
+                  scenario: NoiseScenario, *, lam: float, phi_j: float) -> _kernels.LoopOperands:
+    """The sample loop's operands for a run of ``controllers`` (one per rate)
+    on ``plant`` over ``scenario``; ``phi_j`` is the energy of one sample."""
+    dp = controllers.dp
+    segments = scenario.segments
+    return _kernels.loop_operands(
+        phis=dp.Phi, gammas=dp.Gamma, kgains=controllers.K, kfgains=controllers.Kf,
+        cmat=plant.C, chol_r1d=_psd_sqrt(dp.R1d), chol_r2=_psd_sqrt(plant.R2), qds=dp.Qd,
+        jbars=dp.jbar1, snom_inv=np.linalg.inv(controllers.S_innov),
+        periods=np.array(dp.h), thresholds=np.array(levels.thresholds), lam=lam, phi_j=phi_j,
+        seg_ends=np.cumsum([d for d, _ in segments]), seg_rs=np.array([r for _, r in segments]))
+
+
 def floor_pattern(fractions, rates: RateSet, window: float) -> tuple:
     """Lift zero level shares to one slow sample's worth so totals stay positive."""
     fr = list(fractions)
@@ -255,19 +274,10 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
             f"scenario ({scenario.total} s) shorter than one hyper-period ({window} s)")
     n = len(rates)
     k = levels.k
-    periods = np.array(rates.periods)
-    segments = scenario.segments
-    dp = controllers.dp
-    ops = _kernels.loop_operands(
-        phis=dp.Phi, gammas=dp.Gamma, kgains=controllers.K, kfgains=controllers.Kf,
-        cmat=plant.C, chol_r1d=_psd_sqrt(dp.R1d), chol_r2=_psd_sqrt(plant.R2), qds=dp.Qd,
-        jbars=dp.jbar1, snom_inv=np.linalg.inv(controllers.S_innov),
-        periods=periods, thresholds=np.array(levels.thresholds), lam=lam,
-        phi_j=pt.phi_mj * 1e-3,
-        seg_ends=np.cumsum([d for d, _ in segments]), seg_rs=np.array([r for _, r in segments]))
+    ops = loop_operands(plant, controllers, levels, scenario, lam=lam, phi_j=pt.phi_mj * 1e-3)
 
     n_windows = int(np.floor(scenario.total / window + FLOOR_EPS))
-    max_steps = int(np.ceil(window / periods[0])) + 2
+    max_steps = int(np.ceil(window / rates.periods[0])) + 2
 
     rng = np.random.default_rng(seed)
     state = _kernels.LoopState([0.0] * plant.nx, [0.0] * plant.nx, 0.0, 0.0, 0.0, 0.0)

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -82,6 +85,24 @@ def test_synthesize_oracle_equivalence(small_config, tmp_path, capsys):
     assert docs["approach2"]["feasible"]
 
 
+def test_synthesize_on_tables_does_not_import_scipy(small_config, tmp_path, capsys):
+    # scipy is loaded only where a matrix exponential is taken (precompute)
+    tables = tmp_path / "tables"
+    main(["precompute", "--config", str(small_config), "--out", str(tables)])
+    capsys.readouterr()
+    code = ("import sys; from ratekit.cli import main; rc = main(sys.argv[1:]); "
+            "print('scipy' in sys.modules); sys.exit(rc)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, "synthesize", "--tables", str(tables),
+                           "--pattern", "0.7,0.1,0.2", "--budget-energy", "0.4",
+                           "--budget-window", "20", "--algo", "approach1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_synthesize_strict_infeasible(small_config, tmp_path, capsys):
     tables = tmp_path / "tables"
     main(["precompute", "--config", str(small_config), "--out", str(tables)])
@@ -156,6 +177,18 @@ def test_config_bad_value_exits_one_naming_field(tmp_path, capsys, section, fiel
     rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "trace.jsonl")])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_segments_scenario_refuses_seed(tmp_path, capsys):
+    # a 'segments' scenario is used as written, so a seed there would do nothing
+    cfg = json.loads((CONFIG_DIR / "sim_low.json").read_text())
+    cfg["scenario"] = {"segments": [[200, 5], [200, 75]], "seed": 4}
+    (tmp_path / "plant_dcservo.json").write_text((CONFIG_DIR / "plant_dcservo.json").read_text())
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "trace.jsonl")])
+    assert rc == 1
+    assert one_error_line(capsys).startswith("error: scenario.seed: ")
 
 
 @pytest.mark.parametrize("shares, cause", [

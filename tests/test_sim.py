@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import itertools
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratekit import _kernels
+from ratekit import _kernels, lqg
 from ratekit.bench import BenchCase, synthetic_totals
 from ratekit.energy import EnergyBudget
 from ratekit.lqg import evaluate_cost
 from ratekit.sim import (MAX_SCENARIO_PIECES, MatchFixedBudget, NoiseScenario, SampleColumns,
-                         SimulationTrace, Strategy, classify, scenario_from_shares,
-                         simulate)
+                         SimulationTrace, Strategy, _psd_sqrt, classify, loop_operands,
+                         scenario_from_shares, simulate)
 from ratekit.tables import (LevelSpec, RateSet, WindowTotals, build_cost_table, design_all,
                             totals_over_window)
 
@@ -468,17 +469,16 @@ class LoopRun:
         return ret
 
 
-@pytest.mark.parametrize("nx, ny, nu", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 2),
-                                        (3, 2, 2), (4, 2, 1), (4, 1, 2)])
-def test_window_loop_py_matches_reference(nx, ny, nu):
-    rng = np.random.default_rng(100 * nx + 10 * ny + nu)
+def check_loop_against_reference(rng, nx, ny, nu, k=3):
+    """Three random systems, four windows each, run by the kernel and the
+    index-loop reference: every output, bit for bit."""
     for _ in range(3):
-        inputs = random_loop_inputs(rng, nx, ny, nu)
+        inputs = random_loop_inputs(rng, nx, ny, nu, k=k)
         r_hat = float(rng.uniform(0.0, 5.0))
-        ref = LoopRun(oracles._window_loop_impl, inputs, nx, 3, r_hat)
-        new = LoopRun(_kernels.window_loop, inputs, nx, 3, r_hat)
+        ref = LoopRun(oracles._window_loop_impl, inputs, nx, k, r_hat)
+        new = LoopRun(_kernels.window_loop, inputs, nx, k, r_hat)
         for w in range(4):  # the last window runs past the final segment end
-            mmap = rng.integers(0, 3, 3)
+            mmap = rng.integers(0, 3, k)
             noise = rng.standard_normal((inputs["max_steps"], nx + ny))
             got_ref = ref.window(w + 1.0, mmap, noise)
             got_new = new.window(w + 1.0, mmap, noise)
@@ -488,6 +488,102 @@ def test_window_loop_py_matches_reference(nx, ny, nu):
                             [ref.x, ref.xhat, ref.level_time, *ref.columns]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
                 assert a.tobytes() == b.tobytes()  # also the sign of zeros
+
+
+@pytest.mark.parametrize("nx, ny, nu", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 2),
+                                        (3, 2, 2), (4, 2, 1), (4, 1, 2), (10, 3, 3)])
+def test_window_loop_py_matches_reference(nx, ny, nu):
+    check_loop_against_reference(np.random.default_rng(100 * nx + 10 * ny + nu), nx, ny, nu)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_window_loop_matches_reference_at_level_counts(k):
+    # zero, one and four boundaries in the generated level test
+    check_loop_against_reference(np.random.default_rng(500 + k), 2, 2, 1, k=k)
+
+
+def test_loop_compiled_once_per_shape(plant, cost_table, power_table, levels, controllers,
+                                      low_scenario, short_budget, monkeypatch):
+    shape = (plant.nx, plant.ny, plant.nu, levels.k)
+    monkeypatch.delitem(_kernels._LOOPS, shape, raising=False)
+    sources = []
+    source = _kernels.loop_source
+    monkeypatch.setattr(_kernels, "loop_source", lambda *a: sources.append(a) or source(*a))
+    run_sim(plant, cost_table, power_table, levels, low_scenario, short_budget,
+            Strategy.adaptive("approach1"), controllers)
+    size = len(_kernels._LOOPS)
+    run_sim(plant, cost_table, power_table, levels, low_scenario, short_budget,
+            Strategy.fixed(0.05), controllers)
+    assert len(_kernels._LOOPS) == size and sources == [shape]
+
+
+def binop_depth(node) -> int:
+    """The most BinOp nodes on one path down the tree."""
+    below = max((binop_depth(child) for child in ast.iter_child_nodes(node)), default=0)
+    return below + isinstance(node, ast.BinOp)
+
+
+def test_generated_loop_nests_at_most_one_chunk():
+    # nx = 70: the innovation sums 142 terms and the stage cost 72^2
+    tree = ast.parse(_kernels.loop_source(70, 2, 2, 3))
+    assert _kernels.CHUNK <= binop_depth(tree) <= _kernels.CHUNK + 4
+
+
+@pytest.mark.parametrize("shape", [(True, 1, 1, 3), (2, 1.0, 1, 3), (2, 1, "1", 3),
+                                   (2, 1, 1, np.int64(3)), (0, 1, 1, 3), (2, 0, 1, 3),
+                                   (2, 1, 0, 3), (2, 1, 1, 0), (2, 1, 1, -1)])
+def test_loop_source_refuses_other_than_positive_ints(shape):
+    with pytest.raises(ValueError, match="must be an int of at least 1"):
+        _kernels.loop_source(*shape)
+
+
+def one_step(ops, rate, k, z_state, noise_row):
+    """One sample of the shipped loop at ``rate`` from [x; xhat] = ``z_state``:
+    the next [x; xhat] and the cost it adds."""
+    nx = len(z_state) // 2
+    h = ops.per_rate[rate][0]
+    state = _kernels.LoopState(list(z_state[:nx]), list(z_state[nx:]), 0.0, 0.0, 0.0, 0.0)
+    out = tuple([] for _ in KERNEL_DTYPES)
+    state, _ = _kernels.window_loop(ops, [rate] * k, state, h / 2, np.array([noise_row]), out)
+    assert len(out[0]) == 1
+    return np.array(state.x + state.xhat), state.cost
+
+
+def assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("which", ["dc_servo", "seeded_3x2x2"])
+def test_sample_loop_is_the_planners_linear_model(which, plant, rates, levels, controllers):
+    # at a fixed rate one step of the loop is linear in (x, xhat, noise): unit
+    # states give the closed-loop matrix, unit noise a square root of the noise
+    # covariance, and the cost it adds is the lifted stage cost plus r * jbar
+    if which == "seeded_3x2x2":
+        plant = seeded_plant()
+        controllers = design_all(plant, rates)
+    nx, ny = plant.nx, plant.ny
+    dp = controllers.dp
+    loop = lqg._Loop(plant, dp, controllers.K, controllers.Kf)
+    # [x; u] takes the measurement noise e through u = -K Kf e
+    te = np.concatenate([np.zeros((len(rates), nx, ny)), -controllers.K @ controllers.Kf], axis=1)
+    chol_r2 = _psd_sqrt(plant.R2)
+    rng = np.random.default_rng(31)
+    for r in (0.0, 5.0, 75.0):
+        ops = loop_operands(plant, controllers, levels, NoiseScenario(((1.0, r),)), lam=0.05,
+                            phi_j=1e-3)
+        w = loop.noise_cov(np.array([r]))
+        for i in range(len(rates)):
+            a_mat = np.array([one_step(ops, i, levels.k, e, np.zeros(nx + ny))[0]
+                              for e in np.eye(2 * nx)]).T
+            b_mat = np.array([one_step(ops, i, levels.k, np.zeros(2 * nx), e)[0]
+                              for e in np.eye(nx + ny)]).T
+            assert_close(a_mat, loop.acl[i])
+            assert_close(b_mat @ b_mat.T, w[i])
+            for _ in range(3):
+                z_state, noise_row = rng.standard_normal(2 * nx), rng.standard_normal(nx + ny)
+                xu = loop.t_map[i] @ z_state + te[i] @ (chol_r2 @ noise_row[nx:])
+                cost = one_step(ops, i, levels.k, z_state, noise_row)[1]
+                assert_close(np.array(cost), xu @ dp.Qd[i] @ xu + r * dp.jbar1[i])
 
 
 @settings(max_examples=25, deadline=None)
