@@ -1,6 +1,9 @@
 """Hot numeric kernels: lattice search scans and the closed-loop sample loop.
 
-The search scans are vectorized numpy.  The inherently sequential simulation
+The search scans are vectorized numpy.  ``approach2_fallback`` answers a
+budget nothing fits from the n^(k-1) rank prefixes: the vector and count the
+profit walk reports after popping all n^k vectors (the walk, in
+``ratekit.search``, is its reference).  The inherently sequential simulation
 loop is straight-line code on Python floats, generated from the four ints
 (nx, ny, nu, k) by ``loop_source`` and compiled once per shape; its operands
 become flat tuples once per run (``loop_operands``), and each window appends
@@ -55,8 +58,9 @@ def _select_min_energy(cost, energy):
 
 # Largest array a scan may build: the n^k cells of the exhaustive oracle
 # (several float64 grids, about 175 MB at the limit; 161^3 is about 4.2M) and
-# the n^(k-1) prefixes of the dominance-pruned scan and the match-fixed
-# budget; also the most vectors approach2 may pop on a budget nothing fits.
+# the n^(k-1) prefixes of the dominance-pruned scan, the match-fixed budget
+# and approach2's answer to a budget nothing fits; over it as n^k, approach2
+# refuses such a budget.
 MAX_ORACLE_CELLS = 5_000_000
 
 
@@ -181,6 +185,46 @@ def approach1_scan(cc, ec, budget):
     pos = int(np.argmax(tie & (energy == e)))
     idx = tuple(int(v[pos]) for v in coords) + (int(rows[pos]),)
     return np.array(idx, np.int64), float(c), float(e), infeasible + cand.size, True
+
+
+# ---------------------------------------------------------------------------
+# The profit walk's answer on a budget nothing fits.
+#
+# The walk then pops all n^k rank vectors in key order (-profit, rank) and
+# keeps the first whose energy is the least.  Float addition is monotone, so
+# the left-to-right sum of each level's least energy is the lattice minimum,
+# and only vectors whose sum rounds to it qualify.  Per prefix of the first
+# k-1 ranks, those last ranks are a leading run of the last level's stably
+# sorted energies; profit never rises with rank, so the run's smallest rank
+# is the prefix's best key.  The best prefix is the one of largest collective
+# profit, ties to the first in C order (the smaller rank vector).
+# ---------------------------------------------------------------------------
+
+
+def approach2_fallback(order, profit, cc, ec, least):
+    """The first rank vector in the walk's key order whose energy is ``least``.
+
+    ``order`` and ``profit`` are the (k, n) profit tables (rank r of level j
+    is rate ``order[j, r]``, ``profit[j]`` non-increasing), ``cc`` and ``ec``
+    the (n, k) window totals and ``least`` the left-to-right sum of each
+    level's least energy.  Builds the n^(k-1) prefixes, not the lattice, and
+    reports the n^k vectors the walk would pop.
+    """
+    k, n = order.shape
+    last = k - 1
+    energy = ec[order.T, np.arange(k)]  # ranked, so column j is level j in rank order
+    energy_prefix = prefix_sums(energy)
+    by_energy = np.argsort(energy[:, last], kind="stable")
+    count = count_within(energy_prefix, energy[by_energy, last], least)
+    smallest = np.minimum.accumulate(by_energy)[np.maximum(count - 1, 0)]
+    total = np.where(count > 0, prefix_sums(profit.T) + profit[last, smallest], -np.inf)
+    p = int(np.argmax(total))
+    rank = (np.unravel_index(p, (n,) * last) if last else ()) + (smallest[p],)
+    idx = [int(order[j, rank[j]]) for j in range(k)]
+    c = 0.0
+    for j in range(k):
+        c += cc[idx[j], j]
+    return np.array(idx, np.int64), float(c), float(least), n**k, False
 
 
 # ---------------------------------------------------------------------------

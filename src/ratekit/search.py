@@ -126,8 +126,11 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
     popped vector advances only that level or a later one, so each vector is
     pushed once and the walk keeps only its heap frontier.  A parent's key
     (-profit, rank) is strictly smaller than its child's, so pops follow key
-    order.  A budget that nothing fits would pop all n^k vectors, so above
-    the scans' size limit it raises ValueError before walking.
+    order.  A budget that nothing fits would pop all n^k vectors and report
+    the first of least energy; ``_kernels.approach2_fallback`` gives that
+    vector and count from the n^(k-1) rank prefixes instead, and the walk
+    runs only when asked to record its emissions.  Above the scans' size
+    limit such a budget raises ValueError before anything is built.
     """
     e_max = _check_budget(totals, budget)
     t0 = time.perf_counter()
@@ -137,14 +140,18 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
     order = profit.order.tolist()
     cc = totals.cc_total.T.tolist()
     ec = totals.ec_by_level.T.tolist()
-    if n**k > _kernels.MAX_ORACLE_CELLS:
-        least = 0.0  # summed in the walk's order: nothing fits exactly when it exceeds e_max
-        for col in ec:
-            least += min(col)
-        if least > e_max:
+    least = 0.0  # summed in the walk's order: nothing fits exactly when it exceeds e_max
+    for col in ec:
+        least += min(col)
+    if least > e_max:
+        if n**k > _kernels.MAX_ORACLE_CELLS:
             raise ValueError(f"approach2 over n={n} rates and k={k} levels would walk all n^k "
                              f"= {n**k} candidates, more than the {_kernels.MAX_ORACLE_CELLS} "
                              f"allowed: the least energy {least} J is over the budget {e_max} J")
+        if not record_emissions:
+            idx, cost, energy, explored, ok = _kernels.approach2_fallback(
+                profit.order, profit.profit, totals.cc_total, totals.ec_by_level, least)
+            return _wrap(idx, cost, energy, explored, ok, totals, "approach2", t0)
     p0 = 0.0
     for j in range(k):
         p0 += prof[j][0]

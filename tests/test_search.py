@@ -344,6 +344,75 @@ def test_approach2_walk_matches_visited_set_reference():
         assert got.predicted_energy == energies[least]
 
 
+def least_energy(totals):
+    """The left-to-right sum of each level's least energy: the lattice minimum."""
+    e = 0.0
+    for j in range(totals.k):
+        e += float(totals.ec_by_level[:, j].min())
+    return e
+
+
+def test_approach2_answers_a_budget_nothing_fits_as_the_walk_does():
+    """Without emissions a budget nothing fits is answered from the rank
+    prefixes, not walked: the same result as the visited-set walk on
+    tie-heavy tables, random tables and bench tables."""
+    fields = ("controller", "predicted_cost", "predicted_energy", "explored", "feasible",
+              "algo")
+    rng = np.random.default_rng(28)
+    cases = [integer_instance(rng) for _ in range(500)]
+    assert sum(least_energy(totals) > budget.e_max for totals, budget in cases) >= 50
+    for _ in range(200):
+        totals, _ = random_instance(rng, k=int(rng.integers(1, 5)))
+        cases.append((totals, EnergyBudget(0.5 * least_energy(totals), totals.window)))
+    for n, k in ((9, 3), (17, 3), (32, 3), (17, 4), (12, 5)):
+        totals = synthetic_totals(BenchCase(n=n, k=k))
+        cases.append((totals, EnergyBudget(0.5 * least_energy(totals), totals.window)))
+    for totals, budget in cases:
+        prof = build_profit_tables(totals)
+        got = approach2(prof, totals, budget)
+        ref = oracles._approach2_impl(prof, totals, budget)
+        assert got.emissions is None
+        for name in fields:
+            assert getattr(got, name) == getattr(ref, name), name
+
+
+def first_of_least_energy(prof, totals):
+    """The walk's answer to a budget nothing fits, from the full lattice: of
+    the vectors of least energy, the first in key order (-profit, rank), with
+    its cost and energy summed level by level as the walk sums them."""
+    k, n = prof.order.shape
+    p, c, e = np.zeros(()), np.zeros(()), np.zeros(())
+    for j in range(k):
+        axis = (1,) * j + (n,) + (1,) * (k - 1 - j)
+        p = p + prof.profit[j].reshape(axis)
+        c = c + totals.cc_total[prof.order[j], j].reshape(axis)
+        e = e + totals.ec_by_level[prof.order[j], j].reshape(axis)
+    cells = np.flatnonzero(e.ravel() == e.min())  # in C order: by rank vector
+    first = cells[np.argsort(-p.ravel()[cells], kind="stable")[0]]
+    rank = np.unravel_index(first, (n,) * k)
+    choice = tuple(int(prof.order[j, rank[j]]) for j in range(k))
+    return choice, c.ravel()[first] / totals.window, e.ravel()[first]
+
+
+def test_approach2_answers_a_large_budget_nothing_fits_fast():
+    """Lattices whose walk would pop 0.5M to 4.1M vectors: the answer equals
+    the lattice reference's, and 160^3 comes back well inside a second."""
+    for n, k in ((80, 3), (17, 5), (160, 3)):
+        totals = synthetic_totals(BenchCase(n=n, k=k))
+        prof = build_profit_tables(totals)
+        budget = EnergyBudget(0.5 * least_energy(totals), totals.window)
+        t0 = time.perf_counter()
+        got = approach2(prof, totals, budget)
+        elapsed = time.perf_counter() - t0
+        assert not got.feasible and got.explored == n ** k
+        if n == 160:
+            assert elapsed < 1.0
+            assert got.predicted_energy == least_energy(totals)
+        else:
+            assert (got.controller.choice, got.predicted_cost, got.predicted_energy) \
+                == first_of_least_energy(prof, totals)
+
+
 def test_determinism_repeated_runs():
     rng = np.random.default_rng(26)
     totals, budget = random_instance(rng, n=7)
