@@ -1,11 +1,13 @@
 """Hot numeric kernels: lattice search scans and the closed-loop sample loop.
 
-The search scans are vectorized numpy.  ``approach2_fallback`` answers a
-budget nothing fits from the n^(k-1) rank prefixes: the vector and count the
-profit walk reports after popping all n^k vectors (the walk, in
-``ratekit.search``, is its reference).  The inherently sequential simulation
-loop is straight-line code on Python floats, generated from the four ints
-(nx, ny, nu, k) by ``loop_source`` and compiled once per shape; its operands
+The search scans are vectorized numpy.  ``approach2_scan`` finds the profit
+walk's answer from the n^(k-1) rank prefixes, with the exact number of
+vectors the walk pops to reach it; ``ratekit.search.approach2`` uses it for a
+budget nothing fits and for a walk still going after n^(k-1) pops (the walk
+is its reference).  The inherently sequential simulation loop is
+straight-line code on Python floats, generated from the four ints (nx, ny,
+nu, k) by ``loop_source`` (which refuses a loop of more than
+MAX_LOOP_PRODUCTS products a sample) and compiled once per shape; its operands
 become flat tuples once per run (``loop_operands``), and each window appends
 its samples to the trace's columns and returns the new state (``window_loop``).
 Each kernel matches a one-candidate (or one-sample) loop reference in
@@ -59,8 +61,8 @@ def _select_min_energy(cost, energy):
 # Largest array a scan may build: the n^k cells of the exhaustive oracle
 # (several float64 grids, about 175 MB at the limit; 161^3 is about 4.2M) and
 # the n^(k-1) prefixes of the dominance-pruned scan, the match-fixed budget
-# and approach2's answer to a budget nothing fits; over it as n^k, approach2
-# refuses such a budget.
+# and approach2's scan.  Over it as n^k, approach2 refuses a budget nothing
+# fits; over it as n^(k-1), approach2 walks a budget something fits uncut.
 MAX_ORACLE_CELLS = 5_000_000
 
 
@@ -188,43 +190,67 @@ def approach1_scan(cc, ec, budget):
 
 
 # ---------------------------------------------------------------------------
-# The profit walk's answer on a budget nothing fits.
+# The profit walk's answer from the rank prefixes.
 #
-# The walk then pops all n^k rank vectors in key order (-profit, rank) and
-# keeps the first whose energy is the least.  Float addition is monotone, so
-# the left-to-right sum of each level's least energy is the lattice minimum,
-# and only vectors whose sum rounds to it qualify.  Per prefix of the first
-# k-1 ranks, those last ranks are a leading run of the last level's stably
-# sorted energies; profit never rises with rank, so the run's smallest rank
-# is the prefix's best key.  The best prefix is the one of largest collective
-# profit, ties to the first in C order (the smaller rank vector).
+# The walk pops rank vectors in key order (-profit, rank) and stops at the
+# first whose energy is within its limit: the budget, or, on a budget nothing
+# fits, the left-to-right sum of each level's least energy (float addition is
+# monotone, so that sum is the lattice minimum and only vectors rounding to it
+# qualify).  Per prefix of the first k-1 ranks, the qualifying last ranks are
+# a leading run of the last level's stably sorted energies; profit never rises
+# with rank, so the run's smallest rank is the prefix's best key.  The best
+# prefix is the one of largest collective profit, ties to the first in C order
+# (the smaller rank vector).
+#
+# The walk pops every vector ahead of that answer.  Collective profit never
+# rises along the last rank either, so per prefix the vectors of profit above
+# P*, and those of profit at least P*, are leading runs of the last level:
+# ``count_within`` on the negated sums counts them, as negation is exact.
+# Ahead of the answer are every vector of greater profit, the vectors of equal
+# profit in earlier prefixes, and those of its own prefix before its rank.
 # ---------------------------------------------------------------------------
 
 
-def approach2_fallback(order, profit, cc, ec, least):
-    """The first rank vector in the walk's key order whose energy is ``least``.
+def approach2_scan(order, profit, cc, ec, limit):
+    """The first rank vector in the walk's key order whose energy is within ``limit``.
 
     ``order`` and ``profit`` are the (k, n) profit tables (rank r of level j
     is rate ``order[j, r]``, ``profit[j]`` non-increasing), ``cc`` and ``ec``
-    the (n, k) window totals and ``least`` the left-to-right sum of each
-    level's least energy.  Builds the n^(k-1) prefixes, not the lattice, and
-    reports the n^k vectors the walk would pop.
+    the (n, k) window totals.  Some vector's energy must be within ``limit``.
+    Builds the n^(k-1) prefixes, not the lattice, and returns the vector's
+    rates, its cost and energy summed level by level as the walk sums them,
+    and its position in key order: the number of vectors the walk pops.
     """
     k, n = order.shape
     last = k - 1
     energy = ec[order.T, np.arange(k)]  # ranked, so column j is level j in rank order
-    energy_prefix = prefix_sums(energy)
     by_energy = np.argsort(energy[:, last], kind="stable")
-    count = count_within(energy_prefix, energy[by_energy, last], least)
+    count = count_within(prefix_sums(energy), energy[by_energy, last], limit)
     smallest = np.minimum.accumulate(by_energy)[np.maximum(count - 1, 0)]
-    total = np.where(count > 0, prefix_sums(profit.T) + profit[last, smallest], -np.inf)
-    p = int(np.argmax(total))
-    rank = (np.unravel_index(p, (n,) * last) if last else ()) + (smallest[p],)
+    # profits may overflow to inf, as the walk's float sums do; at an infinite
+    # P* the guess inside count_within subtracts -inf from -inf where a
+    # prefix's profit is infinite too, and its exact fix-up counts that
+    # prefix whole
+    with np.errstate(over="ignore", invalid="ignore"):
+        profit_prefix = prefix_sums(profit.T)
+        total = np.where(count > 0, profit_prefix + profit[last, smallest], -np.inf)
+        p = int(np.argmax(total))
+        r = int(smallest[p])
+        best = total[p]
+        neg_prefix, neg = -profit_prefix, -profit[last]
+        if best == np.inf:  # nothing is ahead on profit
+            above = np.zeros_like(count)
+        else:
+            above = count_within(neg_prefix, neg, np.nextafter(-best, -np.inf))
+        at_least = count_within(neg_prefix[:p], neg, -best)  # ties count in earlier prefixes
+    position = int(above.sum()) + int((at_least - above[:p]).sum()) + r - int(above[p]) + 1
+    rank = (np.unravel_index(p, (n,) * last) if last else ()) + (r,)
     idx = [int(order[j, rank[j]]) for j in range(k)]
-    c = 0.0
+    c = e = 0.0
     for j in range(k):
         c += cc[idx[j], j]
-    return np.array(idx, np.int64), float(c), float(least), n**k, False
+        e += ec[idx[j], j]
+    return np.array(idx, np.int64), float(c), float(e), position
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +353,36 @@ def _dot(sign, row, vec):
     return [f" {sign} {a}*{b}" for a, b in zip(row, vec)]
 
 
+# Most products one sample may do: (80, 5, 5, 3) does 36,209 and its loop
+# compiles in about 0.4 s; (160, 5, 5, 3) would do 136,289 and take 1.1 s and
+# 225 MB.
+MAX_LOOP_PRODUCTS = 50_000
+
+
+def loop_products(nx, ny, nu):
+    """The ``*`` of ``loop_source(nx, ny, nu, k)`` for any k: the products of
+    one sample, term by term as the loop writes them, and the one that sizes
+    its per-level times."""
+    innovation = ny * (nx + ny + nx)
+    estimate = 2 * ny * ny + 2 + nx * ny + nu * nx  # ratio and r_hat, update, feedback
+    stage = 2 * (nx + nu) ** 2 + 1
+    propagate = nx * ((nx + nu) + nx + 1 + (nx + nu))
+    return innovation + estimate + stage + propagate + 1
+
+
 def loop_source(nx, ny, nu, k):
     """The source of the window loop for one plant shape and level count: only
-    these four ints go into the text, every number of a run is an operand."""
+    these four ints go into the text, every number of a run is an operand.
+    Refuses a shape whose sample would do more than MAX_LOOP_PRODUCTS products
+    before it writes any text."""
     for name, v in (("nx", nx), ("ny", ny), ("nu", nu), ("k", k)):
         if type(v) is not int or v < 1:
             raise ValueError(f"loop_source: {name} must be an int of at least 1, got {v!r}")
+    products = loop_products(nx, ny, nu)
+    if products > MAX_LOOP_PRODUCTS:
+        raise ValueError(f"sample loop for nx={nx} states, ny={ny} outputs and nu={nu} inputs "
+                         f"would do {products} products per sample, more than the "
+                         f"{MAX_LOOP_PRODUCTS} allowed")
 
     def vec(name, size):
         return [f"{name}{a}" for a in range(size)]

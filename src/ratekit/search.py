@@ -126,11 +126,14 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
     popped vector advances only that level or a later one, so each vector is
     pushed once and the walk keeps only its heap frontier.  A parent's key
     (-profit, rank) is strictly smaller than its child's, so pops follow key
-    order.  A budget that nothing fits would pop all n^k vectors and report
-    the first of least energy; ``_kernels.approach2_fallback`` gives that
-    vector and count from the n^(k-1) rank prefixes instead, and the walk
-    runs only when asked to record its emissions.  Above the scans' size
-    limit such a budget raises ValueError before anything is built.
+    order.  ``_kernels.approach2_scan`` finds the walk's answer and pop
+    count from the n^(k-1) rank prefixes instead, and answers in two cases:
+    a budget nothing fits, where the walk would pop all n^k vectors and
+    report the first of least energy, and a walk still going after n^(k-1)
+    pops, as many as the scan has prefixes.  A walk asked to record its
+    emissions is never cut, nor is one whose n^(k-1) is over the scans'
+    size limit; above that limit a budget nothing fits raises ValueError
+    before anything is built.
     """
     e_max = _check_budget(totals, budget)
     t0 = time.perf_counter()
@@ -149,9 +152,12 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
                              f"= {n**k} candidates, more than the {_kernels.MAX_ORACLE_CELLS} "
                              f"allowed: the least energy {least} J is over the budget {e_max} J")
         if not record_emissions:
-            idx, cost, energy, explored, ok = _kernels.approach2_fallback(
+            idx, cost, energy, _ = _kernels.approach2_scan(
                 profit.order, profit.profit, totals.cc_total, totals.ec_by_level, least)
-            return _wrap(idx, cost, energy, explored, ok, totals, "approach2", t0)
+            return _wrap(idx, cost, energy, n**k, False, totals, "approach2", t0)
+    # the most pops before the scan answers: as many as it has prefixes; the
+    # heap holds a vector until all n^k are popped
+    pops = n**k if record_emissions or n**(k - 1) > _kernels.MAX_ORACLE_CELLS else n**(k - 1)
     p0 = 0.0
     for j in range(k):
         p0 += prof[j][0]
@@ -161,7 +167,7 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
     emissions = [] if record_emissions else None
     inf_idx = inf_cost = None
     inf_energy = float("inf")
-    while heap:
+    while explored < pops:
         negp, rank, last = heapq.heappop(heap)
         explored += 1
         cost = 0.0
@@ -191,6 +197,10 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
                 for m in range(k):
                     p += prof[m][succ[m]]
                 heapq.heappush(heap, (-p, succ, j))
+    if least <= e_max:  # cut: the answer lies past the pops the walk made
+        idx, cost, energy, explored = _kernels.approach2_scan(
+            profit.order, profit.profit, totals.cc_total, totals.ec_by_level, e_max)
+        return _wrap(idx, cost, energy, explored, True, totals, "approach2", t0)
     return _wrap(inf_idx, inf_cost, inf_energy, explored, False, totals,
                  "approach2", t0, emissions)
 

@@ -234,6 +234,25 @@ def test_oversized_oracle_lattice_exits_one(tmp_path, capsys):
     assert err.startswith("error: ") and "n^k = 5000211" in err
 
 
+def test_simulate_refuses_a_plant_whose_sample_loop_is_over_the_limit(tmp_path, capsys):
+    # one state read by 130 sensors: 51,109 products per sample, over 50,000
+    ny = 130
+    plant = {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]] * ny, "D": [[0.0]] * ny,
+             "Rc": [[1.0]], "R2": np.eye(ny).tolist(), "Qxu": np.eye(2).tolist()}
+    (tmp_path / "plant.json").write_text(json.dumps(plant))
+    cfg = {"plant": "plant.json", "rates_ms": [10, 20],
+           "levels": {"thresholds": [0, 10], "representative_r": [5]},
+           "hyper_period_s": 20, "budget": {"energy_j": 1},
+           "scenario": {"segments": [[20, 5]]}}
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "trace.jsonl")])
+    assert rc == 1
+    err = one_error_line(capsys)
+    assert err.startswith("error: ")
+    assert all(part in err for part in ("nx=1 ", "ny=130 ", "nu=1 ", "51109", "50000"))
+
+
 def plot_csvs_from_events(events, level0):
     """The plot CSVs built from one dict per event, as the CLI once did."""
     cost, batt = io.StringIO(newline=""), io.StringIO(newline="")

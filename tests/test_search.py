@@ -1,4 +1,5 @@
 import time
+import warnings
 from itertools import chain
 from operator import itemgetter
 
@@ -374,6 +375,90 @@ def test_approach2_answers_a_budget_nothing_fits_as_the_walk_does():
         assert got.emissions is None
         for name in fields:
             assert getattr(got, name) == getattr(ref, name), name
+
+
+RESULT_FIELDS = ("controller", "predicted_cost", "predicted_energy", "explored", "feasible",
+                 "algo")
+
+
+def same_as_uncut_walk(prof, totals, budget):
+    """approach2 against its own walk asked for emissions, which is never cut:
+    every result field equal.  Returns the walk's result."""
+    got = approach2(prof, totals, budget)
+    ref = approach2(prof, totals, budget, record_emissions=True)
+    for name in RESULT_FIELDS:
+        assert getattr(got, name) == getattr(ref, name), name
+    return ref
+
+
+def test_approach2_cut_walk_answers_as_the_uncut_walk():
+    """A walk still going after n^(k-1) pops is answered from the rank
+    prefixes: the same vector, cost, energy and explored count as the whole
+    walk, on tie-heavy tables at their budget and at their least energy, on
+    random tables of one to four levels and on long bench walks."""
+    rng = np.random.default_rng(29)
+    cut = 0
+    for _ in range(500):
+        totals, budget = integer_instance(rng)
+        prof = build_profit_tables(totals)
+        for b in (budget, EnergyBudget(least_energy(totals), totals.window)):
+            ref = same_as_uncut_walk(prof, totals, b)
+            cut += ref.feasible and ref.explored > totals.n ** (totals.k - 1)
+    for _ in range(200):
+        totals, budget = random_instance(rng, k=int(rng.integers(1, 5)))
+        ref = same_as_uncut_walk(build_profit_tables(totals), totals, budget)
+        cut += ref.feasible and ref.explored > totals.n ** (totals.k - 1)
+    assert cut >= 100
+    # (32, 3) pops 26,041, 9,647 and 2,592 vectors, all past its cap of 1,024
+    for n, k, budgets in ((32, 3, (1.2, 1.5, 2.0)), (17, 4, (2.0,)), (12, 5, (2.0,))):
+        totals = synthetic_totals(BenchCase(n=n, k=k))
+        prof = build_profit_tables(totals)
+        for e in budgets:
+            ref = same_as_uncut_walk(prof, totals, EnergyBudget(e, totals.window))
+            assert ref.feasible and ref.explored > n ** (k - 1)
+
+
+def test_approach2_scans_only_for_a_walk_past_its_cap(monkeypatch):
+    limits = []
+    scan = _kernels.approach2_scan
+    monkeypatch.setattr(_kernels, "approach2_scan", lambda *a: limits.append(a[-1]) or scan(*a))
+    case = BenchCase(n=32, k=3)
+    totals = synthetic_totals(case)
+    prof = build_profit_tables(totals)
+    mid = approach2(prof, totals, case_budget(case, totals))
+    assert mid.explored <= 32 ** 2 and limits == []
+    assert approach2(prof, totals, EnergyBudget(1.2, totals.window),
+                     record_emissions=True).explored == 26041
+    assert limits == []
+    assert approach2(prof, totals, EnergyBudget(1.2, totals.window)).explored == 26041
+    assert limits == [1.2]
+
+
+def overflow_instance(rng):
+    """Small-integer tables scaled so that profits 1 / (cc * ec) reach 1e308:
+    some overflow to inf, and with two levels or more every collective profit
+    does, so all of it ties.  The budget is the least energy or a step or two
+    above it."""
+    totals, _ = integer_instance(rng)
+    cc, ec = totals.cc_total * 1e-170, totals.ec_by_level * 1e-139
+    totals = WindowTotals(rates=totals.rates, fractions=totals.fractions, window=1.0,
+                          cc_total=cc, ec_total=ec.sum(axis=1), ec_by_level=ec, phi_mj=1.0)
+    return totals, EnergyBudget(least_energy(totals) + int(rng.integers(0, 3)) * 1e-139, 1.0)
+
+
+def test_approach2_counts_an_infinite_profit_exactly_and_quietly():
+    rng = np.random.default_rng(30)
+    cut = infinite = 0
+    for _ in range(300):
+        totals, budget = overflow_instance(rng)
+        with np.errstate(over="ignore"):
+            prof = build_profit_tables(totals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ref = same_as_uncut_walk(prof, totals, budget)
+        infinite += ref.emissions[-1][1] == np.inf  # the answer's collective profit
+        cut += ref.explored > totals.n ** (totals.k - 1)
+    assert infinite >= 200 and cut >= 50
 
 
 def first_of_least_energy(prof, totals):

@@ -537,6 +537,22 @@ def test_loop_source_refuses_other_than_positive_ints(shape):
         _kernels.loop_source(*shape)
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 1, 1, 3), (3, 2, 2, 2), (7, 3, 2, 1),
+                                   (40, 5, 5, 3), (80, 5, 5, 3), (1, 128, 1, 4)])
+def test_loop_products_count_the_generated_products(shape):
+    assert _kernels.loop_products(*shape[:3]) == _kernels.loop_source(*shape).count("*")
+    assert _kernels.loop_products(*shape[:3]) <= _kernels.MAX_LOOP_PRODUCTS
+
+
+@pytest.mark.parametrize("shape, products", [((160, 5, 5, 3), 136289), ((100, 1, 1, 3), 51109),
+                                             ((1, 130, 1, 3), 51109)])
+def test_loop_source_refuses_a_loop_over_the_product_limit(shape, products):
+    nx, ny, nu, _ = shape
+    with pytest.raises(ValueError, match=rf"nx={nx} .*ny={ny} .*nu={nu} .*{products} "
+                                         rf"products per sample, more than the 50000"):
+        _kernels.loop_source(*shape)
+
+
 def one_step(ops, rate, k, z_state, noise_row):
     """One sample of the shipped loop at ``rate`` from [x; xhat] = ``z_state``:
     the next [x; xhat] and the cost it adds."""
