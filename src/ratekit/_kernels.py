@@ -1,15 +1,18 @@
 """Hot numeric kernels: lattice search scans and the closed-loop sample loop.
 
-The search scans are vectorized numpy.  ``approach2_scan`` finds the profit
-walk's answer from the n^(k-1) rank prefixes, with the exact number of
-vectors the walk pops to reach it; ``ratekit.search.approach2`` uses it for a
-budget nothing fits and for a walk still going after n^(k-1) pops (the walk
-is its reference).  The inherently sequential simulation loop is
-straight-line code on Python floats, generated from the four ints (nx, ny,
-nu, k) by ``loop_source`` (which refuses a loop of more than
-MAX_LOOP_PRODUCTS products a sample) and compiled once per shape; its operands
-become flat tuples once per run (``loop_operands``), and each window appends
-its samples to the trace's columns and returns the new state (``window_loop``).
+The search scans are vectorized numpy.  ``approach2_first`` finds the
+profit walk's answer from the n^(k-1) rank prefixes, and ``approach2_scan``
+adds the exact number of vectors the walk pops to reach it;
+``ratekit.search.approach2`` uses the first for a budget nothing fits and the
+second for a walk still going after max(64, n^(k-1) // 24) pops, about what
+one scan costs, so a cut walk costs at most about twice the cheaper of walk
+and scan (the walk is their reference).  The inherently sequential
+simulation loop is straight-line code on Python floats, generated from the
+four ints (nx, ny, nu, k) by ``loop_source`` (which refuses a loop of more
+than MAX_LOOP_PRODUCTS products a sample) and compiled once per shape; its
+operands become flat tuples once per run (``loop_operands``), and each window
+appends its samples to the trace's columns and returns the new state
+(``window_loop``).
 Each kernel matches a one-candidate (or one-sample) loop reference in
 ``tests/oracles.py`` bit for bit: it sums the same terms in the same order.
 """
@@ -211,46 +214,64 @@ def approach1_scan(cc, ec, budget):
 # ---------------------------------------------------------------------------
 
 
-def approach2_scan(order, profit, cc, ec, limit):
-    """The first rank vector in the walk's key order whose energy is within ``limit``.
-
-    ``order`` and ``profit`` are the (k, n) profit tables (rank r of level j
-    is rate ``order[j, r]``, ``profit[j]`` non-increasing), ``cc`` and ``ec``
-    the (n, k) window totals.  Some vector's energy must be within ``limit``.
-    Builds the n^(k-1) prefixes, not the lattice, and returns the vector's
-    rates, its cost and energy summed level by level as the walk sums them,
-    and its position in key order: the number of vectors the walk pops.
-    """
+def _first_within(order, profit, ec, limit):
+    """(prefix, last rank, collective profit, profit prefixes) of the first
+    rank vector in key order whose energy is within ``limit``."""
     k, n = order.shape
     last = k - 1
     energy = ec[order.T, np.arange(k)]  # ranked, so column j is level j in rank order
     by_energy = np.argsort(energy[:, last], kind="stable")
     count = count_within(prefix_sums(energy), energy[by_energy, last], limit)
     smallest = np.minimum.accumulate(by_energy)[np.maximum(count - 1, 0)]
-    # profits may overflow to inf, as the walk's float sums do; at an infinite
-    # P* the guess inside count_within subtracts -inf from -inf where a
-    # prefix's profit is infinite too, and its exact fix-up counts that
-    # prefix whole
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # profits may overflow to inf
         profit_prefix = prefix_sums(profit.T)
         total = np.where(count > 0, profit_prefix + profit[last, smallest], -np.inf)
-        p = int(np.argmax(total))
-        r = int(smallest[p])
-        best = total[p]
-        neg_prefix, neg = -profit_prefix, -profit[last]
-        if best == np.inf:  # nothing is ahead on profit
-            above = np.zeros_like(count)
-        else:
-            above = count_within(neg_prefix, neg, np.nextafter(-best, -np.inf))
-        at_least = count_within(neg_prefix[:p], neg, -best)  # ties count in earlier prefixes
-    position = int(above.sum()) + int((at_least - above[:p]).sum()) + r - int(above[p]) + 1
-    rank = (np.unravel_index(p, (n,) * last) if last else ()) + (r,)
+    p = int(np.argmax(total))
+    return p, int(smallest[p]), total[p], profit_prefix
+
+
+def _rates_cost_energy(order, cc, ec, p, r):
+    """Rates of the rank vector (prefix p, last rank r), and its cost and
+    energy summed level by level as the walk sums them."""
+    k, n = order.shape
+    rank = (np.unravel_index(p, (n,) * (k - 1)) if k > 1 else ()) + (r,)
     idx = [int(order[j, rank[j]]) for j in range(k)]
     c = e = 0.0
     for j in range(k):
         c += cc[idx[j], j]
         e += ec[idx[j], j]
-    return np.array(idx, np.int64), float(c), float(e), position
+    return np.array(idx, np.int64), float(c), float(e)
+
+
+def approach2_first(order, profit, cc, ec, limit):
+    """The first rank vector in the walk's key order whose energy is within ``limit``.
+
+    ``order`` and ``profit`` are the (k, n) profit tables (rank r of level j
+    is rate ``order[j, r]``, ``profit[j]`` non-increasing), ``cc`` and ``ec``
+    the (n, k) window totals.  Some vector's energy must be within ``limit``.
+    Builds the n^(k-1) prefixes, not the lattice, makes one ``count_within``
+    pass, and returns the vector's rates, cost and energy.
+    """
+    return _rates_cost_energy(order, cc, ec, *_first_within(order, profit, ec, limit)[:2])
+
+
+def approach2_scan(order, profit, cc, ec, limit):
+    """``approach2_first`` and the vector's position in key order: the number
+    of vectors the walk pops to reach it (two more ``count_within`` passes)."""
+    p, r, best, profit_prefix = _first_within(order, profit, ec, limit)
+    # negated profits may overflow to -inf in the sums, as the walk's do; at
+    # an infinite P* the guess inside count_within subtracts -inf from -inf
+    # where a prefix's profit is infinite too, and its exact fix-up counts
+    # that prefix whole
+    with np.errstate(over="ignore", invalid="ignore"):
+        neg_prefix, neg = -profit_prefix, -profit[-1]
+        if best == np.inf:  # nothing is ahead on profit
+            above = np.zeros(neg_prefix.shape, np.int64)
+        else:
+            above = count_within(neg_prefix, neg, np.nextafter(-best, -np.inf))
+        at_least = count_within(neg_prefix[:p], neg, -best)  # ties count in earlier prefixes
+    position = int(above.sum()) + int((at_least - above[:p]).sum()) + r - int(above[p]) + 1
+    return (*_rates_cost_energy(order, cc, ec, p, r), position)
 
 
 # ---------------------------------------------------------------------------

@@ -126,14 +126,17 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
     popped vector advances only that level or a later one, so each vector is
     pushed once and the walk keeps only its heap frontier.  A parent's key
     (-profit, rank) is strictly smaller than its child's, so pops follow key
-    order.  ``_kernels.approach2_scan`` finds the walk's answer and pop
-    count from the n^(k-1) rank prefixes instead, and answers in two cases:
-    a budget nothing fits, where the walk would pop all n^k vectors and
-    report the first of least energy, and a walk still going after n^(k-1)
-    pops, as many as the scan has prefixes.  A walk asked to record its
-    emissions is never cut, nor is one whose n^(k-1) is over the scans'
-    size limit; above that limit a budget nothing fits raises ValueError
-    before anything is built.
+    order.  The kernels find the walk's answer from the n^(k-1) rank
+    prefixes instead in two cases.  On a budget nothing fits, where the walk
+    would pop all n^k vectors and report the first of least energy,
+    ``_kernels.approach2_first`` answers without walking.  A walk still
+    going after max(64, n^(k-1) // 24) pops, about what one prefix scan
+    costs in pops, is cut and ``_kernels.approach2_scan`` answers with the
+    walk's exact pop count: walking until the walk has cost what the scan
+    costs keeps any query within about twice the cheaper of the two.  A
+    walk asked to record its emissions is never cut, nor is one whose
+    n^(k-1) is over the scans' size limit; above that limit a budget nothing
+    fits raises ValueError before anything is built.
     """
     e_max = _check_budget(totals, budget)
     t0 = time.perf_counter()
@@ -152,12 +155,18 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
                              f"= {n**k} candidates, more than the {_kernels.MAX_ORACLE_CELLS} "
                              f"allowed: the least energy {least} J is over the budget {e_max} J")
         if not record_emissions:
-            idx, cost, energy, _ = _kernels.approach2_scan(
+            idx, cost, energy = _kernels.approach2_first(
                 profit.order, profit.profit, totals.cc_total, totals.ec_by_level, least)
             return _wrap(idx, cost, energy, n**k, False, totals, "approach2", t0)
-    # the most pops before the scan answers: as many as it has prefixes; the
-    # heap holds a vector until all n^k are popped
-    pops = n**k if record_emissions or n**(k - 1) > _kernels.MAX_ORACLE_CELLS else n**(k - 1)
+    # the most pops before the scan answers: about what one approach2_scan
+    # costs (rent or buy).  Measured on a 2-core x86-64 host (Python 3.11,
+    # numpy 2.4), a pop costs 1.5-2.9 us and a scan, in ms and in pops:
+    #   17^3   0.13-0.15 (52-71)      32^3  0.12-0.19 (61-95)      80^3  0.43-0.61 (277-296)
+    #   160^3  2.8-2.9 (1195-1432)    32^4  1.9-3.0 (1047-1519)    17^5  5.9-7.8 (2592-3232)
+    # so the cap is 0.7-1.3 scans at each.  A walk that something fits
+    # returns before its heap empties, so the cap may exceed n^k.
+    cap = max(64, n**(k - 1) // 24)
+    pops = n**k if record_emissions or n**(k - 1) > _kernels.MAX_ORACLE_CELLS else cap
     p0 = 0.0
     for j in range(k):
         p0 += prof[j][0]

@@ -373,7 +373,7 @@ def load_tables(table_dir):
         if not p.exists():
             raise FileNotFoundError(f"table file not found: {p}")
     meta = parse_json(sidecar.read_text(), sidecar, obj=True)
-    if meta.get("schema") != 1:
+    if type(meta.get("schema")) is not int or meta["schema"] != 1:  # not true or 1.0
         raise ValueError(f"{sidecar}: schema {meta.get('schema')!r} is not 1")
     rates_ms = list(json_list(json_field(meta, "rates_ms", sidecar), f"{sidecar}: rates_ms"))
     phi_mj = json_number(json_field(meta, "phi_mj", sidecar), f"{sidecar}: phi_mj")

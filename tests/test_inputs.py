@@ -2,6 +2,7 @@
 number, and a bad field raises ConfigError naming that field."""
 
 import copy
+import csv
 import json
 import math
 from pathlib import Path
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from ratekit.bench import load_cases
 from ratekit.config import ConfigError, load_config
-from ratekit.tables import json_list, json_number
+from ratekit.tables import (build_profit_tables, json_list, json_number, load_tables,
+                            save_tables, totals_over_window)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -68,14 +70,21 @@ def field_name(path) -> str:
     return name
 
 
-def check_mutation(doc, path, value, file: Path, load):
-    """Load ``doc`` from ``file`` with the field at ``path`` set to ``value``: it
-    must load or raise ConfigError, and a number made a non-number must be named."""
+def mutated(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` set to ``value``, and the
+    field's original value."""
     doc = copy.deepcopy(doc)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     original, parent[path[-1]] = parent[path[-1]], value
+    return doc, original
+
+
+def check_mutation(doc, path, value, file: Path, load):
+    """Load ``doc`` from ``file`` with the field at ``path`` set to ``value``: it
+    must load or raise ConfigError, and a number made a non-number must be named."""
+    doc, original = mutated(doc, path, value)
     file.write_text(json.dumps(doc))
     try:
         load(file)
@@ -110,3 +119,69 @@ def test_config_mutation_loads_or_names_the_field(workdir, path, value):
 @given(path=st.sampled_from(list(field_paths(BENCH_CASES))), value=st.sampled_from(MUTANTS))
 def test_bench_cases_mutation_loads_or_names_the_field(workdir, path, value):
     check_mutation(BENCH_CASES, path, value, workdir / "cases.json", load_cases)
+
+
+# what a mutated table-file field or cell becomes: JSON values in the sidecar
+# (JSON's 1e400 reads back as inf, written Infinity), the same spellings as
+# raw CSV cells
+TABLE_MUTANTS = ("", math.nan, math.inf, -1, "x", None, True, [], {})
+CELL_MUTANTS = ("", "nan", "inf", "-1", "1e400", "x", "null", "true", "[]", "{}")
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory, cost_table, power_table, hyper_period, levels):
+    """A table directory as precompute writes it for the bundled case study."""
+    out = tmp_path_factory.mktemp("tables")
+    pattern = (0.7, 0.1, 0.2)
+    totals = totals_over_window(cost_table, power_table, pattern, hyper_period)
+    meta = {"thresholds": list(levels.thresholds),
+            "representative_r": list(levels.representative_r),
+            "peak_power_mw": 100.0, "pattern": list(pattern), "window_s": hyper_period}
+    save_tables(out, cost_table, power_table, build_profit_tables(totals), meta)
+    return out
+
+
+def loads_or_names(table_dir, path):
+    """load_tables on ``table_dir``, where ``path`` was mutated: it loads, or
+    raises ValueError naming ``path``; the message, or None."""
+    try:
+        load_tables(table_dir)
+    except ValueError as exc:
+        assert str(path) in str(exc), str(exc)
+        return str(exc)
+    return None
+
+
+def test_table_sidecar_mutation_loads_or_names_the_file(table_dir, tmp_path):
+    sidecar = json.loads((table_dir / "tables.json").read_text())
+    work = tmp_path / "t"
+    work.mkdir()
+    for name in ("ct.csv", "pt.csv"):
+        (work / name).write_bytes((table_dir / name).read_bytes())
+    read = {"schema", "rates_ms", "phi_mj", "cost_monotonicity_violations", "thresholds",
+            "representative_r", "window_s"}
+    for path in field_paths(sidecar):
+        for value in TABLE_MUTANTS:
+            doc, original = mutated(sidecar, path, value)
+            (work / "tables.json").write_text(json.dumps(doc))
+            message = loads_or_names(work, work / "tables.json")
+            if path[0] in read and type(original) in (int, float) and value != -1:
+                assert message, (path, value)  # a number the reader reads, made a non-number
+
+
+@pytest.mark.parametrize("name", ["ct.csv", "pt.csv"])
+def test_table_csv_cell_mutation_loads_or_names_the_file(table_dir, tmp_path, name):
+    with open(table_dir / name, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for other in ("ct.csv", "pt.csv", "tables.json"):
+        if other != name:
+            (tmp_path / other).write_bytes((table_dir / other).read_bytes())
+    width = len(rows[0])
+    cells = [(0, 0), (0, width - 1), (1, 0), (1, width - 1), (len(rows) - 1, 0),
+             (len(rows) // 2, width - 1)]
+    for row, col in cells:
+        for value in CELL_MUTANTS:
+            with open(tmp_path / name, "w", newline="") as fh:
+                csv.writer(fh).writerows(mutated(rows, (row, col), value)[0])
+            message = loads_or_names(tmp_path, tmp_path / name)
+            assert row == 0 or message, (row, col, value)  # no body cell takes any of them

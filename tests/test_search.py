@@ -409,7 +409,7 @@ def test_approach2_cut_walk_answers_as_the_uncut_walk():
         ref = same_as_uncut_walk(build_profit_tables(totals), totals, budget)
         cut += ref.feasible and ref.explored > totals.n ** (totals.k - 1)
     assert cut >= 100
-    # (32, 3) pops 26,041, 9,647 and 2,592 vectors, all past its cap of 1,024
+    # (32, 3) pops 26,041, 9,647 and 2,592 vectors, all past n^(k-1) = 1,024
     for n, k, budgets in ((32, 3, (1.2, 1.5, 2.0)), (17, 4, (2.0,)), (12, 5, (2.0,))):
         totals = synthetic_totals(BenchCase(n=n, k=k))
         prof = build_profit_tables(totals)
@@ -432,6 +432,51 @@ def test_approach2_scans_only_for_a_walk_past_its_cap(monkeypatch):
     assert limits == []
     assert approach2(prof, totals, EnergyBudget(1.2, totals.window)).explored == 26041
     assert limits == [1.2]
+
+
+def scan_spy(monkeypatch):
+    """Record the limit of every ``approach2_scan`` call."""
+    limits = []
+    scan = _kernels.approach2_scan
+    monkeypatch.setattr(_kernels, "approach2_scan", lambda *a: limits.append(a[-1]) or scan(*a))
+    return limits
+
+
+def test_approach2_cuts_a_walk_once_it_has_cost_a_scan(monkeypatch):
+    """On 32^3 the cap is 64 pops: a 704-pop walk is answered by one scan
+    at the budget, with the walk's pop count; a 59-pop walk is not."""
+    limits = scan_spy(monkeypatch)
+    totals = synthetic_totals(BenchCase(n=32, k=3))
+    prof = build_profit_tables(totals)
+    assert approach2(prof, totals, EnergyBudget(3.5, totals.window)).explored == 59
+    assert limits == []
+    assert approach2(prof, totals, EnergyBudget(2.5, totals.window)).explored == 704
+    assert limits == [2.5]
+
+
+def test_approach2_walks_cut_short_of_n_to_the_k_minus_1_answer_as_uncut(monkeypatch):
+    """Walks shorter than n^(k-1) pops but past their cap are cut, and every
+    result field equals the uncut walk's."""
+    limits = scan_spy(monkeypatch)
+    for n, budgets in ((32, (2.5, 3.0)), (80, (3.0, 3.5)), (160, (3.5,))):
+        totals = synthetic_totals(BenchCase(n=n, k=3))
+        prof = build_profit_tables(totals)
+        for e in budgets:
+            del limits[:]
+            ref = same_as_uncut_walk(prof, totals, EnergyBudget(e, totals.window))
+            assert ref.feasible and ref.explored < n ** 2 and limits == [e]
+
+
+def test_approach2_counts_no_pops_on_a_budget_nothing_fits(monkeypatch):
+    """A budget nothing fits reports n^k explored without counting pops:
+    one ``count_within`` pass over the prefixes, not three."""
+    passes = []
+    count = _kernels.count_within
+    monkeypatch.setattr(_kernels, "count_within", lambda *a: passes.append(1) or count(*a))
+    totals = synthetic_totals(BenchCase(n=32, k=3))
+    prof = build_profit_tables(totals)
+    got = approach2(prof, totals, EnergyBudget(0.5 * least_energy(totals), totals.window))
+    assert not got.feasible and got.explored == 32 ** 3 and len(passes) == 1
 
 
 def overflow_instance(rng):

@@ -215,6 +215,9 @@ def each_line(fn):
     ("ct.csv", set_cell(4, 1, "inf")),
     ("ct.csv", set_cell(1, 3, "-0.5")),
     ("tables.json", lambda text: text.replace('"schema": 1', '"schema": 2')),
+    # Python reads true == 1 and 1.0 == 1; save_tables writes the integer 1
+    ("tables.json", lambda text: text.replace('"schema": 1', '"schema": true')),
+    ("tables.json", lambda text: text.replace('"schema": 1', '"schema": 1.0')),
     ("tables.json", lambda text: text.replace('"phi_mj"', '"phi"')),
     ("tables.json", lambda text: "5\n"),
     ("tables.json", lambda text: "not json\n"),
@@ -222,8 +225,9 @@ def each_line(fn):
     ("ct.csv", each_line(lambda line: line.rsplit(",", 1)[0])),
     ("ct.csv", set_cell(4, 3, None)),
 ], ids=["h_ms_vs_sidecar", "pt_periods", "nan_cost", "inf_cost", "negative_cost",
-        "sidecar_schema", "sidecar_without_phi", "sidecar_not_object", "sidecar_not_json",
-        "extra_cost_column", "missing_cost_column", "ragged_row"])
+        "sidecar_schema", "sidecar_schema_true", "sidecar_schema_float", "sidecar_without_phi",
+        "sidecar_not_object", "sidecar_not_json", "extra_cost_column", "missing_cost_column",
+        "ragged_row"])
 def test_load_rejects_tampered_tables(tmp_path, cost_table, power_table, levels, hyper_period,
                                       name, edit):
     totals = totals_over_window(cost_table, power_table, (0.7, 0.1, 0.2), hyper_period)
