@@ -4,9 +4,15 @@ The search scans are vectorized numpy.  ``approach2_first`` finds the
 profit walk's answer from the n^(k-1) rank prefixes, and ``approach2_scan``
 adds the exact number of vectors the walk pops to reach it;
 ``ratekit.search.approach2`` uses the first for a budget nothing fits and the
-second for a walk still going after max(64, n^(k-1) // 24) pops, about what
-one scan costs, so a cut walk costs at most about twice the cheaper of walk
-and scan (the walk is their reference).  The inherently sequential
+second for a walk still going after max(64, n^(k-1) // 32) pops, about what
+one scan costs, so a cut walk costs at most about twice (3 times at the
+size measured furthest off) the cheaper of walk and scan (the walk is their
+reference).  Every prefix scan counts, per prefix, a leading run of the last
+level with ``count_within``: a ``searchsorted`` guess, checked in one pass
+against the column padded with NaN at each end (later passes check only the
+guesses that moved).  The pad is NaN because a NaN sum is neither over nor
+under any limit, so the ends need no clamp or mask; a +inf pad would never
+let a count of n settle at an infinite limit.  The inherently sequential
 simulation loop is straight-line code on Python floats, generated from the
 four ints (nx, ny, nu, k) by ``loop_source`` (which refuses a loop of more
 than MAX_LOOP_PRODUCTS products a sample) and compiled once per shape; its
@@ -131,36 +137,50 @@ def count_within(prefix, col, limit):
     on a leading run of indices.  ``searchsorted`` on ``limit - prefix`` only
     guesses the count, because the subtraction rounds differently from the
     sum; the guess then moves by whole runs of equal values until the exact
-    predicate agrees on both sides of it.
+    predicate agrees on both sides of it.  One pass checks every prefix; each
+    later pass checks only the prefixes the last one moved, as a count the
+    check accepts never moves again.  Both sides are read from ``col``
+    padded with NaN at each end, so a count of 0 or n needs no clamp and no
+    mask: a NaN sum compares false, neither over nor under the limit.  The
+    pad must be NaN: with +inf, a count of n at ``limit = +inf`` would read
+    ``prefix + inf <= inf`` as under, and the loop would never end.  A prefix
+    with a NaN sum (a NaN prefix, or infinities of both signs) has no leading
+    run to count: its count means nothing, though the loop still ends and the
+    other counts are exact.  The callers sum finite tables, or profits of one
+    sign, so they never make one.
     """
-    n = col.shape[0]
+    edges = np.concatenate(([np.nan], col, [np.nan]))
     count = np.searchsorted(col, limit - prefix, side="right")
+    rows, part, guess = None, prefix, count  # every prefix, then only those moved
     while True:
-        below = col[np.maximum(count - 1, 0)]
-        above = col[np.minimum(count, n - 1)]
-        over = (count > 0) & (prefix + below > limit)
-        under = (count < n) & (prefix + above <= limit)
+        below = edges.take(guess)  # col[guess - 1], NaN at guess 0
+        above = edges[1:].take(guess)  # col[guess], NaN at guess n
+        over = part + below > limit
+        under = part + above <= limit
         if not (over.any() or under.any()):
             return count
-        count[over] = np.searchsorted(col, below[over], side="left")
-        count[under] = np.searchsorted(col, above[under], side="right")
-
+        guess[over] = np.searchsorted(col, below[over], side="left")
+        guess[under] = np.searchsorted(col, above[under], side="right")
+        moved = np.flatnonzero(over | under)
+        rows = moved if rows is None else rows[moved]
+        part, guess = part[moved], guess[moved]
+        count[rows] = guess
 
 
 def approach1_scan(cc, ec, budget):
-    # The lattice is never built.  Along the last axis feasibility holds from
-    # the boundary index first[p] of each prefix p onward; the boundary is the
-    # only minimal candidate of p, and it is minimal exactly when every
-    # one-step decrement of p has a strictly larger boundary (that decrement
-    # is then infeasible at the same last index).
+    # The lattice is never built.  Along the last axis feasibility holds on
+    # the last fits[p] indices of each prefix p, from the boundary n - fits[p]
+    # onward; the boundary is the only minimal candidate of p, and it is
+    # minimal exactly when every one-step decrement of p fits strictly fewer
+    # (that decrement is then infeasible at the same last index).
     n, k = cc.shape
     last = k - 1
     grid = (n,) * last
     energy_prefix = prefix_sums(ec)
     tail = np.ascontiguousarray(ec[::-1, last])
-    first = n - count_within(energy_prefix, tail, budget)
-    infeasible = int(first.sum())
-    if np.all(first == n):
+    fits = count_within(energy_prefix, tail, budget)
+    infeasible = n * fits.size - int(fits.sum())
+    if not fits.any():
         row_min = energy_prefix + ec[n - 1, last]
         e = row_min.min()
         p = int(np.argmax(row_min == e))
@@ -170,14 +190,14 @@ def approach1_scan(cc, ec, budget):
         for j in range(k):
             c += cc[idx[j], j]
         return np.array(idx, np.int64), float(c), float(e), infeasible, False
-    first_grid = first.reshape(grid)
-    minimal = first_grid < n
+    fits_grid = fits.reshape(grid)
+    minimal = fits_grid > 0
     for j in range(last):
         upper = (slice(None),) * j + (slice(1, None),)
         lower = (slice(None),) * j + (slice(None, -1),)
-        minimal[upper] &= first_grid[upper] < first_grid[lower]
+        minimal[upper] &= fits_grid[upper] > fits_grid[lower]
     cand = np.flatnonzero(minimal)
-    rows = first[cand]
+    rows = n - fits[cand]
     coords = np.unravel_index(cand, grid) if last else ()
     cost = np.zeros(cand.size)
     for j in range(last):
@@ -209,8 +229,9 @@ def approach1_scan(cc, ec, budget):
 # rises along the last rank either, so per prefix the vectors of profit above
 # P*, and those of profit at least P*, are leading runs of the last level:
 # ``count_within`` on the negated sums counts them, as negation is exact.
-# Ahead of the answer are every vector of greater profit, the vectors of equal
-# profit in earlier prefixes, and those of its own prefix before its rank.
+# Ahead of the answer are the vectors of profit at least P* in earlier
+# prefixes, those of greater profit in later prefixes, and those of its own
+# prefix before its rank.
 # ---------------------------------------------------------------------------
 
 
@@ -222,7 +243,9 @@ def _first_within(order, profit, ec, limit):
     energy = ec[order.T, np.arange(k)]  # ranked, so column j is level j in rank order
     by_energy = np.argsort(energy[:, last], kind="stable")
     count = count_within(prefix_sums(energy), energy[by_energy, last], limit)
-    smallest = np.minimum.accumulate(by_energy)[np.maximum(count - 1, 0)]
+    # the smallest rank among the first count by energy; at count 0, whose
+    # total is -inf, the first by energy, repeated up front
+    smallest = np.minimum.accumulate(np.concatenate((by_energy[:1], by_energy))).take(count)
     with np.errstate(over="ignore", invalid="ignore"):  # profits may overflow to inf
         profit_prefix = prefix_sums(profit.T)
         total = np.where(count > 0, profit_prefix + profit[last, smallest], -np.inf)
@@ -257,7 +280,8 @@ def approach2_first(order, profit, cc, ec, limit):
 
 def approach2_scan(order, profit, cc, ec, limit):
     """``approach2_first`` and the vector's position in key order: the number
-    of vectors the walk pops to reach it (two more ``count_within`` passes)."""
+    of vectors the walk pops to reach it (two more ``count_within`` calls, on
+    the prefixes before the answer's and those after it: one pass in all)."""
     p, r, best, profit_prefix = _first_within(order, profit, ec, limit)
     # negated profits may overflow to -inf in the sums, as the walk's do; at
     # an infinite P* the guess inside count_within subtracts -inf from -inf
@@ -265,13 +289,11 @@ def approach2_scan(order, profit, cc, ec, limit):
     # that prefix whole
     with np.errstate(over="ignore", invalid="ignore"):
         neg_prefix, neg = -profit_prefix, -profit[-1]
-        if best == np.inf:  # nothing is ahead on profit
-            above = np.zeros(neg_prefix.shape, np.int64)
-        else:
-            above = count_within(neg_prefix, neg, np.nextafter(-best, -np.inf))
-        at_least = count_within(neg_prefix[:p], neg, -best)  # ties count in earlier prefixes
-    position = int(above.sum()) + int((at_least - above[:p]).sum()) + r - int(above[p]) + 1
-    return (*_rates_cost_energy(order, cc, ec, p, r), position)
+        # ties count in earlier prefixes, only greater profits in later ones
+        ahead = int(count_within(neg_prefix[:p], neg, -best).sum())
+        if best != np.inf:  # at an infinite P* nothing is greater
+            ahead += int(count_within(neg_prefix[p + 1:], neg, np.nextafter(-best, -np.inf)).sum())
+    return (*_rates_cost_energy(order, cc, ec, p, r), ahead + r + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -130,13 +130,14 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
     prefixes instead in two cases.  On a budget nothing fits, where the walk
     would pop all n^k vectors and report the first of least energy,
     ``_kernels.approach2_first`` answers without walking.  A walk still
-    going after max(64, n^(k-1) // 24) pops, about what one prefix scan
+    going after max(64, n^(k-1) // 32) pops, about what one prefix scan
     costs in pops, is cut and ``_kernels.approach2_scan`` answers with the
     walk's exact pop count: walking until the walk has cost what the scan
-    costs keeps any query within about twice the cheaper of the two.  A
-    walk asked to record its emissions is never cut, nor is one whose
-    n^(k-1) is over the scans' size limit; above that limit a budget nothing
-    fits raises ValueError before anything is built.
+    costs keeps any query within about twice the cheaper of the two (3
+    times where the cap is furthest from one scan).  A walk asked to record
+    its emissions is never cut, nor is one whose n^(k-1) is over the scans'
+    size limit; above that limit a budget nothing fits raises ValueError
+    before anything is built.
     """
     e_max = _check_budget(totals, budget)
     t0 = time.perf_counter()
@@ -160,12 +161,17 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
             return _wrap(idx, cost, energy, n**k, False, totals, "approach2", t0)
     # the most pops before the scan answers: about what one approach2_scan
     # costs (rent or buy).  Measured on a 2-core x86-64 host (Python 3.11,
-    # numpy 2.4), a pop costs 1.5-2.9 us and a scan, in ms and in pops:
-    #   17^3   0.13-0.15 (52-71)      32^3  0.12-0.19 (61-95)      80^3  0.43-0.61 (277-296)
-    #   160^3  2.8-2.9 (1195-1432)    32^4  1.9-3.0 (1047-1519)    17^5  5.9-7.8 (2592-3232)
-    # so the cap is 0.7-1.3 scans at each.  A walk that something fits
-    # returns before its heap empties, so the cap may exceed n^k.
-    cap = max(64, n**(k - 1) // 24)
+    # numpy 2.4), each scan timed next to a walk, a pop costs 2.0-3.7 us and
+    # a scan, in ms (median) and in pops (quartiles):
+    #   17^3   0.10-0.16 (45-54)      32^3  0.19-0.21 (51-67)      80^3  0.31-0.51 (125-162)
+    #   160^3  2.7-2.8 (861-1021)     32^4  1.9 (516-600)          17^5  7.1-7.4 (1925-2283)
+    # so the cap is 0.8-1.6 scans, but 1.7-2.0 at 32^4: a cap of c scans
+    # costs at most 1 + max(c, 1/c) times the cheaper of walk and scan, about
+    # 3 at 32^4.  No n^(k-1) // d puts every size near one scan: d = 40 would
+    # take 32^4 to 1.4-1.6 scans and 160^3 down to 0.6-0.7.  A walk that
+    # something fits returns before its heap empties, so the cap may exceed
+    # n^k.
+    cap = max(64, n**(k - 1) // 32)
     pops = n**k if record_emissions or n**(k - 1) > _kernels.MAX_ORACLE_CELLS else cap
     p0 = 0.0
     for j in range(k):

@@ -111,11 +111,12 @@ class MatchFixedBudget:
         # Order the last axis by cost: the indices within the fixed cost are
         # then a leading run for every prefix, and since rounding is monotone
         # the least prefix + ec over that run is prefix + the run's least ec.
+        # least[c] is that least ec over a run of c, +inf over none; the
+        # reference rates always fit, so the minimum is finite.
         order = np.argsort(cc[:, k - 1], kind="stable")
         within = _kernels.count_within(_kernels.prefix_sums(cc), cc[order, k - 1], fixed_cost)
-        least = np.minimum.accumulate(ec[order, k - 1])
-        hit = within > 0
-        energy = _kernels.prefix_sums(ec)[hit] + least[within[hit] - 1]
+        least = np.minimum.accumulate(np.concatenate(([np.inf], ec[order, k - 1])))
+        energy = _kernels.prefix_sums(ec) + least.take(within)
         return EnergyBudget(e_max=float(energy.min()), window=self.window)
 
 

@@ -383,6 +383,11 @@ def load_tables(table_dir):
     for name in ("thresholds", "representative_r"):
         if name in meta:
             meta[name] = json_list(meta[name], f"{sidecar}: {name}")
+    if "thresholds" in meta:
+        try:
+            LevelSpec(meta["thresholds"], meta.get("representative_r", ()))
+        except ValueError as exc:
+            raise ValueError(f"{sidecar}: {exc}") from exc
     if "window_s" in meta:
         meta["window_s"] = json_number(meta["window_s"], f"{sidecar}: window_s")
         if not meta["window_s"] > 0.0:

@@ -661,3 +661,18 @@ def test_bad_sidecar_field_names_the_sidecar(small_config, tmp_path, capsys, com
                 "--capacity", "1000mAh", "--voltage", "3.7", "--out", str(tmp_path / "b")]
     assert main(argv) == 1
     assert one_error_line(capsys) == f"error: {sidecar}: {field}: {cause}"
+
+
+def test_battery_sidecar_thresholds_out_of_order_name_the_sidecar(small_config, tmp_path,
+                                                                   capsys):
+    tables = tmp_path / "t"
+    main(["precompute", "--config", str(small_config), "--out", str(tables)])
+    capsys.readouterr()
+    sidecar = tables / "tables.json"
+    meta = json.loads(sidecar.read_text())
+    meta["thresholds"][1] = -1
+    sidecar.write_text(json.dumps(meta))
+    assert main(["battery", "--tables", str(tables), "--pattern",
+                 str(CONFIG_DIR / "scenario_low.json"), "--capacity", "1000mAh",
+                 "--voltage", "3.7", "--out", str(tmp_path / "b")]) == 1
+    assert one_error_line(capsys) == f"error: {sidecar}: thresholds must be strictly increasing"

@@ -104,6 +104,43 @@ def test_prefix_scans_refuse_oversized_prefix_arrays():
         MatchFixedBudget(reference_h=0.05, window=100.0).budget_for(totals)
 
 
+def test_count_within_matches_the_count_of_every_sum():
+    """``count_within`` against summing every prefix with every column entry:
+    tied and rounding column values, columns one float step apart that a sum
+    cannot tell apart (the guess then moves one entry a pass), infinite
+    column entries, NaN and infinite prefixes, infinite limits, limits on a
+    sum and one float step either side of it, and one-entry columns.  A
+    prefix with a NaN sum (a NaN prefix, or infinities of both signs) has no
+    leading run to count; it must not hold up the loop or move any other
+    prefix's count."""
+    rng = np.random.default_rng(20)
+    special = (np.nan, np.inf, -np.inf)
+    for _ in range(3000):
+        n = int(rng.integers(1, 7))
+        kind = rng.integers(3)
+        if kind == 2:  # one float step apart near 1: a prefix of 8 rounds them together
+            step, col = 8.0, 1.0 + rng.integers(0, 4, n) * 2.0**-52
+        else:  # 0.1 steps round: 0.1 + 0.2 > 0.3
+            step = (1.0, 0.1)[kind]
+            col = rng.integers(0, 4, n) * step
+        col[rng.random(n) < 0.15] = np.inf
+        col[rng.random(n) < 0.15] = -np.inf
+        col.sort()
+        prefix = rng.integers(-2, 5, 10) * step
+        wild = rng.random(10) < 0.2
+        prefix[wild] = rng.choice(special, int(wild.sum()))
+        with np.errstate(invalid="ignore"):
+            sums = prefix[:, None] + col[None, :]
+            ordered = ~np.isnan(sums).any(axis=1)
+            lattice = sums[ordered].ravel()
+            on = rng.choice(lattice) if lattice.size else 0.0
+            limit = (np.inf, -np.inf, on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf),
+                     rng.integers(-2, 9) * step)[rng.integers(6)]
+            got = _kernels.count_within(prefix, col, limit)
+            want = (sums <= limit).sum(axis=1)
+        assert got[ordered].tolist() == want[ordered].tolist(), (prefix, col, limit)
+
+
 def test_approach2_refuses_a_hopeless_walk_over_the_limit():
     # 50^5 candidates, least energy 1 per level: below 5 J nothing fits, and
     # the walk would pop all 312.5M vectors before reporting the least energy
