@@ -1,6 +1,8 @@
 """Hot numeric kernels: lattice search scans and the closed-loop sample loop.
 
-The search scans are vectorized numpy.  ``approach2_first`` finds the
+The search scans are vectorized numpy.  The exhaustive oracle walks its
+n^k lattice a block of first indices at a time, so no path builds the whole
+lattice; ``approach2_first`` finds the
 profit walk's answer from the n^(k-1) rank prefixes, and ``approach2_scan``
 adds the exact number of vectors the walk pops to reach it;
 ``ratekit.search.approach2`` uses the first for a budget nothing fits and the
@@ -42,53 +44,73 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 
-def _grid_sum(table, n, k):
-    """Broadcast sum table[i_j, j] over the full (n,)*k lattice, left to right."""
+def _grid_sum(table, k, lo, hi):
+    """Broadcast sum of table[i_j, j] over the first k columns, left to right
+    from 0.0: the lattice block of first indices lo..hi-1 (all of every later
+    index), shaped (hi - lo,) + (n,) * (k - 1); a 0-d 0.0 at k = 0."""
     acc = np.zeros((), dtype=np.float64)
     for j in range(k):
-        shape = (1,) * j + (n,) + (1,) * (k - 1 - j)
-        acc = acc + table[:, j].reshape(shape)
+        col = table[lo:hi, 0] if j == 0 else table[:, j]
+        acc = acc + col.reshape((1,) * j + (-1,) + (1,) * (k - 1 - j))
     return acc
 
 
-def _select_best(cost, energy, mask):
-    """Min cost on mask, ties to lower energy then first in C (lex) order."""
-    c = np.where(mask, cost, np.inf)
-    m = c.min()
-    e = np.where(c == m, energy, np.inf)
-    me = e.min()
-    flat = int(np.argmax((c == m) & (e == me)))
-    return np.unravel_index(flat, cost.shape), float(m), float(me)
-
-
-def _select_min_energy(cost, energy):
-    me = energy.min()
-    flat = int(np.argmax(energy == me))
-    return np.unravel_index(flat, cost.shape), float(cost.ravel()[flat]), float(me)
-
-
-# Largest array a scan may build: the n^k cells of the exhaustive oracle
-# (several float64 grids, about 175 MB at the limit; 161^3 is about 4.2M) and
-# the n^(k-1) prefixes of the dominance-pruned scan, the match-fixed budget
-# and approach2's scan.  Over it as n^k, approach2 refuses a budget nothing
-# fits; over it as n^(k-1), approach2 walks a budget something fits uncut.
+# Largest lattice the exhaustive oracle scans (n^k cells; 161^3 is about 4.2M)
+# and largest prefix array the other scans build (n^(k-1) prefixes: the
+# dominance-pruned scan, the match-fixed budget and approach2's scan).  The
+# oracle builds one block at a time, so for it the limit bounds time, not
+# memory.  Over it as n^k, approach2 refuses a budget nothing fits; over it
+# as n^(k-1), approach2 walks at most this many pops and then refuses.
 MAX_ORACLE_CELLS = 5_000_000
+
+# Cells the exhaustive oracle builds a block: as many first indices as fit,
+# at least one, so a block holds max(BLOCK_CELLS, n^(k-1)) cells at most.
+# Oracle median ms on bench tables at the mid budget (numpy, 2-core x86-64,
+# two runs each), and the traced peak at 161^3:
+#   block      160^3   161^3   17^5      32^4      peak
+#   2^14       20-22   23-24   8.3-8.5   5.4-5.7   0.9 MB
+#   2^16       20-22   22-32   8.8       5.5-5.9   1.8 MB
+#   2^17       34-38   24-27   8.4-13    7.7-8.0   4.2 MB
+#   2^18       39-43   41-49   12.6      11.7-12   8.4 MB
+#   lattice    61-65   62-64   14.1-14.3 8.6-9.8   139 MB
+BLOCK_CELLS = 1 << 16
 
 
 def exhaustive_scan(cc, ec, budget):
+    # The lattice is walked one block of consecutive first indices at a time,
+    # in C order.  Each block sums cost and energy as _grid_sum does and picks
+    # its best by the lattice's rule (least cost, then least energy, then the
+    # first cell); a block replaces the best so far only if strictly better,
+    # so of two tied blocks the earlier, first in C order, keeps it.  With
+    # nothing feasible the least energy and its first cell are kept the same
+    # way.  Lattice sums start from 0.0 +, so a zero is never -0.0 and equal
+    # values are equal bits.  A NaN sum has no place in this order; window
+    # totals are finite and non-negative, so they make none.
     n, k = cc.shape
     if n**k > MAX_ORACLE_CELLS:
         raise ValueError(f"exhaustive scan over n={n} rates and k={k} levels would build "
                          f"n^k = {n**k} cells, more than the {MAX_ORACLE_CELLS} allowed")
-    cost = _grid_sum(cc, n, k)
-    energy = _grid_sum(ec, n, k)
-    feas = energy <= budget
-    explored = int(n**k)
-    if not feas.any():
-        idx, c, e = _select_min_energy(cost, energy)
-        return np.array(idx, np.int64), c, e, explored, False
-    idx, c, e = _select_best(cost, energy, feas)
-    return np.array(idx, np.int64), c, e, explored, True
+    inner = n**(k - 1)  # cells of one first index
+    rows = max(1, BLOCK_CELLS // inner)
+    best = least = None  # (cost, energy, flat index) of the winner so far
+    for lo in range(0, n, rows):
+        cost = _grid_sum(cc, k, lo, lo + rows).ravel()
+        energy = _grid_sum(ec, k, lo, lo + rows).ravel()
+        feas = energy <= budget
+        if feas.any():
+            c = np.where(feas, cost, np.inf)
+            m = c.min()
+            e = np.where(c == m, energy, np.inf).min()
+            if best is None or m < best[0] or (m == best[0] and e < best[1]):
+                best = (m, e, lo * inner + int(np.argmax((c == m) & (energy == e))))
+        elif best is None:
+            e = energy.min()
+            if least is None or e < least[1]:
+                at = int(np.argmax(energy == e))
+                least = (cost[at], e, lo * inner + at)
+    c, e, flat = best or least
+    idx = np.array(np.unravel_index(flat, (n,) * k), np.int64)
+    return idx, float(c), float(e), int(n**k), best is not None
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +149,7 @@ def prefix_sums(table):
         raise ValueError(f"prefix scan over n={n} rates and k={k} levels would build "
                          f"n^(k-1) = {n**(k - 1)} prefixes, more than the "
                          f"{MAX_ORACLE_CELLS} allowed")
-    return _grid_sum(table, n, k - 1).ravel()
+    return _grid_sum(table, k - 1, 0, n).ravel()
 
 
 def count_within(prefix, col, limit):

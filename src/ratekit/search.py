@@ -135,9 +135,10 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
     walk's exact pop count: walking until the walk has cost what the scan
     costs keeps any query within about twice the cheaper of the two (3
     times where the cap is furthest from one scan).  A walk asked to record
-    its emissions is never cut, nor is one whose n^(k-1) is over the scans'
-    size limit; above that limit a budget nothing fits raises ValueError
-    before anything is built.
+    its emissions is never cut.  Where n^(k-1) is over the scans' size limit
+    no scan answers: a budget nothing fits raises ValueError before anything
+    is built, and a walk still going after MAX_ORACLE_CELLS pops raises
+    ValueError there, which also bounds its heap.
     """
     e_max = _check_budget(totals, budget)
     t0 = time.perf_counter()
@@ -172,7 +173,9 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
     # something fits returns before its heap empties, so the cap may exceed
     # n^k.
     cap = max(64, n**(k - 1) // 32)
-    pops = n**k if record_emissions or n**(k - 1) > _kernels.MAX_ORACLE_CELLS else cap
+    # where n^(k-1) is over the limit no scan answers, and the walk is bounded
+    unscanned = n**(k - 1) > _kernels.MAX_ORACLE_CELLS
+    pops = _kernels.MAX_ORACLE_CELLS if unscanned else n**k if record_emissions else cap
     p0 = 0.0
     for j in range(k):
         p0 += prof[j][0]
@@ -213,6 +216,11 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
                     p += prof[m][succ[m]]
                 heapq.heappush(heap, (-p, succ, j))
     if least <= e_max:  # cut: the answer lies past the pops the walk made
+        if unscanned:
+            raise ValueError(f"approach2 over n={n} rates and k={k} levels stopped after "
+                             f"{pops} pops, the most allowed where n^(k-1) = {n**(k - 1)} "
+                             f"prefixes are too many to scan: nothing popped fits the budget "
+                             f"{e_max} J")
         idx, cost, energy, explored = _kernels.approach2_scan(
             profit.order, profit.profit, totals.cc_total, totals.ec_by_level, e_max)
         return _wrap(idx, cost, energy, explored, True, totals, "approach2", t0)

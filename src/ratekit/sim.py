@@ -47,6 +47,13 @@ from .tables import CostTable, LevelSpec, PowerTable, RateSet, check_pattern, to
 # the most pieces scenario_from_shares builds; the bundled scenarios have 80
 MAX_SCENARIO_PIECES = 100_000
 
+# the most noise rows simulate draws a window and a run, refused before the
+# first draw: a row is nx + ny floats, and every sample the run takes keeps
+# its trace columns.  The bundled runs draw 10,002 a window and 40,008 a
+# run, a 2,000 s run of theirs 200,040.
+MAX_WINDOW_ROWS = 1_000_000
+MAX_RUN_ROWS = 2_000_000
+
 
 @dataclass(frozen=True)
 class NoiseScenario:
@@ -279,6 +286,13 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
 
     n_windows = int(np.floor(scenario.total / window + FLOOR_EPS))
     max_steps = int(np.ceil(window / rates.periods[0])) + 2
+    if max_steps > MAX_WINDOW_ROWS or n_windows * max_steps > MAX_RUN_ROWS:
+        raise ValueError(
+            f"simulate would draw {max_steps} noise rows a window (hyper_period_s {window} s "
+            f"over the fastest of rates_ms, {rates.periods_ms[0]} ms, plus 2) and "
+            f"{n_windows * max_steps} a run ({n_windows} windows in scenario.total_s "
+            f"{scenario.total} s), more than the {MAX_WINDOW_ROWS} a window or "
+            f"{MAX_RUN_ROWS} a run allowed")
 
     rng = np.random.default_rng(seed)
     state = _kernels.LoopState([0.0] * plant.nx, [0.0] * plant.nx, 0.0, 0.0, 0.0, 0.0)

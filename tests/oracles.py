@@ -537,6 +537,36 @@ def _exhaustive_impl(cc, ec, budget):
     return best, best_cost, best_energy, explored, True
 
 
+def _exhaustive_lattice(cc, ec, budget):
+    """The exhaustive scan as one broadcast over the whole n^k lattice: cost
+    and energy grids summed left to right from 0.0, the best feasible cell
+    (least cost, then least energy, then first in C order), or with nothing
+    feasible the first cell of least energy.  The streamed kernel must match
+    it bit for bit."""
+    n, k = cc.shape
+
+    def grid_sum(table):
+        acc = np.zeros((), dtype=np.float64)
+        for j in range(k):
+            acc = acc + table[:, j].reshape((1,) * j + (n,) + (1,) * (k - 1 - j))
+        return acc
+
+    cost, energy = grid_sum(cc), grid_sum(ec)
+    feas = energy <= budget
+    if not feas.any():
+        me = energy.min()
+        flat = int(np.argmax(energy == me))
+        return (np.array(np.unravel_index(flat, cost.shape), np.int64),
+                float(cost.ravel()[flat]), float(me), int(n**k), False)
+    c = np.where(feas, cost, np.inf)
+    m = c.min()
+    e = np.where(c == m, energy, np.inf)
+    me = e.min()
+    flat = int(np.argmax((c == m) & (e == me)))
+    return (np.array(np.unravel_index(flat, cost.shape), np.int64), float(m), float(me),
+            int(n**k), True)
+
+
 def _approach1_impl(cc, ec, budget):
     n, k = cc.shape
     idx = np.zeros(k, np.int64)

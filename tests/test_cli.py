@@ -6,14 +6,18 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ratekit import _kernels
 from ratekit.cli import main
 from ratekit.config import ConfigError, load_config
+from ratekit.energy import EnergyBudget
+from ratekit.search import approach2
 from ratekit.tables import (CostTable, RateSet, build_cost_table, build_power_table,
                             build_profit_tables, design_all, save_tables,
                             totals_over_window)
@@ -232,6 +236,53 @@ def test_oversized_oracle_lattice_exits_one(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "n^k = 5000211" in err
+
+
+def test_approach2_walk_over_its_bound_exits_one(tmp_path, capsys, monkeypatch):
+    # 33 rates x 3 levels: 1,089 prefixes, over a limit of 1,000, so no scan
+    # answers; at 3.0 J the walk is still going after 1,000 pops
+    rates = RateSet.from_milliseconds(range(10, 43))
+    ct = CostTable(rates=rates, entries=np.outer(np.arange(1.0, 34.0), [1.0, 2.0, 3.0]))
+    pt = build_power_table(rates, 100.0)
+    totals = totals_over_window(ct, pt, (0.7, 0.1, 0.2), 100.0)
+    save_tables(tmp_path, ct, pt, build_profit_tables(totals), {})
+    walk = approach2(build_profit_tables(totals), totals, EnergyBudget(4.5, 100.0),
+                     record_emissions=True)
+    monkeypatch.setattr(_kernels, "MAX_ORACLE_CELLS", 1000)
+    argv = ["synthesize", "--tables", str(tmp_path), "--pattern", "0.7,0.1,0.2",
+            "--budget-window", "100", "--algo", "approach2", "--budget-energy"]
+    assert main(argv + ["3.0"]) == 1
+    err = one_error_line(capsys)
+    assert err.startswith("error: ")
+    assert all(part in err for part in ("n=33 ", "k=3 ", "after 1000 pops"))
+    assert main(argv + ["4.5"]) == 0  # a shorter walk answers as the whole walk does
+    out = json.loads(capsys.readouterr().out)
+    assert walk.explored < 1000 and out["explored"] == walk.explored
+    assert out["controller"]["indices"] == list(walk.controller.choice)
+
+
+@pytest.mark.parametrize("rates_ms, total_s, rows", [([0.001, 10], 400, "100000002 noise rows"),
+                                                     ([1, 10], 2000, "2000040 a run")],
+                         ids=["window", "run"])
+def test_simulate_refuses_more_noise_rows_than_allowed(tmp_path, capsys, rates_ms, total_s,
+                                                        rows):
+    # 1 us in a 100 s window would draw 10^8 rows (about 2.4 GB) a window; 1 ms
+    # over 2,000 s would draw 20 windows of 100,002
+    (tmp_path / "plant.json").write_text((CONFIG_DIR / "plant_dcservo.json").read_text())
+    cfg = {"plant": "plant.json", "rates_ms": rates_ms,
+           "levels": {"thresholds": [0, 10], "representative_r": [5]},
+           "hyper_period_s": 100, "budget": {"energy_j": 1},
+           "scenario": {"segments": [[total_s, 5]]}}
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "trace.jsonl")])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1
+    err = one_error_line(capsys)
+    assert err.startswith("error: ") and rows in err
+    assert all(name in err for name in ("rates_ms", "hyper_period_s", "scenario.total_s"))
+    assert not (tmp_path / "trace.jsonl").exists()
 
 
 def test_simulate_refuses_a_plant_whose_sample_loop_is_over_the_limit(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 import warnings
 from itertools import chain
 from operator import itemgetter
@@ -253,6 +254,96 @@ def test_exhaustive_equals_loop_oracle():
     assert infeasible >= 60
 
 
+def special_table(rng, n, k):
+    """A table of one sign built to tie and to round: small integers, 0.1
+    steps or values one float step apart with 2^53 among them (absorption),
+    then some -0.0, infinities and 1e308 (overflow), all of the table's sign,
+    so that no sum is NaN."""
+    kind, sign = rng.integers(3), rng.choice((1.0, -1.0))
+    if kind == 0:
+        t = rng.integers(0, 4, (n, k)).astype(float)
+    elif kind == 1:
+        t = rng.integers(0, 4, (n, k)) * 0.1
+    else:
+        t = 1.0 + rng.integers(0, 3, (n, k)) * 2.0**-52
+        t[rng.random((n, k)) < 0.3] = 2.0**53
+    t *= sign
+    t[rng.random((n, k)) < 0.1] = -0.0
+    t[rng.random((n, k)) < 0.05] = sign * np.inf
+    t[rng.random((n, k)) < 0.05] = sign * 1e308
+    return t
+
+
+def same_scan(got, ref):
+    """Every field of two scan results equal, floats and indices bit for bit."""
+    return (got[0].dtype == ref[0].dtype and got[0].tobytes() == ref[0].tobytes()
+            and np.float64(got[1]).tobytes() == np.float64(ref[1]).tobytes()
+            and np.float64(got[2]).tobytes() == np.float64(ref[2]).tobytes()
+            and type(got[3]) is int and got[3:] == ref[3:])
+
+
+def lattice_budgets(rng, cc, ec):
+    """-1, the energy of a random cell summed as the lattice sums it, a draw
+    from -3 to 3k, and +inf."""
+    n, k = cc.shape
+    on = 0.0
+    for j, i in enumerate(rng.integers(0, n, size=k)):
+        on += ec[i, j]
+    return (-1.0, float(on), float(rng.uniform(-3.0, 3.0 * k)), np.inf)
+
+
+def test_exhaustive_blocks_match_the_whole_lattice(monkeypatch):
+    """The streamed oracle against the full-lattice kernel it replaced, bit
+    for bit on every field: random tables with ties, -0.0, infinities,
+    overflow and absorption at budgets from -1 to +inf (many nothing fits),
+    with blocks of 1, 7 and BLOCK_CELLS cells; then shapes whose n^(k-1) is
+    just under, at and over one block, k = 1 over many blocks, 17^5 and
+    161^3."""
+    rng = np.random.default_rng(31)
+    sizes = {1: 40, 2: 12, 3: 8, 4: 6}
+    blocks = (1, 7, _kernels.BLOCK_CELLS)
+    infeasible = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(1500):
+            k = int(rng.integers(1, 5))
+            n = int(rng.integers(1, sizes[k]))
+            cc, ec = special_table(rng, n, k), special_table(rng, n, k)
+            for budget in lattice_budgets(rng, cc, ec):
+                ref = oracles._exhaustive_lattice(cc, ec, budget)
+                infeasible += not ref[4]
+                monkeypatch.setattr(_kernels, "BLOCK_CELLS", blocks[rng.integers(3)])
+                assert same_scan(_kernels.exhaustive_scan(cc, ec, budget), ref), (cc, ec, budget)
+        assert infeasible >= 1000
+        default = blocks[2]
+        assert (15**4 < 16**4 == default < 17**4) and 40**3 < default < 41**3
+        shapes = [(7, 6, 2), (7, 7, 2), (7, 8, 2), (7, 1000, 1), (default, 200_000, 1),
+                  (default, 15, 5), (default, 16, 5), (default, 17, 5), (default, 40, 4),
+                  (default, 41, 4), (default, 161, 3), (1, 161, 3)]
+        for block, n, k in shapes:
+            monkeypatch.setattr(_kernels, "BLOCK_CELLS", block)
+            cc, ec = special_table(rng, n, k), special_table(rng, n, k)
+            for budget in lattice_budgets(rng, cc, ec):
+                ref = oracles._exhaustive_lattice(cc, ec, budget)
+                assert same_scan(_kernels.exhaustive_scan(cc, ec, budget), ref), (n, k, budget)
+
+
+def test_exhaustive_peak_memory_is_one_block():
+    """One oracle call at 161^3 and 17^5 traces under 8 MB of allocations (the
+    whole lattice took 139 and 47 MB)."""
+    for n, k in ((161, 3), (17, 5)):
+        case = BenchCase(n=n, k=k)
+        totals = synthetic_totals(case)
+        budget = case_budget(case, totals)
+        tracemalloc.start()
+        try:
+            res = exhaustive(totals, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.feasible and res.explored == n**k
+        assert peak < 8 * 2**20, (n, k, peak)
+
+
 def test_approach1_downgrades_on_nonmonotone_tables(recwarn):
     rng = np.random.default_rng(23)
     totals, budget = random_instance(rng, n=5)
@@ -502,6 +593,33 @@ def test_approach2_walks_cut_short_of_n_to_the_k_minus_1_answer_as_uncut(monkeyp
             del limits[:]
             ref = same_as_uncut_walk(prof, totals, EnergyBudget(e, totals.window))
             assert ref.feasible and ref.explored < n ** 2 and limits == [e]
+
+
+def test_approach2_walk_over_the_scan_limit_stops_at_its_bound(monkeypatch):
+    """Where n^(k-1) is over the scan limit a walk is never cut to a scan: one
+    that ends within MAX_ORACLE_CELLS pops answers as the walk asked for its
+    emissions, even on its last allowed pop, and one still going raises
+    ValueError naming n, k and the pops.  32^3 has 1,024 prefixes, over a
+    limit of 1,000; its walks pop 59, 704 and 26,041 vectors at 3.5, 2.5 and
+    1.2 J."""
+    totals = synthetic_totals(BenchCase(n=32, k=3))
+    prof = build_profit_tables(totals)
+    refs = {e: approach2(prof, totals, EnergyBudget(e, totals.window), record_emissions=True)
+            for e in (3.5, 2.5)}
+    limits = scan_spy(monkeypatch)
+    for limit, answered, refused in ((1000, (3.5, 2.5), (1.2,)), (704, (2.5,), ()),
+                                     (703, (), (2.5,))):
+        monkeypatch.setattr(_kernels, "MAX_ORACLE_CELLS", limit)
+        for e in answered:
+            got = approach2(prof, totals, EnergyBudget(e, totals.window))
+            for name in RESULT_FIELDS:
+                assert getattr(got, name) == getattr(refs[e], name), name
+        for e in refused:
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match=rf"n=32 .*k=3 .*after {limit} pops"):
+                approach2(prof, totals, EnergyBudget(e, totals.window))
+            assert time.perf_counter() - t0 < 1.0
+    assert limits == []
 
 
 def test_approach2_counts_no_pops_on_a_budget_nothing_fits(monkeypatch):
