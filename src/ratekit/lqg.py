@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import DiscreteStack, PlantModel, discretize
-from .riccati import (DesignError, _t, dare_residual, dlyap_residual, solve_dare,
-                      solve_dlyap, spectral_radius)
+from .riccati import DesignError, _solve_dare, _t, dlyap_residual, solve_dlyap, spectral_radius
 
 
 @dataclass(frozen=True)
@@ -79,18 +78,16 @@ def _design_pass(plant: PlantModel, periods: tuple) -> LqgController:
     if singular.any():
         raise DesignError("input-weight block of the lifted cost is singular at "
                           f"h={periods[np.argmax(singular)]}")
-    p_ctrl = solve_dare(d.Phi, d.Gamma, q1d, q2d, S=q12)
+    p_ctrl, res_ctrl = _solve_dare(d.Phi, d.Gamma, q1d, q2d, S=q12)
     k = np.linalg.solve(q2d + _t(d.Gamma) @ p_ctrl @ d.Gamma,
                         _t(d.Gamma) @ p_ctrl @ d.Phi + _t(q12))
-    p_pred = solve_dare(_t(d.Phi), c.T, d.R1d, plant.R2)
+    p_pred, res_filt = _solve_dare(_t(d.Phi), c.T, d.R1d, plant.R2)
     s_innov = c @ p_pred @ c.T + plant.R2
     try:
         kf = _t(np.linalg.solve(_t(s_innov), _t(p_pred @ c.T)))
     except np.linalg.LinAlgError as exc:
         raise DesignError("singular innovation covariance at "
                           f"h={periods[_first_singular(_t(s_innov))]}") from exc
-    res_ctrl = dare_residual(p_ctrl, d.Phi, d.Gamma, q1d, q2d, q12)
-    res_filt = dare_residual(p_pred, _t(d.Phi), c.T, d.R1d, plant.R2)
     rho = spectral_radius(_Loop(plant, d, k, kf).acl)
     if np.any(rho >= 1.0):
         i = int(np.argmax(rho >= 1.0))

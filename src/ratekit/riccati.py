@@ -61,20 +61,28 @@ def solve_dare(A, B, Q, R, S=None):
     term.  Raises DesignError on non-convergence, reporting the residual of
     the first member that failed.
     """
+    return _solve_dare(A, B, Q, R, S)[0]
+
+
+def _solve_dare(A, B, Q, R, S=None):
+    """``solve_dare``'s solution and the ``dare_residual`` of each member,
+    which the solve computes to certify convergence."""
     lead, (A, B, Q, R, S) = _stacks(A, B, Q, R, S)
     P = np.empty((A.shape[0],) + A.shape[-2:])
+    res = np.empty(A.shape[0])
     # singular noise/input weight: the doubling transform needs R^{-1},
     # but the fixed-point map only needs R + B'PB invertible
     singular = np.linalg.eigvalsh(0.5 * (R + _t(R))).min(axis=-1) <= 0.0
     for i in np.flatnonzero(singular):
-        P[i] = _solve_dare_fixed_point(A[i], B[i], Q[i], R[i], None if S is None else S[i])
+        P[i], res[i] = _solve_dare_fixed_point(A[i], B[i], Q[i], R[i],
+                                               None if S is None else S[i])
     if not singular.all():
         doubling = np.flatnonzero(~singular)
         ops = (A, B, Q, R, S)
         if singular.any():
             ops = [None if m is None else m[doubling] for m in ops]
-        P[doubling] = _solve_dare_doubling(*ops)
-    return P.reshape(lead + P.shape[-2:])
+        P[doubling], res[doubling] = _solve_dare_doubling(*ops)
+    return P.reshape(lead + P.shape[-2:]), _unstack(res, lead)
 
 
 def _solve_dare_doubling(A, B, Q, R, S):
@@ -121,7 +129,7 @@ def _solve_dare_doubling(A, B, Q, R, S):
     if failed.any():
         raise DesignError("Riccati iteration did not converge; "
                           f"residual {res[np.argmax(failed)]:.3e}")
-    return P
+    return P, res
 
 
 def _solve_dare_fixed_point(A, B, Q, R, S):
@@ -145,7 +153,7 @@ def _solve_dare_fixed_point(A, B, Q, R, S):
         if delta < TOL:
             res = dare_residual(p, A, B, Q, R, S)
             if np.isfinite(res):
-                return p
+                return p, res
             break
     res = dare_residual(p, A, B, Q, R, S)
     raise DesignError(f"Riccati iteration did not converge; residual {res:.3e}")

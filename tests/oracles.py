@@ -25,7 +25,8 @@ result); and the per-rate
 design path (``discretize``, ``solve_dare``, ``solve_dlyap``, ``design``,
 ``_Loop`` and ``evaluate_costs``), one rate and one intensity at a time, for
 the stacked pass of ``ratekit.plant``, ``ratekit.riccati``, ``ratekit.lqg``
-and ``ratekit.tables``.  These take and return per-rate records
+and ``ratekit.tables`` (``discretize`` takes its exponentials from
+``ratekit.plant._expm`` on a stack of one).  These take and return per-rate records
 (``DiscretePlant``, ``Controller``); ``members`` splits a package controller
 stack into them and ``stack`` joins them back into one.
 """
@@ -39,11 +40,10 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import expm
 
 from ratekit.energy import FLOOR_EPS, EnergyBudget
 from ratekit.lqg import LqgController
-from ratekit.plant import MIN_PERIOD_S, DiscreteStack, PlantModel
+from ratekit.plant import MIN_PERIOD_S, DiscreteStack, PlantModel, _expm
 from ratekit.riccati import (DARE_MAX_ITER, DLYAP_MAX_ITER, TOL, DesignError,
                              spectral_radius)
 from ratekit.search import SynthesisResult, _check_budget, _wrap, synthesize
@@ -862,7 +862,8 @@ def discretize(plant: PlantModel, h: float) -> DiscretePlant:
 
     One exponential of the lifted [x; u] dynamics yields Phi, Gamma and Qd in
     a single pass; companion exponentials yield R1d and the intra-sample
-    noise cost constant.
+    noise cost constant.  Each exponential is ``ratekit.plant._expm`` on a
+    stack of one.
     """
     if not np.isfinite(h) or h <= 0.0:
         raise ValueError(f"sampling period must be positive, got {h}")
@@ -879,7 +880,7 @@ def discretize(plant: PlantModel, h: float) -> DiscretePlant:
     m1[:nz, :nz] = -abar.T
     m1[:nz, nz:] = plant.Qxu
     m1[nz:, nz:] = abar
-    e1 = expm(m1 * h)
+    e1 = _expm((m1 * h)[None])[0]
     f2 = e1[nz:, nz:]
     qd = f2.T @ e1[:nz, nz:]
     qd = 0.5 * (qd + qd.T)
@@ -890,7 +891,7 @@ def discretize(plant: PlantModel, h: float) -> DiscretePlant:
     m2[:nx, :nx] = -A
     m2[:nx, nx:] = plant.Rc
     m2[nx:, nx:] = A.T
-    e2 = expm(m2 * h)
+    e2 = _expm((m2 * h)[None])[0]
     r1d = e2[nx:, nx:].T @ e2[:nx, nx:]
     r1d = 0.5 * (r1d + r1d.T)
 
@@ -903,7 +904,7 @@ def discretize(plant: PlantModel, h: float) -> DiscretePlant:
     m3[nx:2 * nx, nx:2 * nx] = A
     m3[nx:2 * nx, 2 * nx:] = plant.Rc
     m3[2 * nx:, 2 * nx:] = -A.T
-    e3 = expm(m3 * h)
+    e3 = _expm((m3 * h)[None])[0]
     jbar1 = float(np.trace(phi.T @ e3[:nx, 2 * nx:]))
 
     for name, mat in (("Phi", phi), ("Gamma", gamma), ("R1d", r1d), ("Qd", qd)):

@@ -107,6 +107,36 @@ def test_synthesize_on_tables_does_not_import_scipy(small_config, tmp_path, caps
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("command", ["precompute", "simulate", "synthesize", "battery",
+                                     "bench"])
+def test_command_runs_with_scipy_unimportable(command, small_config, tmp_path, capsys):
+    # numpy is the one runtime dependency: every command runs with scipy unimportable
+    tables = tmp_path / "tables"
+    main(["precompute", "--config", str(small_config), "--out", str(tables)])
+    capsys.readouterr()
+    cases = tmp_path / "cases.json"
+    cases.write_text(json.dumps({"cases": [{"n": 9, "k": 3, "reps": 1}]}))
+    shares = tmp_path / "shares.json"
+    shares.write_text(json.dumps({"shares": [0.7, 0.2, 0.1]}))
+    argv = {
+        "precompute": ["--config", str(small_config), "--out", str(tmp_path / "out")],
+        "simulate": ["--config", str(small_config), "--out", str(tmp_path / "trace.jsonl")],
+        "synthesize": ["--tables", str(tables), "--pattern", "0.7,0.1,0.2",
+                       "--budget-energy", "0.4", "--budget-window", "20"],
+        "battery": ["--tables", str(tables), "--pattern", str(shares), "--capacity", "1000mAh",
+                    "--voltage", "3.7", "--fixed-ms", "40", "--out", str(tmp_path / "battery")],
+        "bench": ["--cases", str(cases), "--out", str(tmp_path / "report.csv")],
+    }[command]
+    code = ("import sys; sys.modules['scipy'] = None; from ratekit.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, command, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_synthesize_strict_infeasible(small_config, tmp_path, capsys):
     tables = tmp_path / "tables"
     main(["precompute", "--config", str(small_config), "--out", str(tables)])
@@ -403,11 +433,11 @@ def test_battery_cli(small_config, tmp_path, capsys):
 
 # sha256 of each table `ratekit precompute --config configs/tool.json` writes
 PINNED_TABLES = {
-    "ct.csv": "7015a494af49946dc2b41996d44e7caa691045adac4d7d4f95a91c93f8b6914e",
+    "ct.csv": "9fcfebdbbf45b1714d95a30edd58f35824852b517a9c730184110daed457d048",
     "pt.csv": "3ad869ad555eedfede0d08eceb97dd8bb24324c9cf08e2bacec88f8a2fd67086",
-    "profit_l1.csv": "ad6fd9ed9dde43e456399921c4563fe5b9c806712c5a4c1d7ca3394ad891f981",
-    "profit_l2.csv": "3f61991ffb707dbbf1ee325d608779f10641488ce471a7f045ea71e602aa09b2",
-    "profit_l3.csv": "00557384825fd0de3d9318702f3018faebb9f46a967a430bfed8fabdabc13a32",
+    "profit_l1.csv": "a46e8372d3f7a406f177cf71d96d63961df862fe23d087200ada90ff9652a265",
+    "profit_l2.csv": "7cf6aaa0ea9e4a45068015eb42306507bd152f612a0e02c884ac0434480fd192",
+    "profit_l3.csv": "e425cbac41736d5fe9e61a36e14e2acabb8bc20e8e44e4f5d55293ce78257e89",
 }
 
 
@@ -427,7 +457,7 @@ def test_precompute_bundled_case_study(tmp_path, capsys):
 # sha256 of ct.csv from `ratekit precompute` on the 161-rate 10..90 ms grid
 # (0.5 ms steps) with the bundled plant and levels: its rates stop their
 # Riccati and Lyapunov doublings at different steps
-PINNED_FINE_CT = "6e7afa0597c476a88185f89c2476acce511f07d23de6b9b547756642d611e85c"
+PINNED_FINE_CT = "f085f3e90583e689c4c7ff94ab28f6dc7725c378fc407645c710df9c4311c3b3"
 
 
 def test_precompute_fine_grid_cost_table_pinned(tmp_path, capsys):

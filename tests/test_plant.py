@@ -1,11 +1,15 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from ratekit.plant import PlantModel, discretize, load_plant
+from ratekit import plant as plant_module
+from ratekit.plant import PlantModel, _expm, discretize, load_plant
 
 from oracles import lifted_cost_matrices, rk4_expm, zoh_matrices
+from test_stacked import FINE_RATES, dcservo, oscillator, scalar_plant, seeded_plant
 
 
 def integrator_plant():
@@ -134,3 +138,84 @@ def test_load_plant_roundtrip(tmp_path, plant):
         load_plant(path)
     with pytest.raises(ValueError):
         load_plant({k: doc[k] for k in ("A", "B", "C")})
+
+
+def norm1(a):
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def exponents(plant, periods, monkeypatch):
+    """The stacks discretize takes the exponential of, in call order."""
+    seen = []
+
+    def record(a):
+        seen.append(a.copy())
+        return _expm(a)
+
+    monkeypatch.setattr(plant_module, "_expm", record)
+    discretize(plant, periods)
+    return seen
+
+
+# scipy's own 1-norm error on the oscillator (|A| up to 355 at 90 ms, far from
+# normal) reaches 2e-14 against a 40-digit reference, so its bound is wider
+@pytest.mark.parametrize("make, bound", [(dcservo, 1e-14), (scalar_plant, 1e-14),
+                                         (seeded_plant, 1e-14), (oscillator, 3e-14)],
+                         ids=["dcservo", "scalar", "seeded_3x2x2", "oscillator"])
+def test_expm_matches_scipy_on_every_exponential_of_the_test_plants(make, bound, monkeypatch):
+    stacks = exponents(make(), FINE_RATES.periods, monkeypatch)
+    assert len(stacks) == 3 and all(len(a) == 161 for a in stacks)
+    for a in stacks:
+        ref = expm(a)
+        assert (norm1(_expm(a) - ref) / norm1(ref)).max() <= bound
+
+
+def test_expm_stack_members_equal_lone_calls(monkeypatch):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(13, 5, 5))
+    a *= np.array([1e-3, 0.01, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0, 8.0, 20.0, 60.0, 90.0,
+                   1e160])[:, None, None] / norm1(a)[:, None, None]
+    stacked = _expm(a)
+    scalings = {}  # degree -> the 2^-s its lone calls scaled a by
+    pade = plant_module._pade
+
+    def record(x, b):
+        scalings.setdefault(len(b) - 1, set()).add(float(norm1(x[0]) / norm1(a[i])))
+        return pade(x, b)
+
+    monkeypatch.setattr(plant_module, "_pade", record)
+    for i in range(len(a)):
+        assert stacked[i].tobytes() == _expm(a[i:i + 1])[0].tobytes(), i
+    assert set(scalings) == {3, 5, 7, 9, 13}
+    assert set().union(*(scalings[m] for m in (3, 5, 7, 9))) == {1.0}
+    assert len(scalings[13]) >= 3  # several s, none among them
+    # a 1-norm whose square overflows is never scaled and squared
+    assert np.isnan(stacked[-1]).all() and np.isfinite(stacked[:-1]).all()
+
+
+def test_expm_of_zero_is_exactly_the_identity():
+    for n in (1, 2, 6):
+        assert np.array_equal(_expm(np.zeros((3, n, n))), np.broadcast_to(np.eye(n), (3, n, n)))
+
+
+@pytest.mark.parametrize("plant, periods, message", [
+    (dcservo(Qxu=[[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), (0.01, 0.02),
+     "non-finite Phi at h=0.01"),
+    # e^(800 h) overflows in the squarings at 0.9 s, and only there
+    (PlantModel(A=[[800.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]], Rc=[[1.0]], R2=[[1.0]],
+                Qxu=np.eye(2)), (0.01, 0.9), "non-finite Phi at h=0.9"),
+], ids=["norm_squares_to_overflow", "squarings_overflow"])
+def test_overflowing_exponential_is_the_one_error_and_no_warning(plant, periods, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=message):
+            discretize(plant, periods)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_no_actuation_integrator_keeps_its_unit_eigenvalue():
+    # the closed loop then cannot be stable, which design must report
+    for h in (0.01, 0.02):
+        phi = discretize(dcservo(B=[[0.0], [0.0]]), (h,)).Phi[0]
+        assert phi[1, 1] == 1.0 and phi[0, 1] == 0.0
+        assert 1.0 in np.linalg.eigvals(phi).real.tolist()
