@@ -145,11 +145,10 @@ def load_plant(source) -> PlantModel:
     return PlantModel(**{k: json_list(source[k], f"plant.{k}", json_list) for k in names})
 
 
-def _pade(x: np.ndarray, b: tuple) -> np.ndarray:
+def _pade(x: np.ndarray, b: tuple, x2: np.ndarray) -> np.ndarray:
     """[m/m] Padé approximant q(-x)^-1 q(x) of every member of a stack, with
-    q's odd and even parts u and v evaluated from even powers of x."""
+    q's odd and even parts u and v evaluated from x2 = x @ x."""
     eye = np.eye(x.shape[-1])
-    x2 = x @ x
     if len(b) == 14:
         x4 = x2 @ x2
         x6 = x4 @ x2
@@ -197,11 +196,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    n4, n6, n8, n10 = _norm1(a4), _norm1(a6), _norm1(a4 @ a4), _norm1(a4 @ a6)
+    n4, n6 = _norm1(a4), _norm1(a6)
     out = np.full(a.shape, np.nan)
     s = np.zeros(len(a), dtype=np.int64)
     todo = norm <= _MAX_NORM
     for m, theta, b in _PADE:
+        if not todo.any():
+            break
+        if m == 7:  # only the members left need these powers
+            n8, n10 = _norm1(a4 @ a4), _norm1(a4 @ a6)
         if m < 7:
             fits = (n4 <= theta ** 4) & (n6 <= theta ** 6)
         elif m < 13:
@@ -215,8 +218,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
             fits = todo
         pick = np.flatnonzero(todo & fits)
         todo &= ~fits
-        if pick.size:
-            out[pick] = _pade(np.ldexp(a[pick], -s[pick, None, None]), b)
+        if m == 13:  # scaled by 2^-s, so squared afresh
+            x = np.ldexp(a[pick], -s[pick, None, None])
+            out[pick] = _pade(x, b, x @ x)
+        elif pick.size:
+            out[pick] = _pade(a[pick], b, a2[pick])
     for i in range(s.max(initial=0)):
         live = np.flatnonzero(s > i)
         out[live] = out[live] @ out[live]

@@ -179,9 +179,9 @@ def test_expm_stack_members_equal_lone_calls(monkeypatch):
     scalings = {}  # degree -> the 2^-s its lone calls scaled a by
     pade = plant_module._pade
 
-    def record(x, b):
+    def record(x, b, x2):
         scalings.setdefault(len(b) - 1, set()).add(float(norm1(x[0]) / norm1(a[i])))
-        return pade(x, b)
+        return pade(x, b, x2)
 
     monkeypatch.setattr(plant_module, "_pade", record)
     for i in range(len(a)):
