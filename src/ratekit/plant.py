@@ -7,10 +7,9 @@ the controller design takes it in.
 The matrix exponentials are taken by ``_expm``, a stacked numpy port of the
 scaling-and-squaring Padé method of ``scipy.linalg.expm`` (Al-Mohy & Higham,
 SIAM J. Matrix Anal. Appl. 31(3), 2009; Padé coefficients from Higham, SIAM
-J. Matrix Anal. Appl. 26(4), 2005).  Each member takes the lowest degree m
-in {3, 5, 7, 9, 13} whose bound theta_m (Al-Mohy & Higham, Table 3.1) the
-norms of its powers meet; only members past theta_13 are scaled by 2^-s and
-squared s times.
+J. Matrix Anal. Appl. 26(4), 2005), at the one Padé degree 13: each member
+whose powers' norms exceed theta_13 = 4.25 (Al-Mohy & Higham, Table 3.1) is
+scaled by its own 2^-s and squared s times.
 """
 
 from __future__ import annotations
@@ -22,25 +21,21 @@ import numpy as np
 
 MIN_PERIOD_S = 1e-6
 
-# (m, theta_m, b_0..b_m): each Padé degree, the bound on the norms of the
-# powers of x (eta in _expm) up to which its [m/m] approximant to e^x is
-# accurate to double-precision unit roundoff, and the coefficients of its
-# numerator q(x) = sum b_j x^j (Al-Mohy & Higham 2009, Table 3.1; Higham
-# 2005, eq. 2.2), divided by b_0 below: with q(0) = 1 a zero row of x
-# passes through the solve exactly (the LU solve may multiply by a pivot's
-# reciprocal, and b_0 * (1 / b_0) is not 1 for m = 13)
-_PADE = tuple((m, theta, tuple(c / b[0] for c in b)) for m, theta, b in (
-    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                               1512.0, 56.0, 1.0)),
-    (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    (13, 4.25, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-                1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-                33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
-))
-# a 1-norm whose square overflows: the member is not scaled and squared
+# theta_13, the bound on the norms of the powers of x (eta in _expm) up to
+# which the [13/13] Padé approximant to e^x is accurate to double-precision
+# unit roundoff (Al-Mohy & Higham 2009, Table 3.1), and b_0..b_13, the
+# coefficients of its numerator q(x) = sum b_j x^j (Higham 2005, eq. 2.2),
+# divided by b_0 below: with q(0) = 1 a zero row of x passes through the
+# solve exactly (the LU solve may multiply by a pivot's reciprocal, and
+# b_0 * (1 / b_0) is not 1 for b_0 = 6.5e16)
+_THETA_13 = 4.25
+_B_13 = tuple(c / 64764752532480000.0 for c in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+# the powers of a whose 1-norms choose the scaling
+_KS = np.array([1, 6, 8, 10])[:, None]
+# a 1-norm whose square overflows: the member comes out NaN, unsquared
 _MAX_NORM = np.sqrt(np.finfo(np.float64).max)
 
 
@@ -145,29 +140,21 @@ def load_plant(source) -> PlantModel:
     return PlantModel(**{k: json_list(source[k], f"plant.{k}", json_list) for k in names})
 
 
-def _pade(x: np.ndarray, b: tuple, x2: np.ndarray) -> np.ndarray:
-    """[m/m] Padé approximant q(-x)^-1 q(x) of every member of a stack, with
-    q's odd and even parts u and v evaluated from x2 = x @ x."""
+def _pade13(x: np.ndarray, x2: np.ndarray, x4: np.ndarray, x6: np.ndarray) -> np.ndarray:
+    """[13/13] Padé approximant q(-x)^-1 q(x) of every member of a stack, with
+    q's odd and even parts u and v evaluated from the powers x^2, x^4, x^6."""
+    b = _B_13
     eye = np.eye(x.shape[-1])
-    if len(b) == 14:
-        x4 = x2 @ x2
-        x6 = x4 @ x2
-        u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-                 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
-        v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 \
-            + b[0] * eye
-    else:
-        powers = [eye, x2]
-        while len(powers) < len(b) // 2:
-            powers.append(powers[-1] @ x2)
-        u = x @ sum(c * p for c, p in zip(b[1::2], powers))
-        v = sum(c * p for c, p in zip(b[0::2], powers))
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 \
+        + b[0] * eye
     return np.linalg.solve(v - u, v + u)
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
     """1-norm (largest column sum) of every member of a stack."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
+    return np.einsum("...ij->...j", np.abs(a)).max(axis=-1)  # 2-3x .sum(axis=-2)'s speed
 
 
 def _ceil_log2(x: np.ndarray) -> np.ndarray:
@@ -180,52 +167,38 @@ def _ceil_log2(x: np.ndarray) -> np.ndarray:
 def _expm(a: np.ndarray) -> np.ndarray:
     """e^a for every member of a stack ``(b, n, n)``.
 
-    Degree and scaling follow Al-Mohy & Higham 2009, Algorithm 5.1, with the
-    exact 1-norms n_k of the powers a^k and without its backward-error term
-    ell: m = 3 or 5 where max(n_4^(1/4), n_6^(1/6)) <= theta_m, m = 7 or 9
-    where max(n_6^(1/6), n_8^(1/8)) <= theta_m, and otherwise m = 13 with the
-    least s >= 0 that brings min(max(n_6^(1/6), n_8^(1/8)), max(n_8^(1/8),
-    n_10^(1/10))) * 2^-s under theta_13, or the 1-norm's own s if that is
-    less (it stands in where a power overflows).  The approximants run on
-    each degree's subset of the stack and the squarings on the members that
-    still need them, so a member's bits do not depend on its stack-mates.  A
-    member whose 1-norm is not finite or squares to overflow comes out NaN;
-    squarings may overflow to inf or NaN, silently.
+    The scaling follows Al-Mohy & Higham 2009, Algorithm 5.1, at degree 13
+    only, with the exact 1-norms n_k of the powers a^k and without its
+    backward-error term ell: s is the least s >= 0 that brings
+    min(max(n_6^(1/6), n_8^(1/8)), max(n_8^(1/8), n_10^(1/10))) * 2^-s under
+    theta_13, or the 1-norm's own s if that is less (it stands in where a
+    power overflows).  Unscaled members reuse the powers taken for that
+    choice; scaled ones take them afresh from a * 2^-s, and only they are
+    squared, s times each, so a member's bits do not depend on its
+    stack-mates.  A member whose 1-norm is not finite or squares to overflow
+    is taken as zero and comes out NaN; squarings may overflow to inf or
+    NaN, silently.
     """
-    norm = _norm1(a)
+    fine = _norm1(a) <= _MAX_NORM
+    a = np.where(fine[:, None, None], a, 0.0)  # the others come out NaN
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
-    n4, n6 = _norm1(a4), _norm1(a6)
-    out = np.full(a.shape, np.nan)
-    s = np.zeros(len(a), dtype=np.int64)
-    todo = norm <= _MAX_NORM
-    for m, theta, b in _PADE:
-        if not todo.any():
-            break
-        if m == 7:  # only the members left need these powers
-            n8, n10 = _norm1(a4 @ a4), _norm1(a4 @ a6)
-        if m < 7:
-            fits = (n4 <= theta ** 4) & (n6 <= theta ** 6)
-        elif m < 13:
-            fits = (n6 <= theta ** 6) & (n8 <= theta ** 8)
-        else:
-            # ceil(log2(n_k^(1/k) / theta)) for each k, in integers
-            s6, s8, s10 = (-(-_ceil_log2(n / theta ** k) // k)
-                           for n, k in ((n6, 6), (n8, 8), (n10, 10)))
-            eta = np.minimum(np.maximum(s6, s8), np.maximum(s8, s10))
-            s = np.maximum(0, np.minimum(eta, _ceil_log2(norm / theta))) * todo
-            fits = todo
-        pick = np.flatnonzero(todo & fits)
-        todo &= ~fits
-        if m == 13:  # scaled by 2^-s, so squared afresh
-            x = np.ldexp(a[pick], -s[pick, None, None])
-            out[pick] = _pade(x, b, x @ x)
-        elif pick.size:
-            out[pick] = _pade(a[pick], b, a2[pick])
+    # ceil(log2(n_k^(1/k) / theta_13)) for k = 1, 6, 8, 10, in integers
+    norms = _norm1(np.stack((a, a6, a4 @ a4, a4 @ a6)))
+    s1, s6, s8, s10 = -(-_ceil_log2(norms / _THETA_13 ** _KS) // _KS)
+    s = np.maximum(0, np.minimum(np.minimum(np.maximum(s6, s8), np.maximum(s8, s10)), s1))
+    scaled = np.flatnonzero(s)
+    if scaled.size:
+        x = np.ldexp(a[scaled], -s[scaled, None, None])
+        x2 = x @ x
+        x4 = x2 @ x2
+        a[scaled], a2[scaled], a4[scaled], a6[scaled] = x, x2, x4, x4 @ x2
+    out = _pade13(a, a2, a4, a6)
     for i in range(s.max(initial=0)):
         live = np.flatnonzero(s > i)
         out[live] = out[live] @ out[live]
+    out[~fine] = np.nan
     return out
 
 

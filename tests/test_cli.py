@@ -433,11 +433,11 @@ def test_battery_cli(small_config, tmp_path, capsys):
 
 # sha256 of each table `ratekit precompute --config configs/tool.json` writes
 PINNED_TABLES = {
-    "ct.csv": "9fcfebdbbf45b1714d95a30edd58f35824852b517a9c730184110daed457d048",
+    "ct.csv": "e16a95bd1e413d326a756fddbf6a580abf85c94d8edef3692bf18a901971acbb",
     "pt.csv": "3ad869ad555eedfede0d08eceb97dd8bb24324c9cf08e2bacec88f8a2fd67086",
-    "profit_l1.csv": "a46e8372d3f7a406f177cf71d96d63961df862fe23d087200ada90ff9652a265",
-    "profit_l2.csv": "7cf6aaa0ea9e4a45068015eb42306507bd152f612a0e02c884ac0434480fd192",
-    "profit_l3.csv": "e425cbac41736d5fe9e61a36e14e2acabb8bc20e8e44e4f5d55293ce78257e89",
+    "profit_l1.csv": "3357153429830d76641bfcea792341422bb2fe8984eb0dfd8b96cbee24349916",
+    "profit_l2.csv": "05ca229d2124ff6f95e9dec0b5fae1b2e4f1c5e0db91c12f430aca46a89d062a",
+    "profit_l3.csv": "877c9897ae4da0038d7e412936d59db10e1c8fbe4e45cac2d831f5356d1db93b",
 }
 
 
@@ -457,7 +457,7 @@ def test_precompute_bundled_case_study(tmp_path, capsys):
 # sha256 of ct.csv from `ratekit precompute` on the 161-rate 10..90 ms grid
 # (0.5 ms steps) with the bundled plant and levels: its rates stop their
 # Riccati and Lyapunov doublings at different steps
-PINNED_FINE_CT = "f085f3e90583e689c4c7ff94ab28f6dc7725c378fc407645c710df9c4311c3b3"
+PINNED_FINE_CT = "0e835f82a81bb26526299fd423359925a232bbe334cd94e9b0d758103ca39687"
 
 
 def test_precompute_fine_grid_cost_table_pinned(tmp_path, capsys):
