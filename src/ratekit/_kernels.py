@@ -7,12 +7,13 @@ profit walk's answer from the n^(k-1) rank prefixes, and ``approach2_scan``
 adds the exact number of vectors the walk pops to reach it;
 ``ratekit.search.approach2`` uses the first for a budget nothing fits and the
 second for a walk still going after max(64, n^(k-1) // 32) pops, about what
-one scan costs, so a cut walk costs at most about twice (3 times at the
-size measured furthest off) the cheaper of walk and scan (the walk is their
-reference).  Every prefix scan counts, per prefix, a leading run of the last
-level with ``count_within``: a ``searchsorted`` guess, checked in one pass
-against the column padded with NaN at each end (later passes check only the
-guesses that moved).  The pad is NaN because a NaN sum is neither over nor
+one scan costs (measured at ``cap =`` in ``ratekit.search``), so a cut walk
+costs about twice the cheaper of walk and scan at worst.  Both are checked
+against the uncut visited-set walk ``_approach2_impl`` in
+``tests/oracles.py``.  Every prefix scan counts, per prefix, a leading run
+of the last level with ``count_within``: a ``searchsorted`` guess, checked
+in one pass against the column padded with NaN at each end (later passes
+check only the guesses that moved).  The pad is NaN because a NaN sum is neither over nor
 under any limit, so the ends need no clamp or mask; a +inf pad would never
 let a count of n settle at an infinite limit.  The inherently sequential
 simulation loop is straight-line code on Python floats, generated from the

@@ -11,7 +11,8 @@ from __future__ import annotations
 import heapq
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -39,7 +40,6 @@ class SynthesisResult:
     elapsed: float
     feasible: bool
     algo: str
-    emissions: list = field(default=None, repr=False)
 
 
 def candidate_cost_energy(choice, totals: WindowTotals):
@@ -62,7 +62,7 @@ def _check_budget(totals: WindowTotals, budget: EnergyBudget) -> float:
     return budget.e_max
 
 
-def _wrap(idx, cost, energy, explored, feasible, totals, algo, t0, emissions=None):
+def _wrap(idx, cost, energy, explored, feasible, totals, algo, t0):
     return SynthesisResult(
         controller=MultiRateController(tuple(int(v) for v in idx)),
         predicted_cost=float(cost) / totals.window,
@@ -71,7 +71,6 @@ def _wrap(idx, cost, energy, explored, feasible, totals, algo, t0, emissions=Non
         elapsed=time.perf_counter() - t0,
         feasible=bool(feasible),
         algo=algo,
-        emissions=emissions,
     )
 
 
@@ -114,37 +113,57 @@ def approach1(totals: WindowTotals, budget: EnergyBudget) -> SynthesisResult:
     return _wrap(idx, cost, energy, explored, ok, totals, "approach1", t0)
 
 
-def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
-              record_emissions: bool = False) -> SynthesisResult:
+def _walk(profit: ProfitTables):
+    """Every rank vector of the profit-sorted tables as (-collective profit,
+    rank), in that key order; each profit is summed level by level from 0.0.
+    A pop advances only its last advanced level or a later one, so a vector's
+    one parent is itself with that level one rank back, each vector is pushed
+    once and only the heap frontier is kept; a parent's key is strictly
+    smaller than its child's, so pops follow key order."""
+    k, n = profit.order.shape
+    prof = profit.profit.tolist()
+    p0 = 0.0
+    for j in range(k):
+        p0 += prof[j][0]
+    # (-profit, rank, last advanced level): ranks are unique, levels never compared
+    heap = [(-p0, (0,) * k, 0)]
+    while heap:
+        negp, rank, last = heapq.heappop(heap)
+        yield negp, rank
+        for j in range(last, k):
+            r = rank[j]
+            if r + 1 < n:
+                succ = rank[:j] + (r + 1,) + rank[j + 1:]
+                # fresh left-to-right sum: float sums are monotone in
+                # their terms, so children never out-rank their parent
+                p = 0.0
+                for m in range(k):
+                    p += prof[m][succ[m]]
+                heapq.heappush(heap, (-p, succ, j))
+
+
+def approach2(profit: ProfitTables, totals: WindowTotals,
+              budget: EnergyBudget) -> SynthesisResult:
     """Best-first walk of the profit-sorted tables.
 
-    Starts from the top-profit row of every level table and emits rank
-    vectors by non-increasing collective profit (sum of per-level profits),
-    ties to the smaller rank vector; the first emitted candidate inside the
-    budget wins, and explored counts emitted candidates.  Each rank vector
-    has one parent, itself with its last advanced level one rank back: a
-    popped vector advances only that level or a later one, so each vector is
-    pushed once and the walk keeps only its heap frontier.  A parent's key
-    (-profit, rank) is strictly smaller than its child's, so pops follow key
-    order.  The kernels find the walk's answer from the n^(k-1) rank
-    prefixes instead in two cases.  On a budget nothing fits, where the walk
-    would pop all n^k vectors and report the first of least energy,
-    ``_kernels.approach2_first`` answers without walking.  A walk still
-    going after max(64, n^(k-1) // 32) pops, about what one prefix scan
-    costs in pops, is cut and ``_kernels.approach2_scan`` answers with the
-    walk's exact pop count: walking until the walk has cost what the scan
-    costs keeps any query within about twice the cheaper of the two (3
-    times where the cap is furthest from one scan).  A walk asked to record
-    its emissions is never cut.  Where n^(k-1) is over the scans' size limit
-    no scan answers: a budget nothing fits raises ValueError before anything
-    is built, and a walk still going after MAX_ORACLE_CELLS pops raises
+    Takes rank vectors from ``_walk`` (non-increasing collective profit, the
+    sum of per-level profits, ties to the smaller rank vector); the first
+    inside the budget wins, and explored counts the vectors taken.  The
+    kernels find the walk's answer from the n^(k-1) rank prefixes instead in
+    two cases.  On a budget nothing fits, where the walk would take all n^k
+    vectors and report the first of least energy,
+    ``_kernels.approach2_first`` answers without walking.  A walk still going
+    after max(64, n^(k-1) // 32) pops, about what one prefix scan costs (see
+    ``cap`` below), is cut and ``_kernels.approach2_scan`` answers with the
+    walk's exact pop count.  Where n^(k-1) is over the scans' size limit no
+    scan answers: a budget nothing fits raises ValueError before anything is
+    built, and a walk still going after MAX_ORACLE_CELLS pops raises
     ValueError there, which also bounds its heap.
     """
     e_max = _check_budget(totals, budget)
     t0 = time.perf_counter()
     k, n = profit.order.shape
-    # plain lists keep the pop/push loop free of numpy scalar overhead
-    prof = profit.profit.tolist()
+    # plain lists keep the loop free of numpy scalar overhead
     order = profit.order.tolist()
     cc = totals.cc_total.T.tolist()
     ec = totals.ec_by_level.T.tolist()
@@ -156,10 +175,9 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
             raise ValueError(f"approach2 over n={n} rates and k={k} levels would walk all n^k "
                              f"= {n**k} candidates, more than the {_kernels.MAX_ORACLE_CELLS} "
                              f"allowed: the least energy {least} J is over the budget {e_max} J")
-        if not record_emissions:
-            idx, cost, energy = _kernels.approach2_first(
-                profit.order, profit.profit, totals.cc_total, totals.ec_by_level, least)
-            return _wrap(idx, cost, energy, n**k, False, totals, "approach2", t0)
+        idx, cost, energy = _kernels.approach2_first(
+            profit.order, profit.profit, totals.cc_total, totals.ec_by_level, least)
+        return _wrap(idx, cost, energy, n**k, False, totals, "approach2", t0)
     # the most pops before the scan answers: about what one approach2_scan
     # costs (rent or buy).  Measured on a 2-core x86-64 host (Python 3.11,
     # numpy 2.4), each scan timed next to a walk, a pop costs 2.0-3.7 us and
@@ -175,57 +193,24 @@ def approach2(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
     cap = max(64, n**(k - 1) // 32)
     # where n^(k-1) is over the limit no scan answers, and the walk is bounded
     unscanned = n**(k - 1) > _kernels.MAX_ORACLE_CELLS
-    pops = _kernels.MAX_ORACLE_CELLS if unscanned else n**k if record_emissions else cap
-    p0 = 0.0
-    for j in range(k):
-        p0 += prof[j][0]
-    # (-profit, rank, last advanced level): ranks are unique, levels never compared
-    heap = [(-p0, (0,) * k, 0)]
-    explored = 0
-    emissions = [] if record_emissions else None
-    inf_idx = inf_cost = None
-    inf_energy = float("inf")
-    while explored < pops:
-        negp, rank, last = heapq.heappop(heap)
-        explored += 1
-        cost = 0.0
-        energy = 0.0
+    pops = _kernels.MAX_ORACLE_CELLS if unscanned else cap
+    for explored, (_, rank) in enumerate(islice(_walk(profit), pops), 1):
+        cost = energy = 0.0
         for j in range(k):
             i = order[j][rank[j]]
             cost += cc[j][i]
             energy += ec[j][i]
-        if record_emissions:
-            emissions.append((rank, -negp,
-                              tuple(order[j][rank[j]] for j in range(k)),
-                              cost, energy))
         if energy <= e_max:
             choice = tuple(order[j][rank[j]] for j in range(k))
-            return _wrap(choice, cost, energy, explored, True, totals,
-                         "approach2", t0, emissions)
-        if energy < inf_energy:
-            inf_energy, inf_cost = energy, cost
-            inf_idx = tuple(order[j][rank[j]] for j in range(k))
-        for j in range(last, k):
-            r = rank[j]
-            if r + 1 < n:
-                succ = rank[:j] + (r + 1,) + rank[j + 1:]
-                # fresh left-to-right sum: float sums are monotone in
-                # their terms, so children never out-rank their parent
-                p = 0.0
-                for m in range(k):
-                    p += prof[m][succ[m]]
-                heapq.heappush(heap, (-p, succ, j))
-    if least <= e_max:  # cut: the answer lies past the pops the walk made
-        if unscanned:
-            raise ValueError(f"approach2 over n={n} rates and k={k} levels stopped after "
-                             f"{pops} pops, the most allowed where n^(k-1) = {n**(k - 1)} "
-                             f"prefixes are too many to scan: nothing popped fits the budget "
-                             f"{e_max} J")
-        idx, cost, energy, explored = _kernels.approach2_scan(
-            profit.order, profit.profit, totals.cc_total, totals.ec_by_level, e_max)
-        return _wrap(idx, cost, energy, explored, True, totals, "approach2", t0)
-    return _wrap(inf_idx, inf_cost, inf_energy, explored, False, totals,
-                 "approach2", t0, emissions)
+            return _wrap(choice, cost, energy, explored, True, totals, "approach2", t0)
+    if unscanned:  # cut: the answer lies past the pops the walk made
+        raise ValueError(f"approach2 over n={n} rates and k={k} levels stopped after "
+                         f"{pops} pops, the most allowed where n^(k-1) = {n**(k - 1)} "
+                         f"prefixes are too many to scan: nothing popped fits the budget "
+                         f"{e_max} J")
+    idx, cost, energy, explored = _kernels.approach2_scan(
+        profit.order, profit.profit, totals.cc_total, totals.ec_by_level, e_max)
+    return _wrap(idx, cost, energy, explored, True, totals, "approach2", t0)
 
 
 ALGORITHMS = {

@@ -19,9 +19,10 @@ checks, and builds the loop's operands one controller at a time); and the
 one-candidate-at-a-time loops
 ``_exhaustive_impl``, ``_approach1_impl`` and ``_window_loop_impl`` for the
 scans and the window loop of ``ratekit._kernels``; ``_approach2_impl``, the
-best-first walk that keeps a visited set of every rank vector it pushes, for
-the one-parent walk of ``ratekit.search.approach2`` (the same emissions and
-result); and the per-rate
+best-first walk that keeps a visited set of every rank vector it pushes and
+is never cut, for the one-parent walk ``ratekit.search._walk`` (the same
+emissions) and for ``ratekit.search.approach2`` and the prefix scans that
+answer its cut walks (the same result); and the per-rate
 design path (``discretize``, ``solve_dare``, ``solve_dlyap``, ``design``,
 ``_Loop`` and ``evaluate_costs``), one rate and one intensity at a time, for
 the stacked pass of ``ratekit.plant``, ``ratekit.riccati``, ``ratekit.lqg``
@@ -46,7 +47,7 @@ from ratekit.lqg import LqgController
 from ratekit.plant import MIN_PERIOD_S, DiscreteStack, PlantModel, _expm
 from ratekit.riccati import (DARE_MAX_ITER, DLYAP_MAX_ITER, TOL, DesignError,
                              spectral_radius)
-from ratekit.search import SynthesisResult, _check_budget, _wrap, synthesize
+from ratekit.search import _check_budget, _wrap, synthesize
 from ratekit.sim import MatchFixedBudget, NoiseScenario, Strategy, floor_pattern
 from ratekit.tables import (CostTable, LevelSpec, PowerTable, ProfitTables, WindowTotals,
                             totals_over_window)
@@ -639,14 +640,18 @@ def _approach1_impl(cc, ec, budget):
 
 
 def _approach2_impl(profit: ProfitTables, totals: WindowTotals, budget: EnergyBudget,
-                    record_emissions: bool = False) -> SynthesisResult:
-    """Best-first walk of the profit-sorted tables.
+                    record_emissions: bool = False):
+    """Best-first walk of the profit-sorted tables, never cut.
 
     Starts from the top-profit row of every level table and repeatedly emits
     the unvisited rank vector with maximal collective profit (sum of per-level
     profits), generating successors by advancing exactly one level's rank.
-    The first emitted candidate inside the budget wins.  Emission order has
-    non-increasing collective profit; explored counts emitted candidates.
+    The first emitted candidate inside the budget wins; when none is, the
+    first emitted of least energy is reported with feasible=False.  Emission
+    order has non-increasing collective profit; explored counts emitted
+    candidates.  Returns (result, emissions): one (rank, collective profit,
+    choice, cost, energy) tuple per emission when ``record_emissions``,
+    otherwise None.
     """
     e_max = _check_budget(totals, budget)
     t0 = time.perf_counter()
@@ -682,7 +687,7 @@ def _approach2_impl(profit: ProfitTables, totals: WindowTotals, budget: EnergyBu
         if energy <= e_max:
             choice = tuple(order[j][rank[j]] for j in range(k))
             return _wrap(choice, cost, energy, explored, True, totals,
-                         "approach2", t0, emissions)
+                         "approach2", t0), emissions
         if energy < inf_energy:
             inf_energy = energy
             inf_idx = tuple(order[j][rank[j]] for j in range(k))
@@ -702,7 +707,7 @@ def _approach2_impl(profit: ProfitTables, totals: WindowTotals, budget: EnergyBu
     for j in range(k):
         inf_cost += cc[j][inf_idx[j]]
     return _wrap(inf_idx, inf_cost, inf_energy, explored, False, totals,
-                 "approach2", t0, emissions)
+                 "approach2", t0), emissions
 
 
 

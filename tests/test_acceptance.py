@@ -5,6 +5,7 @@ summary lines and timings.
 """
 
 import time
+from itertools import islice
 from statistics import median
 
 import numpy as np
@@ -14,7 +15,7 @@ from ratekit.bench import BenchCase, case_budget, synthetic_totals
 from ratekit.energy import EnergyBudget
 from ratekit.lqg import closed_loop_matrix, evaluate_cost, lyapunov_residual
 from ratekit.riccati import spectral_radius
-from ratekit.search import approach1, approach2, exhaustive
+from ratekit.search import _walk, approach1, approach2, exhaustive
 from ratekit.sim import MatchFixedBudget, Strategy, scenario_from_shares, simulate
 from ratekit.tables import build_profit_tables, totals_over_window
 
@@ -70,10 +71,11 @@ def test_criterion_3_approach2_soundness():
     for totals, budget in instances:
         ref = exhaustive(totals, budget)
         prof = build_profit_tables(totals)
-        res = approach2(prof, totals, budget, record_emissions=True)
+        res = approach2(prof, totals, budget)
         assert res.feasible == ref.feasible
-        ranks = [em[0] for em in res.emissions]
-        profits = [em[1] for em in res.emissions]
+        emissions = list(islice(_walk(prof), res.explored))  # the vectors it took
+        ranks = [rank for _, rank in emissions]
+        profits = [-negp for negp, _ in emissions]
         assert ranks[0] == (0, 0, 0)
         assert all(b <= a for a, b in zip(profits, profits[1:]))
         seen = {ranks[0]}

@@ -17,7 +17,6 @@ from ratekit import _kernels
 from ratekit.cli import main
 from ratekit.config import ConfigError, load_config
 from ratekit.energy import EnergyBudget
-from ratekit.search import approach2
 from ratekit.tables import (CostTable, RateSet, build_cost_table, build_power_table,
                             build_profit_tables, design_all, save_tables,
                             totals_over_window)
@@ -276,8 +275,8 @@ def test_approach2_walk_over_its_bound_exits_one(tmp_path, capsys, monkeypatch):
     pt = build_power_table(rates, 100.0)
     totals = totals_over_window(ct, pt, (0.7, 0.1, 0.2), 100.0)
     save_tables(tmp_path, ct, pt, build_profit_tables(totals), {})
-    walk = approach2(build_profit_tables(totals), totals, EnergyBudget(4.5, 100.0),
-                     record_emissions=True)
+    walk, _ = oracles._approach2_impl(build_profit_tables(totals), totals,
+                                      EnergyBudget(4.5, 100.0))
     monkeypatch.setattr(_kernels, "MAX_ORACLE_CELLS", 1000)
     argv = ["synthesize", "--tables", str(tmp_path), "--pattern", "0.7,0.1,0.2",
             "--budget-window", "100", "--algo", "approach2", "--budget-energy"]

@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -176,6 +177,30 @@ def test_expm_matches_scipy_on_every_exponential_of_the_test_plants(make, bound,
     for a in stacks:
         ref = expm(a)
         assert (norm1(_expm(a) - ref) / norm1(ref)).max() <= bound
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e12])
+def test_expm_matches_mpmath_on_every_van_loan_block(scale, monkeypatch):
+    """Against a 40-digit mpmath ``expm``, which, unlike scipy, is the more
+    accurate side on these far-from-normal matrices: the DC servo with Qxu
+    and Rc at scale * I, 10 to 90 ms.  Each exponential is split into the
+    blocks its Van Loan construction places (nz = 3 for the lifted [x; u]
+    one, nx = 2 for the other two); the reference's zero blocks come out
+    exactly zero and every other block within 1e-13 relative 1-norm."""
+    plant = dcservo(Qxu=(scale * np.eye(3)).tolist(), Rc=(scale * np.eye(2)).tolist())
+    stacks = exponents(plant, (0.01, 0.03, 0.05, 0.07, 0.09), monkeypatch)
+    with mpmath.workdps(40):
+        for a, size in zip(stacks, (plant.nx + plant.nu, plant.nx, plant.nx)):
+            got = _expm(a)
+            for m in range(len(a)):
+                ref = np.array(mpmath.expm(mpmath.matrix(a[m].tolist())).tolist(), dtype=float)
+                for i in range(0, len(ref), size):
+                    for j in range(0, len(ref), size):
+                        r, g = ref[i:i + size, j:j + size], got[m, i:i + size, j:j + size]
+                        if not r.any():
+                            assert not g.any(), (m, i, j)
+                        else:
+                            assert norm1(g - r) / norm1(r) <= 1e-13, (m, i, j)
 
 
 def test_expm_stack_members_equal_lone_calls(monkeypatch):

@@ -1,7 +1,7 @@
 import time
 import tracemalloc
 import warnings
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ratekit import _kernels
 from ratekit.bench import BenchCase, case_budget, synthetic_totals
 from ratekit.energy import EnergyBudget
-from ratekit.search import (MultiRateController, approach1, approach2,
+from ratekit.search import (MultiRateController, _walk, approach1, approach2,
                             candidate_cost_energy, exhaustive, synthesize)
 from ratekit.sim import MatchFixedBudget
 from ratekit.tables import (RateSet, WindowTotals, build_profit_tables,
@@ -366,15 +366,16 @@ def test_approach2_behaviour_on_random_instances():
         totals, budget = random_instance(rng)
         n, k = totals.n, totals.k
         prof = build_profit_tables(totals)
-        res = approach2(prof, totals, budget, record_emissions=True)
+        res = approach2(prof, totals, budget)
         ref = exhaustive(totals, budget)
         assert res.feasible == ref.feasible  # finds a candidate whenever one exists
         assert res.explored <= n ** k
         if res.feasible:
             assert res.predicted_energy <= budget.e_max
             assert res.predicted_cost >= ref.predicted_cost - 1e-12  # heuristic gap
-        ranks = [em[0] for em in res.emissions]
-        profits = [em[1] for em in res.emissions]
+        emissions = walk_emissions(prof, totals, res.explored)  # the vectors it took
+        ranks = [em[0] for em in emissions]
+        profits = [em[1] for em in emissions]
         assert ranks[0] == (0,) * k  # first emission is the top-profit vector
         assert all(b <= a for a, b in zip(profits, profits[1:]))
         seen = {ranks[0]}
@@ -428,26 +429,67 @@ def same_columns(got, ref):
     return all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
+def walk_emissions(prof, totals, pops=None):
+    """The first ``pops`` vectors of ``_walk`` (all of them for None) as
+    emissions (rank, collective profit, choice, cost, energy), cost and energy
+    summed level by level from 0.0 as ``approach2`` sums them."""
+    k = prof.order.shape[0]
+    order = prof.order.tolist()
+    cc, ec = totals.cc_total.T.tolist(), totals.ec_by_level.T.tolist()
+    out = []
+    for negp, rank in islice(_walk(prof), pops):
+        choice = tuple(order[j][rank[j]] for j in range(k))
+        cost = energy = 0.0
+        for j, i in enumerate(choice):
+            cost += cc[j][i]
+            energy += ec[j][i]
+        out.append((rank, -negp, choice, cost, energy))
+    return out
+
+
+def test_walk_yields_every_rank_vector_once_in_key_order():
+    """``_walk`` on its own: ranks and collective profits equal to
+    ``lattice_key_order``'s bit for bit, and exactly n^k of them, on tie-heavy
+    tables, on tables whose profits overflow to inf and on bench tables."""
+    rng = np.random.default_rng(33)
+    cases = [integer_instance(rng)[0] for _ in range(200)]
+    cases += [overflow_instance(rng)[0] for _ in range(200)]
+    cases += [synthetic_totals(BenchCase(n=n, k=k))
+              for n, k in ((9, 3), (17, 3), (32, 3), (17, 4), (12, 5))]
+    for totals in cases:
+        with np.errstate(over="ignore"):
+            prof = build_profit_tables(totals)
+            ranks, profits = lattice_key_order(prof, totals)[:2]
+        k, n = prof.order.shape
+        walk = list(_walk(prof))
+        assert len(walk) == n ** k
+        got_ranks = np.fromiter(chain.from_iterable(map(itemgetter(1), walk)), np.int64)
+        assert np.array_equal(got_ranks.reshape(-1, k), ranks)
+        got_profits = np.fromiter((-negp for negp, _ in walk), np.float64)
+        assert got_profits.tobytes() == profits.tobytes()
+
+
 def test_approach2_walk_matches_visited_set_reference():
     """The one-parent walk against the visited-set walk it replaced: the same
-    emissions and result on tie-heavy tables, and on bench tables at a tight
-    and the mid budget.  At a budget nothing fits both walks emit the whole
-    lattice in key order, and the bench tables are checked against that order
-    (the reference walk takes seconds on 12^5)."""
+    emissions over approach2's explored count, and the same result, on
+    tie-heavy tables, and on bench tables at a tight and the mid budget.  At
+    a budget nothing fits both walks emit the whole lattice in key order, and
+    the bench tables are checked against that order (the reference walk takes
+    seconds on 12^5)."""
     rng = np.random.default_rng(27)
     infeasible = 0
     for _ in range(500):
         totals, budget = integer_instance(rng)
         prof = build_profit_tables(totals)
-        got = approach2(prof, totals, budget, record_emissions=True)
-        ref = oracles._approach2_impl(prof, totals, budget, record_emissions=True)
-        assert got.emissions == ref.emissions
-        for name in ("controller", "predicted_cost", "predicted_energy", "explored",
-                     "feasible", "algo"):
+        got = approach2(prof, totals, budget)
+        ref, ref_emissions = oracles._approach2_impl(prof, totals, budget,
+                                                     record_emissions=True)
+        assert walk_emissions(prof, totals, got.explored) == ref_emissions
+        for name in RESULT_FIELDS:
             assert getattr(got, name) == getattr(ref, name)
         if not got.feasible:
             infeasible += 1
-            assert same_columns(emitted(got.emissions), lattice_key_order(prof, totals))
+            assert same_columns(emitted(ref_emissions), lattice_key_order(prof, totals))
     assert infeasible >= 50
     for n, k in ((9, 3), (17, 3), (32, 3), (17, 4), (12, 5)):
         case = BenchCase(n=n, k=k)
@@ -457,15 +499,15 @@ def test_approach2_walk_matches_visited_set_reference():
         e_max = float(totals.ec_by_level[0].sum())
         for e in (e_min + 0.2 * (e_max - e_min), case_budget(case, totals).e_max):
             budget = EnergyBudget(e, totals.window)
-            got = approach2(prof, totals, budget, record_emissions=True)
-            ref = oracles._approach2_impl(prof, totals, budget, record_emissions=True)
-            assert got.feasible and got.emissions == ref.emissions
+            got = approach2(prof, totals, budget)
+            ref, ref_emissions = oracles._approach2_impl(prof, totals, budget,
+                                                         record_emissions=True)
+            assert got.feasible and walk_emissions(prof, totals, got.explored) == ref_emissions
             assert (got.controller, got.predicted_cost, got.predicted_energy, got.explored) \
                 == (ref.controller, ref.predicted_cost, ref.predicted_energy, ref.explored)
-        got = approach2(prof, totals, EnergyBudget(0.5 * e_min, totals.window),
-                        record_emissions=True)
+        got = approach2(prof, totals, EnergyBudget(0.5 * e_min, totals.window))
         _, _, choices, costs, energies = order = lattice_key_order(prof, totals)
-        assert same_columns(emitted(got.emissions), order)
+        assert same_columns(emitted(walk_emissions(prof, totals)), order)
         assert got.explored == n ** k and not got.feasible
         least = int(np.argmin(energies))  # the fallback: the first emission of least energy
         assert got.controller.choice == tuple(choices[least].tolist())
@@ -482,9 +524,9 @@ def least_energy(totals):
 
 
 def test_approach2_answers_a_budget_nothing_fits_as_the_walk_does():
-    """Without emissions a budget nothing fits is answered from the rank
-    prefixes, not walked: the same result as the visited-set walk on
-    tie-heavy tables, random tables and bench tables."""
+    """A budget nothing fits is answered from the rank prefixes, not walked:
+    the same result as the visited-set walk on tie-heavy tables, random
+    tables and bench tables."""
     fields = ("controller", "predicted_cost", "predicted_energy", "explored", "feasible",
               "algo")
     rng = np.random.default_rng(28)
@@ -499,8 +541,7 @@ def test_approach2_answers_a_budget_nothing_fits_as_the_walk_does():
     for totals, budget in cases:
         prof = build_profit_tables(totals)
         got = approach2(prof, totals, budget)
-        ref = oracles._approach2_impl(prof, totals, budget)
-        assert got.emissions is None
+        ref, _ = oracles._approach2_impl(prof, totals, budget)
         for name in fields:
             assert getattr(got, name) == getattr(ref, name), name
 
@@ -510,10 +551,10 @@ RESULT_FIELDS = ("controller", "predicted_cost", "predicted_energy", "explored",
 
 
 def same_as_uncut_walk(prof, totals, budget):
-    """approach2 against its own walk asked for emissions, which is never cut:
-    every result field equal.  Returns the walk's result."""
+    """approach2 against the visited-set walk, which is never cut: every
+    result field equal.  Returns the walk's result."""
     got = approach2(prof, totals, budget)
-    ref = approach2(prof, totals, budget, record_emissions=True)
+    ref, _ = oracles._approach2_impl(prof, totals, budget)
     for name in RESULT_FIELDS:
         assert getattr(got, name) == getattr(ref, name), name
     return ref
@@ -555,8 +596,8 @@ def test_approach2_scans_only_for_a_walk_past_its_cap(monkeypatch):
     prof = build_profit_tables(totals)
     mid = approach2(prof, totals, case_budget(case, totals))
     assert mid.explored <= 32 ** 2 and limits == []
-    assert approach2(prof, totals, EnergyBudget(1.2, totals.window),
-                     record_emissions=True).explored == 26041
+    ref, _ = oracles._approach2_impl(prof, totals, EnergyBudget(1.2, totals.window))
+    assert ref.explored == 26041
     assert limits == []
     assert approach2(prof, totals, EnergyBudget(1.2, totals.window)).explored == 26041
     assert limits == [1.2]
@@ -597,14 +638,14 @@ def test_approach2_walks_cut_short_of_n_to_the_k_minus_1_answer_as_uncut(monkeyp
 
 def test_approach2_walk_over_the_scan_limit_stops_at_its_bound(monkeypatch):
     """Where n^(k-1) is over the scan limit a walk is never cut to a scan: one
-    that ends within MAX_ORACLE_CELLS pops answers as the walk asked for its
-    emissions, even on its last allowed pop, and one still going raises
+    that ends within MAX_ORACLE_CELLS pops answers as the visited-set walk
+    does, even on its last allowed pop, and one still going raises
     ValueError naming n, k and the pops.  32^3 has 1,024 prefixes, over a
     limit of 1,000; its walks pop 59, 704 and 26,041 vectors at 3.5, 2.5 and
     1.2 J."""
     totals = synthetic_totals(BenchCase(n=32, k=3))
     prof = build_profit_tables(totals)
-    refs = {e: approach2(prof, totals, EnergyBudget(e, totals.window), record_emissions=True)
+    refs = {e: oracles._approach2_impl(prof, totals, EnergyBudget(e, totals.window))[0]
             for e in (3.5, 2.5)}
     limits = scan_spy(monkeypatch)
     for limit, answered, refused in ((1000, (3.5, 2.5), (1.2,)), (704, (2.5,), ()),
@@ -656,7 +697,8 @@ def test_approach2_counts_an_infinite_profit_exactly_and_quietly():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             ref = same_as_uncut_walk(prof, totals, budget)
-        infinite += ref.emissions[-1][1] == np.inf  # the answer's collective profit
+        answer = next(islice(_walk(prof), ref.explored - 1, None))
+        infinite += -answer[0] == np.inf  # the answer's collective profit
         cut += ref.explored > totals.n ** (totals.k - 1)
     assert infinite >= 200 and cut >= 50
 
