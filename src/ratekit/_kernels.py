@@ -20,7 +20,7 @@ simulation loop is straight-line code on Python floats, generated from the
 four ints (nx, ny, nu, k) by ``loop_source`` (which refuses a loop of more
 than MAX_LOOP_PRODUCTS products a sample) and compiled once per shape; its
 operands become flat tuples once per run (``loop_operands``), and each window
-appends its samples to the trace's columns and returns the new state
+appends its samples to the trace's six columns and returns the new state
 (``window_loop``).
 Each kernel matches a one-candidate (or one-sample) loop reference in
 ``tests/oracles.py`` bit for bit: it sums the same terms in the same order.
@@ -43,6 +43,16 @@ import numpy as np
 # order).  If nothing is feasible the minimum-energy candidate is reported
 # with feasible=False.
 # ---------------------------------------------------------------------------
+
+
+def cost_energy(idx, cc, ec):
+    """Cost and energy of the index vector ``idx`` (rate idx[j] at level j),
+    each summed level by level from 0.0, as the lattice sums them."""
+    c = e = 0.0
+    for j, i in enumerate(idx):
+        c += cc[i, j]
+        e += ec[i, j]
+    return c, e
 
 
 def _grid_sum(table, k, lo, hi):
@@ -209,9 +219,7 @@ def approach1_scan(cc, ec, budget):
         p = int(np.argmax(row_min == e))
         i = int(np.argmax(energy_prefix[p] + ec[:, last] == e))
         idx = (np.unravel_index(p, grid) if last else ()) + (i,)
-        c = 0.0
-        for j in range(k):
-            c += cc[idx[j], j]
+        c = cost_energy(idx, cc, ec)[0]
         return np.array(idx, np.int64), float(c), float(e), infeasible, False
     fits_grid = fits.reshape(grid)
     minimal = fits_grid > 0
@@ -282,10 +290,7 @@ def _rates_cost_energy(order, cc, ec, p, r):
     k, n = order.shape
     rank = (np.unravel_index(p, (n,) * (k - 1)) if k > 1 else ()) + (r,)
     idx = [int(order[j, rank[j]]) for j in range(k)]
-    c = e = 0.0
-    for j in range(k):
-        c += cc[idx[j], j]
-        e += ec[idx[j], j]
+    c, e = cost_energy(idx, cc, ec)
     return np.array(idx, np.int64), float(c), float(e)
 
 
@@ -391,7 +396,7 @@ def window_loop(ops, mmap, state, window_end, noise, out):
     seg_end = -inf
     pos = 0
     rate = -1
-    add_t, add_h_ms, add_rhat, add_level, add_energy, add_cost, add_rate = (c.append for c in out)
+    add_t, add_h_ms, add_rhat, add_level, add_energy, add_cost = (c.append for c in out)
     while t < window_end:
         if mmap[level] != rate:
             rate = mmap[level]
@@ -483,8 +488,8 @@ def loop_source(nx, ny, nu, k):
                                     for b, zb in enumerate(x + u)])
     step += ["cost += stage + r_true * jbar", "energy += phi_j", "add_t(t)", "add_h_ms(h_ms)",
              "add_rhat(r_hat)", "add_level(level + 1)", "add_energy(energy)", "add_cost(cost)",
-             "add_rate(rate)", "dt_attr = h", "if window_end - t < dt_attr:",
-             "    dt_attr = window_end - t", "level_time[level] += dt_attr"]
+             "dt_attr = h", "if window_end - t < dt_attr:", "    dt_attr = window_end - t",
+             "level_time[level] += dt_attr"]
     for a in range(nx):  # propagate plant and estimator over one period
         step += _chain("acc", "0.0", _dot("+", p[a], x + u))
         step += _chain("wnoise", "0.0", _dot("+", w[a], z[:nx]))
@@ -503,11 +508,11 @@ _LOOPS = {}  # (nx, ny, nu, k) -> the compiled window loop of that shape
 def window_loop(ops: LoopOperands, mmap, state: LoopState, window_end, noise, out):
     """Run the samples of one window at the rates ``mmap`` gives each level.
 
-    Appends each sample to the seven lists of ``out``: the trace's columns
-    t, h_ms, r_hat, level (1-based), energy_j and cost_integral, then the
-    0-based rate index.  Returns the new state and the time spent at each
-    level.  Runs ``loop_source(*ops.shape)``, compiled on first use and kept
-    in ``_LOOPS``; math.sqrt and np.sqrt are both correctly rounded, so every
+    Appends each sample to the six lists of ``out``, the trace's columns t,
+    h_ms, r_hat, level (1-based), energy_j and cost_integral.  Returns the
+    new state and the time spent at each level.  Runs
+    ``loop_source(*ops.shape)``, compiled on first use and kept in
+    ``_LOOPS``; math.sqrt and np.sqrt are both correctly rounded, so every
     output matches the index-loop reference bit for bit.
     """
     loop = _LOOPS.get(ops.shape)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import DiscreteStack, PlantModel, discretize
-from .riccati import DesignError, _solve_dare, _t, dlyap_residual, solve_dlyap, spectral_radius
+from .riccati import DesignError, _t, dlyap_residual, solve_dare, solve_dlyap, spectral_radius
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,10 @@ def _design_pass(plant: PlantModel, periods: tuple) -> LqgController:
     if singular.any():
         raise DesignError("input-weight block of the lifted cost is singular at "
                           f"h={periods[np.argmax(singular)]}")
-    p_ctrl, res_ctrl = _solve_dare(d.Phi, d.Gamma, q1d, q2d, S=q12)
+    p_ctrl, res_ctrl = solve_dare(d.Phi, d.Gamma, q1d, q2d, S=q12)
     k = np.linalg.solve(q2d + _t(d.Gamma) @ p_ctrl @ d.Gamma,
                         _t(d.Gamma) @ p_ctrl @ d.Phi + _t(q12))
-    p_pred, res_filt = _solve_dare(_t(d.Phi), c.T, d.R1d, plant.R2)
+    p_pred, res_filt = solve_dare(_t(d.Phi), c.T, d.R1d, plant.R2)
     s_innov = c @ p_pred @ c.T + plant.R2
     try:
         kf = _t(np.linalg.solve(_t(s_innov), _t(p_pred @ c.T)))

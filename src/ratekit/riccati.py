@@ -55,18 +55,14 @@ def spectral_radius(mat: np.ndarray):
 
 
 def solve_dare(A, B, Q, R, S=None):
-    """Stabilizing solution of P = A'PA - (A'PB+S)(R+B'PB)^{-1}(B'PA+S') + Q.
+    """Stabilizing solution of P = A'PA - (A'PB+S)(R+B'PB)^{-1}(B'PA+S') + Q,
+    and the ``dare_residual`` of each member, which the solve computes to
+    certify convergence.
 
     Uses the structured doubling iteration after reducing away the cross
     term.  Raises DesignError on non-convergence, reporting the residual of
     the first member that failed.
     """
-    return _solve_dare(A, B, Q, R, S)[0]
-
-
-def _solve_dare(A, B, Q, R, S=None):
-    """``solve_dare``'s solution and the ``dare_residual`` of each member,
-    which the solve computes to certify convergence."""
     lead, (A, B, Q, R, S) = _stacks(A, B, Q, R, S)
     P = np.empty((A.shape[0],) + A.shape[-2:])
     res = np.empty(A.shape[0])
@@ -74,18 +70,17 @@ def _solve_dare(A, B, Q, R, S=None):
     # but the fixed-point map only needs R + B'PB invertible
     singular = np.linalg.eigvalsh(0.5 * (R + _t(R))).min(axis=-1) <= 0.0
     for i in np.flatnonzero(singular):
-        P[i], res[i] = _solve_dare_fixed_point(A[i], B[i], Q[i], R[i],
-                                               None if S is None else S[i])
+        P[i], res[i] = _dare_fixed_point(A[i], B[i], Q[i], R[i], None if S is None else S[i])
     if not singular.all():
         doubling = np.flatnonzero(~singular)
         ops = (A, B, Q, R, S)
         if singular.any():
             ops = [None if m is None else m[doubling] for m in ops]
-        P[doubling], res[doubling] = _solve_dare_doubling(*ops)
+        P[doubling], res[doubling] = _dare_doubling(*ops)
     return P.reshape(lead + P.shape[-2:]), _unstack(res, lead)
 
 
-def _solve_dare_doubling(A, B, Q, R, S):
+def _dare_doubling(A, B, Q, R, S):
     if S is not None:
         rs = np.linalg.solve(R, _t(S))
         a1 = A - B @ rs
@@ -132,7 +127,7 @@ def _solve_dare_doubling(A, B, Q, R, S):
     return P, res
 
 
-def _solve_dare_fixed_point(A, B, Q, R, S):
+def _dare_fixed_point(A, B, Q, R, S):
     p = 0.5 * (Q + Q.T)
     for _ in range(DARE_MAX_ITER):
         btp = B.T @ p

@@ -44,13 +44,10 @@ class SynthesisResult:
 
 def candidate_cost_energy(choice, totals: WindowTotals):
     """(time-averaged cost, energy in J) of one index vector."""
-    cost = 0.0
-    energy = 0.0
     for j, i in enumerate(choice):
         if not 0 <= i < totals.n:
             raise ValueError(f"choice[{j}] = {i} outside 0..{totals.n - 1}")
-        cost += totals.cc_total[i, j]
-        energy += totals.ec_by_level[i, j]
+    cost, energy = _kernels.cost_energy(choice, totals.cc_total, totals.ec_by_level)
     return cost / totals.window, energy
 
 

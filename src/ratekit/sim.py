@@ -8,7 +8,7 @@ window always runs at the fastest admissible rate.
 
 The sample loop gets its operands as flat tuples once per run
 (``loop_operands``), taken from the designed controller stack as it is, and,
-window by window, appends the window's samples to the trace's columns and
+window by window, appends the window's samples to the trace's six columns and
 returns the new loop state (``_kernels.window_loop``).  The loop itself is
 straight-line code that ``_kernels.loop_source`` writes from the four ints
 (nx, ny, nu, k) alone, compiled once per shape and cached by it; it sums the
@@ -114,7 +114,7 @@ class MatchFixedBudget:
         iref = totals.rates.index_of(self.reference_h)
         cc, ec = totals.cc_total, totals.ec_by_level
         k = cc.shape[1]
-        fixed_cost = float(sum(cc[iref, j] for j in range(k)))
+        fixed_cost = float(_kernels.cost_energy([iref] * k, cc, ec)[0])
         # Order the last axis by cost: the indices within the fixed cost are
         # then a leading run for every prefix, and since rounding is monotone
         # the least prefix + ec over that run is prefix + the run's least ec.
@@ -306,15 +306,13 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
 
     samples = SampleColumns([], [], [], [], [], [])
     records = []
-    rate_col = []
     energy_after_w0 = 0.0
 
     for w in range(n_windows):
         window_end = (w + 1) * window
         # max_steps rows whatever rates are deployed: the trace bytes depend on it
         noise = rng.standard_normal((max_steps, plant.nx + plant.ny))
-        state, level_time = _kernels.window_loop(ops, mmap, state, window_end, noise,
-                                                 (*samples, rate_col))
+        state, level_time = _kernels.window_loop(ops, mmap, state, window_end, noise, samples)
         if w == 0:
             energy_after_w0 = state.energy
         spent = np.array(level_time)
@@ -344,7 +342,8 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
 
     return SimulationTrace(
         samples=samples, records=records,
-        cycles_per_rate=np.bincount(np.array(rate_col, dtype=np.int64), minlength=n),
+        # each h_ms is the product periods_ms makes, so it finds its own rate
+        cycles_per_rate=np.bincount(np.searchsorted(rates.periods_ms, samples.h_ms), minlength=n),
         total_time=state.t, total_energy=state.energy, cost_integral=state.cost,
         steady_time=max(state.t - window, 0.0),
         steady_energy=state.energy - energy_after_w0,

@@ -182,6 +182,15 @@ class WindowTotals:
     ec_by_level: np.ndarray  # (n, k)
     phi_mj: float
 
+    def __post_init__(self):
+        # the searches and the match-fixed budget count runs with
+        # _kernels.count_within, whose counts mean nothing at a NaN sum
+        for name in ("cc_total", "ec_by_level", "ec_total"):
+            nan = np.isnan(getattr(self, name))
+            if nan.any():
+                cell = "".join(f"[{i}]" for i in np.argwhere(nan)[0])
+                raise ValueError(f"window totals undefined: {name}{cell} is NaN")
+
     @property
     def n(self) -> int:
         return self.cc_total.shape[0]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ratekit.bench import load_cases
 from ratekit.config import ConfigError, load_config
+from ratekit.sim import Strategy
 from ratekit.tables import (build_profit_tables, json_list, json_number, load_tables,
                             save_tables, totals_over_window)
 
@@ -105,6 +106,19 @@ SIM_LOW = json.loads((CONFIG_DIR / "sim_low.json").read_text())
 SIM_LOW["plant"] = json.loads((CONFIG_DIR / SIM_LOW["plant"]).read_text())
 SIM_LOW["scenario"] = json.loads((CONFIG_DIR / SIM_LOW["scenario"]).read_text())
 BENCH_CASES = json.loads((CONFIG_DIR / "bench_cases.json").read_text())
+
+
+def test_strategy_fixed_ms_loads_and_must_be_a_rate(tmp_path):
+    doc = copy.deepcopy(SIM_LOW)
+    path = tmp_path / "config.json"
+    doc["strategy"] = {"fixed_ms": 50}
+    path.write_text(json.dumps(doc))
+    assert load_config(path).strategy == Strategy.fixed(0.05)
+    doc["strategy"] = {"fixed_ms": 33}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"^strategy\.fixed_ms: period 0\.033 s is not in the "
+                                          r"rate set$"):
+        load_config(path)
 
 
 @seed(20240611)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ratekit import lqg
+from ratekit import lqg, riccati
 from ratekit.lqg import closed_loop_matrix, design, evaluate_cost, lyapunov_residual
 from ratekit.plant import PlantModel, discretize
 from ratekit.riccati import DesignError, solve_dlyap, spectral_radius
@@ -26,6 +26,21 @@ def test_design_residuals_and_stability(plant, rates, controllers):
     assert np.all(controllers.control_residual < 1e-8)
     assert np.all(controllers.filter_residual < 1e-8)
     assert np.all(spectral_radius(closed_loop_matrix(plant, controllers)) < 1.0)
+
+
+def test_design_solves_through_the_public_riccati_solver(plant, monkeypatch):
+    # one stacked solve for the control gains, one for the filter: both through
+    # riccati.solve_dare, so whatever wraps it by name sees design's solves
+    assert lqg.solve_dare is riccati.solve_dare
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append("control" if kwargs.get("S") is not None else "filter")
+        return riccati.solve_dare(*args, **kwargs)
+
+    monkeypatch.setattr(lqg, "solve_dare", spy)
+    design(plant, (0.01, 0.02, 0.05))
+    assert calls == ["control", "filter"]
 
 
 def test_scalar_gain_matches_closed_form():

@@ -224,6 +224,26 @@ def test_expm_stack_members_equal_lone_calls(monkeypatch):
     assert np.isnan(stacked[-1]).all() and np.isfinite(stacked[:-1]).all()
 
 
+@pytest.mark.parametrize("a, s", [
+    (100.0 * np.eye(3), 5),  # 100 / 2^5 = 3.1 <= theta_13 = 5.37 < 100 / 2^4
+    (1e3 * np.eye(2), 8),
+    # every power past the first is zero, so its norms ask for no scaling at
+    # all, though its 1-norm of 100 alone would ask for 5
+    (np.array([[0.0, 100.0], [0.0, 0.0]]), 0),
+], ids=["100I", "1000I", "nilpotent"])
+def test_expm_scales_by_the_power_norms(monkeypatch, a, s):
+    seen = []  # the argument _pade13 gets: a * 2^-s
+    pade = plant_module._pade13
+
+    def record(x, *powers):
+        seen.append(x.copy())
+        return pade(x, *powers)
+
+    monkeypatch.setattr(plant_module, "_pade13", record)
+    _expm(a[None])
+    assert len(seen) == 1 and np.array_equal(seen[0], np.ldexp(a, -s)[None])
+
+
 def test_expm_of_zero_is_exactly_the_identity():
     for n in (1, 2, 6):
         assert np.array_equal(_expm(np.zeros((3, n, n))), np.broadcast_to(np.eye(n), (3, n, n)))

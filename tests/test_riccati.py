@@ -23,7 +23,7 @@ def test_matches_scipy_on_random_systems():
     rng = np.random.default_rng(11)
     for _ in range(25):
         a, b, q, r = random_stabilizable(rng)
-        p = solve_dare(a, b, q, r)
+        p, _ = solve_dare(a, b, q, r)
         p_ref = solve_discrete_are(a, b, q, r)
         assert np.allclose(p, p_ref, rtol=1e-9)
         assert dare_residual(p, a, b, q, r) < 1e-9
@@ -36,7 +36,7 @@ def test_matches_scipy_with_cross_term():
         s = 0.1 * rng.normal(size=(a.shape[0], b.shape[1]))
         # keep Q - S R^{-1} S' PSD
         q = q + s @ np.linalg.solve(r, s.T)
-        p = solve_dare(a, b, q, r, S=s)
+        p, _ = solve_dare(a, b, q, r, S=s)
         p_ref = solve_discrete_are(a, b, q, r, s=s)
         assert np.allclose(p, p_ref, rtol=1e-9)
         assert dare_residual(p, a, b, q, r, s) < 1e-9
@@ -44,8 +44,8 @@ def test_matches_scipy_with_cross_term():
 
 def test_scalar_closed_form():
     a, b, q, r, s = 0.9, 0.2, 1.5, 0.3, 0.05
-    p = solve_dare(np.array([[a]]), np.array([[b]]), np.array([[q]]),
-                   np.array([[r]]), S=np.array([[s]]))
+    p, _ = solve_dare(np.array([[a]]), np.array([[b]]), np.array([[q]]),
+                      np.array([[r]]), S=np.array([[s]]))
     assert np.isclose(p[0, 0], scalar_dare_root(a, b, q, r, s), rtol=1e-12)
 
 

@@ -88,6 +88,17 @@ def test_scenario_generation():
         NoiseScenario(segments=())
 
 
+@pytest.mark.parametrize("total_s, counts", [(7.0, [1, 4, 2]), (8.0, [2, 3, 3])],
+                         ids=["rounded_short", "rounded_long"])
+def test_scenario_from_shares_fixes_the_rounded_piece_counts(total_s, counts):
+    # of 7 pieces the shares round to 1 + 3 + 2 = 6, and the largest share
+    # takes the missing one; of 8 they round to 2 + 4 + 3 = 9, and the
+    # largest count gives one up
+    scen = scenario_from_shares((0.2, 0.45, 0.35), (5.0, 30.0, 75.0), total_s, 1.0)
+    assert [sum(r == v for _, r in scen.segments) for v in (5.0, 30.0, 75.0)] == counts
+    assert len(scen.segments) == total_s
+
+
 def test_scenario_piece_count_is_bounded():
     # 1e308 / 5 pieces: the count-fixing loops would step toward it one by one
     with pytest.raises(ValueError, match="above the limit"):
@@ -417,8 +428,8 @@ def random_loop_inputs(rng, nx, ny, nu, n_rates=3, k=3, window=1.0, n_seg=8):
 
 # dtypes of the reference's per-sample outputs: t, h, r_hat, level, rate, energy, cost
 LOOP_DTYPES = (np.float64, np.float64, np.float64, np.int64, np.int64, np.float64, np.float64)
-# and of the kernel's, in trace order: t, h_ms, r_hat, level, energy, cost, then rate
-KERNEL_DTYPES = (np.float64, np.float64, np.float64, np.int64, np.float64, np.float64, np.int64)
+# and of the kernel's, in trace order: t, h_ms, r_hat, level, energy, cost
+KERNEL_DTYPES = (np.float64, np.float64, np.float64, np.int64, np.float64, np.float64)
 
 
 class LoopRun:
@@ -430,7 +441,8 @@ class LoopRun:
     units.  After each window ``x``, ``xhat``, ``columns`` (the window's
     samples in the kernel's order: t, h_ms, r_hat, 1-based level, energy,
     cost, rate) and ``level_time`` are arrays, whichever loop ran; the
-    reference's period and level columns are converted forward.
+    reference's period and level columns are converted forward, and the
+    kernel's rate is found from its h_ms as ``simulate`` finds it.
     """
 
     def __init__(self, fn, inputs, nx, k, r_hat):
@@ -453,6 +465,7 @@ class LoopRun:
             self.x, self.xhat = np.array(x), np.array(xhat)
             self.columns = [np.array(c[start:], dtype)
                             for c, dtype in zip(self.out, KERNEL_DTYPES)]
+            self.columns.append(np.searchsorted(self.inp["periods"] * 1000.0, self.columns[1]))
             self.level_time = np.array(level_time)
             return len(self.out[0]) - start, r_hat, t, energy, cost
         i = self.inp

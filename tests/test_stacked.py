@@ -14,8 +14,8 @@ import pytest
 
 from ratekit.lqg import design, evaluate_cost
 from ratekit.plant import PlantModel, discretize, load_plant
-from ratekit.riccati import (dare_residual, dlyap_residual, solve_dare, solve_dlyap,
-                             spectral_radius)
+from ratekit.riccati import (DesignError, dare_residual, dlyap_residual, solve_dare,
+                             solve_dlyap, spectral_radius)
 from ratekit.tables import LevelSpec, RateSet, build_cost_table, design_all
 
 import oracles
@@ -135,6 +135,14 @@ def test_design_failure_is_attributed_like_the_per_rate_loop(plant, periods):
     assert got == ref
 
 
+def test_design_refuses_a_zero_cost_weight_naming_the_first_rate():
+    # Qxu = 0 lifts to a zero input-weight block at every rate
+    plant = dcservo(Qxu=[[0.0] * 3] * 3)
+    with pytest.raises(DesignError, match=r"^input-weight block of the lifted cost is "
+                                          r"singular at h=0\.03$"):
+        design(plant, (0.03, 0.01, 0.02))
+
+
 def test_discretize_stack_members_equal_lone_calls():
     plant = seeded_plant()
     stack = discretize(plant, SCALAR_RATES.periods)
@@ -162,9 +170,10 @@ def random_systems(seed, count, n=3, m=2):
 
 def test_stacked_riccati_members_equal_lone_solves():
     a, b, q, r, s = random_systems(21, 30)
-    p = solve_dare(a, b, q, r, S=s)
+    p, solved_res = solve_dare(a, b, q, r, S=s)
     res = dare_residual(p, a, b, q, r, s)
     assert p.shape == a.shape and res.shape == (30,)
+    assert np.array_equal(solved_res, res)  # the residual the solve certified
     for i in range(30):
         ref = oracles.solve_dare(a[i], b[i], q[i], r[i], S=s[i])
         assert np.array_equal(p[i], ref)
@@ -175,7 +184,7 @@ def test_stacked_riccati_members_equal_lone_solves():
 def test_stacked_riccati_mixes_doubling_and_fixed_point_members():
     a, b, q, r, _ = random_systems(22, 6)
     r[[1, 4]] = 0.0  # singular weights take the fixed-point map
-    p = solve_dare(a, b, q, r)
+    p, _ = solve_dare(a, b, q, r)
     for i in range(6):
         assert np.array_equal(p[i], oracles.solve_dare(a[i], b[i], q[i], r[i]))
 

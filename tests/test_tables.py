@@ -1,10 +1,14 @@
+import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from ratekit.sim import NoiseScenario
-from ratekit.tables import (CostTable, LevelSpec, PowerTable, RateSet,
+from ratekit import tables
+from ratekit.sim import MatchFixedBudget, NoiseScenario
+from ratekit.tables import (CostTable, LevelSpec, PowerTable, RateSet, WindowTotals,
                             build_cost_table, build_power_table,
                             build_profit_tables, design_all, load_tables, save_tables,
                             totals_over_window)
@@ -257,3 +261,59 @@ TWO_RATES = RateSet((0.01, 0.02))
 def test_nan_fails_the_library_checks(build, cause):
     with pytest.raises(ValueError, match=cause):
         build()
+
+
+def nan_free_totals() -> WindowTotals:
+    """3 x 2 totals whose match-fixed budget at 20 ms is 4.0 J: of the vectors
+    within the reference's cost 2.0, only (1, 1) itself, at 2.0 + 2.0 J."""
+    return WindowTotals(rates=RateSet((0.01, 0.02, 0.04)), fractions=(0.5, 0.5), window=100.0,
+                        cc_total=np.array([[3.0, 5.0], [1.0, 1.0], [0.5, 0.5]]),
+                        ec_total=np.array([2.0, 4.0, 6.0]),
+                        ec_by_level=np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]), phi_mj=1.0)
+
+
+@pytest.mark.parametrize("name, cells, shown", [
+    ("cc_total", [(0, 0)], "cc_total[0][0]"),
+    ("cc_total", [(2, 1), (1, 1)], "cc_total[1][1]"),
+    ("ec_by_level", [(1, 0)], "ec_by_level[1][0]"),
+    ("ec_total", [(2,), (1,)], "ec_total[1]"),
+], ids=["cc_total", "cc_total_first_of_two", "ec_by_level", "ec_total"])
+def test_window_totals_refuse_a_nan_cell(name, cells, shown):
+    totals = nan_free_totals()
+    assert MatchFixedBudget(0.02, 100.0).budget_for(totals).e_max == 4.0
+    # taken in, cc_total[0][0] = NaN made a prefix that count_within counted
+    # as fitting every last index, and this budget came out 2.0 J
+    bad = getattr(totals, name).copy()
+    for cell in cells:
+        bad[cell] = math.nan
+    with pytest.raises(ValueError, match=re.escape(f"window totals undefined: {shown} is NaN")):
+        dataclasses.replace(totals, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+def test_cost_table_refuses_non_finite_or_negative_costs(monkeypatch, plant, rates, levels,
+                                                          controllers, bad):
+    entries = np.ones((len(rates), levels.k))
+    entries[4, 1] = bad
+    monkeypatch.setattr(tables, "evaluate_cost", lambda *args: entries)
+    with pytest.raises(ValueError, match="cost table has non-finite or negative entries"):
+        build_cost_table(plant, rates, levels, controllers)
+
+
+def test_cost_table_records_each_decrease_in_the_period(monkeypatch, tmp_path, plant, rates,
+                                                         levels, controllers, power_table):
+    entries = np.tile(np.arange(1.0, len(rates) + 1.0)[:, None], (1, levels.k))
+    entries[3, 2] = entries[2, 2] - 0.5
+    entries[5, 0] = 0.5
+    entries[9, 0] = entries[8, 0] - 0.25
+    monkeypatch.setattr(tables, "evaluate_cost", lambda *args: entries)
+    expected = ((5, 0), (9, 0), (3, 2))  # level by level, each by rate
+    with pytest.warns(UserWarning, match=re.escape(f"not monotone in the period at "
+                                                   f"{list(expected)}; dominance pruning")):
+        ct = build_cost_table(plant, rates, levels, controllers)
+    assert ct.violations == expected
+    totals = totals_over_window(ct, power_table, (0.7, 0.1, 0.2), 100.0)
+    save_tables(tmp_path, ct, power_table, build_profit_tables(totals), {})
+    sidecar = json.loads((tmp_path / "tables.json").read_text())
+    assert sidecar["cost_monotonicity_violations"] == [list(v) for v in expected]
+    assert load_tables(tmp_path)[0].violations == expected
