@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from statistics import median
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .energy import EnergyBudget
 from .search import ALGORITHMS, synthesize
 from .tables import (ConfigError, CostTable, PowerTable, RateSet, WindowTotals, json_field,
-                     json_list, json_number, parse_json, totals_over_window)
+                     json_list, json_number, read_json, totals_over_window)
 
 # high-noise-dominant workload, the pattern of a 3-level case without
 # fractions: the dominant-share level also carries the dominant cost scale,
@@ -151,7 +150,7 @@ def format_report(rows) -> str:
 
 
 def load_cases(path) -> list:
-    doc = parse_json(Path(path).read_text(), path)
+    doc, _ = read_json(path, "cases file")
     if isinstance(doc, dict):
         doc = json_field(doc, "cases", path)
     if not isinstance(doc, list):

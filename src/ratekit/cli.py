@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, load_config, parse_json
+from .config import ConfigError, load_config
 from .energy import Battery, EnergyBudget, battery_discharge
 from .riccati import DesignError
 from .search import ALGORITHMS, synthesize
 from .sim import MatchFixedBudget, classify, simulate
 from .tables import (LevelSpec, build_cost_table, build_power_table, build_profit_tables,
-                     design_all, json_list, load_tables, save_tables,
+                     design_all, json_list, load_tables, read_json, save_tables,
                      totals_over_window, write_table)
 
 
@@ -42,9 +42,7 @@ def _battery_fractions(path, meta: dict) -> tuple:
     one of its 'r_values' per share, each share added to the level of its r;
     or its 'segments' classified and weighted by duration.  Levels are the
     tables' thresholds."""
-    if not Path(path).exists():
-        raise ConfigError(f"pattern: file not found: {path}")
-    doc = parse_json(Path(path).read_text(), path)
+    doc, _ = read_json(path, "pattern file")
     if isinstance(doc, dict) and "shares" in doc:
         shares = json_list(doc["shares"], "pattern: shares")
         if "r_values" not in doc:
@@ -260,7 +258,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError, DesignError) as exc:
+    except (OSError, ValueError, DesignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ from .plant import PlantModel, load_plant
 from .search import ALGORITHMS
 from .sim import MatchFixedBudget, NoiseScenario, Strategy, scenario_from_shares
 from .tables import (ConfigError, LevelSpec, RateSet, check_pattern, json_field, json_list,
-                     json_number, json_object, parse_json)
+                     json_number, json_object, read_json)
 
 
 def _checked(field: str, build, *args):
@@ -48,10 +48,7 @@ def _load_scenario(doc, base: Path, seed: int):
     if doc is None:
         return None
     if isinstance(doc, (str, Path)):
-        path = base / doc
-        if not path.exists():
-            raise ConfigError(f"scenario: file not found: {path}")
-        doc = parse_json(path.read_text(), path)
+        doc, _ = read_json(base / doc, "scenario file")
     json_object(doc, "scenario")
     if "segments" in doc:
         if "seed" in doc:
@@ -71,19 +68,12 @@ def _load_scenario(doc, base: Path, seed: int):
 
 def load_config(path) -> ToolConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    raw = path.read_text()
-    doc = parse_json(raw, path, obj=True)
+    doc, raw = read_json(path, "config file", obj=True)
     base = path.parent
 
     plant_doc = json_field(doc, "plant", "config")
     if isinstance(plant_doc, str):
-        plant_path = base / plant_doc
-        if not plant_path.exists():
-            raise ConfigError(f"plant: file not found: {plant_path}")
-        plant_bytes = plant_path.read_bytes()
-        plant_doc = parse_json(plant_bytes, plant_path, obj=True)
+        plant_doc, plant_bytes = read_json(base / plant_doc, "plant file", obj=True)
     else:
         plant_bytes = json.dumps(json_object(plant_doc, "plant"), sort_keys=True).encode()
     plant = _checked("plant", load_plant, plant_doc)
@@ -155,5 +145,5 @@ def load_config(path) -> ToolConfig:
         strategy=strategy, rve_lambda=lam, seed=seed, pattern=pattern,
         battery=battery,
         plant_sha256=hashlib.sha256(plant_bytes).hexdigest(),
-        config_sha256=hashlib.sha256(raw.encode()).hexdigest(),
+        config_sha256=hashlib.sha256(raw).hexdigest(),
     )

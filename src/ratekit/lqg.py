@@ -85,25 +85,14 @@ def _design_pass(plant: PlantModel, periods: tuple) -> LqgController:
     s_innov = c @ p_pred @ c.T + plant.R2
     try:
         kf = _t(np.linalg.solve(_t(s_innov), _t(p_pred @ c.T)))
-    except np.linalg.LinAlgError as exc:
-        raise DesignError("singular innovation covariance at "
-                          f"h={periods[_first_singular(_t(s_innov))]}") from exc
+    except np.linalg.LinAlgError as exc:  # design names the period by its one-period rerun
+        raise DesignError(f"singular innovation covariance at h={periods[0]}") from exc
     rho = spectral_radius(_Loop(plant, d, k, kf).acl)
     if np.any(rho >= 1.0):
         i = int(np.argmax(rho >= 1.0))
         raise DesignError(f"closed loop unstable at h={periods[i]} (spectral radius {rho[i]:.6f})")
     return LqgController(dp=d, K=k, Kf=kf, S_innov=s_innov,
                          control_residual=res_ctrl, filter_residual=res_filt)
-
-
-def _first_singular(mats: np.ndarray) -> int:
-    """Index of the first member of the stack np.linalg.solve rejects."""
-    for i, mat in enumerate(mats):
-        try:
-            np.linalg.solve(mat, np.eye(len(mat)))
-        except np.linalg.LinAlgError:
-            return i
-    return 0
 
 
 def closed_loop_matrix(plant: PlantModel, ctrl: LqgController) -> np.ndarray:

@@ -24,21 +24,29 @@ from .lqg import LqgController, design, evaluate_cost
 from .plant import PlantModel
 
 
-# every JSON input file goes through parse_json and every value read from it
+# every JSON input file goes through read_json and every value read from it
 # through json_field, json_object, json_number or json_list; config imports
 # this module, so the reader lives here, where load_tables needs it too
 class ConfigError(ValueError):
     """Input problem; the message names the offending file or field."""
 
 
-def parse_json(text, path, *, obj: bool = False):
-    """The JSON document ``text`` read from ``path``; ConfigError naming the
-    file when it is not JSON, or, with ``obj``, not a JSON object."""
+def read_json(path, what: str, *, obj: bool = False) -> tuple:
+    """(document, bytes) of the JSON file at ``path``; ConfigError naming
+    ``what`` and the path when the file is missing or unreadable, or naming
+    the path when its bytes do not decode to JSON or, with ``obj``, the JSON
+    is not an object."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{what} unreadable: {path}: {exc.strerror}") from exc
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return json_object(doc, path) if obj else doc
+    return (json_object(doc, path) if obj else doc), data
 
 
 def json_object(value, field) -> dict:
@@ -371,17 +379,15 @@ def load_tables(table_dir):
     """Read (CostTable, PowerTable, meta) back from a table directory.
 
     ct.csv, pt.csv and the tables.json sidecar are required; save_tables
-    always writes all three.  Every malformed cell, row or field raises a
-    ValueError that names its file.
+    always writes all three.  A missing file raises an error naming it (an
+    OSError for a CSV), and every malformed cell, row or field a ValueError
+    that names its file.
     """
     base = Path(table_dir)
     ct_path = base / "ct.csv"
     pt_path = base / "pt.csv"
     sidecar = base / "tables.json"
-    for p in (ct_path, pt_path, sidecar):
-        if not p.exists():
-            raise FileNotFoundError(f"table file not found: {p}")
-    meta = parse_json(sidecar.read_text(), sidecar, obj=True)
+    meta, _ = read_json(sidecar, "table file", obj=True)
     if type(meta.get("schema")) is not int or meta["schema"] != 1:  # not true or 1.0
         raise ValueError(f"{sidecar}: schema {meta.get('schema')!r} is not 1")
     rates_ms = list(json_list(json_field(meta, "rates_ms", sidecar), f"{sidecar}: rates_ms"))

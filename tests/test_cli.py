@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -148,29 +149,6 @@ def test_synthesize_strict_infeasible(small_config, tmp_path, capsys):
     assert not doc["feasible"]
 
 
-def test_missing_plant_file_names_path(tmp_path, capsys):
-    cfg = {"plant": "nope.json", "rates_ms": [10, 20],
-           "levels": {"thresholds": [0, 10], "representative_r": [5]}}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
-    rc = main(["precompute", "--config", str(path), "--out", str(tmp_path / "t")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "nope.json" in err
-
-
-def test_config_error_names_field(tmp_path, capsys):
-    plant = json.loads((CONFIG_DIR / "plant_dcservo.json").read_text())
-    (tmp_path / "plant.json").write_text(json.dumps(plant))
-    cfg = {"plant": "plant.json", "rates_ms": [20, 10],
-           "levels": {"thresholds": [0, 10], "representative_r": [5]}}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
-    rc = main(["precompute", "--config", str(path), "--out", str(tmp_path / "t")])
-    assert rc == 1
-    assert "rates_ms" in capsys.readouterr().err
-
-
 # a config field holding the wrong JSON type, and the value it holds
 WRONG_TYPES = {"strategy": "adaptive", "budget": 1.5, "battery": [1000, 3.7], "pattern": 0.5,
                "levels": [0, 10, 50, 100], "plant": 5, "rates_ms": 10, "scenario": 5,
@@ -210,18 +188,6 @@ def test_config_bad_value_exits_one_naming_field(tmp_path, capsys, section, fiel
     rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "trace.jsonl")])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-
-
-def test_segments_scenario_refuses_seed(tmp_path, capsys):
-    # a 'segments' scenario is used as written, so a seed there would do nothing
-    cfg = json.loads((CONFIG_DIR / "sim_low.json").read_text())
-    cfg["scenario"] = {"segments": [[200, 5], [200, 75]], "seed": 4}
-    (tmp_path / "plant_dcservo.json").write_text((CONFIG_DIR / "plant_dcservo.json").read_text())
-    path = tmp_path / "sim.json"
-    path.write_text(json.dumps(cfg))
-    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "trace.jsonl")])
-    assert rc == 1
-    assert one_error_line(capsys).startswith("error: scenario.seed: ")
 
 
 @pytest.mark.parametrize("shares, cause", [
@@ -567,18 +533,6 @@ def test_config_not_an_object_names_file(tmp_path, capsys):
     assert one_error_line(capsys) == f"error: {path}: expected a JSON object, got int"
 
 
-def test_battery_capacity_not_a_number_names_option(small_config, tmp_path, capsys):
-    tables = tmp_path / "tables"
-    main(["precompute", "--config", str(small_config), "--out", str(tables)])
-    capsys.readouterr()
-    pattern = tmp_path / "pattern.json"
-    pattern.write_text(json.dumps({"shares": [0.7, 0.2, 0.1]}))
-    rc = main(["battery", "--tables", str(tables), "--pattern", str(pattern),
-               "--capacity", "lots", "--voltage", "3.7", "--out", str(tmp_path / "b")])
-    assert rc == 1
-    assert one_error_line(capsys).startswith("error: --capacity: ")
-
-
 def test_pattern_sum_tolerance_is_the_tables_one(small_config, tmp_path, capsys):
     """A pattern off by 1e-10 fails where it enters: at config load, or in synthesize."""
     cfg = json.loads(small_config.read_text())
@@ -756,3 +710,181 @@ def test_battery_sidecar_thresholds_out_of_order_name_the_sidecar(small_config, 
                  str(CONFIG_DIR / "scenario_low.json"), "--capacity", "1000mAh",
                  "--voltage", "3.7", "--out", str(tmp_path / "b")]) == 1
     assert one_error_line(capsys) == f"error: {sidecar}: thresholds must be strictly increasing"
+
+
+# a config of the bundled plant at two rates, one level and a 20 s window
+BASE = {"plant": "plant_dcservo.json", "rates_ms": [10, 20],
+        "levels": {"thresholds": [0, 10], "representative_r": [5]}, "hyper_period_s": 20}
+SCENARIO = {"budget": {"energy_j": 1}, "scenario": {"segments": [[40, 5]]}}  # for simulate
+PLANT = json.loads((CONFIG_DIR / "plant_dcservo.json").read_text())
+DIR = "a directory"  # a REFUSALS file made as a directory
+PRECOMPUTE = ["precompute", "--config", "c.json", "--out", "t"]
+SIMULATE = ["simulate", "--config", "c.json"]
+BENCH = ["bench", "--cases", "c.json"]
+SYNTH = ["synthesize", "--tables", "tables", "--pattern", "0.7,0.1,0.2",
+         "--budget-energy", "1.5", "--budget-window", "20"]
+SYNTH_50X5 = ["synthesize", "--tables", "tables_50x5", "--pattern", "0.2,0.2,0.2,0.2,0.2",
+              "--budget-window", "100"]
+BATTERY = ["battery", "--tables", "tables", "--pattern", "scenario_low.json",
+           "--capacity", "1000mAh", "--voltage", "3.7", "--fixed-ms", "40"]
+
+
+def doc(*parts, **fields) -> str:
+    """The JSON text of the dicts ``parts`` merged, then ``fields``."""
+    out = {}
+    for part in parts + (fields,):
+        out.update(part)
+    return json.dumps(out)
+
+
+def sidecar(**fields):
+    """Edit of a tables.json that sets ``fields``."""
+    return lambda meta: {**meta, **fields}
+
+
+# argv, the files written into a copy of the refusal directory (text, bytes,
+# DIR, None to delete, or an edit of the JSON document there), and what the
+# one error line must contain; the paths are relative to that copy
+REFUSALS = {
+    "config_not_json": (["precompute", "--config", "bad.json", "--out", "t"],
+                        {"bad.json": "not json\n"}, "bad.json: invalid JSON: Expecting value"),
+    "config_not_utf8": (["precompute", "--config", "bad.json", "--out", "t"],
+                        {"bad.json": b"\xff{}"}, "bad.json: invalid JSON: 'utf-8' codec"),
+    "config_is_a_directory": (["precompute", "--config", "d", "--out", "t"], {"d": DIR},
+                              "config file unreadable: d: Is a directory"),
+    "config_missing": (["precompute", "--config", "nope.json", "--out", "t"], {},
+                       "config file not found: nope.json"),
+    "plant_not_object": (PRECOMPUTE,
+                         {"plant5.json": "5\n", "c.json": doc(BASE, plant="plant5.json")},
+                         "plant5.json: expected a JSON object, got int"),
+    "plant_missing": (PRECOMPUTE, {"c.json": doc(BASE, plant="nope.json")},
+                      "plant file not found: nope.json"),
+    "plant_is_a_directory": (PRECOMPUTE, {"d": DIR, "c.json": doc(BASE, plant="d")},
+                             "plant file unreadable: d: Is a directory"),
+    "plant_entry_near_float_limit": (
+        PRECOMPUTE, {"huge.json": doc(PLANT, Qxu=[[1e308, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                     "c.json": doc(BASE, plant="huge.json")}, "non-finite Phi at h=0.01"),
+    "plant_too_stiff": (PRECOMPUTE,
+                        {"stiff.json": doc(A=[[-800]], B=[[1]], C=[[1]], D=[[0]], Rc=[[1]],
+                                           R2=[[1]], Qxu=[[1, 0], [0, 1]]),
+                         "c.json": doc(BASE, plant="stiff.json", rates_ms=[10, 100])},
+                        "plant too stiff to discretize at h=0.1: "),
+    "rates_decreasing": (PRECOMPUTE, {"c.json": doc(BASE, rates_ms=[20, 10])},
+                         "rates_ms: periods must be strictly increasing"),
+    "seed_fraction": (PRECOMPUTE, {"c.json": doc(BASE, seed=2.5)},
+                      "seed: expected an integer, got 2.5"),
+    "hyper_period_nan": (PRECOMPUTE, {"c.json": doc(BASE, hyper_period_s=math.nan)},
+                         "hyper_period_s: expected a finite number, got NaN"),
+    "precompute_out_is_a_file": (["precompute", "--config", "small.json", "--out", "f"],
+                                 {"f": ""}, "File exists: 'f'"),
+    "scenario_piece_zero": (SIMULATE,
+                            {"c.json": doc(BASE, SCENARIO, scenario={
+                                "shares": [1], "r_values": [5], "total_s": 40, "piece_s": 0})},
+                            "scenario: piece_s must be positive, got 0.0"),
+    "scenario_share_negative": (SIMULATE,
+                                {"c.json": doc(BASE, SCENARIO, levels={
+                                    "thresholds": [0, 10, 50, 100],
+                                    "representative_r": [5, 30, 75]}, scenario={
+                                    "shares": [0.8, 0.3, -0.1], "r_values": [5, 30, 75],
+                                    "total_s": 400, "piece_s": 5})},
+                                "scenario.shares: fractions must be non-negative"),
+    "segments_seed": (SIMULATE,
+                      {"c.json": doc(BASE, SCENARIO,
+                                     scenario={"segments": [[40, 5]], "seed": 3})},
+                      "scenario.seed: a 'segments' scenario"),
+    "rate_1us_noise_rows": (SIMULATE,
+                            {"c.json": doc(BASE, SCENARIO, rates_ms=[0.001, 10],
+                                           hyper_period_s=100,
+                                           scenario={"segments": [[400, 5]]})},
+                            "noise rows a window"),
+    "simulate_out_is_a_directory": (["simulate", "--config", "small.json", "--out", "d"],
+                                    {"d": DIR}, "Is a directory: 'd'"),
+    "plotdata_is_a_file": (["simulate", "--config", "small.json", "--out", "t.jsonl",
+                            "--emit-plotdata", "f"], {"f": ""}, "File exists: 'f'"),
+    "sidecar_missing": (SYNTH, {"tables/tables.json": None},
+                        "table file not found: tables/tables.json"),
+    "sidecar_not_utf8": (SYNTH, {"tables/tables.json": b"\xff{}"},
+                         "tables/tables.json: invalid JSON: 'utf-8' codec"),
+    "ct_csv_missing": (SYNTH, {"tables/ct.csv": None}, "tables/ct.csv"),
+    "sidecar_representative_r_null": (
+        SYNTH, {"tables/tables.json": sidecar(representative_r=None)},
+        "tables/tables.json: representative_r: expected a JSON list, got null"),
+    "synthesize_out_is_a_directory": (SYNTH + ["--out", "d"], {"d": DIR},
+                                      "Is a directory: 'd'"),
+    "pruned_scan_over_its_limit": (SYNTH_50X5 + ["--budget-energy", "5", "--algo", "approach1"],
+                                   {}, "n^(k-1) = 6250000"),
+    "approach2_nothing_fits_over_its_limit": (
+        SYNTH_50X5 + ["--budget-energy", "0.001", "--algo", "approach2"], {}, "n^k = 312500000"),
+    "battery_pattern_shares_not_list": (BATTERY + ["--out", "b"],
+                                        {"scenario_low.json": '{"shares": 5}'},
+                                        "pattern: shares: expected a JSON list, got 5"),
+    "battery_pattern_is_a_directory": (BATTERY[:4] + ["d"] + BATTERY[5:], {"d": DIR},
+                                       "pattern file unreadable: d: Is a directory"),
+    "battery_capacity_not_a_number": (BATTERY[:6] + ["lots"] + BATTERY[7:], {},
+                                      "--capacity: could not convert string to float: 'lots'"),
+    "battery_out_is_a_file": (BATTERY + ["--out", "f"], {"f": ""}, "File exists: 'f'"),
+    "sidecar_window_zero": (BATTERY, {"tables/tables.json": sidecar(window_s=0)},
+                            "tables/tables.json: window_s: must be positive, got 0.0"),
+    "sidecar_thresholds_down": (BATTERY, {"tables/tables.json": sidecar(
+                                    thresholds=[0, -1, 50, 100])},
+                                "tables/tables.json: thresholds must be strictly increasing"),
+    "bench_window_nan": (BENCH,
+                         {"c.json": '{"cases": [{"n": 9, "window": NaN}]}'},
+                         "c.json: cases[0].window: expected a finite number, got NaN"),
+    "bench_fractions_empty": (BENCH,
+                              {"c.json": '{"cases": [{"n": 9, "fractions": []}]}'},
+                              "c.json: cases[0]: fractions"),
+    "bench_budget_negative": (BENCH,
+                              {"c.json": '{"cases": [{"n": 9, "budget": -1}]}'},
+                              "c.json: cases[0]: budget"),
+    "bench_fractions_off_one": (BENCH,
+                                {"c.json": '{"cases": [{"n": 9, "fractions": [0.5, 0.6, 0.2]}]}'},
+                                "c.json: cases[0]: fractions"),
+    "bench_out_is_a_directory": (BENCH + ["--out", "d"],
+                                 {"c.json": '{"cases": [{"n": 5, "reps": 1}]}', "d": DIR},
+                                 "Is a directory: 'd'"),
+}
+
+
+@pytest.fixture(scope="module")
+def refusal_dir(tmp_path_factory):
+    """The bundled plant and scenario, a small config (small.json) and tables
+    precomputed from it (tables/), and 50 x 5 tables (tables_50x5/)."""
+    base = tmp_path_factory.mktemp("refusals")
+    for name in ("plant_dcservo.json", "scenario_low.json"):
+        shutil.copy(CONFIG_DIR / name, base)
+    (base / "small.json").write_text(doc(
+        BASE, SCENARIO, rates_ms=[10, 20, 40, 60, 90], pattern=[0.7, 0.1, 0.2],
+        levels={"thresholds": [0, 10, 50, 100], "representative_r": [5, 30, 75]},
+        scenario={"segments": [[20, 5], [25, 75]]}))
+    (base / "c50x5.json").write_text(doc(
+        BASE, rates_ms=list(range(10, 60)), hyper_period_s=100, pattern=[0.2] * 5,
+        levels={"thresholds": [0, 10, 30, 50, 75, 100], "representative_r": [5, 20, 40, 60, 90]}))
+    for cfg, out in (("small.json", "tables"), ("c50x5.json", "tables_50x5")):
+        assert main(["precompute", "--config", str(base / cfg), "--out", str(base / out)]) == 0
+    return base
+
+
+@pytest.mark.parametrize("argv, files, cause", list(REFUSALS.values()), ids=list(REFUSALS))
+def test_cli_refuses(refusal_dir, tmp_path, capsys, monkeypatch, argv, files, cause):
+    # every refusal exits 1 with one line, "error: " and its cause, and no
+    # traceback or warning
+    work = tmp_path / "work"
+    shutil.copytree(refusal_dir, work)
+    monkeypatch.chdir(work)
+    for name, content in files.items():
+        path = work / name
+        if content is DIR:
+            path.mkdir()
+        elif content is None:
+            path.unlink()
+        elif callable(content):
+            path.write_text(json.dumps(content(json.loads(path.read_text()))))
+        else:
+            (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    line = one_error_line(capsys)
+    assert line.startswith("error: ") and cause in line, line

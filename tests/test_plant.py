@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -262,6 +263,28 @@ def test_overflowing_exponential_is_the_one_error_and_no_warning(plant, periods,
         with pytest.raises(ValueError, match=message):
             discretize(plant, periods)
     assert [str(w.message) for w in caught] == []
+
+
+def stiff_plant():
+    """One state at -800/s: the cost lift's Van Loan product multiplies blocks
+    of size e^(800 h) and e^(-800 h)."""
+    return PlantModel(A=[[-800.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]], Rc=[[1.0]], R2=[[1.0]],
+                      Qxu=np.eye(2))
+
+
+# sha256 of Phi, Gamma, R1d, Qd and jbar1 of stiff_plant() at 5, 10 and 20 ms,
+# the bits they had before discretize refused stiff periods
+PINNED_STIFF_SHORT_PERIODS = "d2e580be8994828cb5992a7fadf0a29d7768a57fe116577ac89f74bdde3d74a3"
+
+
+def test_stiff_plant_refuses_long_periods_and_keeps_short_ones():
+    # at 0.1 s Qd[1, 1] once came out -8.6e9 (true value 0.1000002), with no error
+    for periods, h in (((0.1,), 0.1), ((0.5,), 0.5), ((0.02, 0.1), 0.1)):
+        with pytest.raises(ValueError, match=f"^plant too stiff to discretize at h={h}: "):
+            discretize(stiff_plant(), periods)
+    d = discretize(stiff_plant(), (0.005, 0.01, 0.02))
+    digest = hashlib.sha256(b"".join(np.ascontiguousarray(f).tobytes() for f in d[1:]))
+    assert digest.hexdigest() == PINNED_STIFF_SHORT_PERIODS
 
 
 def test_no_actuation_integrator_keeps_its_unit_eigenvalue():

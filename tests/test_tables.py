@@ -183,7 +183,7 @@ def test_serialization_roundtrip(tmp_path, cost_table, power_table, hyper_period
 
 
 def test_load_missing_tables(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(tables.ConfigError, match="^table file not found: .*tables.json$"):
         load_tables(tmp_path / "nope")
 
 
@@ -192,7 +192,7 @@ def test_load_requires_sidecar(tmp_path, cost_table, power_table, hyper_period):
     totals = totals_over_window(cost_table, power_table, (0.7, 0.1, 0.2), hyper_period)
     save_tables(tmp_path, cost_table, power_table, build_profit_tables(totals), {})
     (tmp_path / "tables.json").unlink()
-    with pytest.raises(FileNotFoundError, match="tables.json"):
+    with pytest.raises(tables.ConfigError, match="^table file not found: .*tables.json$"):
         load_tables(tmp_path)
 
 
