@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import os
 import sys
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ from .config import ConfigError, load_config
 from .energy import Battery, EnergyBudget, battery_discharge
 from .riccati import DesignError
 from .search import ALGORITHMS, synthesize
-from .sim import MatchFixedBudget, classify, simulate
+from .sim import MatchFixedBudget, avg_power_mw, classify, run_windows, window_lines
 from .tables import (LevelSpec, build_cost_table, build_power_table, build_profit_tables,
                      design_all, json_list, load_tables, read_json, save_tables,
                      totals_over_window, write_table)
@@ -124,37 +127,87 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
+@contextmanager
+def _whole_or_absent():
+    """Yield ``create(path, **kwargs)``, which opens a file to write at
+    ``path``, and ``mkdir(path)``.  ``create`` writes a temporary file beside
+    a regular or missing ``path``, renamed over it when the block ends; if the
+    block fails, the temporary files go, and so do the directories ``mkdir``
+    made, leaving every path as it was.  A path that exists but is no regular
+    file (a directory, /dev/null, a pipe) is opened as it is."""
+    renames, made = [], []
+    try:
+        with ExitStack() as stack:
+            def create(path, **kwargs):
+                real = os.path.realpath(path)
+                if os.path.exists(real) and not os.path.isfile(real):
+                    return stack.enter_context(open(path, "w", **kwargs))
+                head, tail = os.path.split(real)
+                tmp = f"{head}/.{tail}.{os.getpid()}.{len(renames)}.tmp"
+                try:
+                    fh = stack.enter_context(open(tmp, "w", **kwargs))
+                except OSError as exc:  # name the path asked for, not the temporary one
+                    raise OSError(exc.errno, exc.strerror, str(path)) from None
+                renames.append((tmp, real))
+                return fh
+
+            def mkdir(path):
+                made.extend(d for d in (path, *path.parents) if not d.exists())
+                path.mkdir(parents=True, exist_ok=True)
+
+            yield create, mkdir
+        for tmp, real in renames:
+            os.replace(tmp, real)
+    except BaseException:
+        for tmp, _ in renames:
+            Path(tmp).unlink(missing_ok=True)
+        for d in made:  # deepest first; a directory something else filled stays
+            with suppress(OSError):
+                d.rmdir()
+        raise
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if cfg.scenario is None:
         raise ConfigError("scenario: required for simulate")
     if cfg.budget is None and cfg.strategy.kind == "adaptive":
         raise ConfigError("budget: required for adaptive simulation")
-    controllers = design_all(cfg.plant, cfg.rates)
-    ct = build_cost_table(cfg.plant, cfg.rates, cfg.levels, controllers=controllers)
-    pt = build_power_table(cfg.rates, cfg.peak_power_mw)
-    budget = cfg.budget or EnergyBudget(e_max=1e18, window=cfg.hyper_period_s)
-    seed = args.seed if args.seed is not None else cfg.seed
-    trace = simulate(cfg.plant, ct, pt, cfg.levels, cfg.scenario, budget,
-                     cfg.strategy, lam=cfg.rve_lambda, seed=seed,
-                     controllers=controllers)
+    with _whole_or_absent() as (create, mkdir):
+        out = create(args.out) if args.out else sys.stdout
+        plots = []
+        if args.emit_plotdata:
+            out_dir = Path(args.emit_plotdata)
+            mkdir(out_dir)
+            for name, column in (("cost", "cost_integral"), ("battery", "battery_j")):
+                plots.append(csv.writer(create(out_dir / f"plot_{name}.csv", newline="")))
+                plots[-1].writerow(["t_s", column])
+        controllers = design_all(cfg.plant, cfg.rates)
+        ct = build_cost_table(cfg.plant, cfg.rates, cfg.levels, controllers=controllers)
+        pt = build_power_table(cfg.rates, cfg.peak_power_mw)
+        budget = cfg.budget or EnergyBudget(e_max=1e18, window=cfg.hyper_period_s)
+        seed = args.seed if args.seed is not None else cfg.seed
+        n_events = 0
+        level = None  # the last level of the window before
+        for win in run_windows(cfg.plant, ct, pt, cfg.levels, cfg.scenario, budget,
+                               cfg.strategy, lam=cfg.rve_lambda, seed=seed,
+                               controllers=controllers):
+            lines = window_lines(win, level)
+            out.write("".join(lines))
+            n_events += len(lines)
+            level = win.level
+            if plots:
+                # csv writes a float as its repr, as write_table does
+                cols = win.samples
+                plots[0].writerows(zip(cols.t, cols.cost_integral))
+                plots[1].writerows(zip(cols.t, [cfg.battery.full_j - e for e in cols.energy_j]))
     if args.out:
-        trace.write_jsonl(args.out)
-        print(f"wrote {trace.n_events} events to {args.out}")
-    else:
-        sys.stdout.write(trace.jsonl())
-    if args.emit_plotdata:
-        out_dir = Path(args.emit_plotdata)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        level0 = cfg.battery.full_j
-        samples = trace.samples
-        write_table(out_dir / "plot_cost.csv", ["t_s", "cost_integral"], samples.t,
-                    samples.cost_integral)
-        write_table(out_dir / "plot_battery.csv", ["t_s", "battery_j"], samples.t,
-                    [level0 - e for e in samples.energy_j])
+        print(f"wrote {n_events} events to {args.out}")
+    if plots:
         print(f"wrote plot data to {out_dir}")
-    print(f"duration {trace.total_time:.1f} s, energy {trace.total_energy:.3f} J, "
-          f"avg power {trace.avg_power_mw():.2f} mW", file=sys.stderr)
+    state = win.state
+    print(f"duration {state.t:.1f} s, energy {state.energy:.3f} J, "
+          f"avg power {avg_power_mw(state.energy, state.t):.2f} mW", file=sys.stderr)
     return 0
 
 
@@ -222,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("simulate", help="run the on-line regulation loop")
+    p = sub.add_parser("simulate", help="run the on-line regulation loop, a window at a time")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out")

@@ -6,33 +6,27 @@ the window's energy budget, and deploys it for the next window.  Within a
 window the active rate follows the classified disturbance level.  The first
 window always runs at the fastest admissible rate.
 
-The sample loop gets its operands as flat tuples once per run
-(``loop_operands``), taken from the designed controller stack as it is, and,
-window by window, appends the window's samples to the trace's six columns and
-returns the new loop state (``_kernels.window_loop``).  The loop itself is
-straight-line code that ``_kernels.loop_source`` writes from the four ints
-(nx, ny, nu, k) alone, compiled once per shape and cached by it; it sums the
-index-loop reference's terms in their order from the same start (``0.0 +``),
-so its rounding and the sign of a zero, and so the trace bytes, match it.
-
-A trace keeps its samples as columns, one Python list per sample field, and
-writes its JSONL straight from them; ``SimulationTrace.events`` (one dict per
-event) is built only on first access.  The JSONL bytes are the same as
-encoding each event dict with ``json.dumps(ev, separators=(",", ":"))``.
-They also depend on the noise draws: each window draws
-``ceil(window / fastest period) + 2`` noise rows whatever rates are
-deployed, so drawing fewer rows would change every trace.
+``run_windows`` runs the sample loop (``_kernels.window_loop``, generated
+code that matches its loop reference bit for bit, on operands that
+``loop_operands`` makes once per run) a window at a time.  It yields each
+window as it ends: its sample columns, its records (``window_end``, then
+``synthesis`` if one follows), its last level and the loop state.  Only
+``window_items`` puts a window in trace order, so ``simulate``, which keeps
+every window, and ``ratekit simulate``, which writes each window and drops
+it, give the same bytes: those of encoding each event dict with
+``json.dumps(ev, separators=(",", ":"))``.  The bytes also depend on the
+noise draws: each window draws ``ceil(window / fastest period) + 2`` noise
+rows whatever rates are deployed, so drawing fewer rows would change every
+trace.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from operator import itemgetter
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -41,16 +35,16 @@ from . import _kernels
 from .energy import FLOOR_EPS, EnergyBudget
 from .lqg import LqgController
 from .plant import PlantModel
-from .search import MultiRateController, SynthesisResult, synthesize
+from .search import synthesize
 from .tables import CostTable, LevelSpec, PowerTable, RateSet, check_pattern, totals_over_window
 
 # the most pieces scenario_from_shares builds; the bundled scenarios have 80
 MAX_SCENARIO_PIECES = 100_000
 
-# the most noise rows simulate draws a window and a run, refused before the
-# first draw: a row is nx + ny floats, and every sample the run takes keeps
-# its trace columns.  The bundled runs draw 10,002 a window and 40,008 a
-# run, a 2,000 s run of theirs 200,040.
+# the most noise rows run_windows draws a window and a run, refused before the
+# first draw: a row is nx + ny floats, and simulate keeps the trace columns of
+# every sample the run takes (the CLI keeps one window's).  The bundled runs
+# draw 10,002 a window and 40,008 a run, a 2,000 s run of theirs 200,040.
 MAX_WINDOW_ROWS = 1_000_000
 MAX_RUN_ROWS = 2_000_000
 
@@ -142,6 +136,15 @@ class SampleColumns(NamedTuple):
     cost_integral: list
 
 
+class Window(NamedTuple):
+    """What one window adds to a run's trace, yielded as the window ends."""
+
+    samples: SampleColumns
+    records: list               # window_end, then synthesis if one follows
+    level: int                  # its last sample's level (the carried one if it has none)
+    state: _kernels.LoopState
+
+
 # A sample event as _encode writes it when every value is finite: %r on a
 # float is float.__repr__, which is what json writes, and %d on an int is
 # int.__repr__.  json writes NaN/Infinity/-Infinity, %r does not, so rows
@@ -159,19 +162,61 @@ def _encode_line(ev: dict) -> str:
     return _encode(ev) + "\n"
 
 
+def window_items(win: Window, prev_level, samples: list, convert) -> list:
+    """One window's part of the trace, in trace order.
+
+    ``samples`` holds one item per sample of ``win``.  A ``level_change``
+    goes before each sample whose level differs from the sample before it;
+    the first is compared with ``prev_level``, the previous window's last
+    level (None in a run's first window).  The window's records come last.
+    Every non-sample event goes through ``convert``.
+    """
+    t = win.samples.t
+    out = []
+    done = 0
+    for p, level in enumerate(win.samples.level):
+        if level != prev_level and prev_level is not None:
+            out += samples[done:p]
+            out.append(convert({"type": "level_change", "t": t[p], "from": prev_level,
+                                "to": level}))
+            done = p
+        prev_level = level
+    out += samples[done:]
+    out += map(convert, win.records)
+    return out
+
+
+def window_events(win: Window, prev_level) -> list:
+    """One window's events, one dict each, in trace order (window_items)."""
+    return window_items(win, prev_level, list(map(_sample_event, *win.samples)), lambda ev: ev)
+
+
+def window_lines(win: Window, prev_level) -> list:
+    """One window's JSONL lines in trace order (window_items)."""
+    cols = win.samples
+    rows = zip(*cols)
+    if all(math.isfinite(sum(col)) for col in cols):
+        lines = list(map(_SAMPLE_LINE.__mod__, rows))
+    else:
+        lines = [_SAMPLE_LINE % row if all(map(math.isfinite, row))
+                 else _encode_line(_sample_event(*row)) for row in rows]
+    return window_items(win, prev_level, lines, _encode_line)
+
+
+def avg_power_mw(energy_j: float, time_s: float) -> float:
+    """The average power, in mW, of spending ``energy_j`` over ``time_s``."""
+    return 1000.0 * energy_j / time_s
+
+
 @dataclass
 class SimulationTrace:
-    """The outcome of one run.
+    """The outcome of one run: every window run_windows yielded, and totals.
 
-    Samples are kept as columns; the other events (``window_end`` and
-    ``synthesis``) are kept as ``records`` with the number of samples that
-    precede each, and ``level_change`` events follow from the level column.
-    ``jsonl()`` writes the trace straight from these, and ``events`` (one
-    dict per event, in trace order) is built on first access.
+    ``jsonl()`` and ``events`` (one dict per event, built on first access)
+    put each window in trace order with window_items.
     """
 
-    samples: SampleColumns
-    records: list                # (samples before it, event dict)
+    windows: list                # Window, one per window run
     cycles_per_rate: np.ndarray
     total_time: float
     total_energy: float
@@ -181,52 +226,19 @@ class SimulationTrace:
 
     def avg_power_mw(self, steady: bool = False) -> float:
         if steady:
-            return 1000.0 * self.steady_energy / self.steady_time
-        return 1000.0 * self.total_energy / self.total_time
+            return avg_power_mw(self.steady_energy, self.steady_time)
+        return avg_power_mw(self.total_energy, self.total_time)
 
-    def _level_changes(self) -> list:
-        return (np.flatnonzero(np.diff(self.samples.level)) + 1).tolist()
-
-    def _interleave(self, samples, convert) -> list:
-        """Sample items and converted non-sample events, in trace order.
-
-        At equal positions a record comes before a level change: the change
-        belongs to the sample it precedes, the record to the window it ends.
-        """
-        t, level = self.samples.t, self.samples.level
-        changes = ((p, {"type": "level_change", "t": t[p], "from": level[p - 1],
-                        "to": level[p]}) for p in self._level_changes())
-        out = []
-        done = 0
-        for pos, ev in heapq.merge(self.records, changes, key=itemgetter(0)):
-            out.extend(islice(samples, pos - done))
-            out.append(convert(ev))
-            done = pos
-        out.extend(samples)
-        return out
-
-    @property
-    def n_events(self) -> int:
-        """Number of events in the trace, counted without building them."""
-        return len(self.samples.t) + len(self.records) + len(self._level_changes())
+    def _per_window(self, items):
+        """``items(win, prev_level)`` of each window, in order."""
+        return map(items, self.windows, [None] + [win.level for win in self.windows])
 
     @cached_property
     def events(self) -> list:
-        return self._interleave(map(_sample_event, *self.samples), lambda ev: ev)
-
-    def _sample_lines(self):
-        rows = zip(*self.samples)
-        if all(math.isfinite(sum(col)) for col in self.samples):
-            return map(_SAMPLE_LINE.__mod__, rows)
-        return (_SAMPLE_LINE % row if all(map(math.isfinite, row))
-                else _encode_line(_sample_event(*row)) for row in rows)
+        return list(chain.from_iterable(self._per_window(window_events)))
 
     def jsonl(self) -> str:
-        return "".join(self._interleave(self._sample_lines(), _encode_line))
-
-    def write_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.jsonl())
+        return "".join(map("".join, self._per_window(window_lines)))
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -260,16 +272,16 @@ def floor_pattern(fractions, rates: RateSet, window: float) -> tuple:
     return tuple(f / total for f in fr)
 
 
-def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec,
-             scenario: NoiseScenario, budget, strategy: Strategy, *,
-             lam: float, seed: int, controllers: LqgController) -> SimulationTrace:
-    """Run the on-line loop over the scenario and return the full event trace.
+def run_windows(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec,
+                scenario: NoiseScenario, budget, strategy: Strategy, *,
+                lam: float, seed: int, controllers: LqgController):
+    """Run the on-line loop over the scenario, yielding a Window as each ends.
 
     ``controllers`` is the controller stack of ``ct``'s rates (design_all).
     ``budget`` is an EnergyBudget renewed every window, or a MatchFixedBudget
     rule; its window is the hyper-period.  ``strategy`` selects a fixed rate
     or per-window re-synthesis with one of the search algorithms.  Identical
-    (inputs, seed) produce an identical trace.
+    (inputs, seed) yield identical windows.
     """
     rates = ct.rates
     if pt.rates.periods != rates.periods:
@@ -277,14 +289,14 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
     if controllers.h != rates.periods:
         raise ValueError("controllers were designed for other rates than the tables'")
     window = budget.window
-    if scenario.total + FLOOR_EPS < window:
+    n_windows = int(np.floor(scenario.total / window + FLOOR_EPS))
+    if scenario.total + FLOOR_EPS < window or n_windows < 1:
         raise ValueError(
             f"scenario ({scenario.total} s) shorter than one hyper-period ({window} s)")
     n = len(rates)
     k = levels.k
     ops = loop_operands(plant, controllers, levels, scenario, lam=lam, phi_j=pt.phi_mj * 1e-3)
 
-    n_windows = int(np.floor(scenario.total / window + FLOOR_EPS))
     max_steps = int(np.ceil(window / rates.periods[0])) + 2
     if max_steps > MAX_WINDOW_ROWS or n_windows * max_steps > MAX_RUN_ROWS:
         raise ValueError(
@@ -304,22 +316,17 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
     else:
         raise ValueError(f"unknown strategy kind {strategy.kind!r}")
 
-    samples = SampleColumns([], [], [], [], [], [])
-    records = []
-    energy_after_w0 = 0.0
-
+    level = None
     for w in range(n_windows):
         window_end = (w + 1) * window
         # max_steps rows whatever rates are deployed: the trace bytes depend on it
         noise = rng.standard_normal((max_steps, plant.nx + plant.ny))
+        samples = SampleColumns([], [], [], [], [], [])
         state, level_time = _kernels.window_loop(ops, mmap, state, window_end, noise, samples)
-        if w == 0:
-            energy_after_w0 = state.energy
         spent = np.array(level_time)
         fr = tuple((spent / spent.sum()).tolist())
-        records.append((len(samples.t), {
-            "type": "window_end", "window": w, "t": state.t, "level_time_s": level_time,
-            "fractions": list(fr), "energy_j": state.energy, "cost_integral": state.cost}))
+        records = [{"type": "window_end", "window": w, "t": state.t, "level_time_s": level_time,
+                    "fractions": list(fr), "energy_j": state.energy, "cost_integral": state.cost}]
         if strategy.kind == "adaptive" and w + 1 < n_windows:
             pattern = floor_pattern(fr, rates, window)
             totals = totals_over_window(ct, pt, pattern, window)
@@ -328,7 +335,7 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
             fallback = not result.feasible
             # the slowest rate everywhere when nothing fits the budget
             mmap = [n - 1] * k if fallback else list(result.controller.choice)
-            records.append((len(samples.t), {
+            records.append({
                 "type": "synthesis", "window": w + 1, "algo": strategy.algo,
                 "pattern": [float(f) for f in pattern],
                 "budget_j": float(budget_w.e_max),
@@ -338,15 +345,28 @@ def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec
                 "explored": int(result.explored),
                 "feasible": bool(result.feasible),
                 "fallback": bool(fallback),
-            }))
+            })
+        level = samples.level[-1] if samples.level else level
+        yield Window(samples, records, level, state)
 
+
+def simulate(plant: PlantModel, ct: CostTable, pt: PowerTable, levels: LevelSpec,
+             scenario: NoiseScenario, budget, strategy: Strategy, *,
+             lam: float, seed: int, controllers: LqgController) -> SimulationTrace:
+    """Run the on-line loop over the scenario and return the full event trace:
+    every window run_windows (same arguments) yields, kept."""
+    windows = list(run_windows(plant, ct, pt, levels, scenario, budget, strategy, lam=lam,
+                               seed=seed, controllers=controllers))
+    first, last = windows[0].state, windows[-1].state
+    periods_ms = ct.rates.periods_ms
     return SimulationTrace(
-        samples=samples, records=records,
+        windows=windows,
         # each h_ms is the product periods_ms makes, so it finds its own rate
-        cycles_per_rate=np.bincount(np.searchsorted(rates.periods_ms, samples.h_ms), minlength=n),
-        total_time=state.t, total_energy=state.energy, cost_integral=state.cost,
-        steady_time=max(state.t - window, 0.0),
-        steady_energy=state.energy - energy_after_w0,
+        cycles_per_rate=sum(np.bincount(np.searchsorted(periods_ms, win.samples.h_ms),
+                                        minlength=len(periods_ms)) for win in windows),
+        total_time=last.t, total_energy=last.energy, cost_integral=last.cost,
+        steady_time=max(last.t - budget.window, 0.0),
+        steady_energy=last.energy - first.energy,
     )
 
 

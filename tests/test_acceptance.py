@@ -206,7 +206,7 @@ def test_criterion_10_trace_determinism(plant, cost_table, power_table, levels,
                       Strategy.adaptive("approach1"), lam=0.05, seed=1,
                       controllers=controllers)
         path = tmp_path / f"trace_{run}.jsonl"
-        tr.write_jsonl(path)
+        path.write_text(tr.jsonl())
         paths.append(path)
     b0, b1 = paths[0].read_bytes(), paths[1].read_bytes()
     assert b0 == b1

@@ -81,6 +81,19 @@ def test_report_io(tmp_path):
     assert "exhaustive" in table and "approach2" in table
 
 
+def test_bench_cli_reports_approach2_cut_walks(tmp_path, capsys):
+    # approach2's 32^3 rows in the `ratekit bench` report: feasible, and
+    # explored as many vectors as the uncut walk pops at budgets 1.2 and 2.5
+    cases = tmp_path / "cut_walk_cases.json"
+    cases.write_text(json.dumps({"cases": [{"n": 32, "k": 3, "reps": 1, "budget": 1.2},
+                                           {"n": 32, "k": 3, "reps": 1, "budget": 2.5}]}))
+    out = tmp_path / "cut_walk.csv"
+    assert main(["bench", "--cases", str(cases), "--out", str(out)]) == 0
+    text = out.read_text()
+    for explored in (26041, 704):
+        assert re.search(rf"^32,3,approach2,[^,]*,{explored},[^,]*,[^,]*,True,", text, re.M)
+
+
 def test_load_cases(tmp_path):
     doc = {"cases": [{"n": 9, "k": 3, "reps": 2}, {"n": 16, "budget": 4.5, "seed": 7}]}
     path = tmp_path / "cases.json"

@@ -14,6 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ratekit.cli
+import ratekit.search
+import ratekit.sim
 from ratekit import _kernels
 from ratekit.cli import main
 from ratekit.config import ConfigError, load_config
@@ -318,12 +321,18 @@ def plot_csvs_from_events(events, level0):
 def test_simulate_determinism_and_plotdata(small_config, tmp_path, capsys):
     t1 = tmp_path / "a.jsonl"
     t2 = tmp_path / "b.jsonl"
+    # outputs replace earlier files; through a link, the file it names
+    (tmp_path / "plots").mkdir()
+    (tmp_path / "plots" / "plot_cost.csv").write_text("earlier\n")
+    (tmp_path / "b_target.jsonl").write_text("earlier\n")
+    t2.symlink_to("b_target.jsonl")
     assert main(["simulate", "--config", str(small_config), "--seed", "9",
                  "--out", str(t1), "--emit-plotdata", str(tmp_path / "plots")]) == 0
     assert main(["simulate", "--config", str(small_config), "--seed", "9",
                  "--out", str(t2)]) == 0
     out = capsys.readouterr().out
     assert t1.read_bytes() == t2.read_bytes()
+    assert t2.is_symlink() and not list(tmp_path.rglob("*.tmp"))
     cost_csv = (tmp_path / "plots" / "plot_cost.csv").read_text().splitlines()
     batt_csv = (tmp_path / "plots" / "plot_battery.csv").read_text().splitlines()
     assert cost_csv[0] == "t_s,cost_integral"
@@ -417,6 +426,13 @@ def test_precompute_bundled_case_study(tmp_path, capsys):
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in read_primary_outputs(out).items()}
     assert digests == PINNED_TABLES
+    # approach2 on a budget nothing fits answers from the whole 17^3 lattice
+    capsys.readouterr()
+    assert main(["synthesize", "--tables", str(out), "--pattern", "0.7,0.1,0.2",
+                 "--budget-energy", "0.001", "--budget-window", "100",
+                 "--algo", "approach2"]) == 0
+    text = capsys.readouterr().out
+    assert '"feasible": false' in text and '"explored": 4913' in text
 
 
 # sha256 of ct.csv from `ratekit precompute` on the 161-rate 10..90 ms grid
@@ -869,6 +885,17 @@ def refusal_dir(tmp_path_factory):
 def test_cli_refuses(refusal_dir, tmp_path, capsys, monkeypatch, argv, files, cause):
     # every refusal exits 1 with one line, "error: " and its cause, and no
     # traceback or warning
+    work_in_refusal_copy(refusal_dir, tmp_path, monkeypatch, files)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    line = one_error_line(capsys)
+    assert line.startswith("error: ") and cause in line, line
+
+
+def work_in_refusal_copy(refusal_dir, tmp_path, monkeypatch, files):
+    """Change to a copy of the refusal directory with ``files`` written as in REFUSALS."""
     work = tmp_path / "work"
     shutil.copytree(refusal_dir, work)
     monkeypatch.chdir(work)
@@ -882,9 +909,76 @@ def test_cli_refuses(refusal_dir, tmp_path, capsys, monkeypatch, argv, files, ca
             path.write_text(json.dumps(content(json.loads(path.read_text()))))
         else:
             (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+
+
+def simulate_outputs(argv) -> list:
+    """The trace and plot files a simulate argv names."""
+    paths = [Path(argv[argv.index("--out") + 1])] if "--out" in argv else []
+    if "--emit-plotdata" in argv:
+        plots = Path(argv[argv.index("--emit-plotdata") + 1])
+        paths += [plots / "plot_cost.csv", plots / "plot_battery.csv"]
+    return paths
+
+
+@pytest.mark.parametrize("row", ["simulate_out_is_a_directory", "plotdata_is_a_file"])
+def test_simulate_refuses_an_output_before_any_design(refusal_dir, tmp_path, capsys,
+                                                      monkeypatch, row):
+    argv, files, cause = REFUSALS[row]
+    work_in_refusal_copy(refusal_dir, tmp_path, monkeypatch, files)
+
+    def design_all(*args, **kwargs):
+        raise AssertionError("designed before the outputs were open")
+
+    monkeypatch.setattr(ratekit.cli, "design_all", design_all)
+    before = sorted(Path().rglob("*"))
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == 1
-    line = one_error_line(capsys)
-    assert line.startswith("error: ") and cause in line, line
+    assert main(argv) == 1
+    assert cause in one_error_line(capsys)
+    # no trace, plot or temporary file
+    assert sorted(Path().rglob("*")) == before
+    assert not any(path.is_file() for path in simulate_outputs(argv))
+
+
+@pytest.mark.parametrize("case", ["out", "stdout", "existing"])
+def test_simulate_failing_in_its_second_window_leaves_no_file(refusal_dir, tmp_path, capsys,
+                                                              monkeypatch, case):
+    # three 20 s windows; the second re-synthesis, at the end of window 1, fails
+    work_in_refusal_copy(refusal_dir, tmp_path, monkeypatch, {"three.json": doc(
+        BASE, SCENARIO, rates_ms=[10, 20, 40, 60, 90],
+        levels={"thresholds": [0, 10, 50, 100], "representative_r": [5, 30, 75]},
+        scenario={"segments": [[20, 5], [25, 75], [20, 30]]})})
+    calls = []
+
+    def synthesize(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("synthesis failed")
+        return ratekit.search.synthesize(*args)
+
+    monkeypatch.setattr(ratekit.sim, "synthesize", synthesize)
+    argv = ["simulate", "--config", "three.json", "--emit-plotdata", "made/plots"]
+    argv += [] if case == "stdout" else ["--out", "t.jsonl"]
+    if case == "existing":
+        # the outputs of an earlier run, which the failing run leaves as they were
+        for path in simulate_outputs(argv):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(f"earlier {path.name}\n")
+    before = sorted(Path().rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["error: synthesis failed"]
+    assert len(calls) == 2
+    # no trace, plot or temporary file, and no directory the run made
+    assert sorted(Path().rglob("*")) == before
+    if case == "existing":
+        for path in simulate_outputs(argv):
+            assert path.read_text() == f"earlier {path.name}\n"
+    if case != "stdout":
+        assert out == ""
+    else:
+        # on stdout the first window, ended by its synthesis record, is already out
+        records = [ev for ev in map(json.loads, out.splitlines())
+                   if ev["type"] in ("window_end", "synthesis")]
+        assert [(ev["type"], ev["window"]) for ev in records] == [("window_end", 0),
+                                                                  ("synthesis", 1)]

@@ -14,8 +14,8 @@ from ratekit.bench import BenchCase, synthetic_totals
 from ratekit.energy import EnergyBudget
 from ratekit.lqg import evaluate_cost
 from ratekit.sim import (MAX_SCENARIO_PIECES, MatchFixedBudget, NoiseScenario, SampleColumns,
-                         SimulationTrace, Strategy, _psd_sqrt, classify, loop_operands,
-                         scenario_from_shares, simulate)
+                         SimulationTrace, Strategy, Window, _psd_sqrt, classify, loop_operands,
+                         scenario_from_shares, simulate, window_events, window_lines)
 from ratekit.tables import (LevelSpec, RateSet, WindowTotals, build_cost_table, design_all,
                             totals_over_window)
 
@@ -279,6 +279,15 @@ def test_scenario_shorter_than_window_rejected(plant, cost_table, power_table,
                 EnergyBudget(1.0, hyper_period), Strategy.fixed(0.05), controllers)
 
 
+def test_scenario_without_a_whole_window_rejected(plant, cost_table, power_table, levels,
+                                                  controllers):
+    # within FLOOR_EPS of a 0.5 s window, yet no whole window fits in it
+    scen = NoiseScenario(segments=((0.5 - 8e-10, 5.0),))
+    with pytest.raises(ValueError, match="shorter than one hyper-period"):
+        run_sim(plant, cost_table, power_table, levels, scen,
+                EnergyBudget(1.0, 0.5), Strategy.fixed(0.05), controllers)
+
+
 def test_controllers_of_other_rates_rejected(plant, cost_table, power_table, levels,
                                              low_scenario, hyper_period):
     other = design_all(plant, RateSet.from_milliseconds(range(10, 91, 10)))
@@ -341,7 +350,7 @@ def test_trace_equals_per_event_reference(kind, plant, rates, cost_table, power_
     ref = oracles.trace_events_and_jsonl(*args, lam=0.05, seed=7, controllers=controllers)
     assert tr.jsonl() == ref.jsonl
     assert tr.events == ref.events
-    assert tr.n_events == len(ref.events)
+    assert len(tr.events) == len(ref.events) == tr.jsonl().count("\n")
     assert tr.cycles_per_rate.dtype == ref.cycles_per_rate.dtype
     assert tr.cycles_per_rate.tolist() == ref.cycles_per_rate.tolist()
     for name in ("total_time", "total_energy", "cost_integral", "steady_time",
@@ -352,44 +361,62 @@ def test_trace_equals_per_event_reference(kind, plant, rates, cost_table, power_
     assert ("synthesis" in kinds) == (strategy.kind == "adaptive" and scen is None)
 
 
+def test_level_change_at_a_window_start_equals_per_event_reference(plant, cost_table,
+                                                                  power_table, levels,
+                                                                  controllers):
+    # 1 s windows: some window's first sample changes level right after the
+    # window before ends with its synthesis record
+    scen = scenario_from_shares((0.5, 0.3, 0.2), (5.0, 30.0, 75.0), 60.0, 2.0, seed=3)
+    args = (plant, cost_table, power_table, levels, scen, MatchFixedBudget(0.05, 1.0),
+            Strategy.adaptive("approach1"))
+    tr = simulate(*args, lam=0.05, seed=7, controllers=controllers)
+    ref = oracles.trace_events_and_jsonl(*args, lam=0.05, seed=7, controllers=controllers)
+    assert tr.jsonl() == ref.jsonl
+    assert tr.events == ref.events
+    types = [ev["type"] for ev in tr.events]
+    assert ("synthesis", "level_change") in zip(types, types[1:])
+
+
 def test_trace_serializes_non_finite_values_as_json():
     nan, inf, big = float("nan"), float("inf"), 1e308
-    cols = SampleColumns(t=[0.0, 0.01, 0.02, 0.03, 0.04], h_ms=[10.0] * 5,
-                         r_hat=[nan, 0.5, -0.0, -inf, big],
-                         level=[1, 2, 2, 1, 1],
-                         energy_j=[-0.0, inf, 0.5, 1.0, big],
-                         cost_integral=[0.1, 0.2, 2.0, nan, 3.0])
+    first = SampleColumns(t=[0.0, 0.01, 0.02], h_ms=[10.0] * 3, r_hat=[nan, 0.5, -0.0],
+                          level=[1, 2, 2], energy_j=[-0.0, inf, 0.5],
+                          cost_integral=[0.1, 0.2, 2.0])
+    second = SampleColumns(t=[0.03, 0.04], h_ms=[10.0] * 2, r_hat=[-inf, big], level=[1, 1],
+                           energy_j=[1.0, big], cost_integral=[nan, 3.0])
     window_end = {"type": "window_end", "window": 0, "t": 0.03, "energy_j": inf,
                   "level_time_s": [nan, -0.0]}
     synthesis = {"type": "synthesis", "window": 1, "predicted_cost": -inf, "feasible": False}
-    tr = SimulationTrace(samples=cols, records=[(3, window_end), (4, synthesis)],
-                         cycles_per_rate=np.zeros(1, dtype=np.int64),
+    last_end = {"type": "window_end", "window": 1, "t": 0.05, "energy_j": 0.0}
+    wins = [Window(first, [window_end, synthesis], 2, None), Window(second, [last_end], 1, None)]
+    tr = SimulationTrace(windows=wins, cycles_per_rate=np.zeros(1, dtype=np.int64),
                          total_time=0.05, total_energy=0.0,
                          cost_integral=0.0, steady_time=0.0, steady_energy=0.0)
 
-    def sample(i):
+    def sample(cols, i):
         return {"type": "sample", "t": cols.t[i], "h_ms": cols.h_ms[i], "r_hat": cols.r_hat[i],
                 "level": cols.level[i], "energy_j": cols.energy_j[i],
                 "cost_integral": cols.cost_integral[i]}
 
-    def change(i):
-        return {"type": "level_change", "t": cols.t[i], "from": cols.level[i - 1],
-                "to": cols.level[i]}
+    def change(t, was, now):
+        return {"type": "level_change", "t": t, "from": was, "to": now}
 
-    # a record and a level change at the same position: the record ends the
-    # window, the change belongs to the sample that follows
-    expected = [sample(0), change(1), sample(1), sample(2), window_end, change(3), sample(3),
-                synthesis, sample(4)]
+    # the second window's first sample changes level: the change comes after
+    # the first window's records and belongs to the sample it precedes
+    expected = [sample(first, 0), change(0.01, 1, 2), sample(first, 1), sample(first, 2),
+                window_end, synthesis, change(0.03, 2, 1), sample(second, 0),
+                sample(second, 1), last_end]
+    assert window_events(wins[0], None) + window_events(wins[1], 2) == expected
     assert tr.events == expected
-    assert tr.n_events == len(expected)
+    lines = window_lines(wins[0], None) + window_lines(wins[1], 2)
+    assert lines == [json.dumps(ev, separators=(",", ":")) + "\n" for ev in expected]
     text = tr.jsonl()
-    assert text == "".join(json.dumps(ev, separators=(",", ":")) + "\n" for ev in expected)
+    assert text == "".join(lines)
     assert "NaN" in text and "-Infinity" in text and "-0.0" in text
     # every value finite, but a column sum overflows
-    finite = tr.samples._replace(r_hat=[1.0, 0.5, -0.0, big, big],
-                                 energy_j=[-0.0, 0.1, 0.5, 1.0, big],
-                                 cost_integral=[0.1, 0.2, 2.0, 2.5, 3.0])
-    tr = dataclasses.replace(tr, samples=finite)
+    finite = [first._replace(r_hat=[1.0, 0.5, -0.0], energy_j=[-0.0, 0.1, 0.5]),
+              second._replace(r_hat=[big, big], cost_integral=[2.5, 3.0])]
+    tr = dataclasses.replace(tr, windows=[w._replace(samples=c) for w, c in zip(wins, finite)])
     assert tr.jsonl() == "".join(json.dumps(ev, separators=(",", ":")) + "\n"
                                  for ev in tr.events)
 
