@@ -78,10 +78,11 @@ def _design_pass(plant: PlantModel, periods: tuple) -> LqgController:
     if singular.any():
         raise DesignError("input-weight block of the lifted cost is singular at "
                           f"h={periods[np.argmax(singular)]}")
-    p_ctrl, res_ctrl = solve_dare(d.Phi, d.Gamma, q1d, q2d, S=q12)
+    # the control and the filter equation, solved in one pass
+    (p_ctrl, res_ctrl), (p_pred, res_filt) = solve_dare((d.Phi, d.Gamma, q1d, q2d, q12),
+                                                        (_t(d.Phi), c.T, d.R1d, plant.R2))
     k = np.linalg.solve(q2d + _t(d.Gamma) @ p_ctrl @ d.Gamma,
                         _t(d.Gamma) @ p_ctrl @ d.Phi + _t(q12))
-    p_pred, res_filt = solve_dare(_t(d.Phi), c.T, d.R1d, plant.R2)
     s_innov = c @ p_pred @ c.T + plant.R2
     try:
         kf = _t(np.linalg.solve(_t(s_innov), _t(p_pred @ c.T)))

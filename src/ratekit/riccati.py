@@ -2,10 +2,11 @@
 
 Dependency-free iterations chosen so every solution can be certified by its
 fixed-point residual.  Every function takes stacks ``(..., n, n)`` and
-solves all members in one pass; a 2-D input is a stack of one.  Members
-iterate together, and each is retired at the step its own change falls
-below TOL, so it takes exactly the iterations it would take alone and ends
-with the same bits.
+solves all members in one pass; a 2-D input is a stack of one, and
+``solve_dare`` takes several problems of one state size into the same pass.
+Members iterate together, and each is retired at the step its own change
+falls below TOL, so it takes exactly the iterations it would take alone and
+ends with the same bits.
 """
 
 from __future__ import annotations
@@ -54,43 +55,89 @@ def spectral_radius(mat: np.ndarray):
     return float(rho) if np.ndim(rho) == 0 else rho
 
 
-def solve_dare(A, B, Q, R, S=None):
-    """Stabilizing solution of P = A'PA - (A'PB+S)(R+B'PB)^{-1}(B'PA+S') + Q,
-    and the ``dare_residual`` of each member, which the solve computes to
-    certify convergence.
+def solve_dare(*problems):
+    """Stabilizing solutions of P = A'PA - (A'PB+S)(R+B'PB)^{-1}(B'PA+S') + Q,
+    one ``(P, residual)`` pair per problem, where each residual holds the
+    ``dare_residual`` of every member, which the solve computes to certify
+    convergence.
 
-    Uses the structured doubling iteration after reducing away the cross
-    term.  Raises DesignError on non-convergence, reporting the residual of
-    the first member that failed.
+    Each problem is a tuple ``(A, B, Q, R)`` or ``(A, B, Q, R, S)`` of
+    stacks; all problems have the same state size.  The members of every
+    problem iterate together in one structured doubling loop, after reducing
+    away the cross term; members with a singular R take the fixed-point map.
+    Raises DesignError on non-convergence: the error of the first problem,
+    in order, that fails when solved alone, which reports the residual of
+    its first member that failed.
     """
-    lead, (A, B, Q, R, S) = _stacks(A, B, Q, R, S)
-    P = np.empty((A.shape[0],) + A.shape[-2:])
-    res = np.empty(A.shape[0])
-    # singular noise/input weight: the doubling transform needs R^{-1},
-    # but the fixed-point map only needs R + B'PB invertible
-    singular = np.linalg.eigvalsh(0.5 * (R + _t(R))).min(axis=-1) <= 0.0
-    for i in np.flatnonzero(singular):
-        P[i], res[i] = _dare_fixed_point(A[i], B[i], Q[i], R[i], None if S is None else S[i])
-    if not singular.all():
+    try:
+        return _solve_dares(problems)
+    except DesignError as exc:
+        failure = exc
+    # the merged loop stops at the first step any member fails; solve each
+    # problem alone to raise its own error
+    if len(problems) > 1:
+        for problem in problems:
+            _solve_dares((problem,))
+    raise failure
+
+
+def _problem(A, B, Q, R, S=None):
+    """A Riccati problem's operands as ``_stacks`` returns them."""
+    return _stacks(A, B, Q, R, S)
+
+
+def _solve_dares(problems):
+    """solve_dare's pass: each problem's fixed-point members, then every
+    problem's doubling members in one loop; raises the first error it meets."""
+    parts, starts = [], []
+    for problem in problems:
+        lead, (A, B, Q, R, S) = _problem(*problem)
+        P = np.empty((A.shape[0],) + A.shape[-2:])
+        res = np.empty(A.shape[0])
+        # singular noise/input weight: the doubling transform needs R^{-1},
+        # but the fixed-point map only needs R + B'PB invertible
+        singular = np.linalg.eigvalsh(0.5 * (R + _t(R))).min(axis=-1) <= 0.0
+        for i in np.flatnonzero(singular):
+            P[i], res[i] = _dare_fixed_point(A[i], B[i], Q[i], R[i], None if S is None else S[i])
         doubling = np.flatnonzero(~singular)
         ops = (A, B, Q, R, S)
         if singular.any():
             ops = [None if m is None else m[doubling] for m in ops]
-        P[doubling], res[doubling] = _dare_doubling(*ops)
-    return P.reshape(lead + P.shape[-2:]), _unstack(res, lead)
+        if doubling.size:
+            starts.append(_dare_start(*ops))
+        parts.append((lead, P, res, doubling, ops))
+    if starts:
+        p_all, stuck = _dare_doubling(*(np.concatenate(x) for x in zip(*starts)))
+    end = 0
+    for lead, P, res, doubling, ops in parts:
+        if doubling.size:
+            rows = slice(end, end + doubling.size)
+            end = rows.stop
+            P[doubling] = p_all[rows]
+            res[doubling] = dare_residual(p_all[rows], *ops)
+            failed = stuck[rows] | ~np.isfinite(res[doubling])
+            if failed.any():
+                raise DesignError("Riccati iteration did not converge; "
+                                  f"residual {res[doubling][np.argmax(failed)]:.3e}")
+    return [(P.reshape(lead + P.shape[-2:]), _unstack(res, lead))
+            for lead, P, res, _, _ in parts]
 
 
-def _dare_doubling(A, B, Q, R, S):
+def _dare_start(A, B, Q, R, S):
+    """The doubling iteration's start (a, g, h) for stacks of non-singular R."""
     if S is not None:
         rs = np.linalg.solve(R, _t(S))
         a1 = A - B @ rs
         q1 = Q - S @ rs
     else:
         a1, q1 = A, Q
-    ak = a1.copy()
-    gk = B @ np.linalg.solve(R, _t(B))
-    hk = 0.5 * (q1 + _t(q1))
-    eye = np.eye(A.shape[-1])
+    return a1, B @ np.linalg.solve(R, _t(B)), 0.5 * (q1 + _t(q1))
+
+
+def _dare_doubling(ak, gk, hk):
+    """Structured doubling from the start (a, g, h): every member's solution,
+    and a mask of the members that did not converge within DARE_MAX_ITER."""
+    eye = np.eye(ak.shape[-1])
     P = np.empty_like(hk)
     live = np.arange(len(hk))  # member index of each row of the iterates
     with np.errstate(over="ignore", invalid="ignore"):
@@ -118,13 +165,9 @@ def _dare_doubling(A, B, Q, R, S):
                 P[live[done]] = hk[done]
                 live, ak, gk, hk = live[~done], ak[~done], gk[~done], hk[~done]
     P[live] = hk
-    res = dare_residual(P, A, B, Q, R, S)
-    failed = ~np.isfinite(res)
-    failed[live] = True
-    if failed.any():
-        raise DesignError("Riccati iteration did not converge; "
-                          f"residual {res[np.argmax(failed)]:.3e}")
-    return P, res
+    stuck = np.zeros(len(P), dtype=bool)
+    stuck[live] = True
+    return P, stuck
 
 
 def _dare_fixed_point(A, B, Q, R, S):

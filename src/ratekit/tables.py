@@ -12,6 +12,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -240,15 +241,12 @@ def build_cost_table(plant: PlantModel, rates: RateSet, levels: LevelSpec,
     """
     if controllers.h != rates.periods:
         raise ValueError("controllers were designed for other rates than the table's")
-    n, k = len(rates), levels.k
     entries = evaluate_cost(plant, controllers, levels.representative_r)
     if not np.all(np.isfinite(entries)) or entries.min() < 0.0:
         raise ValueError("cost table has non-finite or negative entries")
-    violations = []
-    for j in range(k):
-        for i in range(1, n):
-            if entries[i, j] < entries[i - 1, j]:
-                violations.append((i, j))
+    # (i, j) where J fell from period i - 1 to i, level by level
+    j, i = np.nonzero((entries[1:] < entries[:-1]).T)
+    violations = list(zip((i + 1).tolist(), j.tolist()))
     if violations:
         warnings.warn(f"cost table not monotone in the period at {violations}; "
                       "dominance pruning will fall back to the exhaustive scan")
@@ -334,23 +332,57 @@ def write_table(path, header, *columns) -> None:
 
 def save_tables(out_dir, ct: CostTable, pt: PowerTable, profit: ProfitTables,
                 meta: dict) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write ct.csv, pt.csv, profit_l*.csv and the tables.json sidecar to ``out_dir``.
+
+    Each file is written to a temporary file beside its target (a symlink's
+    target); only once all are written does each target go and its temporary
+    file take the name.  A name holds the old file, the new one or, for a
+    moment, nothing, never a truncated one; if a write fails, the temporary
+    files go and the previous files stay as they were.  A path that exists
+    but is no regular file is written as it is.
+    """
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    out = os.path.realpath(out_dir)
+    moves = []
+
+    def temporary(name):
+        real = f"{out}/{name}"
+        if os.path.islink(real):
+            real = os.path.realpath(real)
+        if not os.path.isfile(real) and os.path.exists(real):
+            return real
+        head, tail = os.path.split(real)
+        moves.append((f"{head}/.{tail}.{os.getpid()}.tmp", real))
+        return moves[-1][0]
+
     ms = ct.rates.periods_ms
-    write_table(out / "ct.csv", ["h_ms"] + [f"J_l{j + 1}" for j in range(ct.k)],
-                ms, *ct.entries.T.tolist())
-    write_table(out / "pt.csv", ["h_ms", "power_mw"], ms, pt.power_mw.tolist())
-    for j in range(ct.k):
-        write_table(out / f"profit_l{j + 1}.csv", ["h_ms", "cc_total", "ec_total", "profit"],
-                    [ms[i] for i in profit.order[j].tolist()], profit.cc[j].tolist(),
-                    profit.ec[j].tolist(), profit.profit[j].tolist())
     sidecar = dict(meta)
     sidecar.setdefault("schema", 1)
     sidecar["rates_ms"] = list(ms)
     sidecar["phi_mj"] = pt.phi_mj
     sidecar["cost_monotonicity_violations"] = [list(v) for v in ct.violations]
     sidecar["built_at"] = datetime.now(timezone.utc).isoformat()
-    (out / "tables.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    try:
+        write_table(temporary("ct.csv"), ["h_ms"] + [f"J_l{j + 1}" for j in range(ct.k)],
+                    ms, *ct.entries.T.tolist())
+        write_table(temporary("pt.csv"), ["h_ms", "power_mw"], ms, pt.power_mw.tolist())
+        for j in range(ct.k):
+            write_table(temporary(f"profit_l{j + 1}.csv"),
+                        ["h_ms", "cc_total", "ec_total", "profit"],
+                        [ms[i] for i in profit.order[j].tolist()], profit.cc[j].tolist(),
+                        profit.ec[j].tolist(), profit.profit[j].tolist())
+        Path(temporary("tables.json")).write_text(json.dumps(sidecar, indent=2) + "\n")
+        # unlink, then rename: replacing a file by rename or truncation makes
+        # some filesystems (ext4's auto_da_alloc) flush it first
+        for tmp, real in moves:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(real)
+            os.rename(tmp, real)
+    except BaseException:
+        for tmp, _ in moves:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
 
 
 # relative tolerance between the sidecar's phi_mj and power_mw * h on each

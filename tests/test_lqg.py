@@ -29,18 +29,20 @@ def test_design_residuals_and_stability(plant, rates, controllers):
 
 
 def test_design_solves_through_the_public_riccati_solver(plant, monkeypatch):
-    # one stacked solve for the control gains, one for the filter: both through
-    # riccati.solve_dare, so whatever wraps it by name sees design's solves
+    # one call through riccati.solve_dare holds the control problem (with its
+    # cross term) and the filter problem (without), so whatever wraps it by
+    # name sees design's solves
     assert lqg.solve_dare is riccati.solve_dare
     calls = []
 
-    def spy(*args, **kwargs):
-        calls.append("control" if kwargs.get("S") is not None else "filter")
-        return riccati.solve_dare(*args, **kwargs)
+    def spy(*problems):
+        calls.append(["control" if len(p) == 5 and p[4] is not None else "filter"
+                      for p in problems])
+        return riccati.solve_dare(*problems)
 
     monkeypatch.setattr(lqg, "solve_dare", spy)
     design(plant, (0.01, 0.02, 0.05))
-    assert calls == ["control", "filter"]
+    assert calls == [["control", "filter"]]
 
 
 def test_scalar_gain_matches_closed_form():

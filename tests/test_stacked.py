@@ -39,16 +39,16 @@ def scalar_plant():
                       Qxu=np.eye(2))
 
 
-def seeded_plant(seed=5):
-    """Seeded 3-state, 2-input, 2-output plant with a stable drift."""
+def seeded_plant(seed=5, ny=2):
+    """Seeded 3-state, 2-input, ``ny``-output plant with a stable drift."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(3, 3))
     a -= (np.max(np.linalg.eigvals(a).real) + 0.5) * np.eye(3)
     rc = rng.normal(size=(3, 3))
-    r2 = rng.normal(size=(2, 2))
+    r2 = rng.normal(size=(ny, ny))
     q = rng.normal(size=(5, 5))
-    return PlantModel(A=a, B=rng.normal(size=(3, 2)), C=rng.normal(size=(2, 3)),
-                      D=np.zeros((2, 2)), Rc=rc @ rc.T, R2=r2 @ r2.T + 0.1 * np.eye(2),
+    return PlantModel(A=a, B=rng.normal(size=(3, 2)), C=rng.normal(size=(ny, 3)),
+                      D=np.zeros((ny, 2)), Rc=rc @ rc.T, R2=r2 @ r2.T + 0.1 * np.eye(ny),
                       Qxu=q @ q.T + 0.1 * np.eye(5))
 
 
@@ -170,7 +170,7 @@ def random_systems(seed, count, n=3, m=2):
 
 def test_stacked_riccati_members_equal_lone_solves():
     a, b, q, r, s = random_systems(21, 30)
-    p, solved_res = solve_dare(a, b, q, r, S=s)
+    [(p, solved_res)] = solve_dare((a, b, q, r, s))
     res = dare_residual(p, a, b, q, r, s)
     assert p.shape == a.shape and res.shape == (30,)
     assert np.array_equal(solved_res, res)  # the residual the solve certified
@@ -184,9 +184,58 @@ def test_stacked_riccati_members_equal_lone_solves():
 def test_stacked_riccati_mixes_doubling_and_fixed_point_members():
     a, b, q, r, _ = random_systems(22, 6)
     r[[1, 4]] = 0.0  # singular weights take the fixed-point map
-    p, _ = solve_dare(a, b, q, r)
+    [(p, _)] = solve_dare((a, b, q, r))
     for i in range(6):
         assert np.array_equal(p[i], oracles.solve_dare(a[i], b[i], q[i], r[i]))
+
+
+def design_problems(plant, periods):
+    """design's control problem (with its cross term) and filter problem."""
+    d = discretize(plant, periods)
+    nx = plant.nx
+    return ((d.Phi, d.Gamma, d.Qd[:, :nx, :nx], d.Qd[:, nx:, nx:], d.Qd[:, :nx, nx:]),
+            (d.Phi.swapaxes(1, 2), plant.C.T, d.R1d, plant.R2))
+
+
+@pytest.mark.parametrize("plant", [seeded_plant(ny=1), dcservo(R2=[[0.0]])],
+                         ids=["two_inputs_one_output", "zero_measurement_noise"])
+def test_merged_riccati_members_equal_lone_solves(plant):
+    problems = design_problems(plant, SCALAR_RATES.periods)
+    merged = solve_dare(*problems)
+    for problem, (p, res) in zip(problems, merged, strict=True):
+        [(lone_p, lone_res)] = solve_dare(problem)
+        assert np.array_equal(p, lone_p) and np.array_equal(res, lone_res)
+        for i in range(len(p)):
+            member = [m[i] if m.ndim == 3 else m for m in problem]
+            ref = oracles.solve_dare(*member)
+            assert np.array_equal(p[i], ref)
+            assert res[i] == oracles.dare_residual(ref, *member)
+
+
+@pytest.mark.parametrize("failing", ["filter", "both"])
+def test_merged_riccati_raises_the_lone_solves_error(failing):
+    a, b, q, r, s = random_systems(24, 4)
+    a_f, c_t, w, r2 = random_systems(25, 4, m=1)[:4]
+    # an unstable mode that no input reaches: the doubling iterate diverges
+    unreached = 1.5 * np.eye(3), np.zeros((3, 1))
+    if failing == "filter":
+        a_f[2], c_t[2] = unreached
+    else:
+        a[1], b[1] = 1.5 * np.eye(3), np.zeros((3, 2))
+        # and with no measurement noise the fixed-point map's first step is singular
+        a_f[0], c_t[0] = unreached
+        r2[:] = 0.0
+    control, filt = (a, b, q, r, s), (a_f, c_t, w, r2)
+    got = outcome(lambda: solve_dare(control, filt))
+    lone_control = outcome(lambda: solve_dare(control))
+    lone_filter = outcome(lambda: solve_dare(filt))
+    assert isinstance(lone_filter, tuple), "the filter problem must fail alone"
+    if failing == "filter":
+        assert not isinstance(lone_control, tuple)
+        assert got == lone_filter
+    else:
+        assert isinstance(lone_control, tuple) and lone_control != lone_filter
+        assert got == lone_control
 
 
 def test_stacked_lyapunov_members_equal_lone_solves():

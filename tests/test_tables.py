@@ -182,6 +182,69 @@ def test_serialization_roundtrip(tmp_path, cost_table, power_table, hyper_period
     assert "built_at" in meta
 
 
+TABLE_FILES = ("ct.csv", "pt.csv", "profit_l1.csv", "profit_l2.csv", "profit_l3.csv",
+               "tables.json")
+
+
+def saved_bytes(out_dir) -> dict:
+    """Every table file's bytes, with the sidecar's build time left out."""
+    files = {name: (out_dir / name).read_bytes() for name in TABLE_FILES}
+    files["tables.json"] = re.sub(rb'"built_at": "[^"]*"', b"", files["tables.json"])
+    return files
+
+
+@pytest.fixture
+def save_case(cost_table, power_table, hyper_period):
+    totals = totals_over_window(cost_table, power_table, (0.7, 0.1, 0.2), hyper_period)
+    return cost_table, power_table, build_profit_tables(totals), {"note": "test"}
+
+
+def test_save_tables_moves_new_files_into_place(tmp_path, save_case):
+    fresh, rewritten = tmp_path / "fresh", tmp_path / "rewritten"
+    save_tables(fresh, *save_case)
+    rewritten.mkdir()
+    for name in TABLE_FILES:  # longer than the new files: a truncation left undone shows
+        (rewritten / name).write_text("stale\n" * 10_000)
+    inode = (rewritten / "ct.csv").stat().st_ino
+    save_tables(rewritten, *save_case)
+    assert (rewritten / "ct.csv").stat().st_ino != inode
+    assert saved_bytes(rewritten) == saved_bytes(fresh)
+    assert sorted(p.name for p in rewritten.iterdir()) == sorted(TABLE_FILES)
+
+
+def test_save_tables_keeps_the_previous_files_when_a_write_fails(tmp_path, save_case,
+                                                               monkeypatch):
+    save_tables(tmp_path, *save_case)
+    before = {name: (tmp_path / name).read_bytes() for name in TABLE_FILES}
+    writer, calls = tables.csv.writer, []
+
+    def third_fails(fh):
+        calls.append(fh)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return writer(fh)
+
+    monkeypatch.setattr(tables.csv, "writer", third_fails)
+    with pytest.raises(OSError, match="disk full"):
+        save_tables(tmp_path, *save_case[:3], {"note": "changed"})
+    assert {name: (tmp_path / name).read_bytes() for name in TABLE_FILES} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(TABLE_FILES)
+
+
+def test_save_tables_writes_through_a_symlink(tmp_path, save_case):
+    fresh, linked, elsewhere = tmp_path / "fresh", tmp_path / "linked", tmp_path / "elsewhere"
+    save_tables(fresh, *save_case)
+    linked.mkdir()
+    elsewhere.mkdir()
+    (elsewhere / "costs.csv").write_text("stale\n")
+    (linked / "ct.csv").symlink_to(elsewhere / "costs.csv")
+    save_tables(linked, *save_case)
+    assert (linked / "ct.csv").is_symlink()
+    assert (elsewhere / "costs.csv").read_bytes() == (fresh / "ct.csv").read_bytes()
+    assert saved_bytes(linked) == saved_bytes(fresh)
+    assert [p.name for p in elsewhere.iterdir()] == ["costs.csv"]
+
+
 def test_load_missing_tables(tmp_path):
     with pytest.raises(tables.ConfigError, match="^table file not found: .*tables.json$"):
         load_tables(tmp_path / "nope")
