@@ -7,7 +7,6 @@ import csv
 import json
 import os
 import sys
-from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from .search import ALGORITHMS, synthesize
 from .sim import MatchFixedBudget, avg_power_mw, classify, run_windows, window_lines
 from .tables import (LevelSpec, build_cost_table, build_power_table, build_profit_tables,
                      design_all, json_list, load_tables, read_json, save_tables,
-                     totals_over_window, write_table)
+                     totals_over_window, whole_or_absent, write_table)
 
 
 def _parse_pattern(text: str):
@@ -127,53 +126,13 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-@contextmanager
-def _whole_or_absent():
-    """Yield ``create(path, **kwargs)``, which opens a file to write at
-    ``path``, and ``mkdir(path)``.  ``create`` writes a temporary file beside
-    a regular or missing ``path``, renamed over it when the block ends; if the
-    block fails, the temporary files go, and so do the directories ``mkdir``
-    made, leaving every path as it was.  A path that exists but is no regular
-    file (a directory, /dev/null, a pipe) is opened as it is."""
-    renames, made = [], []
-    try:
-        with ExitStack() as stack:
-            def create(path, **kwargs):
-                real = os.path.realpath(path)
-                if os.path.exists(real) and not os.path.isfile(real):
-                    return stack.enter_context(open(path, "w", **kwargs))
-                head, tail = os.path.split(real)
-                tmp = f"{head}/.{tail}.{os.getpid()}.{len(renames)}.tmp"
-                try:
-                    fh = stack.enter_context(open(tmp, "w", **kwargs))
-                except OSError as exc:  # name the path asked for, not the temporary one
-                    raise OSError(exc.errno, exc.strerror, str(path)) from None
-                renames.append((tmp, real))
-                return fh
-
-            def mkdir(path):
-                made.extend(d for d in (path, *path.parents) if not d.exists())
-                path.mkdir(parents=True, exist_ok=True)
-
-            yield create, mkdir
-        for tmp, real in renames:
-            os.replace(tmp, real)
-    except BaseException:
-        for tmp, _ in renames:
-            Path(tmp).unlink(missing_ok=True)
-        for d in made:  # deepest first; a directory something else filled stays
-            with suppress(OSError):
-                d.rmdir()
-        raise
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if cfg.scenario is None:
         raise ConfigError("scenario: required for simulate")
     if cfg.budget is None and cfg.strategy.kind == "adaptive":
         raise ConfigError("budget: required for adaptive simulation")
-    with _whole_or_absent() as (create, mkdir):
+    with whole_or_absent(os.replace) as (create, mkdir):
         out = create(args.out) if args.out else sys.stdout
         plots = []
         if args.emit_plotdata:
@@ -243,8 +202,8 @@ def cmd_battery(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, power in (("fixed", fixed_power), ("multirate", multi_power)):
         times, levels_j, depletion = battery_discharge(battery, power, horizon)
-        write_table(out_dir / f"battery_{name}.csv", ["t_s", "level_j"], times.tolist(),
-                    levels_j.tolist())
+        with open(out_dir / f"battery_{name}.csv", "w", newline="") as fh:
+            write_table(fh, ["t_s", "level_j"], times.tolist(), levels_j.tolist())
         print(f"{name:<10} avg power {power:8.3f} mW, depletion {depletion:12.0f} s")
     if fixed_power > 0:
         print(f"power reduction {(1 - multi_power / fixed_power) * 100.0:.2f} % "

@@ -81,17 +81,12 @@ def solve_dare(*problems):
     raise failure
 
 
-def _problem(A, B, Q, R, S=None):
-    """A Riccati problem's operands as ``_stacks`` returns them."""
-    return _stacks(A, B, Q, R, S)
-
-
 def _solve_dares(problems):
     """solve_dare's pass: each problem's fixed-point members, then every
     problem's doubling members in one loop; raises the first error it meets."""
     parts, starts = [], []
     for problem in problems:
-        lead, (A, B, Q, R, S) = _problem(*problem)
+        lead, (A, B, Q, R, S) = _stacks(*(*problem, None)[:5])  # S defaults to None
         P = np.empty((A.shape[0],) + A.shape[-2:])
         res = np.empty(A.shape[0])
         # singular noise/input weight: the doubling transform needs R^{-1},

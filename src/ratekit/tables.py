@@ -8,14 +8,15 @@ is seconds and joules.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
 import os
 import warnings
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ def json_number(value, field: str, kind=float):
     """``value`` as ``kind``, if it is a finite JSON number, and an integer
     where ``kind`` is int: no bool, no string, no NaN or Infinity."""
     if type(value) is int or (type(value) is float and kind is float):
-        with contextlib.suppress(OverflowError):  # an integer beyond any float
+        with suppress(OverflowError):  # an integer beyond any float
             if math.isfinite(value):
                 return kind(value)
     expected = "an integer" if kind is int else "a finite number"
@@ -323,38 +324,79 @@ def build_profit_tables(totals: WindowTotals) -> ProfitTables:
 # ---------------------------------------------------------------------------
 
 
-def write_table(path, header, *columns) -> None:
-    """Write a CSV file: the ``header`` row, then one row per position of the
-    equally long ``columns`` of floats, each cell the float's repr."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([header, *zip(*(map(repr, col) for col in columns))])
+@contextmanager
+def whole_or_absent(move):
+    """Yield ``create(path, **kwargs)``, which opens a file to write at
+    ``path``, and ``mkdir(path)``.  ``create`` writes a temporary file beside
+    a regular or missing ``path`` (a symlink's target), which ``move(tmp,
+    target)`` (``os.replace`` or ``_unlink_then_rename``) puts in place when
+    the block ends; if the block fails, the temporary files go, and so do the
+    directories ``mkdir`` made, leaving every path as it was.  A path that
+    exists but is no regular file (a directory, /dev/null, a pipe) is opened
+    as it is."""
+    renames, made = [], []
+    try:
+        with ExitStack() as stack:
+            def create(path, **kwargs):
+                # a link keeps its name and its target is replaced; any other
+                # path needs no resolving, as its directory resolves alike for
+                # the temporary name
+                real = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
+                if not os.path.isfile(real) and os.path.exists(real):
+                    return stack.enter_context(open(path, "w", **kwargs))
+                head, tail = os.path.split(real)
+                tmp = os.path.join(head, f".{tail}.{os.getpid()}.{len(renames)}.tmp")
+                try:
+                    fh = stack.enter_context(open(tmp, "w", **kwargs))
+                except OSError as exc:  # name the path asked for, not the temporary one
+                    raise OSError(exc.errno, exc.strerror, str(path)) from None
+                renames.append((tmp, real))
+                return fh
+
+            def mkdir(path):
+                made.extend(takewhile(lambda d: not d.exists(), (path, *path.parents)))
+                path.mkdir(parents=True, exist_ok=True)
+
+            yield create, mkdir
+        for tmp, real in renames:
+            move(tmp, real)
+    except BaseException:
+        for tmp, _ in renames:
+            Path(tmp).unlink(missing_ok=True)
+        for d in made:  # deepest first; a directory something else filled stays
+            with suppress(OSError):
+                d.rmdir()
+        raise
+
+
+def _unlink_then_rename(tmp, target) -> None:
+    """Move ``tmp`` onto ``target`` by unlinking ``target`` first.  Renaming
+    onto a name that holds no file skips the flush some filesystems (ext4's
+    auto_da_alloc) make before a rename or truncation replaces a file; that
+    flush is what keeps a replaced file's data through a crash, so without
+    it ``target`` can be empty after a crash soon after the move.  For a
+    moment ``target`` names no file, and an interrupt between the two steps
+    leaves it absent."""
+    with suppress(FileNotFoundError):
+        os.unlink(target)
+    os.rename(tmp, target)
+
+
+def write_table(fh, header, *columns) -> None:
+    """Write a CSV table to the open file ``fh``: the ``header`` row, then one
+    row per position of the equally long ``columns`` of floats, each cell the
+    float's repr."""
+    csv.writer(fh).writerows([header, *zip(*(map(repr, col) for col in columns))])
 
 
 def save_tables(out_dir, ct: CostTable, pt: PowerTable, profit: ProfitTables,
                 meta: dict) -> None:
-    """Write ct.csv, pt.csv, profit_l*.csv and the tables.json sidecar to ``out_dir``.
-
-    Each file is written to a temporary file beside its target (a symlink's
-    target); only once all are written does each target go and its temporary
-    file take the name.  A name holds the old file, the new one or, for a
-    moment, nothing, never a truncated one; if a write fails, the temporary
-    files go and the previous files stay as they were.  A path that exists
-    but is no regular file is written as it is.
-    """
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    out = os.path.realpath(out_dir)
-    moves = []
-
-    def temporary(name):
-        real = f"{out}/{name}"
-        if os.path.islink(real):
-            real = os.path.realpath(real)
-        if not os.path.isfile(real) and os.path.exists(real):
-            return real
-        head, tail = os.path.split(real)
-        moves.append((f"{head}/.{tail}.{os.getpid()}.tmp", real))
-        return moves[-1][0]
-
+    """Write ct.csv, pt.csv, profit_l*.csv and the tables.json sidecar to
+    ``out_dir``, all through one ``whole_or_absent`` block: if a write fails,
+    the previous files stay.  Each file is moved into place by
+    ``_unlink_then_rename``, so no file is truncated in place, but a crash soon
+    after a save can leave a table file empty, and for a moment a table name
+    holds no file."""
     ms = ct.rates.periods_ms
     sidecar = dict(meta)
     sidecar.setdefault("schema", 1)
@@ -362,27 +404,19 @@ def save_tables(out_dir, ct: CostTable, pt: PowerTable, profit: ProfitTables,
     sidecar["phi_mj"] = pt.phi_mj
     sidecar["cost_monotonicity_violations"] = [list(v) for v in ct.violations]
     sidecar["built_at"] = datetime.now(timezone.utc).isoformat()
-    try:
-        write_table(temporary("ct.csv"), ["h_ms"] + [f"J_l{j + 1}" for j in range(ct.k)],
-                    ms, *ct.entries.T.tolist())
-        write_table(temporary("pt.csv"), ["h_ms", "power_mw"], ms, pt.power_mw.tolist())
+    out = os.fspath(out_dir)
+    with whole_or_absent(_unlink_then_rename) as (create, mkdir):
+        mkdir(Path(out))
+        write_table(create(f"{out}/ct.csv", newline=""),
+                    ["h_ms"] + [f"J_l{j + 1}" for j in range(ct.k)], ms, *ct.entries.T.tolist())
+        write_table(create(f"{out}/pt.csv", newline=""), ["h_ms", "power_mw"], ms,
+                    pt.power_mw.tolist())
         for j in range(ct.k):
-            write_table(temporary(f"profit_l{j + 1}.csv"),
+            write_table(create(f"{out}/profit_l{j + 1}.csv", newline=""),
                         ["h_ms", "cc_total", "ec_total", "profit"],
                         [ms[i] for i in profit.order[j].tolist()], profit.cc[j].tolist(),
                         profit.ec[j].tolist(), profit.profit[j].tolist())
-        Path(temporary("tables.json")).write_text(json.dumps(sidecar, indent=2) + "\n")
-        # unlink, then rename: replacing a file by rename or truncation makes
-        # some filesystems (ext4's auto_da_alloc) flush it first
-        for tmp, real in moves:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(real)
-            os.rename(tmp, real)
-    except BaseException:
-        for tmp, _ in moves:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-        raise
+        create(f"{out}/tables.json").write(json.dumps(sidecar, indent=2) + "\n")
 
 
 # relative tolerance between the sidecar's phi_mj and power_mw * h on each

@@ -245,6 +245,27 @@ def test_save_tables_writes_through_a_symlink(tmp_path, save_case):
     assert [p.name for p in elsewhere.iterdir()] == ["costs.csv"]
 
 
+def test_save_tables_rewrites_a_relative_directory(tmp_path, save_case, monkeypatch):
+    save_tables(tmp_path / "fresh", *save_case)
+    monkeypatch.chdir(tmp_path)
+    save_tables("rel", *save_case)
+    save_tables("rel", *save_case)
+    assert saved_bytes(tmp_path / "rel") == saved_bytes(tmp_path / "fresh")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "rel"]
+
+
+def test_save_tables_writes_two_names_of_one_file(tmp_path, save_case):
+    fresh, linked = tmp_path / "fresh", tmp_path / "linked"
+    save_tables(fresh, *save_case)
+    linked.mkdir()
+    (linked / "ct.csv").write_text("stale\n")
+    (linked / "pt.csv").symlink_to("ct.csv")
+    save_tables(linked, *save_case)  # the later write wins, as two plain writes would
+    assert (linked / "pt.csv").is_symlink()
+    assert (linked / "ct.csv").read_bytes() == (fresh / "pt.csv").read_bytes()
+    assert sorted(p.name for p in linked.iterdir()) == sorted(TABLE_FILES)
+
+
 def test_load_missing_tables(tmp_path):
     with pytest.raises(tables.ConfigError, match="^table file not found: .*tables.json$"):
         load_tables(tmp_path / "nope")
