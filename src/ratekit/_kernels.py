@@ -389,12 +389,12 @@ def window_loop(ops, mmap, state, window_end, noise, out):
     keep = 1.0 - lam
     # only the rows this window can reach at its fastest deployed rate
     reach = min(noise.shape[0], int((window_end - t) / min(per_rate[r][0] for r in mmap)) + 2)
-    noise_flat = noise[:reach].ravel().tolist()
+    noise_it = iter(noise[:reach].ravel().tolist())
+    rows = zip({noise_its})  # one noise row a next()
     level_time = [0.0] * {k}
     {classify}
     seg = -1  # the first step enters the segment it lies in
     seg_end = -inf
-    pos = 0
     rate = -1
     add_t, add_h_ms, add_rhat, add_level, add_energy, add_cost = (c.append for c in out)
     while t < window_end:
@@ -407,8 +407,7 @@ def window_loop(ops, mmap, state, window_end, noise, out):
                 seg_end = seg_bounds[seg]
             r_true = seg_r[seg]
             sqrt_r = sqrt(r_true)
-        {z} = noise_flat[pos:pos + {width}]
-        pos += {width}
+        {z} = next(rows)
         {step}
     return LoopState(list({x}), list({xh}), r_hat, t, energy, cost), level_time
 """
@@ -497,7 +496,8 @@ def loop_source(nx, ny, nu, k):
     step += [f"{tup(x)} = {tup(n)}", "t += h"]
     return _LOOP.format(
         meas=tup(*c, *d), bounds=tup(vec("b", k - 1)), x=tup(x), xh=tup(xh), k=k,
-        classify="\n".join(classify).replace("\n", "\n    "), z=tup(z), width=nx + ny,
+        classify="\n".join(classify).replace("\n", "\n    "), z=tup(z),
+        noise_its=", ".join(["noise_it"] * (nx + ny)),
         per_rate=tup(["h", "h_ms"], *p, *kk, *f, *w, *q, ["jbar"], *s),
         step="\n".join(step).replace("\n", "\n        "))
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -19,7 +18,7 @@ from .search import ALGORITHMS, synthesize
 from .sim import MatchFixedBudget, avg_power_mw, classify, run_windows, window_lines
 from .tables import (LevelSpec, build_cost_table, build_power_table, build_profit_tables,
                      design_all, json_list, load_tables, read_json, save_tables,
-                     totals_over_window, whole_or_absent, write_table)
+                     totals_over_window, whole_or_absent, write_rows)
 
 
 def _parse_pattern(text: str):
@@ -139,8 +138,8 @@ def cmd_simulate(args) -> int:
             out_dir = Path(args.emit_plotdata)
             mkdir(out_dir)
             for name, column in (("cost", "cost_integral"), ("battery", "battery_j")):
-                plots.append(csv.writer(create(out_dir / f"plot_{name}.csv", newline="")))
-                plots[-1].writerow(["t_s", column])
+                plots.append(create(out_dir / f"plot_{name}.csv", newline=""))
+                write_rows(plots[-1], [["t_s", column]])
         controllers = design_all(cfg.plant, cfg.rates)
         ct = build_cost_table(cfg.plant, cfg.rates, cfg.levels, controllers=controllers)
         pt = build_power_table(cfg.rates, cfg.peak_power_mw)
@@ -156,10 +155,10 @@ def cmd_simulate(args) -> int:
             n_events += len(lines)
             level = win.level
             if plots:
-                # csv writes a float as its repr, as write_table does
-                cols = win.samples
-                plots[0].writerows(zip(cols.t, cols.cost_integral))
-                plots[1].writerows(zip(cols.t, [cfg.battery.full_j - e for e in cols.energy_j]))
+                t_s = list(map(repr, win.samples.t))
+                write_rows(plots[0], zip(t_s, map(repr, win.samples.cost_integral)))
+                write_rows(plots[1], zip(t_s, [repr(cfg.battery.full_j - e)
+                                               for e in win.samples.energy_j]))
     if args.out:
         print(f"wrote {n_events} events to {args.out}")
     if plots:
@@ -203,7 +202,8 @@ def cmd_battery(args) -> int:
     for name, power in (("fixed", fixed_power), ("multirate", multi_power)):
         times, levels_j, depletion = battery_discharge(battery, power, horizon)
         with open(out_dir / f"battery_{name}.csv", "w", newline="") as fh:
-            write_table(fh, ["t_s", "level_j"], times.tolist(), levels_j.tolist())
+            write_rows(fh, [["t_s", "level_j"],
+                            *zip(map(repr, times.tolist()), map(repr, levels_j.tolist()))])
         print(f"{name:<10} avg power {power:8.3f} mW, depletion {depletion:12.0f} s")
     if fixed_power > 0:
         print(f"power reduction {(1 - multi_power / fixed_power) * 100.0:.2f} % "

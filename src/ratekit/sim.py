@@ -14,10 +14,15 @@ window as it ends: its sample columns, its records (``window_end``, then
 ``window_items`` puts a window in trace order, so ``simulate``, which keeps
 every window, and ``ratekit simulate``, which writes each window and drops
 it, give the same bytes: those of encoding each event dict with
-``json.dumps(ev, separators=(",", ":"))``.  The bytes also depend on the
-noise draws: each window draws ``ceil(window / fastest period) + 2`` noise
-rows whatever rates are deployed, so drawing fewer rows would change every
-trace.
+``json.dumps(ev, separators=(",", ":"))``.  ``window_lines`` reaches those
+bytes with no more than one ``repr`` per value: a sample line is one
+f-string, and an f-string's ``!r`` on a float is ``float.__repr__``, the
+form json writes; only a row holding NaN or an infinity, which json spells
+NaN, Infinity and -Infinity, is encoded by json.  The CSV cells ratekit
+writes (``tables.write_rows``) are float reprs too, which never need
+quoting.  The bytes also depend on the noise draws: each window draws
+``ceil(window / fastest period) + 2`` noise rows whatever rates are
+deployed, so drawing fewer rows would change every trace.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -145,14 +150,6 @@ class Window(NamedTuple):
     state: _kernels.LoopState
 
 
-# A sample event as _encode writes it when every value is finite: %r on a
-# float is float.__repr__, which is what json writes, and %d on an int is
-# int.__repr__.  json writes NaN/Infinity/-Infinity, %r does not, so rows
-# holding those go through _encode.
-_SAMPLE_LINE = ('{"type":"sample","t":%r,"h_ms":%r,"r_hat":%r,"level":%d,'
-                '"energy_j":%r,"cost_integral":%r}\n')
-
-
 def _sample_event(t, h_ms, r_hat, level, energy_j, cost_integral) -> dict:
     return {"type": "sample", "t": t, "h_ms": h_ms, "r_hat": r_hat, "level": level,
             "energy_j": energy_j, "cost_integral": cost_integral}
@@ -171,16 +168,19 @@ def window_items(win: Window, prev_level, samples: list, convert) -> list:
     level (None in a run's first window).  The window's records come last.
     Every non-sample event goes through ``convert``.
     """
-    t = win.samples.t
+    t, level = win.samples.t, win.samples.level
+    # the start of every run of equal levels but the first; groupby finds the
+    # runs at C speed, and each run is walked only by list()
+    starts = list(accumulate(len(list(run)) for _, run in groupby(level)))[:-1]
+    if level and prev_level is not None and level[0] != prev_level:
+        starts.insert(0, 0)
     out = []
     done = 0
-    for p, level in enumerate(win.samples.level):
-        if level != prev_level and prev_level is not None:
-            out += samples[done:p]
-            out.append(convert({"type": "level_change", "t": t[p], "from": prev_level,
-                                "to": level}))
-            done = p
-        prev_level = level
+    for p in starts:
+        out += samples[done:p]
+        out.append(convert({"type": "level_change", "t": t[p],
+                            "from": level[p - 1] if p else prev_level, "to": level[p]}))
+        done = p
     out += samples[done:]
     out += map(convert, win.records)
     return out
@@ -192,14 +192,21 @@ def window_events(win: Window, prev_level) -> list:
 
 
 def window_lines(win: Window, prev_level) -> list:
-    """One window's JSONL lines in trace order (window_items)."""
+    """One window's JSONL lines in trace order (window_items).
+
+    Each sample line is one f-string, as ``_encode`` writes it when every
+    value is finite: ``!r`` on a float is ``float.__repr__``, the form json
+    writes, and the level is an int, which formats as its repr.  json writes
+    NaN, Infinity and -Infinity, which repr does not, so a row holding one
+    is encoded again by ``_encode``.
+    """
     cols = win.samples
-    rows = zip(*cols)
-    if all(math.isfinite(sum(col)) for col in cols):
-        lines = list(map(_SAMPLE_LINE.__mod__, rows))
-    else:
-        lines = [_SAMPLE_LINE % row if all(map(math.isfinite, row))
-                 else _encode_line(_sample_event(*row)) for row in rows]
+    lines = [f'{{"type":"sample","t":{t!r},"h_ms":{h_ms!r},"r_hat":{r_hat!r},"level":{level},'
+             f'"energy_j":{energy_j!r},"cost_integral":{cost!r}}}\n'
+             for t, h_ms, r_hat, level, energy_j, cost in zip(*cols)]
+    if not all(math.isfinite(sum(col)) for col in cols):
+        lines = [line if all(map(math.isfinite, row)) else _encode_line(_sample_event(*row))
+                 for line, row in zip(lines, zip(*cols))]
     return window_items(win, prev_level, lines, _encode_line)
 
 

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import re
 import warnings
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
@@ -382,11 +383,20 @@ def _unlink_then_rename(tmp, target) -> None:
     os.rename(tmp, target)
 
 
-def write_table(fh, header, *columns) -> None:
-    """Write a CSV table to the open file ``fh``: the ``header`` row, then one
-    row per position of the equally long ``columns`` of floats, each cell the
-    float's repr."""
-    csv.writer(fh).writerows([header, *zip(*(map(repr, col) for col in columns))])
+def write_rows(fh, rows) -> None:
+    """Write the CSV ``rows``, each a sequence of str cells, to the open file
+    ``fh``: the bytes ``csv.writer(fh).writerows(rows)`` writes when no cell
+    needs quoting, cells joined by ``,`` and each row ended by ``\\r\\n``.
+    ratekit's cells are a float's repr (``1e-05``, ``inf``, ``nan``) or a
+    header name, none empty and none holding a comma, a quote or a line
+    break, so none needs quoting."""
+    text = "\r\n".join(map(",".join, rows))
+    if text:
+        fh.write(text + "\r\n")
+
+
+# the name save_tables gives level j's profit table
+_PROFIT_FILE = re.compile(r"profit_l([1-9][0-9]*)\.csv")
 
 
 def save_tables(out_dir, ct: CostTable, pt: PowerTable, profit: ProfitTables,
@@ -396,8 +406,10 @@ def save_tables(out_dir, ct: CostTable, pt: PowerTable, profit: ProfitTables,
     the previous files stay.  Each file is moved into place by
     ``_unlink_then_rename``, so no file is truncated in place, but a crash soon
     after a save can leave a table file empty, and for a moment a table name
-    holds no file."""
+    holds no file.  Once every file is in place, the profit files of levels
+    past this table's k, left by an earlier save of more levels, go."""
     ms = ct.rates.periods_ms
+    h_ms = list(map(repr, ms))  # one repr of each period for all five files
     sidecar = dict(meta)
     sidecar.setdefault("schema", 1)
     sidecar["rates_ms"] = list(ms)
@@ -406,17 +418,23 @@ def save_tables(out_dir, ct: CostTable, pt: PowerTable, profit: ProfitTables,
     sidecar["built_at"] = datetime.now(timezone.utc).isoformat()
     out = os.fspath(out_dir)
     with whole_or_absent(_unlink_then_rename) as (create, mkdir):
+        def table(name, header, *columns):
+            write_rows(create(f"{out}/{name}", newline=""), [header, *zip(*columns)])
+
         mkdir(Path(out))
-        write_table(create(f"{out}/ct.csv", newline=""),
-                    ["h_ms"] + [f"J_l{j + 1}" for j in range(ct.k)], ms, *ct.entries.T.tolist())
-        write_table(create(f"{out}/pt.csv", newline=""), ["h_ms", "power_mw"], ms,
-                    pt.power_mw.tolist())
+        table("ct.csv", ["h_ms"] + [f"J_l{j + 1}" for j in range(ct.k)], h_ms,
+              *(map(repr, col) for col in ct.entries.T.tolist()))
+        table("pt.csv", ["h_ms", "power_mw"], h_ms, map(repr, pt.power_mw.tolist()))
         for j in range(ct.k):
-            write_table(create(f"{out}/profit_l{j + 1}.csv", newline=""),
-                        ["h_ms", "cc_total", "ec_total", "profit"],
-                        [ms[i] for i in profit.order[j].tolist()], profit.cc[j].tolist(),
-                        profit.ec[j].tolist(), profit.profit[j].tolist())
+            table(f"profit_l{j + 1}.csv", ["h_ms", "cc_total", "ec_total", "profit"],
+                  map(h_ms.__getitem__, profit.order[j].tolist()),
+                  *(map(repr, col[j].tolist()) for col in (profit.cc, profit.ec, profit.profit)))
         create(f"{out}/tables.json").write(json.dumps(sidecar, indent=2) + "\n")
+    for name in os.listdir(out):
+        stale = _PROFIT_FILE.fullmatch(name)
+        if stale and int(stale[1]) > ct.k:
+            with suppress(FileNotFoundError, IsADirectoryError):  # gone, or a directory
+                os.unlink(os.path.join(out, name))
 
 
 # relative tolerance between the sidecar's phi_mj and power_mw * h on each

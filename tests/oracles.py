@@ -15,7 +15,9 @@ for ``ratekit.lqg.evaluate_cost`` (it uses the per-rate Lyapunov solver
 below); ``trace_events_and_jsonl``, the simulation loop that builds one
 dict per event, for ``ratekit.sim.SimulationTrace`` (it uses the
 package's synthesis, and the window-loop reference below, not the kernel it
-checks, and builds the loop's operands one controller at a time); and the
+checks, and builds the loop's operands one controller at a time);
+``window_items``, the per-sample level-change loop, for
+``ratekit.sim.window_items``; and the
 one-candidate-at-a-time loops
 ``_exhaustive_impl``, ``_approach1_impl`` and ``_window_loop_impl`` for the
 scans and the window loop of ``ratekit._kernels``; ``_approach2_impl``, the
@@ -482,6 +484,27 @@ def trace_events_and_jsonl(plant: PlantModel, ct: CostTable, pt: PowerTable, lev
         steady_energy=energy - energy_after_w0,
         jsonl="".join(_encode(ev) + "\n" for ev in events),
     )
+
+
+def window_items(win, prev_level, samples: list, convert) -> list:
+    """``ratekit.sim.window_items`` as a loop over every sample: a
+    ``level_change`` before each sample whose level differs from the one
+    before it (the first compared with ``prev_level``, none when that is
+    None), then the window's records; non-sample events go through
+    ``convert``."""
+    t = win.samples.t
+    out = []
+    done = 0
+    for p, level in enumerate(win.samples.level):
+        if level != prev_level and prev_level is not None:
+            out += samples[done:p]
+            out.append(convert({"type": "level_change", "t": t[p], "from": prev_level,
+                                "to": level}))
+            done = p
+        prev_level = level
+    out += samples[done:]
+    out += map(convert, win.records)
+    return out
 
 
 # ---------------------------------------------------------------------------

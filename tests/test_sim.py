@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratekit import _kernels, lqg
@@ -15,7 +15,8 @@ from ratekit.energy import EnergyBudget
 from ratekit.lqg import evaluate_cost
 from ratekit.sim import (MAX_SCENARIO_PIECES, MatchFixedBudget, NoiseScenario, SampleColumns,
                          SimulationTrace, Strategy, Window, _psd_sqrt, classify, loop_operands,
-                         scenario_from_shares, simulate, window_events, window_lines)
+                         scenario_from_shares, simulate, window_events, window_items,
+                         window_lines)
 from ratekit.tables import (LevelSpec, RateSet, WindowTotals, build_cost_table, design_all,
                             totals_over_window)
 
@@ -420,6 +421,63 @@ def test_trace_serializes_non_finite_values_as_json():
     assert tr.jsonl() == "".join(json.dumps(ev, separators=(",", ":")) + "\n"
                                  for ev in tr.events)
 
+
+# floats at the edges of repr's forms (exponent or not, subnormal, signed
+# zero, the largest double) and the three json writes in words
+EDGE_FLOATS = (1e16, 9999999999999998.0, 1e-05, 0.0001, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0,
+               float("nan"), float("inf"), float("-inf"))
+trace_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def trace_windows(draw):
+    n = draw(st.integers(0, 12))
+    cols = {name: draw(st.lists(trace_floats, min_size=n, max_size=n))
+            for name in ("t", "h_ms", "r_hat", "energy_j", "cost_integral")}
+    level = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    records = [{"type": "window_end", "window": 0, "t": draw(trace_floats),
+                "level_time_s": draw(st.lists(trace_floats, max_size=3))}]
+    prev_level = draw(st.one_of(st.none(), st.integers(1, 3)))
+    return Window(SampleColumns(level=level, **cols), records, None, None), prev_level
+
+
+def edge_window(floats):
+    """A window with each of ``floats`` in every float column."""
+    col = list(floats)
+    return Window(SampleColumns(col, col[::-1], col, [1] * len(col), col[1:] + col[:1], col),
+                  [], 1, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_windows())
+@example((edge_window(EDGE_FLOATS[:-3]), 1))  # every value finite
+@example((edge_window(EDGE_FLOATS), None))
+def test_window_lines_are_the_json_of_window_events(case):
+    win, prev_level = case
+    assert window_lines(win, prev_level) == [json.dumps(ev, separators=(",", ":")) + "\n"
+                                             for ev in window_events(win, prev_level)]
+
+
+def tagged(ev):
+    return ("converted", ev)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=40), st.one_of(st.none(), st.integers(1, 3)))
+@example([], None)
+@example([2], None)
+@example([2], 1)          # a change at index 0
+@example([1, 2, 1, 2], 2)  # a change at every sample
+@example([3, 3, 3], 3)    # no change
+def test_window_items_equal_the_per_sample_loop(level, prev_level):
+    n = len(level)
+    cols = SampleColumns([0.01 * i for i in range(n)], [10.0] * n, [0.0] * n, level,
+                         [0.0] * n, [0.0] * n)
+    win = Window(cols, [{"type": "window_end"}], None, None)
+    samples = [("sample", i) for i in range(n)]
+    assert (window_items(win, prev_level, samples, tagged)
+            == oracles.window_items(win, prev_level, samples, tagged))
 
 def random_loop_inputs(rng, nx, ny, nu, n_rates=3, k=3, window=1.0, n_seg=8):
     """Per-rate matrices of a random stable system, levels and noise segments."""

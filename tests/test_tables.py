@@ -1,10 +1,14 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratekit import tables
 from ratekit.sim import MatchFixedBudget, NoiseScenario
@@ -216,19 +220,57 @@ def test_save_tables_keeps_the_previous_files_when_a_write_fails(tmp_path, save_
                                                                monkeypatch):
     save_tables(tmp_path, *save_case)
     before = {name: (tmp_path / name).read_bytes() for name in TABLE_FILES}
-    writer, calls = tables.csv.writer, []
-
-    def third_fails(fh):
-        calls.append(fh)
-        if len(calls) == 3:
-            raise OSError("disk full")
-        return writer(fh)
-
-    monkeypatch.setattr(tables.csv, "writer", third_fails)
+    fail_third_table(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         save_tables(tmp_path, *save_case[:3], {"note": "changed"})
     assert {name: (tmp_path / name).read_bytes() for name in TABLE_FILES} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(TABLE_FILES)
+
+
+def fail_third_table(monkeypatch):
+    """Make the third table save_tables writes (profit_l1.csv) fail."""
+    write_rows, calls = tables.write_rows, []
+
+    def third_fails(fh, rows):
+        calls.append(fh)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return write_rows(fh, rows)
+
+    monkeypatch.setattr(tables, "write_rows", third_fails)
+
+
+@pytest.fixture
+def five_level_case(plant, rates, power_table, hyper_period):
+    levels = LevelSpec((0, 10, 30, 50, 75, 100), (5, 20, 40, 60, 90))
+    ct = build_cost_table(plant, rates, levels, controllers=design_all(plant, rates))
+    totals = totals_over_window(ct, power_table, (0.5, 0.2, 0.1, 0.1, 0.1), hyper_period)
+    return ct, power_table, build_profit_tables(totals), {"note": "five levels"}
+
+
+def test_save_tables_removes_the_profit_files_of_levels_it_lacks(tmp_path, save_case,
+                                                                  five_level_case):
+    fresh, rewritten = tmp_path / "fresh", tmp_path / "rewritten"
+    save_tables(fresh, *save_case)
+    save_tables(rewritten, *five_level_case)
+    assert (rewritten / "profit_l5.csv").exists()
+    others = ("profit_l0.csv", "profit_l04.csv", "profit_l4.csv.bak", "notes.txt")
+    for name in others:  # names save_tables never writes stay
+        (rewritten / name).write_text("kept\n")
+    save_tables(rewritten, *save_case)
+    assert saved_bytes(rewritten) == saved_bytes(fresh)
+    assert sorted(p.name for p in rewritten.iterdir()) == sorted(TABLE_FILES + others)
+
+
+def test_save_tables_removes_nothing_when_a_save_of_fewer_levels_fails(
+        tmp_path, save_case, five_level_case, monkeypatch):
+    save_tables(tmp_path, *five_level_case)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert "profit_l5.csv" in before
+    fail_third_table(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        save_tables(tmp_path, *save_case)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_save_tables_writes_through_a_symlink(tmp_path, save_case):
@@ -265,6 +307,34 @@ def test_save_tables_writes_two_names_of_one_file(tmp_path, save_case):
     assert (linked / "ct.csv").read_bytes() == (fresh / "pt.csv").read_bytes()
     assert sorted(p.name for p in linked.iterdir()) == sorted(TABLE_FILES)
 
+
+
+# every header row ratekit writes to a CSV
+CSV_HEADERS = (["h_ms", "J_l1", "J_l2", "J_l3"], ["h_ms", "power_mw"],
+               ["h_ms", "cc_total", "ec_total", "profit"], ["t_s", "level_j"],
+               ["t_s", "cost_integral"], ["t_s", "battery_j"])
+CSV_FLOATS = (math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-05, 1e16, 1e+16, 5e-324,
+              1.7976931348623157e308, 9999999999999998.0, 0.1)
+
+
+def csv_writer_bytes(rows) -> str:
+    fh = io.StringIO(newline="")
+    csv.writer(fh).writerows(rows)
+    return fh.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CSV_HEADERS), st.data())
+def test_write_rows_writes_what_csv_writer_writes(header, data):
+    cell = st.one_of(st.sampled_from(CSV_FLOATS), st.floats()).map(repr)
+    rows = [header] + data.draw(st.lists(st.lists(cell, min_size=len(header),
+                                                  max_size=len(header)), max_size=20))
+    fh = io.StringIO(newline="")
+    tables.write_rows(fh, rows)
+    assert fh.getvalue() == csv_writer_bytes(rows)
+    fh = io.StringIO(newline="")
+    tables.write_rows(fh, rows[1:])
+    assert fh.getvalue() == csv_writer_bytes(rows[1:])
 
 def test_load_missing_tables(tmp_path):
     with pytest.raises(tables.ConfigError, match="^table file not found: .*tables.json$"):
