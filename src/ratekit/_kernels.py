@@ -10,7 +10,11 @@ second for a walk still going after max(64, n^(k-1) // 32) pops, about what
 one scan costs (measured at ``cap =`` in ``ratekit.search``), so a cut walk
 costs about twice the cheaper of walk and scan at worst.  Both are checked
 against the uncut visited-set walk ``_approach2_impl`` in
-``tests/oracles.py``.  Every prefix scan counts, per prefix, a leading run
+``tests/oracles.py``.  ``pareto_frontier`` keeps, of the (cost, energy)
+partials over the leading levels, only those no other partial dominates and
+whose cheapest completion is within a cost limit: the match-fixed budget
+sweeps it instead of the n^(k-1) prefixes.  Every prefix scan, and that
+sweep, counts, per prefix, a leading run
 of the last level with ``count_within``: a ``searchsorted`` guess, checked
 in one pass against the column padded with NaN at each end (later passes
 check only the guesses that moved).  The pad is NaN because a NaN sum is neither over nor
@@ -49,9 +53,9 @@ def cost_energy(idx, cc, ec):
     """Cost and energy of the index vector ``idx`` (rate idx[j] at level j),
     each summed level by level from 0.0, as the lattice sums them."""
     c = e = 0.0
-    for j, i in enumerate(idx):
-        c += cc[i, j]
-        e += ec[i, j]
+    for j, i in enumerate(idx):  # Python floats: the same sums, without numpy scalars
+        c += cc.item(i, j)
+        e += ec.item(i, j)
     return c, e
 
 
@@ -66,12 +70,13 @@ def _grid_sum(table, k, lo, hi):
     return acc
 
 
-# Largest lattice the exhaustive oracle scans (n^k cells; 161^3 is about 4.2M)
-# and largest prefix array the other scans build (n^(k-1) prefixes: the
-# dominance-pruned scan, the match-fixed budget and approach2's scan).  The
-# oracle builds one block at a time, so for it the limit bounds time, not
-# memory.  Over it as n^k, approach2 refuses a budget nothing fits; over it
-# as n^(k-1), approach2 walks at most this many pops and then refuses.
+# Largest lattice the exhaustive oracle scans (n^k cells; 161^3 is about 4.2M),
+# largest prefix array the other scans build (n^(k-1) prefixes: the
+# dominance-pruned scan and approach2's scan) and largest set of partials the
+# Pareto sweep builds (frontier x n).  The oracle builds one block at a time,
+# so for it the limit bounds time, not memory.  Over it as n^k, approach2
+# refuses a budget nothing fits; over it as n^(k-1), approach2 walks at most
+# this many pops and then refuses.
 MAX_ORACLE_CELLS = 5_000_000
 
 # Cells the exhaustive oracle builds a block: as many first indices as fit,
@@ -183,18 +188,18 @@ def count_within(prefix, col, limit):
     sign, so they never make one.
     """
     edges = np.concatenate(([np.nan], col, [np.nan]))
-    count = np.searchsorted(col, limit - prefix, side="right")
+    count = col.searchsorted(limit - prefix, side="right")
     rows, part, guess = None, prefix, count  # every prefix, then only those moved
     while True:
         below = edges.take(guess)  # col[guess - 1], NaN at guess 0
         above = edges[1:].take(guess)  # col[guess], NaN at guess n
         over = part + below > limit
         under = part + above <= limit
-        if not (over.any() or under.any()):
+        moved = (over | under).nonzero()[0]
+        if not moved.size:
             return count
-        guess[over] = np.searchsorted(col, below[over], side="left")
-        guess[under] = np.searchsorted(col, above[under], side="right")
-        moved = np.flatnonzero(over | under)
+        guess[over] = col.searchsorted(below[over], side="left")
+        guess[under] = col.searchsorted(above[under], side="right")
         rows = moved if rows is None else rows[moved]
         part, guess = part[moved], guess[moved]
         count[rows] = guess
@@ -216,31 +221,99 @@ def approach1_scan(cc, ec, budget):
     if not fits.any():
         row_min = energy_prefix + ec[n - 1, last]
         e = row_min.min()
-        p = int(np.argmax(row_min == e))
-        i = int(np.argmax(energy_prefix[p] + ec[:, last] == e))
+        p = int((row_min == e).argmax())
+        i = int((energy_prefix[p] + ec[:, last] == e).argmax())
         idx = (np.unravel_index(p, grid) if last else ()) + (i,)
         c = cost_energy(idx, cc, ec)[0]
         return np.array(idx, np.int64), float(c), float(e), infeasible, False
-    fits_grid = fits.reshape(grid)
+    # at k = 1 the one prefix is a grid of one cell on a dummy axis, since
+    # nonzero refuses a 0-d array; its coordinate is never read
+    fits_grid = fits.reshape(grid or (1,))
     minimal = fits_grid > 0
     for j in range(last):
         upper = (slice(None),) * j + (slice(1, None),)
         lower = (slice(None),) * j + (slice(None, -1),)
-        minimal[upper] &= fits_grid[upper] > fits_grid[lower]
-    cand = np.flatnonzero(minimal)
-    rows = n - fits[cand]
-    coords = np.unravel_index(cand, grid) if last else ()
-    cost = np.zeros(cand.size)
+        view = minimal[upper]
+        view &= fits_grid[upper] > fits_grid[lower]
+    coords = minimal.nonzero()
+    rows = n - fits_grid[minimal]
+    cost = np.zeros(rows.size)
     for j in range(last):
-        cost = cost + cc[coords[j], j]
-    cost = cost + cc[rows, last]
-    energy = energy_prefix[cand] + ec[rows, last]
+        cost = cost + cc[:, j].take(coords[j])
+    cost = cost + cc[:, last].take(rows)
+    energy = energy_prefix.reshape(fits_grid.shape)[minimal] + ec[:, last].take(rows)
     c = cost.min()
     tie = cost == c
     e = energy[tie].min()
-    pos = int(np.argmax(tie & (energy == e)))
-    idx = tuple(int(v[pos]) for v in coords) + (int(rows[pos]),)
-    return np.array(idx, np.int64), float(c), float(e), infeasible + cand.size, True
+    pos = int((tie & (energy == e)).argmax())
+    idx = tuple(int(v[pos]) for v in coords[:last]) + (int(rows[pos]),)
+    return np.array(idx, np.int64), float(c), float(e), infeasible + rows.size, True
+
+
+# ---------------------------------------------------------------------------
+# Pareto sweep over the leading levels: the dominance rule of the
+# multiple-choice knapsack (Sinha & Zoltners, Oper. Res. 27(3), 1979;
+# Pisinger, EJOR 83(2), 1995).
+#
+# A partial is the (cost, energy) of one choice of rates for levels 0..j,
+# each summed left to right from 0.0 as prefix_sums sums it.  Float addition
+# is monotone, so if partial a has no more cost and no more energy than
+# partial b, a's completion by any later rates has no more cost and energy
+# than b's by the same rates; and a partial whose cheapest completion (the
+# partial plus each later column's least cost, added in order) is over a cost
+# limit has no completion within it.  Dropping both kinds of partial, level by
+# level, therefore keeps, for every candidate within the limit, a partial whose
+# completion by the same later rates has no larger cost or energy: the least
+# energy within a cost limit is found from the frontier, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def extend_partials(partial, table, j):
+    """Every partial sum extended by each rate of level j of ``table``:
+    ``partial[p] + table[i, j]`` partial-major, as prefix_sums orders them.
+    Refuses to build more than MAX_ORACLE_CELLS sums, naming n, k and the
+    number of partials."""
+    n, k = table.shape
+    if partial.size * n > MAX_ORACLE_CELLS:
+        raise ValueError(f"Pareto sweep over n={n} rates and k={k} levels would extend a "
+                         f"frontier of {partial.size} partials to {partial.size * n}, more "
+                         f"than the {MAX_ORACLE_CELLS} allowed")
+    return (partial[:, None] + table[:, j]).ravel()
+
+
+def pareto_frontier(cc, ec, limit):
+    """The Pareto frontier of the partials over levels 0..k-3 whose cheapest
+    completion has cost <= ``limit``: (cost, energy) arrays, cost rising and
+    energy strictly falling.  At k <= 2 no level is summed, and it is the
+    empty choice (0.0, 0.0) whatever the limit.
+
+    Each level extends the frontier so far by every rate (``extend_partials``),
+    sorts by cost, then energy, and keeps the partials of strictly falling
+    energy whose cheapest completion is within the limit.  The bound rises
+    with the cost, so the partials over it come last in cost order and hide
+    no kept one's energy.  Float addition is monotone only where no sum is
+    NaN: the tables may hold infinities of one sign at most, as
+    ``count_within`` requires.
+    """
+    n, k = cc.shape
+    least = cc.min(axis=0)
+    # a partial is one complex number, cost + energy*1j: complex addition adds
+    # each part on its own, as the two float sums do, and numpy sorts complex
+    # numbers by real part, then imaginary part
+    table = np.empty((n, k), complex)
+    table.real, table.imag = cc, ec
+    part = np.zeros(1, complex)
+    for j in range(k - 2):
+        part = extend_partials(part, table, j)
+        part.sort()
+        bound = part.real
+        for m in range(j + 1, k):
+            bound = bound + least[m]
+        keep = bound <= limit
+        run = np.minimum.accumulate(part.imag)
+        keep[1:] &= run[1:] < run[:-1]  # energy under every earlier one's
+        part = part[keep]
+    return part.real, part.imag
 
 
 # ---------------------------------------------------------------------------

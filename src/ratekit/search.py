@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 from itertools import islice
 
-import numpy as np
-
 from . import _kernels
 from .energy import EnergyBudget
 from .tables import ProfitTables, WindowTotals, build_profit_tables
@@ -85,9 +83,9 @@ def exhaustive(totals: WindowTotals, budget: EnergyBudget) -> SynthesisResult:
 
 
 def _monotone_for_pruning(totals: WindowTotals) -> bool:
-    cc_ok = bool(np.all(np.diff(totals.cc_total, axis=0) >= 0.0))
-    ec_ok = bool(np.all(np.diff(totals.ec_by_level, axis=0) <= 0.0))
-    return cc_ok and ec_ok
+    # np.diff's subtraction: a repeated infinity differs by NaN, which fails both
+    cc, ec = totals.cc_total, totals.ec_by_level
+    return bool((cc[1:] - cc[:-1] >= 0.0).all() and (ec[1:] - ec[:-1] <= 0.0).all())
 
 
 def approach1(totals: WindowTotals, budget: EnergyBudget) -> SynthesisResult:

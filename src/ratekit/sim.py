@@ -103,7 +103,12 @@ class MatchFixedBudget:
 
     Each window, the budget becomes the minimum candidate energy among
     controllers whose predicted cost does not exceed the fixed reference
-    rate's predicted cost under the estimated pattern.
+    rate's predicted cost under the estimated pattern.  It is found from the
+    Pareto frontier of the first k-2 levels (``_kernels.pareto_frontier``),
+    extended by level k-2 and finished on the last level, so it never builds
+    the n^(k-1) prefixes; it equals the least energy over the whole lattice
+    bit for bit.  A sweep that would build more than MAX_ORACLE_CELLS
+    partials raises ValueError.
     """
 
     reference_h: float
@@ -114,16 +119,22 @@ class MatchFixedBudget:
         cc, ec = totals.cc_total, totals.ec_by_level
         k = cc.shape[1]
         fixed_cost = float(_kernels.cost_energy([iref] * k, cc, ec)[0])
+        cost, energy = _kernels.pareto_frontier(cc, ec, fixed_cost)
         # Order the last axis by cost: the indices within the fixed cost are
-        # then a leading run for every prefix, and since rounding is monotone
-        # the least prefix + ec over that run is prefix + the run's least ec.
-        # least[c] is that least ec over a run of c, +inf over none; the
-        # reference rates always fit, so the minimum is finite.
-        order = np.argsort(cc[:, k - 1], kind="stable")
-        within = _kernels.count_within(_kernels.prefix_sums(cc), cc[order, k - 1], fixed_cost)
-        least = np.minimum.accumulate(np.concatenate(([np.inf], ec[order, k - 1])))
-        energy = _kernels.prefix_sums(ec) + least.take(within)
-        return EnergyBudget(e_max=float(energy.min()), window=self.window)
+        # then a leading run for every partial, and since rounding is
+        # monotone the least partial + ec over that run is partial + the
+        # run's least ec.  least[c] is that least ec over a run of c, +inf
+        # over none; the reference rates fit unless their cost is NaN.  At
+        # k = 1 the frontier's one empty partial is the prefix.
+        order = cc[:, k - 1].argsort(kind="stable")
+        if k > 1:
+            cost = _kernels.extend_partials(cost, cc, k - 2)
+        within = _kernels.count_within(cost, cc[:, k - 1].take(order), fixed_cost)
+        if k > 1:  # extended after the count, so the two never hold memory at once
+            energy = _kernels.extend_partials(energy, ec, k - 2)
+        least = np.minimum.accumulate(np.concatenate(([np.inf], ec[:, k - 1].take(order))))
+        e_max = (energy + least.take(within)).min(initial=np.inf)
+        return EnergyBudget(e_max=float(e_max), window=self.window)
 
 
 # the encoder json.dumps(ev, separators=(",", ":")) builds, made once

@@ -365,8 +365,9 @@ def test_bench_cli(tmp_path, capsys):
 
 
 def test_prefix_scans_over_the_limit_exit_one(tmp_path, capsys):
-    # 50 rates x 5 levels: 50^4 prefixes, over the limit of the pruned scan and
-    # of the match-fixed budget rule
+    # 50 rates x 5 levels: 50^4 prefixes, over the limit of the pruned scan;
+    # battery's match-fixed budget sweeps a frontier and answers, and its
+    # approach1 then refuses
     plant = json.loads((CONFIG_DIR / "plant_dcservo.json").read_text())
     (tmp_path / "plant.json").write_text(json.dumps(plant))
     cfg = {"plant": "plant.json", "rates_ms": list(range(10, 60)),

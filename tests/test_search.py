@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratekit import _kernels
+from ratekit import _kernels, search
 from ratekit.bench import BenchCase, case_budget, synthetic_totals
 from ratekit.energy import EnergyBudget
 from ratekit.search import (MultiRateController, _walk, approach1, approach2,
@@ -91,18 +92,34 @@ def test_exhaustive_oracle_refuses_oversized_lattice():
 
 
 def test_prefix_scans_refuse_oversized_prefix_arrays():
-    # 50^4 prefixes: the pruned scan and the match-fixed budget refuse before
-    # building anything
+    # 50^4 prefixes: the pruned scan refuses before building anything.  The
+    # match-fixed budget sweeps a Pareto frontier instead and answers: rate i
+    # costs i + 1 and spends 50 - i at every level, so every candidate costs
+    # at most the 50 ms reference's 250 and the least energy is 5 x 1
     rates = RateSet(tuple(0.001 * (i + 1) for i in range(50)))
     cc = np.cumsum(np.ones((50, 5)), axis=0)
     ec = np.ascontiguousarray(cc[::-1])
     totals = WindowTotals(rates=rates, fractions=(0.2,) * 5, window=100.0, cc_total=cc,
                           ec_total=ec.sum(axis=1), ec_by_level=ec, phi_mj=1.0)
-    message = r"n=50 .*k=5 .*n\^\(k-1\) = 6250000"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=r"n=50 .*k=5 .*n\^\(k-1\) = 6250000"):
         approach1(totals, EnergyBudget(1.0, 100.0))
-    with pytest.raises(ValueError, match=message):
-        MatchFixedBudget(reference_h=0.05, window=100.0).budget_for(totals)
+    assert MatchFixedBudget(reference_h=0.05, window=100.0).budget_for(totals).e_max == 5.0
+
+
+def test_match_fixed_budget_refuses_a_frontier_over_the_limit():
+    # rate i costs i at level 0 and 200 i at level 1 and spends 1e9 minus
+    # that: the 200^2 level-0/1 sums are distinct integers on one falling
+    # line, so all 40,000 are on the frontier, and extending them by level 2
+    # would build 8,000,000 partials
+    n = 200
+    cc = np.outer(np.arange(n, dtype=float), [1.0, 200.0, 40_000.0, 8e6])
+    ec = 1e9 - cc
+    totals = WindowTotals(rates=RateSet(tuple(0.001 * (i + 1) for i in range(n))),
+                          fractions=(0.25,) * 4, window=100.0, cc_total=cc,
+                          ec_total=ec.sum(axis=1), ec_by_level=ec, phi_mj=1.0)
+    with pytest.raises(ValueError, match=r"n=200 .*k=4 .*frontier of 40000 partials "
+                                         r"to 8000000, more than the 5000000 allowed"):
+        MatchFixedBudget(reference_h=0.2, window=100.0).budget_for(totals)
 
 
 def test_count_within_matches_the_count_of_every_sum():
@@ -358,6 +375,61 @@ def test_approach1_downgrades_on_nonmonotone_tables(recwarn):
     ref = exhaustive(bad, budget)
     assert got.explored == ref.explored == 125
     assert got.predicted_cost == ref.predicted_cost
+
+
+@pytest.mark.parametrize("table, rows, value", [("cc", (3, 2), np.inf), ("cc", (0, 1), -np.inf),
+                                                ("ec", (0, 1), np.inf), ("ec", (3, 2), -np.inf)])
+def test_approach1_downgrades_on_a_repeated_infinity(table, rows, value):
+    """A column that repeats an infinity differs by inf - inf = NaN there, as
+    np.diff has it: neither rising nor falling, so approach1 warns and scans
+    exhaustively.  The same infinity once, at the end the order puts it,
+    keeps the column monotone."""
+    totals, _ = random_instance(np.random.default_rng(25), n=4)
+    tables = {"cc": totals.cc_total.copy(), "ec": totals.ec_by_level.copy()}
+    col = tables[table][:, 1]
+    with np.errstate(invalid="ignore"):
+        col[rows[0]] = value
+        once = dataclasses.replace(totals, cc_total=tables["cc"], ec_by_level=tables["ec"])
+        assert search._monotone_for_pruning(once)
+        col[rows[1]] = value
+        bad = dataclasses.replace(totals, cc_total=tables["cc"], ec_by_level=tables["ec"])
+        budget = EnergyBudget(1e6, totals.window)
+        with pytest.warns(UserWarning, match="not monotone"):
+            got = approach1(bad, budget)
+        ref = exhaustive(bad, budget)
+    assert got.explored == ref.explored == 4 ** 3
+    assert (got.controller, got.predicted_cost, got.predicted_energy, got.feasible) == \
+        (ref.controller, ref.predicted_cost, ref.predicted_energy, ref.feasible)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_approach1_equals_exhaustive_at_one_and_two_levels(k):
+    """At k = 1 (a 0-d prefix grid) and k = 2, on tables built to tie, at
+    budgets that tie a lattice energy, fall between them or fit nothing:
+    the exhaustive scan's cost and feasibility, and where nothing fits its
+    least-energy choice; every field of the loop reference, bit for bit."""
+    rng = np.random.default_rng(40 + k)
+    infeasible = 0
+    for _ in range(300):
+        totals, budget = tie_instance(rng, k)
+        least = float(totals.ec_by_level.min(axis=0).sum())
+        for b in (budget, EnergyBudget(0.5 * least, totals.window)):
+            got, ref = approach1(totals, b), exhaustive(totals, b)
+            assert got.feasible == ref.feasible
+            assert np.float64(got.predicted_cost).tobytes() == \
+                np.float64(ref.predicted_cost).tobytes()
+            if not ref.feasible:
+                infeasible += 1
+                assert got.controller == ref.controller
+                assert got.predicted_energy == ref.predicted_energy
+            idx, cost, energy, explored, ok = oracles._approach1_impl(
+                totals.cc_total, totals.ec_by_level, b.e_max)
+            assert got.controller.choice == tuple(int(v) for v in idx)
+            assert np.float64(got.predicted_cost).tobytes() == \
+                np.float64(float(cost) / totals.window).tobytes()
+            assert np.float64(got.predicted_energy).tobytes() == np.float64(energy).tobytes()
+            assert (got.explored, got.feasible) == (explored, ok)
+    assert infeasible >= 300
 
 
 def test_approach2_behaviour_on_random_instances():

@@ -17,10 +17,11 @@ from ratekit.sim import (MAX_SCENARIO_PIECES, MatchFixedBudget, NoiseScenario, S
                          SimulationTrace, Strategy, Window, _psd_sqrt, classify, loop_operands,
                          scenario_from_shares, simulate, window_events, window_items,
                          window_lines)
-from ratekit.tables import (LevelSpec, RateSet, WindowTotals, build_cost_table, design_all,
-                            totals_over_window)
+from ratekit.tables import (LevelSpec, RateSet, WindowTotals, build_cost_table,
+                            build_power_table, design_all, totals_over_window)
 
 import oracles
+from test_search import special_table
 from test_stacked import seeded_plant
 
 
@@ -270,6 +271,99 @@ def test_match_fixed_budget_equals_grid_formula(cost_table, power_table, hyper_p
         for h in set(rng.choice(totals.rates.periods, size=min(totals.n, 3))):
             got = MatchFixedBudget(reference_h=h, window=totals.window).budget_for(totals)
             assert got.e_max == grid_budget(totals, h)
+
+
+def budget_tables(rng, k, sizes=(16, 10, 7, 5, 4)):
+    """(cost, energy) tables for the budget rule at k levels, of fewer rates
+    than ``sizes[k - 1]``: one of the kinds ``special_table`` draws (ties, 0.1
+    steps, 2^53 absorption, -0.0, one sign of infinity, overflow) or a
+    non-monotone uniform draw, rounded half the time; energies positive, so
+    every budget the lattice gives is."""
+    n = int(rng.integers(1, sizes[k - 1]))
+    if rng.random() < 0.6:
+        cc = special_table(rng, n, k)
+        ec = 0.25 + np.abs(special_table(rng, n, k))
+    else:
+        cc, ec = rng.uniform(0.0, 1.0, (n, k)), rng.uniform(0.1, 1.0, (n, k))
+        if rng.random() < 0.5:
+            cc, ec = np.round(cc, 1), np.round(ec, 1)
+    return cc, ec
+
+
+def test_pareto_frontier_keeps_one_dominator_of_every_partial():
+    """``pareto_frontier`` against every partial over levels 0..k-3: costs
+    rise and energies strictly fall, no kept partial is dominated or over its
+    bound (itself plus each later column's least cost, added in order), and
+    every partial within its bound is matched or dominated by a kept one.  At
+    k <= 2 the frontier is the empty partial, whatever the limit."""
+    rng = np.random.default_rng(29)
+    dominated = bounded = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(600):
+            k = int(rng.integers(1, 6))
+            cc, ec = budget_tables(rng, k, sizes=(2, 2, 12, 9, 7))
+            n = cc.shape[0]
+            least = cc.min(axis=0)
+            limit = (np.inf, -np.inf, float(rng.choice(cc.ravel())),
+                     float(rng.uniform(-1.0, 2.0 * k)))[rng.integers(4)]
+            cost, energy = _kernels.pareto_frontier(cc, ec, limit)
+            kept = list(zip(cost.tolist(), energy.tolist()))
+            if k <= 2:
+                assert kept == [(0.0, 0.0)]
+                continue
+            assert all(c0 < c1 and e0 > e1 for (c0, e0), (c1, e1) in zip(kept, kept[1:]))
+            partials = []
+            for idx in itertools.product(range(n), repeat=k - 2):
+                c, e = _kernels.cost_energy(idx, cc, ec)
+                bound = c
+                for m in range(len(idx), k):
+                    bound += least[m]
+                if bound <= limit:
+                    partials.append((c, e))
+            bounded += len(partials) < n ** (k - 2)
+            dominated += len(kept) < len(set(partials))
+            for c, e in kept:
+                assert (c, e) in partials
+                assert not any(pc <= c and pe <= e and (pc, pe) != (c, e) for pc, pe in partials)
+            for pc, pe in partials:
+                assert any(c <= pc and e <= pe for c, e in kept)
+    assert dominated >= 100 and bounded >= 100
+
+
+def test_match_fixed_budget_equals_grid_at_every_reference():
+    """The frontier sweep against ``grid_budget`` at k = 1-5 and every
+    reference rate, on ``budget_tables``, bit for bit."""
+    rng = np.random.default_rng(30)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 6):
+            for _ in range(60):
+                cc, ec = budget_tables(rng, k)
+                n = cc.shape[0]
+                totals = WindowTotals(rates=RateSet(tuple(0.01 * (i + 1) for i in range(n))),
+                                      fractions=(1.0 / k,) * k, window=1.0, cc_total=cc,
+                                      ec_total=ec[:, 0].copy(), ec_by_level=ec, phi_mj=1.0)
+                for h in totals.rates.periods:
+                    got = MatchFixedBudget(reference_h=h, window=1.0).budget_for(totals).e_max
+                    assert got == grid_budget(totals, h), (cc, ec, h)
+
+
+def test_match_fixed_simulate_budgets_equal_the_grid(plant, case_study):
+    """A 5-level match-fixed run on six rates: every synthesis event's budget
+    is ``grid_budget`` of the totals of the pattern it records."""
+    rates = RateSet.from_milliseconds([10, 20, 30, 50, 70, 90])
+    levels = LevelSpec(thresholds=(0, 10, 30, 50, 75, 100), representative_r=(5, 20, 40, 60, 90))
+    controllers = design_all(plant, rates)
+    ct = build_cost_table(plant, rates, levels, controllers)
+    pt = build_power_table(rates, case_study.peak_power_mw)
+    scenario = scenario_from_shares((0.3, 0.2, 0.2, 0.2, 0.1), (5.0, 20.0, 40.0, 60.0, 90.0),
+                                    500.0, 5.0, seed=3)
+    tr = simulate(plant, ct, pt, levels, scenario, MatchFixedBudget(0.05, 100.0),
+                  Strategy.adaptive("approach1"), lam=0.05, seed=5, controllers=controllers)
+    syn = [ev for ev in tr.events if ev["type"] == "synthesis"]
+    assert len(syn) == 4
+    for ev in syn:
+        totals = totals_over_window(ct, pt, tuple(ev["pattern"]), 100.0)
+        assert ev["budget_j"] == grid_budget(totals, 0.05)
 
 
 def test_scenario_shorter_than_window_rejected(plant, cost_table, power_table,
