@@ -1,4 +1,5 @@
-"""Hot numeric kernels: lattice search scans and the closed-loop sample loop.
+"""Hot numeric kernels: lattice search scans, the profit walk and the
+closed-loop sample loop.
 
 The search scans are vectorized numpy.  The exhaustive oracle walks its
 n^k lattice a block of first indices at a time, so no path builds the whole
@@ -6,10 +7,10 @@ lattice; ``approach2_first`` finds the
 profit walk's answer from the n^(k-1) rank prefixes, and ``approach2_scan``
 adds the exact number of vectors the walk pops to reach it;
 ``ratekit.search.approach2`` uses the first for a budget nothing fits and the
-second for a walk still going after max(64, n^(k-1) // 32) pops, about what
-one scan costs (measured at ``cap =`` in ``ratekit.search``), so a cut walk
-costs about twice the cheaper of walk and scan at worst.  Both are checked
-against the uncut visited-set walk ``_approach2_impl`` in
+second for a walk still going after max(64, n^(k-1) // 32) pops, a third to
+a half of what one scan costs (measured at ``cap =`` in ``ratekit.search``),
+so a cut walk costs at most 3 to 5 times the cheaper of walk and scan.  Both
+are checked against the uncut visited-set walk ``_approach2_impl`` in
 ``tests/oracles.py``.  ``pareto_frontier`` keeps, of the (cost, energy)
 partials over the leading levels, only those no other partial dominates and
 whose cheapest completion is within a cost limit: the match-fixed budget
@@ -19,10 +20,16 @@ of the last level with ``count_within``: a ``searchsorted`` guess, checked
 in one pass against the column padded with NaN at each end (later passes
 check only the guesses that moved).  The pad is NaN because a NaN sum is neither over nor
 under any limit, so the ends need no clamp or mask; a +inf pad would never
-let a count of n settle at an infinite limit.  The inherently sequential
-simulation loop is straight-line code on Python floats, generated from the
+let a count of n settle at an infinite limit.
+
+Two kernels are inherently sequential, and each is straight-line code on
+Python floats generated from a few ints and compiled once per key
+(``compiled``).  The profit walk (``profit_walk``) is generated from the
+level count k by ``walk_source``, which refuses a walk of more than
+MAX_WALK_TERMS terms; it pops the keys of the generator ``_walk`` in
+``tests/oracles.py``, pop for pop.  The simulation loop is generated from the
 four ints (nx, ny, nu, k) by ``loop_source`` (which refuses a loop of more
-than MAX_LOOP_PRODUCTS products a sample) and compiled once per shape; its
+than MAX_LOOP_PRODUCTS products a sample); its
 operands become flat tuples once per run (``loop_operands``), and each window
 appends its samples to the trace's six columns and returns the new state
 (``window_loop``).
@@ -32,6 +39,7 @@ Each kernel matches a one-candidate (or one-sample) loop reference in
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import NamedTuple
 
@@ -184,8 +192,10 @@ def count_within(prefix, col, limit):
     ``prefix + inf <= inf`` as under, and the loop would never end.  A prefix
     with a NaN sum (a NaN prefix, or infinities of both signs) has no leading
     run to count: its count means nothing, though the loop still ends and the
-    other counts are exact.  The callers sum finite tables, or profits of one
-    sign, so they never make one.
+    other counts are exact.  The callers never make one: they sum window
+    totals, which refuse a NaN cell and a cost or energy table holding both
+    +inf and -inf (``tables.WindowTotals``), or profits, which are of one
+    sign.
     """
     edges = np.concatenate(([np.nan], col, [np.nan]))
     count = col.searchsorted(limit - prefix, side="right")
@@ -226,27 +236,26 @@ def approach1_scan(cc, ec, budget):
         idx = (np.unravel_index(p, grid) if last else ()) + (i,)
         c = cost_energy(idx, cc, ec)[0]
         return np.array(idx, np.int64), float(c), float(e), infeasible, False
-    # at k = 1 the one prefix is a grid of one cell on a dummy axis, since
-    # nonzero refuses a 0-d array; its coordinate is never read
-    fits_grid = fits.reshape(grid or (1,))
+    fits_grid = fits.reshape(grid)
     minimal = fits_grid > 0
     for j in range(last):
         upper = (slice(None),) * j + (slice(1, None),)
         lower = (slice(None),) * j + (slice(None, -1),)
         view = minimal[upper]
         view &= fits_grid[upper] > fits_grid[lower]
-    coords = minimal.nonzero()
-    rows = n - fits_grid[minimal]
+    flat = np.flatnonzero(minimal)  # the minimal prefixes, in C order
+    coords = np.unravel_index(flat, grid) if last else ()
+    rows = n - fits.take(flat)
     cost = np.zeros(rows.size)
     for j in range(last):
         cost = cost + cc[:, j].take(coords[j])
     cost = cost + cc[:, last].take(rows)
-    energy = energy_prefix.reshape(fits_grid.shape)[minimal] + ec[:, last].take(rows)
+    energy = energy_prefix.take(flat) + ec[:, last].take(rows)
     c = cost.min()
     tie = cost == c
     e = energy[tie].min()
     pos = int((tie & (energy == e)).argmax())
-    idx = tuple(int(v[pos]) for v in coords[:last]) + (int(rows[pos]),)
+    idx = tuple(int(v[pos]) for v in coords) + (int(rows[pos]),)
     return np.array(idx, np.int64), float(c), float(e), infeasible + rows.size, True
 
 
@@ -398,6 +407,124 @@ def approach2_scan(order, profit, cc, ec, limit):
 
 
 # ---------------------------------------------------------------------------
+# Generated kernels: source text written from a few ints, compiled once per
+# key and kept for the life of the process.
+# ---------------------------------------------------------------------------
+
+_COMPILED = {}  # (function name, key) -> the function compiled from source(*key)
+
+
+def compiled(name, source, key, namespace):
+    """The function ``name`` that the text ``source(*key)`` defines, with
+    ``namespace`` as its globals: compiled on first use, then read from
+    ``_COMPILED``."""
+    fn = _COMPILED.get((name, key))
+    if fn is None:
+        namespace = dict(namespace)
+        exec(compile(source(*key), f"<{name} {key}>", "exec"), namespace)
+        fn = _COMPILED[name, key] = namespace[name]
+    return fn
+
+
+CHUNK = 64  # the most terms one generated statement adds
+
+
+def _chain(target, start, terms):
+    """``target = start + t0 + t1 ...``, left to right, CHUNK terms a statement."""
+    return [f"{target} = {start if i == 0 else target}{''.join(terms[i:i + CHUNK])}"
+            for i in range(0, len(terms), CHUNK)]
+
+
+def _tup(*rows):
+    """A tuple display or target list of any length: "(a, b,)", "(a,)" or "()"."""
+    return "(" + "".join(f"{e}, " for row in rows for e in row).rstrip() + ")"
+
+
+# ---------------------------------------------------------------------------
+# The profit walk, generated once per level count k as straight-line code.
+#
+# The walk pops rank vectors of the profit-sorted tables as keys
+# (-collective profit, rank, last advanced level), in key order: a pop pushes
+# its successors one rank further along its last advanced level or a later
+# one, so every vector has one parent (itself with that level one rank back)
+# and is pushed once.  Each key's profit is summed fresh, left to right from
+# 0.0; float sums are monotone in their terms, so a child never out-ranks its
+# parent and pops follow key order.  Ranks are unique, so levels are never
+# compared.  Each popped vector's energy is summed level by level from 0.0
+# over the rank-ordered energies, as the lattice sums it.  Sums are written
+# CHUNK terms a statement, as the sample loop's are.
+# ---------------------------------------------------------------------------
+
+_WALK = """\
+def profit_walk(profit, energy, e_max, pops):
+    {p} = profit
+    {e} = energy
+    top = len(p0) - 1
+    pop, push = heappop, heappush
+    {first}
+    heap = [(-key, {zeros}, 0)]
+    for explored in range(1, min(pops, (top + 1) ** {k}) + 1):
+        _, rank, last = pop(heap)
+        {r} = rank
+        {step}
+    return None
+"""
+
+# Most terms the generated walk may sum: k**2 + 2k, the k profits of each of
+# the k successors a pop may push, of the first key and of a popped vector's
+# energy.  k = 222 sums 49,728; k = 223 would sum 50,175.
+MAX_WALK_TERMS = 50_000
+
+
+def walk_terms(k):
+    """The terms ``walk_source(k)`` sums: k**2 + 2k."""
+    return k * k + 2 * k
+
+
+def walk_source(k):
+    """The source of the profit walk over k levels: ``profit_walk(profit,
+    energy, e_max, pops)`` pops at most ``pops`` keys, and returns (explored,
+    rank) at the first vector whose energy is within ``e_max``, or None.
+    ``profit`` and ``energy`` are k lists of n floats each in rank order.
+    Refuses a k whose walk would sum more than MAX_WALK_TERMS terms before it
+    writes any text."""
+    if type(k) is not int or k < 1:
+        raise ValueError(f"walk_source: k must be an int of at least 1, got {k!r}")
+    terms = walk_terms(k)
+    if terms > MAX_WALK_TERMS:
+        raise ValueError(f"profit walk over k={k} levels would sum {terms} terms, more "
+                         f"than the {MAX_WALK_TERMS} allowed")
+    p, e, r = ([f"{name}{j}" for j in range(k)] for name in "per")
+    step = _chain("spent", "0.0", [f" + {e[j]}[{r[j]}]" for j in range(k)])
+    step += ["if spent <= e_max:", "    return explored, rank"]
+    for j in range(k):
+        succ = r[:j] + ["s"] + r[j + 1:]
+        push = [f"s = {r[j]} + 1",
+                *_chain("key", "0.0", [f" + {p[m]}[{succ[m]}]" for m in range(k)]),
+                f"push(heap, (-key, {_tup(succ)}, {j}))"]
+        # the last level is always advanced; an earlier one only from itself on
+        guard = f"if {r[j]} < top:" if j == k - 1 else f"if last <= {j} and {r[j]} < top:"
+        step += [guard, *("    " + line for line in push)]
+    return _WALK.format(
+        p=_tup(p), e=_tup(e), r=_tup(r), k=k, zeros=_tup(["0"] * k),
+        first="\n    ".join(_chain("key", "0.0", [f" + {pj}[0]" for pj in p])),
+        step="\n        ".join(step))
+
+
+_WALK_GLOBALS = {"heappop": heapq.heappop, "heappush": heapq.heappush}
+
+
+def profit_walk(profit, energy, e_max, pops):
+    """The profit walk over ``profit`` and ``energy``, each k lists of n
+    floats in rank order (level j's rank r at ``[j][r]``): (explored, rank)
+    at the first popped vector whose energy is within ``e_max``, or None
+    after ``pops`` pops or all n^k.  Runs ``walk_source(k)``, compiled on
+    first use (``compiled``)."""
+    walk = compiled("profit_walk", walk_source, (len(profit),), _WALK_GLOBALS)
+    return walk(profit, energy, e_max, pops)
+
+
+# ---------------------------------------------------------------------------
 # Closed-loop sample loop for one hyper-period window, generated once per
 # plant shape (nx, ny, nu) and level count k as straight-line code on local
 # floats.  Noise is consumed row-by-row from a pre-drawn buffer (plant noise
@@ -453,8 +580,6 @@ def loop_operands(*, phis, gammas, kgains, kfgains, cmat, chol_r1d, chol_r2, qds
     )
 
 
-CHUNK = 64  # the most terms one generated statement adds
-
 _LOOP = """\
 def window_loop(ops, mmap, state, window_end, noise, out):
     _, per_rate, {meas}, {bounds}, seg_bounds, seg_r, lam, phi_j = ops
@@ -484,12 +609,6 @@ def window_loop(ops, mmap, state, window_end, noise, out):
         {step}
     return LoopState(list({x}), list({xh}), r_hat, t, energy, cost), level_time
 """
-
-
-def _chain(target, start, terms):
-    """``target = start + t0 + t1 ...``, left to right, CHUNK terms a statement."""
-    return [f"{target} = {start if i == 0 else target}{''.join(terms[i:i + CHUNK])}"
-            for i in range(0, len(terms), CHUNK)]
 
 
 def _dot(sign, row, vec):
@@ -533,9 +652,6 @@ def loop_source(nx, ny, nu, k):
     def mat(name, rows, cols):
         return [vec(f"{name}{a}_", cols) for a in range(rows)]
 
-    def tup(*rows):  # a target list of any length: "(a, b,)", "(a,)" or "()"
-        return "(" + "".join(f"{e}, " for row in rows for e in row).rstrip() + ")"
-
     x, xh, v, n, u, z, innov = (vec(*a) for a in (("x", nx), ("xh", nx), ("v", nx), ("n", nx),
                                                    ("u", nu), ("z", nx + ny), ("i", ny)))
     c, d, s, f = mat("c", ny, nx), mat("d", ny, ny), mat("s", ny, ny), mat("f", nx, ny)
@@ -566,16 +682,16 @@ def loop_source(nx, ny, nu, k):
         step += _chain("acc", "0.0", _dot("+", p[a], x + u))
         step += _chain("wnoise", "0.0", _dot("+", w[a], z[:nx]))
         step += [f"{n[a]} = acc + sqrt_r * wnoise", *_chain(xh[a], "0.0", _dot("+", p[a], v + u))]
-    step += [f"{tup(x)} = {tup(n)}", "t += h"]
+    step += [f"{_tup(x)} = {_tup(n)}", "t += h"]
     return _LOOP.format(
-        meas=tup(*c, *d), bounds=tup(vec("b", k - 1)), x=tup(x), xh=tup(xh), k=k,
-        classify="\n".join(classify).replace("\n", "\n    "), z=tup(z),
+        meas=_tup(*c, *d), bounds=_tup(vec("b", k - 1)), x=_tup(x), xh=_tup(xh), k=k,
+        classify="\n".join(classify).replace("\n", "\n    "), z=_tup(z),
         noise_its=", ".join(["noise_it"] * (nx + ny)),
-        per_rate=tup(["h", "h_ms"], *p, *kk, *f, *w, *q, ["jbar"], *s),
+        per_rate=_tup(["h", "h_ms"], *p, *kk, *f, *w, *q, ["jbar"], *s),
         step="\n".join(step).replace("\n", "\n        "))
 
 
-_LOOPS = {}  # (nx, ny, nu, k) -> the compiled window loop of that shape
+_LOOP_GLOBALS = {"sqrt": math.sqrt, "inf": math.inf, "LoopState": LoopState}
 
 
 def window_loop(ops: LoopOperands, mmap, state: LoopState, window_end, noise, out):
@@ -584,13 +700,9 @@ def window_loop(ops: LoopOperands, mmap, state: LoopState, window_end, noise, ou
     Appends each sample to the six lists of ``out``, the trace's columns t,
     h_ms, r_hat, level (1-based), energy_j and cost_integral.  Returns the
     new state and the time spent at each level.  Runs
-    ``loop_source(*ops.shape)``, compiled on first use and kept in
-    ``_LOOPS``; math.sqrt and np.sqrt are both correctly rounded, so every
-    output matches the index-loop reference bit for bit.
+    ``loop_source(*ops.shape)``, compiled on first use (``compiled``);
+    math.sqrt and np.sqrt are both correctly rounded, so every output matches
+    the index-loop reference bit for bit.
     """
-    loop = _LOOPS.get(ops.shape)
-    if loop is None:
-        namespace = {"sqrt": math.sqrt, "inf": math.inf, "LoopState": LoopState}
-        exec(compile(loop_source(*ops.shape), f"<window_loop {ops.shape}>", "exec"), namespace)
-        loop = _LOOPS[ops.shape] = namespace["window_loop"]
+    loop = compiled("window_loop", loop_source, ops.shape, _LOOP_GLOBALS)
     return loop(ops, mmap, state, window_end, noise, out)

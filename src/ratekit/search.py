@@ -8,11 +8,11 @@ lexicographically smallest index vector.
 
 from __future__ import annotations
 
-import heapq
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import islice
+
+import numpy as np
 
 from . import _kernels
 from .energy import EnergyBudget
@@ -108,62 +108,32 @@ def approach1(totals: WindowTotals, budget: EnergyBudget) -> SynthesisResult:
     return _wrap(idx, cost, energy, explored, ok, totals, "approach1", t0)
 
 
-def _walk(profit: ProfitTables):
-    """Every rank vector of the profit-sorted tables as (-collective profit,
-    rank), in that key order; each profit is summed level by level from 0.0.
-    A pop advances only its last advanced level or a later one, so a vector's
-    one parent is itself with that level one rank back, each vector is pushed
-    once and only the heap frontier is kept; a parent's key is strictly
-    smaller than its child's, so pops follow key order."""
-    k, n = profit.order.shape
-    prof = profit.profit.tolist()
-    p0 = 0.0
-    for j in range(k):
-        p0 += prof[j][0]
-    # (-profit, rank, last advanced level): ranks are unique, levels never compared
-    heap = [(-p0, (0,) * k, 0)]
-    while heap:
-        negp, rank, last = heapq.heappop(heap)
-        yield negp, rank
-        for j in range(last, k):
-            r = rank[j]
-            if r + 1 < n:
-                succ = rank[:j] + (r + 1,) + rank[j + 1:]
-                # fresh left-to-right sum: float sums are monotone in
-                # their terms, so children never out-rank their parent
-                p = 0.0
-                for m in range(k):
-                    p += prof[m][succ[m]]
-                heapq.heappush(heap, (-p, succ, j))
-
-
 def approach2(profit: ProfitTables, totals: WindowTotals,
               budget: EnergyBudget) -> SynthesisResult:
     """Best-first walk of the profit-sorted tables.
 
-    Takes rank vectors from ``_walk`` (non-increasing collective profit, the
-    sum of per-level profits, ties to the smaller rank vector); the first
-    inside the budget wins, and explored counts the vectors taken.  The
-    kernels find the walk's answer from the n^(k-1) rank prefixes instead in
-    two cases.  On a budget nothing fits, where the walk would take all n^k
-    vectors and report the first of least energy,
-    ``_kernels.approach2_first`` answers without walking.  A walk still going
-    after max(64, n^(k-1) // 32) pops, about what one prefix scan costs (see
-    ``cap`` below), is cut and ``_kernels.approach2_scan`` answers with the
-    walk's exact pop count.  Where n^(k-1) is over the scans' size limit no
-    scan answers: a budget nothing fits raises ValueError before anything is
-    built, and a walk still going after MAX_ORACLE_CELLS pops raises
-    ValueError there, which also bounds its heap.
+    Pops rank vectors in key order (non-increasing collective profit, the
+    sum of per-level profits, ties to the smaller rank vector) with
+    ``_kernels.profit_walk``; the first inside the budget wins, and explored
+    counts the vectors popped.  The kernels find the walk's answer from the
+    n^(k-1) rank prefixes instead in two cases.  On a budget nothing fits,
+    where the walk would pop all n^k vectors and report the first of least
+    energy, ``_kernels.approach2_first`` answers without walking.  A walk
+    still going after max(64, n^(k-1) // 32) pops, a third to a half of what
+    one prefix scan costs (see ``cap`` below), is cut and
+    ``_kernels.approach2_scan`` answers with the walk's exact pop count.
+    Where n^(k-1) is over the scans' size limit no scan answers: a budget
+    nothing fits raises ValueError before anything is built, and a walk
+    still going after MAX_ORACLE_CELLS pops raises ValueError there, which
+    also bounds its heap.
     """
     e_max = _check_budget(totals, budget)
     t0 = time.perf_counter()
     k, n = profit.order.shape
-    # plain lists keep the loop free of numpy scalar overhead
-    order = profit.order.tolist()
-    cc = totals.cc_total.T.tolist()
-    ec = totals.ec_by_level.T.tolist()
+    # each level's energies in rank order, as plain lists for the walk
+    ranked_ec = totals.ec_by_level[profit.order, np.arange(k)[:, None]].tolist()
     least = 0.0  # summed in the walk's order: nothing fits exactly when it exceeds e_max
-    for col in ec:
+    for col in ranked_ec:
         least += min(col)
     if least > e_max:
         if n**k > _kernels.MAX_ORACLE_CELLS:
@@ -173,31 +143,26 @@ def approach2(profit: ProfitTables, totals: WindowTotals,
         idx, cost, energy = _kernels.approach2_first(
             profit.order, profit.profit, totals.cc_total, totals.ec_by_level, least)
         return _wrap(idx, cost, energy, n**k, False, totals, "approach2", t0)
-    # the most pops before the scan answers: about what one approach2_scan
-    # costs (rent or buy).  Measured on a 2-core x86-64 host (Python 3.11,
-    # numpy 2.4), each scan timed next to a walk, a pop costs 2.0-3.7 us and
-    # a scan, in ms (median) and in pops (quartiles):
-    #   17^3   0.10-0.16 (45-54)      32^3  0.19-0.21 (51-67)      80^3  0.31-0.51 (125-162)
-    #   160^3  2.7-2.8 (861-1021)     32^4  1.9 (516-600)          17^5  7.1-7.4 (1925-2283)
-    # so the cap is 0.8-1.6 scans, but 1.7-2.0 at 32^4: a cap of c scans
-    # costs at most 1 + max(c, 1/c) times the cheaper of walk and scan, about
-    # 3 at 32^4.  No n^(k-1) // d puts every size near one scan: d = 40 would
-    # take 32^4 to 1.4-1.6 scans and 160^3 down to 0.6-0.7.  A walk that
-    # something fits returns before its heap empties, so the cap may exceed
-    # n^k.
+    # the most pops before the scan answers (rent or buy).  Measured on a
+    # 2-core x86-64 host (Python 3.11, numpy 2.4), each scan timed next to a
+    # walk of cap pops, a pop costs 0.7-1.3 us and a scan, in ms (median)
+    # and in pops (quartiles, two runs):
+    #   17^3   0.13-0.14 (138-182)    32^3  0.15-0.18 (196-224)    80^3  0.44-0.45 (545-598)
+    #   160^3  2.3-2.4 (2720-3004)    32^4  2.3-2.4 (2141-2353)    17^5  7.4 (5678-5986)
+    # so the cap is 0.27-0.48 scans: a cap of c scans costs at most
+    # 1 + max(c, 1/c) times the cheaper of walk and scan, 3.1-4.7 here, with
+    # the worst just past the cap.  A walk that something fits returns
+    # before its heap empties, so the cap may exceed n^k.
     cap = max(64, n**(k - 1) // 32)
     # where n^(k-1) is over the limit no scan answers, and the walk is bounded
     unscanned = n**(k - 1) > _kernels.MAX_ORACLE_CELLS
     pops = _kernels.MAX_ORACLE_CELLS if unscanned else cap
-    for explored, (_, rank) in enumerate(islice(_walk(profit), pops), 1):
-        cost = energy = 0.0
-        for j in range(k):
-            i = order[j][rank[j]]
-            cost += cc[j][i]
-            energy += ec[j][i]
-        if energy <= e_max:
-            choice = tuple(order[j][rank[j]] for j in range(k))
-            return _wrap(choice, cost, energy, explored, True, totals, "approach2", t0)
+    found = _kernels.profit_walk(profit.profit.tolist(), ranked_ec, e_max, pops)
+    if found is not None:
+        explored, rank = found
+        choice = [level[r] for level, r in zip(profit.order.tolist(), rank)]
+        cost, energy = _kernels.cost_energy(choice, totals.cc_total, totals.ec_by_level)
+        return _wrap(choice, cost, energy, explored, True, totals, "approach2", t0)
     if unscanned:  # cut: the answer lies past the pops the walk made
         raise ValueError(f"approach2 over n={n} rates and k={k} levels stopped after "
                          f"{pops} pops, the most allowed where n^(k-1) = {n**(k - 1)} "

@@ -175,6 +175,11 @@ class PowerTable:
     phi_mj: float
 
 
+def _cell(mask) -> str:
+    """The first True cell of ``mask`` as "[i][j]"."""
+    return "".join(f"[{i}]" for i in np.argwhere(mask)[0])
+
+
 @dataclass
 class WindowTotals:
     """Cost/energy totals of every (rate, level) pair over one window.
@@ -195,12 +200,22 @@ class WindowTotals:
 
     def __post_init__(self):
         # the searches and the match-fixed budget count runs with
-        # _kernels.count_within, whose counts mean nothing at a NaN sum
+        # _kernels.count_within, whose counts mean nothing at a NaN sum: a
+        # NaN cell, or +inf and -inf in one table summed over levels (not
+        # ec_total).  A finite sum has neither NaN nor infinity, so only a
+        # non-finite one is looked into (numpy warns of a sum that
+        # overflows or is NaN)
         for name in ("cc_total", "ec_by_level", "ec_total"):
-            nan = np.isnan(getattr(self, name))
+            table = getattr(self, name)
+            if math.isfinite(table.sum()):
+                continue
+            nan = np.isnan(table)
             if nan.any():
-                cell = "".join(f"[{i}]" for i in np.argwhere(nan)[0])
-                raise ValueError(f"window totals undefined: {name}{cell} is NaN")
+                raise ValueError(f"window totals undefined: {name}{_cell(nan)} is NaN")
+            if name != "ec_total" and (table == math.inf).any() and (table == -math.inf).any():
+                raise ValueError(f"window totals undefined: {name}{_cell(table == math.inf)} "
+                                 f"is +inf and {name}{_cell(table == -math.inf)} is -inf, "
+                                 "so candidates may sum to NaN")
 
     @property
     def n(self) -> int:
@@ -296,8 +311,12 @@ def totals_over_window(ct: CostTable, pt: PowerTable, fractions, window: float) 
 
 
 def build_profit_tables(totals: WindowTotals) -> ProfitTables:
-    """Sort every level's rows by descending profit; ties to the longer period."""
-    n, k = totals.n, totals.k
+    """Sort every level's rows by descending profit; ties to the longer period.
+
+    One stable argsort orders every level by ascending profit, ties by
+    ascending rate index; read backwards, that is descending profit with
+    ties to the larger index, the longer period."""
+    k = totals.k
     if np.any(totals.cc_total <= 0.0):
         bad = np.argwhere(totals.cc_total <= 0.0)[0]
         raise ValueError(
@@ -306,18 +325,11 @@ def build_profit_tables(totals: WindowTotals) -> ProfitTables:
     if np.any(totals.ec_total <= 0.0):
         bad = int(np.argwhere(totals.ec_total <= 0.0)[0][0])
         raise ValueError(f"profit undefined: ECTotal[{bad}] is zero")
-    order = np.empty((k, n), dtype=np.int64)
-    profit = np.empty((k, n))
-    cc = np.empty((k, n))
-    ec = np.empty((k, n))
-    for j in range(k):
-        b = 1.0 / (totals.cc_total[:, j] * totals.ec_total)
-        idx = np.lexsort((-np.arange(n), -b))
-        order[j] = idx
-        profit[j] = b[idx]
-        cc[j] = totals.cc_total[idx, j]
-        ec[j] = totals.ec_total[idx]
-    return ProfitTables(order=order, profit=profit, cc=cc, ec=ec)
+    b = 1.0 / (totals.cc_total.T * totals.ec_total)  # (k, n): level j's profits in row j
+    order = np.argsort(b, axis=1, kind="stable")[:, ::-1]
+    levels = np.arange(k)[:, None]
+    return ProfitTables(order=order, profit=b[levels, order],
+                        cc=totals.cc_total[order, levels], ec=totals.ec_total[order])
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,12 @@ one-candidate-at-a-time loops
 ``_exhaustive_impl``, ``_approach1_impl`` and ``_window_loop_impl`` for the
 scans and the window loop of ``ratekit._kernels``; ``_approach2_impl``, the
 best-first walk that keeps a visited set of every rank vector it pushes and
-is never cut, for the one-parent walk ``ratekit.search._walk`` (the same
-emissions) and for ``ratekit.search.approach2`` and the prefix scans that
-answer its cut walks (the same result); and the per-rate
+is never cut, for the one-parent walk ``_walk`` (the same emissions) and
+for ``ratekit.search.approach2`` and the prefix scans that answer its cut
+walks (the same result); ``_walk``, the one-parent walk as a generator,
+for the walk that ``ratekit._kernels.walk_source`` generates (the same pops,
+key for key); ``_profit_tables_impl``, one ``lexsort`` a level, for
+``ratekit.tables.build_profit_tables``; and the per-rate
 design path (``discretize``, ``solve_dare``, ``solve_dlyap``, ``design``,
 ``_Loop`` and ``evaluate_costs``), one rate and one intensity at a time, for
 the stacked pass of ``ratekit.plant``, ``ratekit.riccati``, ``ratekit.lqg``
@@ -732,6 +735,54 @@ def _approach2_impl(profit: ProfitTables, totals: WindowTotals, budget: EnergyBu
     return _wrap(inf_idx, inf_cost, inf_energy, explored, False, totals,
                  "approach2", t0), emissions
 
+
+
+def _profit_tables_impl(totals: WindowTotals) -> ProfitTables:
+    """The profit tables sorted one level at a time: a ``lexsort`` on
+    (descending profit, descending rate index) per level, ties to the longer
+    period."""
+    n, k = totals.n, totals.k
+    order = np.empty((k, n), dtype=np.int64)
+    profit = np.empty((k, n))
+    cc = np.empty((k, n))
+    ec = np.empty((k, n))
+    for j in range(k):
+        b = 1.0 / (totals.cc_total[:, j] * totals.ec_total)
+        idx = np.lexsort((-np.arange(n), -b))
+        order[j] = idx
+        profit[j] = b[idx]
+        cc[j] = totals.cc_total[idx, j]
+        ec[j] = totals.ec_total[idx]
+    return ProfitTables(order=order, profit=profit, cc=cc, ec=ec)
+
+
+def _walk(profit: ProfitTables):
+    """Every rank vector of the profit-sorted tables as (-collective profit,
+    rank), in that key order; each profit is summed level by level from 0.0.
+    A pop advances only its last advanced level or a later one, so a vector's
+    one parent is itself with that level one rank back, each vector is pushed
+    once and only the heap frontier is kept; a parent's key is strictly
+    smaller than its child's, so pops follow key order."""
+    k, n = profit.order.shape
+    prof = profit.profit.tolist()
+    p0 = 0.0
+    for j in range(k):
+        p0 += prof[j][0]
+    # (-profit, rank, last advanced level): ranks are unique, levels never compared
+    heap = [(-p0, (0,) * k, 0)]
+    while heap:
+        negp, rank, last = heapq.heappop(heap)
+        yield negp, rank
+        for j in range(last, k):
+            r = rank[j]
+            if r + 1 < n:
+                succ = rank[:j] + (r + 1,) + rank[j + 1:]
+                # fresh left-to-right sum: float sums are monotone in
+                # their terms, so children never out-rank their parent
+                p = 0.0
+                for m in range(k):
+                    p += prof[m][succ[m]]
+                heapq.heappush(heap, (-p, succ, j))
 
 
 def _window_loop_impl(

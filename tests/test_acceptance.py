@@ -15,11 +15,11 @@ from ratekit.bench import BenchCase, case_budget, synthetic_totals
 from ratekit.energy import EnergyBudget
 from ratekit.lqg import closed_loop_matrix, evaluate_cost, lyapunov_residual
 from ratekit.riccati import spectral_radius
-from ratekit.search import _walk, approach1, approach2, exhaustive
+from ratekit.search import approach1, approach2, exhaustive
 from ratekit.sim import MatchFixedBudget, Strategy, scenario_from_shares, simulate
 from ratekit.tables import build_profit_tables, totals_over_window
 
-from oracles import mc_closed_loop_cost, members
+from oracles import _walk, mc_closed_loop_cost, members
 
 
 def report(num, elapsed, limit, detail):

@@ -1,4 +1,6 @@
 import dataclasses
+import heapq
+import re
 import time
 import tracemalloc
 import warnings
@@ -13,13 +15,14 @@ from hypothesis import strategies as st
 from ratekit import _kernels, search
 from ratekit.bench import BenchCase, case_budget, synthetic_totals
 from ratekit.energy import EnergyBudget
-from ratekit.search import (MultiRateController, _walk, approach1, approach2,
-                            candidate_cost_energy, exhaustive, synthesize)
+from ratekit.search import (MultiRateController, approach1, approach2, candidate_cost_energy,
+                            exhaustive, synthesize)
 from ratekit.sim import MatchFixedBudget
 from ratekit.tables import (RateSet, WindowTotals, build_profit_tables,
                             totals_over_window)
 
 import oracles
+from oracles import _walk
 
 
 def random_instance(rng, n=None, k=3):
@@ -539,6 +542,101 @@ def test_walk_yields_every_rank_vector_once_in_key_order():
         assert np.array_equal(got_ranks.reshape(-1, k), ranks)
         got_profits = np.fromiter((-negp for negp, _ in walk), np.float64)
         assert got_profits.tobytes() == profits.tobytes()
+
+
+def tie_instance_k(rng, k):
+    """Small-integer tables over k levels (1 to 6), so that profits and their
+    sums tie, with few enough rates that the whole walk stays short."""
+    n = int(rng.integers(1, (9, 9, 8, 6, 5, 4)[k - 1]))
+    cc = rng.integers(1, 4, size=(n, k)).astype(float)
+    ec = rng.integers(1, 4, size=(n, k)).astype(float)
+    return WindowTotals(rates=RateSet(tuple(0.01 * (i + 1) for i in range(n))),
+                        fractions=(1.0 / k,) * k, window=1.0, cc_total=cc,
+                        ec_total=ec.sum(axis=1), ec_by_level=ec, phi_mj=1.0)
+
+
+def recording_walk(k):
+    """``walk_source(k)`` compiled with a heappop that records every key it
+    pops: (the walk, the list of popped keys)."""
+    popped = []
+
+    def heappop(heap):
+        popped.append(heapq.heappop(heap))
+        return popped[-1]
+
+    namespace = {"heappop": heappop, "heappush": heapq.heappush}
+    exec(compile(_kernels.walk_source(k), "<recording walk>", "exec"), namespace)
+    return namespace["profit_walk"], popped
+
+
+def test_generated_walk_pops_as_the_reference_walk():
+    """The generated walk against ``oracles._walk``, pop for pop: the same
+    keys (profits bit for bit) and ranks over the whole walk, and at budgets
+    on, between and around the vectors' energies the same (explored, rank)
+    as the first reference pop within the budget, None when the pops run out
+    one short of it.  k = 1 to 6, on tie-heavy tables, on tables whose
+    profits overflow to inf and on bench tables."""
+    rng = np.random.default_rng(34)
+    cases = [tie_instance_k(rng, k) for k in range(1, 7) for _ in range(40)]
+    cases += [overflow_instance(rng)[0] for _ in range(60)]
+    cases += [synthetic_totals(BenchCase(n=n, k=k))
+              for n, k in ((1, 1), (9, 1), (9, 2), (17, 3), (32, 3), (17, 4), (7, 5), (5, 6))]
+    later = 0  # answers past the first pop
+    for totals in cases:
+        with np.errstate(over="ignore"):
+            prof = build_profit_tables(totals)
+        k, n = prof.order.shape
+        ref = list(_walk(prof))
+        walk, popped = recording_walk(k)
+        profit = prof.profit.tolist()
+        energy = [totals.ec_by_level[prof.order[j], j].tolist() for j in range(k)]
+        assert walk(profit, energy, -np.inf, n ** k + 1) is None
+        assert [(negp.hex(), rank) for negp, rank, _ in popped] \
+            == [(negp.hex(), rank) for negp, rank in ref]
+        spent = [rank_energy(energy, rank) for _, rank in ref]
+        levels = sorted(set(spent))
+        budgets = [levels[0] - 1.0, np.inf, *rng.choice(levels, min(5, len(levels))),
+                   *(0.5 * (a + b) for a, b in zip(levels[:3], levels[1:4]))]
+        for e_max in budgets:
+            first = next(m for m, e in enumerate(spent, 1) if e <= e_max) \
+                if e_max >= levels[0] else None
+            want = None if first is None else (first, ref[first - 1][1])
+            assert _kernels.profit_walk(profit, energy, e_max, n ** k) == want
+            if first is not None:
+                assert walk(profit, energy, e_max, first) == want
+                assert walk(profit, energy, e_max, first - 1) is None
+                later += first > 1
+    assert later >= 300
+
+
+def rank_energy(energy, rank):
+    """A rank vector's energy, summed level by level from 0.0."""
+    e = 0.0
+    for j, r in enumerate(rank):
+        e += energy[j][r]
+    return e
+
+
+def test_walk_source_refuses_a_walk_over_the_term_limit(monkeypatch):
+    """k = 222 sums 49,728 terms and compiles; k = 223 would sum 50,175 and is
+    refused before any text is written, by approach2 too."""
+    assert _kernels.walk_terms(222) <= _kernels.MAX_WALK_TERMS < _kernels.walk_terms(223)
+    for k in (1, 2, 3, 7, 70):
+        source = _kernels.walk_source(k)
+        assert len(re.findall(r"\b[pe][0-9]+\[", source)) == _kernels.walk_terms(k)
+    compile(_kernels.walk_source(222), "<walk 222>", "exec")
+    monkeypatch.setattr(_kernels, "_chain", lambda *a: pytest.fail("walk text written"))
+    with pytest.raises(ValueError, match=r"k=223 levels would sum 50175 terms, more than "
+                                         r"the 50000 allowed"):
+        _kernels.walk_source(223)
+    ones = np.ones((1, 223))
+    totals = WindowTotals(rates=RateSet((0.01,)), fractions=(1 / 223,) * 223, window=1.0,
+                          cc_total=ones, ec_total=ones[:, 0], ec_by_level=ones, phi_mj=1.0)
+    with pytest.raises(ValueError, match=r"k=223 levels would sum 50175 terms"):
+        approach2(build_profit_tables(totals), totals, EnergyBudget(223.0, 1.0))
+    for k in (0, -1, 3.0, True, np.int64(3)):
+        with pytest.raises(ValueError, match="k must be an int of at least 1"):
+            _kernels.walk_source(k)
 
 
 def test_approach2_walk_matches_visited_set_reference():

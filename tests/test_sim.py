@@ -697,16 +697,16 @@ def test_window_loop_matches_reference_at_level_counts(k):
 def test_loop_compiled_once_per_shape(plant, cost_table, power_table, levels, controllers,
                                       low_scenario, short_budget, monkeypatch):
     shape = (plant.nx, plant.ny, plant.nu, levels.k)
-    monkeypatch.delitem(_kernels._LOOPS, shape, raising=False)
+    monkeypatch.delitem(_kernels._COMPILED, ("window_loop", shape), raising=False)
     sources = []
     source = _kernels.loop_source
     monkeypatch.setattr(_kernels, "loop_source", lambda *a: sources.append(a) or source(*a))
     run_sim(plant, cost_table, power_table, levels, low_scenario, short_budget,
             Strategy.adaptive("approach1"), controllers)
-    size = len(_kernels._LOOPS)
+    size = len(_kernels._COMPILED)
     run_sim(plant, cost_table, power_table, levels, low_scenario, short_budget,
             Strategy.fixed(0.05), controllers)
-    assert len(_kernels._LOOPS) == size and sources == [shape]
+    assert len(_kernels._COMPILED) == size and sources == [shape]
 
 
 def binop_depth(node) -> int:
@@ -716,9 +716,10 @@ def binop_depth(node) -> int:
 
 
 def test_generated_loop_nests_at_most_one_chunk():
-    # nx = 70: the innovation sums 142 terms and the stage cost 72^2
-    tree = ast.parse(_kernels.loop_source(70, 2, 2, 3))
-    assert _kernels.CHUNK <= binop_depth(tree) <= _kernels.CHUNK + 4
+    # nx = 70: the innovation sums 142 terms and the stage cost 72^2; the
+    # profit walk over k = 70 levels sums 70 terms a key
+    for source in (_kernels.loop_source(70, 2, 2, 3), _kernels.walk_source(70)):
+        assert _kernels.CHUNK <= binop_depth(ast.parse(source)) <= _kernels.CHUNK + 4
 
 
 @pytest.mark.parametrize("shape", [(True, 1, 1, 3), (2, 1.0, 1, 3), (2, 1, "1", 3),

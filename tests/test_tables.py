@@ -17,6 +17,7 @@ from ratekit.tables import (CostTable, LevelSpec, PowerTable, RateSet, WindowTot
                             build_profit_tables, design_all, load_tables, save_tables,
                             totals_over_window)
 
+import oracles
 from oracles import floor_cycles
 
 
@@ -165,6 +166,33 @@ def test_profit_tie_breaks_to_longer_period():
     profit = build_profit_tables(tot)
     assert profit.profit[0, 0] == profit.profit[0, 1]
     assert profit.order[0, 0] == 1  # longer period first on ties
+
+
+def test_profit_tables_equal_the_per_level_lexsort():
+    """One argsort for every level against one lexsort a level, bit for bit
+    in all four tables: small-integer tables full of ties, tables whose
+    profits overflow to inf or round to 0, 0.1-step tables and the bundled
+    tables."""
+    rng = np.random.default_rng(35)
+    cases = []
+    for _ in range(400):
+        n, k = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+        cc = rng.integers(1, 4, size=(n, k)).astype(float)
+        ec = rng.integers(1, 4, size=(n, k)).astype(float)
+        cc, ec = ((cc * 1e-170, ec * 1e-139), (cc * 1e170, ec * 1e139), (cc, ec),
+                  (cc * 0.1, ec * 0.1))[rng.integers(4)]
+        cases.append(WindowTotals(rates=RateSet(tuple(0.01 * (i + 1) for i in range(n))),
+                                  fractions=(1.0 / k,) * k, window=1.0, cc_total=cc,
+                                  ec_total=ec.sum(axis=1), ec_by_level=ec, phi_mj=1.0))
+    ties = 0
+    with np.errstate(over="ignore"):
+        for totals in cases:
+            got, ref = build_profit_tables(totals), oracles._profit_tables_impl(totals)
+            for name in ("order", "profit", "cc", "ec"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            ties += any(len(set(row)) < len(row) for row in got.profit.tolist())
+    assert ties >= 200
 
 
 def test_profit_rejects_zero_entries(cost_table, power_table, hyper_period):
@@ -442,6 +470,34 @@ def test_window_totals_refuse_a_nan_cell(name, cells, shown):
         bad[cell] = math.nan
     with pytest.raises(ValueError, match=re.escape(f"window totals undefined: {shown} is NaN")):
         dataclasses.replace(totals, **{name: bad})
+
+
+@pytest.mark.parametrize("name, plus, minus", [
+    ("cc_total", (0, 1), (2, 0)),
+    ("cc_total", (1, 1), (1, 0)),
+    ("ec_by_level", (2, 1), (0, 0)),
+], ids=["cc_total", "cc_total_one_rate", "ec_by_level"])
+def test_window_totals_refuse_infinities_of_both_signs(name, plus, minus):
+    """+inf at one level and -inf at another would sum to NaN: refused,
+    naming both cells.  One sign of infinity, the same sign twice, or
+    finite cells whose sum overflows are taken."""
+    totals = nan_free_totals()
+    bad = getattr(totals, name).copy()
+    bad[plus], bad[minus] = math.inf, -math.inf
+    # the check's own sum is NaN or overflows here, and numpy warns of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"window totals undefined: {name}[{plus[0]}][{plus[1]}] is +inf and "
+                f"{name}[{minus[0]}][{minus[1]}] is -inf")):
+            dataclasses.replace(totals, **{name: bad})
+        for value in (math.inf, -math.inf):
+            one_sign = getattr(totals, name).copy()
+            one_sign[plus] = one_sign[minus] = value
+            dataclasses.replace(totals, **{name: one_sign})
+        both = totals.ec_total.copy()
+        both[0], both[1] = math.inf, -math.inf  # not summed over levels
+        dataclasses.replace(totals, ec_total=both)
+        dataclasses.replace(totals, cc_total=np.full_like(totals.cc_total, 1e308))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
