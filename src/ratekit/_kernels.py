@@ -7,20 +7,20 @@ lattice; ``approach2_first`` finds the
 profit walk's answer from the n^(k-1) rank prefixes, and ``approach2_scan``
 adds the exact number of vectors the walk pops to reach it;
 ``ratekit.search.approach2`` uses the first for a budget nothing fits and the
-second for a walk still going after max(64, n^(k-1) // 32) pops, a third to
-a half of what one scan costs (measured at ``cap =`` in ``ratekit.search``),
-so a cut walk costs at most 3 to 5 times the cheaper of walk and scan.  Both
+second for a walk still going after max(64, n^(k-1) // 32) pops, from a
+third of what one scan costs to one scan (measured at ``cap =`` in
+``ratekit.search``), so a cut walk costs at most 2 to 4.5 times the cheaper of
+walk and scan.  Both
 are checked against the uncut visited-set walk ``_approach2_impl`` in
 ``tests/oracles.py``.  ``pareto_frontier`` keeps, of the (cost, energy)
 partials over the leading levels, only those no other partial dominates and
 whose cheapest completion is within a cost limit: the match-fixed budget
 sweeps it instead of the n^(k-1) prefixes.  Every prefix scan, and that
-sweep, counts, per prefix, a leading run
-of the last level with ``count_within``: a ``searchsorted`` guess, checked
-in one pass against the column padded with NaN at each end (later passes
-check only the guesses that moved).  The pad is NaN because a NaN sum is neither over nor
-under any limit, so the ends need no clamp or mask; a +inf pad would never
-let a count of n settle at an infinite limit.
+sweep, counts, per prefix, a leading run of the last level with
+``count_within``.  Float addition is monotone, so a column entry c admits
+exactly the prefixes p <= T(c), where T(c) is the largest float with
+fl(T + c) <= limit: ``thresholds`` finds the n thresholds exactly, and one
+``searchsorted`` against them counts every prefix.
 
 Two kernels are inherently sequential, and each is straight-line code on
 Python floats generated from a few ints and compiled once per key
@@ -176,43 +176,71 @@ def prefix_sums(table):
     return _grid_sum(table, k - 1, 0, n).ravel()
 
 
+_MAX = float(np.finfo(np.float64).max)
+
+
+def thresholds(col, limit):
+    """Per entry c of ``col``, the threshold T(c): the largest float with
+    fl(T + c) <= ``limit``, or -inf where none has (c = +inf, limit under
+    +inf).  ``limit`` must not be NaN.  Float addition is monotone, so c
+    admits exactly the floats p <= T(c), of those whose sum with c is not NaN.
+
+    A sum rounds to the limit or below up to the real bound limit + h, where
+    h is half the ulp above the limit, so T is the largest float under
+    x = limit + h - c (or on it, where that tie rounds down).  The guess
+    limit - c, plus the TwoSum error of that subtraction, plus h, is x
+    rounded once: T is the guess or the float below it, and the exact
+    predicate picks.  At a limit of -inf the bound is that of a sum rounding
+    to -inf, -MAX - 2^970; at +inf, T is +inf, or MAX at c = -inf.  Where c
+    is infinite or limit - c overflows, the TwoSum error is NaN, and so it
+    is where a step of TwoSum rounds past MAX (c or the limit at ±MAX): the
+    guess is then limit - c alone, still T or the float above it, with -inf
+    raised to -MAX so that the predicate picks between -MAX and -inf.
+
+    The loop runs on Python floats, numpy's IEEE doubles without its
+    floating-point warnings, at about 0.2 us an entry: on a 2-core x86-64
+    host 3.5 us at n = 17 against 8.9 us for the same steps as a dozen numpy
+    calls, and 30 against 11 us at n = 161, where the search over the
+    n^(k-1) prefixes costs far more.
+    """
+    limit = float(limit)
+    if limit == math.inf:
+        return np.where(col == -math.inf, _MAX, math.inf)
+    if limit == -math.inf:
+        lim, half = -_MAX, -2.0**970
+    else:
+        lim = limit
+        half = (math.nextafter(limit, math.inf) - limit) / 2 if limit < _MAX else 2.0**970
+    edge = []
+    for c in col.tolist():
+        guess = lim - c
+        back = guess - lim  # TwoSum: guess + err is lim - c exactly
+        err = (lim - (guess - back)) - (c + back)
+        if err == err:
+            guess += err + half
+        if guess < -_MAX:
+            guess = -_MAX
+        edge.append(guess if guess + c <= limit else math.nextafter(guess, -math.inf))
+    return np.array(edge)
+
+
 def count_within(prefix, col, limit):
     """Per prefix, the number of indices i with ``prefix + col[i] <= limit``.
 
-    ``col`` must be non-decreasing, so float addition keeps the predicate true
-    on a leading run of indices.  ``searchsorted`` on ``limit - prefix`` only
-    guesses the count, because the subtraction rounds differently from the
-    sum; the guess then moves by whole runs of equal values until the exact
-    predicate agrees on both sides of it.  One pass checks every prefix; each
-    later pass checks only the prefixes the last one moved, as a count the
-    check accepts never moves again.  Both sides are read from ``col``
-    padded with NaN at each end, so a count of 0 or n needs no clamp and no
-    mask: a NaN sum compares false, neither over nor under the limit.  The
-    pad must be NaN: with +inf, a count of n at ``limit = +inf`` would read
-    ``prefix + inf <= inf`` as under, and the loop would never end.  A prefix
-    with a NaN sum (a NaN prefix, or infinities of both signs) has no leading
-    run to count: its count means nothing, though the loop still ends and the
-    other counts are exact.  The callers never make one: they sum window
-    totals, which refuse a NaN cell and a cost or energy table holding both
-    +inf and -inf (``tables.WindowTotals``), or profits, which are of one
-    sign.
+    ``col`` must be non-decreasing, so each prefix is within on a leading
+    run of indices: those whose threshold (``thresholds``) is at or above it.
+    The thresholds never rise along ``col``, so one ``searchsorted`` against
+    them in reverse counts every prefix.  (At a limit of +inf a -inf entry's
+    threshold, MAX, is under the others' +inf, but every prefix whose sum
+    with it is not NaN is at most MAX, and counts n.)  A prefix with a NaN
+    sum (a NaN prefix, or infinities of both signs) has no leading run to
+    count: its count means nothing, and the other counts are exact.  The
+    callers never make one: they sum window totals, which refuse a NaN cell
+    and a cost or energy table holding both +inf and -inf
+    (``tables.WindowTotals``), or profits, which are of one sign.
     """
-    edges = np.concatenate(([np.nan], col, [np.nan]))
-    count = col.searchsorted(limit - prefix, side="right")
-    rows, part, guess = None, prefix, count  # every prefix, then only those moved
-    while True:
-        below = edges.take(guess)  # col[guess - 1], NaN at guess 0
-        above = edges[1:].take(guess)  # col[guess], NaN at guess n
-        over = part + below > limit
-        under = part + above <= limit
-        moved = (over | under).nonzero()[0]
-        if not moved.size:
-            return count
-        guess[over] = col.searchsorted(below[over], side="left")
-        guess[under] = col.searchsorted(above[under], side="right")
-        rows = moved if rows is None else rows[moved]
-        part, guess = part[moved], guess[moved]
-        count[rows] = guess
+    count = thresholds(col[::-1], limit).searchsorted(prefix)  # thresholds under each prefix
+    return np.subtract(col.size, count, out=count)
 
 
 def approach1_scan(cc, ec, budget):
@@ -225,8 +253,7 @@ def approach1_scan(cc, ec, budget):
     last = k - 1
     grid = (n,) * last
     energy_prefix = prefix_sums(ec)
-    tail = np.ascontiguousarray(ec[::-1, last])
-    fits = count_within(energy_prefix, tail, budget)
+    fits = count_within(energy_prefix, ec[::-1, last], budget)
     infeasible = n * fits.size - int(fits.sum())
     if not fits.any():
         row_min = energy_prefix + ec[n - 1, last]
@@ -394,10 +421,9 @@ def approach2_scan(order, profit, cc, ec, limit):
     the prefixes before the answer's and those after it: one pass in all)."""
     p, r, best, profit_prefix = _first_within(order, profit, ec, limit)
     # negated profits may overflow to -inf in the sums, as the walk's do; at
-    # an infinite P* the guess inside count_within subtracts -inf from -inf
-    # where a prefix's profit is infinite too, and its exact fix-up counts
-    # that prefix whole
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an infinite P* the limit is -inf, and a prefix whose profit is infinite
+    # too sums to -inf with every entry: its count is whole
+    with np.errstate(over="ignore"):  # the float under -P* may be -inf
         neg_prefix, neg = -profit_prefix, -profit[-1]
         # ties count in earlier prefixes, only greater profits in later ones
         ahead = int(count_within(neg_prefix[:p], neg, -best).sum())

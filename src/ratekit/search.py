@@ -119,8 +119,8 @@ def approach2(profit: ProfitTables, totals: WindowTotals,
     n^(k-1) rank prefixes instead in two cases.  On a budget nothing fits,
     where the walk would pop all n^k vectors and report the first of least
     energy, ``_kernels.approach2_first`` answers without walking.  A walk
-    still going after max(64, n^(k-1) // 32) pops, a third to a half of what
-    one prefix scan costs (see ``cap`` below), is cut and
+    still going after max(64, n^(k-1) // 32) pops, from a third of what one
+    prefix scan costs to one scan (see ``cap`` below), is cut and
     ``_kernels.approach2_scan`` answers with the walk's exact pop count.
     Where n^(k-1) is over the scans' size limit no scan answers: a budget
     nothing fits raises ValueError before anything is built, and a walk
@@ -145,12 +145,13 @@ def approach2(profit: ProfitTables, totals: WindowTotals,
         return _wrap(idx, cost, energy, n**k, False, totals, "approach2", t0)
     # the most pops before the scan answers (rent or buy).  Measured on a
     # 2-core x86-64 host (Python 3.11, numpy 2.4), each scan timed next to a
-    # walk of cap pops, a pop costs 0.7-1.3 us and a scan, in ms (median)
-    # and in pops (quartiles, two runs):
-    #   17^3   0.13-0.14 (138-182)    32^3  0.15-0.18 (196-224)    80^3  0.44-0.45 (545-598)
-    #   160^3  2.3-2.4 (2720-3004)    32^4  2.3-2.4 (2141-2353)    17^5  7.4 (5678-5986)
-    # so the cap is 0.27-0.48 scans: a cap of c scans costs at most
-    # 1 + max(c, 1/c) times the cheaper of walk and scan, 3.1-4.7 here, with
+    # walk of cap pops, a pop costs 0.4-1.1 us and a scan, in ms (medians)
+    # and in pops (median over median; four runs, the host's speed swinging
+    # 1.8x between them):
+    #   17^3   0.06-0.11 (127-149)    32^3  0.08-0.14 (177-221)    80^3  0.19-0.31 (445-554)
+    #   160^3  0.8-1.4 (1717-2195)    32^4  0.5-0.9 (1045-1072)    17^5  2.3-3.4 (3142-3624)
+    # so the cap is 0.29-0.98 scans: a cap of c scans costs at most
+    # 1 + max(c, 1/c) times the cheaper of walk and scan, 2.0-4.5 here, with
     # the worst just past the cap.  A walk that something fits returns
     # before its heap empties, so the cap may exceed n^k.
     cap = max(64, n**(k - 1) // 32)

@@ -200,10 +200,11 @@ class WindowTotals:
 
     def __post_init__(self):
         # the searches and the match-fixed budget count runs with
-        # _kernels.count_within, whose counts mean nothing at a NaN sum: a
-        # NaN cell, or +inf and -inf in one table summed over levels (not
-        # ec_total).  A finite sum has neither NaN nor infinity, so only a
-        # non-finite one is looked into (numpy warns of a sum that
+        # _kernels.count_within: an entry admits the sums up to its threshold,
+        # which holds because float addition is monotone, but not where a sum
+        # is NaN: a NaN cell, or +inf and -inf in one table summed over levels
+        # (not ec_total).  A finite sum has neither NaN nor infinity, so only
+        # a non-finite one is looked into (numpy warns of a sum that
         # overflows or is NaN)
         for name in ("cc_total", "ec_by_level", "ec_total"):
             table = getattr(self, name)

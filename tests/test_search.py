@@ -18,8 +18,8 @@ from ratekit.energy import EnergyBudget
 from ratekit.search import (MultiRateController, approach1, approach2, candidate_cost_energy,
                             exhaustive, synthesize)
 from ratekit.sim import MatchFixedBudget
-from ratekit.tables import (RateSet, WindowTotals, build_profit_tables,
-                            totals_over_window)
+from ratekit.tables import (LevelSpec, RateSet, WindowTotals, build_cost_table,
+                            build_profit_tables, totals_over_window)
 
 import oracles
 from oracles import _walk
@@ -160,6 +160,127 @@ def test_count_within_matches_the_count_of_every_sum():
             got = _kernels.count_within(prefix, col, limit)
             want = (sums <= limit).sum(axis=1)
         assert got[ordered].tolist() == want[ordered].tolist(), (prefix, col, limit)
+
+
+def test_thresholds_are_exact():
+    """Every threshold T of an entry c is exact: fl(T + c) <= limit, and the
+    float above T sums over the limit, wherever the sum is not NaN (NaN only
+    at c = +inf under a limit below +inf, where no float is within and T is
+    -inf).  Columns of 0.1 steps (ties that round), mixed magnitudes 2^-60 to
+    2^60 of both signs, and values at and near ±MAX (limit - c overflows, and
+    so do TwoSum's own steps at ±MAX), with ±inf entries of one sign; limits
+    on a sum of two entries and one float step either side of it, 0.1 steps,
+    ±MAX, an even float next to -MAX, and ±inf.  The thresholds of a sorted
+    column never rise, but at a limit of +inf."""
+    big = np.finfo(np.float64).max
+    huge = (big, big / 2, big / 3, 2.0**1023, 1.5 * 2.0**971, 3 * 2.0**970, 2.0**970, 1.0)
+    rng = np.random.default_rng(32)
+    for _ in range(20_000):
+        n = int(rng.integers(1, 9))
+        kind = rng.integers(3)
+        if kind == 0:
+            col = rng.integers(-6, 10, n) * 0.1
+        elif kind == 1:
+            col = rng.standard_normal(n) * 2.0 ** rng.integers(-60, 61, n)
+        else:
+            col = rng.choice(huge, n) * rng.choice((1.0, -1.0), n)
+        col[rng.random(n) < 0.2] = rng.choice((np.inf, -np.inf))
+        col.sort()
+        with np.errstate(over="ignore", invalid="ignore"):
+            on = float(rng.choice(col) + rng.choice(col))
+            on = 0.0 if np.isnan(on) else on
+            limit = (on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf),
+                     float(rng.integers(-8, 12)) * 0.1, big, -big, -(big - 2.0**971),
+                     np.inf, -np.inf)[rng.integers(9)]
+        t = _kernels.thresholds(col, limit)
+        with np.errstate(over="ignore", invalid="ignore"):
+            at = t + col
+            up = np.nextafter(t, np.inf)
+            above = up + col
+        nan = np.isnan(at)
+        assert ((at <= limit) | nan).all(), (col, limit, t)
+        assert (t[nan] == -np.inf).all() and (col[nan] == np.inf).all(), (col, limit, t)
+        assert not (above <= limit)[up != t].any(), (col, limit, t)
+        assert limit == np.inf or (t[1:] <= t[:-1]).all(), (col, limit, t)
+
+
+def brute_count(prefix, col, limit):
+    """``(prefix[:, None] + col <= limit).sum(1)``, 4,096 prefixes at a time."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate([(prefix[lo:lo + 4096, None] + col <= limit).sum(axis=1)
+                               for lo in range(0, prefix.size, 4096)] or [np.zeros(0, int)])
+
+
+def test_count_within_matches_brute_force_on_what_its_callers_pass(
+        monkeypatch, plant, rates, controllers, power_table):
+    """Every ``count_within`` call, full size, against the sum of every
+    prefix with every column entry: approach1's energy prefixes and
+    approach2's scans on the bundled 17^5 tables and the synthetic 32^4 and
+    160^3 ones at an infeasible, a tight, a mid and a loose budget, the
+    match-fixed budget's extended cost partials on each, and approach2's
+    negated profit prefixes on overflowing tables, with -inf sums and an
+    infinite P* (a limit of -inf)."""
+    calls = {}
+    count = _kernels.count_within
+
+    def checked(prefix, col, limit):
+        got = count(prefix, col, limit)
+        assert got.tolist() == brute_count(prefix, col, limit).tolist(), (phase, limit)
+        calls.setdefault(phase, []).append((prefix.size, limit, bool((prefix == -np.inf).any())))
+        return got
+
+    monkeypatch.setattr(_kernels, "count_within", checked)
+    levels = LevelSpec(thresholds=(0.0, 10.0, 30.0, 50.0, 75.0, 100.0),
+                       representative_r=(5.0, 20.0, 40.0, 60.0, 90.0))
+    bundled = totals_over_window(build_cost_table(plant, rates, levels, controllers=controllers),
+                                 power_table, (0.5, 0.2, 0.1, 0.1, 0.1), 100.0)
+    for totals in (bundled, synthetic_totals(BenchCase(n=32, k=4)),
+                   synthetic_totals(BenchCase(n=160, k=3))):
+        e_min, e_max = float(totals.ec_by_level[-1].sum()), float(totals.ec_by_level[0].sum())
+        prof = build_profit_tables(totals)
+        for e in (0.5 * e_min, e_min + 1e-3 * (e_max - e_min), e_min + 0.4 * (e_max - e_min),
+                  e_max * (1.0 + 1e-9)):
+            budget = EnergyBudget(e, totals.window)
+            phase = "approach1"
+            approach1(totals, budget)
+            phase = "approach2"
+            approach2(prof, totals, budget)
+        phase = "budget_for"
+        MatchFixedBudget(reference_h=totals.rates.periods[totals.n // 2],
+                         window=totals.window).budget_for(totals)
+    phase = "overflow"
+    rng = np.random.default_rng(33)
+    for _ in range(150):
+        totals, budget = overflow_instance(rng)
+        with np.errstate(over="ignore"):
+            prof = build_profit_tables(totals)
+        approach2(prof, totals, budget)
+    assert max(size for size, _, _ in calls["approach1"]) == 17**4
+    assert max(size for size, _, _ in calls["approach2"]) == 17**4
+    # a cut walk's scan splits the prefixes at the answer's
+    assert min(size for size, _, _ in calls["approach2"]) < 160**2
+    assert len(calls["budget_for"]) == 3
+    assert any(limit == -np.inf for _, limit, _ in calls["overflow"])
+    assert any(neg_inf for _, _, neg_inf in calls["overflow"])
+
+
+def test_count_within_allocates_little_beyond_its_output():
+    """On the 83,521 prefixes of a 17^5 table the traced peak is at most
+    twice the output's bytes plus 64 kB: the n thresholds and the counts,
+    nothing else the size of the prefixes."""
+    case = BenchCase(n=17, k=5)
+    totals = synthetic_totals(case)
+    ec = totals.ec_by_level
+    prefix, col = _kernels.prefix_sums(ec), np.ascontiguousarray(ec[::-1, 4])
+    budget = case_budget(case, totals).e_max
+    tracemalloc.start()
+    try:
+        got = _kernels.count_within(prefix, col, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.size == 17**4 and got.min() < got.max()
+    assert peak <= 2 * got.nbytes + 64 * 1024, peak
 
 
 def test_approach2_refuses_a_hopeless_walk_over_the_limit():
