@@ -17,8 +17,8 @@ import numpy as np
 
 from .energy import EnergyBudget
 from .search import ALGORITHMS, synthesize
-from .tables import (ConfigError, CostTable, PowerTable, RateSet, WindowTotals, json_field,
-                     json_list, json_number, read_json, totals_over_window)
+from .tables import (ConfigError, CostTable, PowerTable, RateSet, WindowTotals, check_pattern,
+                     json_field, json_list, json_number, read_json, totals_over_window)
 
 # high-noise-dominant workload, the pattern of a 3-level case without
 # fractions: the dominant-share level also carries the dominant cost scale,
@@ -46,9 +46,12 @@ class BenchCase:
         fr = self.fractions
         if fr is not None and not fr:
             raise ValueError("fractions must not be empty")
-        if fr and (len(fr) != self.k or min(fr) <= 0.0 or not abs(sum(fr) - 1.0) <= 1e-12):
+        try:
+            if fr and min(check_pattern(fr, self.k, "fractions")) <= 0.0:
+                raise ConfigError("a share is zero")
+        except ConfigError:
             raise ValueError(f"fractions must be k = {self.k} positive shares summing to 1, "
-                             f"got {list(fr)}")
+                             f"got {list(fr)}") from None
 
 
 # numeric case field -> its kind

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import DiscreteStack, PlantModel, discretize
-from .riccati import DesignError, _t, dlyap_residual, solve_dare, solve_dlyap, spectral_radius
+from .riccati import (DesignError, _gain, _t, dlyap_residual, solve_dare, solve_dlyap,
+                      spectral_radius)
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,7 @@ def _design_pass(plant: PlantModel, periods: tuple) -> LqgController:
     # the control and the filter equation, solved in one pass
     (p_ctrl, res_ctrl), (p_pred, res_filt) = solve_dare((d.Phi, d.Gamma, q1d, q2d, q12),
                                                         (_t(d.Phi), c.T, d.R1d, plant.R2))
-    k = np.linalg.solve(q2d + _t(d.Gamma) @ p_ctrl @ d.Gamma,
-                        _t(d.Gamma) @ p_ctrl @ d.Phi + _t(q12))
+    _, k = _gain(p_ctrl, d.Phi, d.Gamma, q2d, q12)
     s_innov = c @ p_pred @ c.T + plant.R2
     try:
         kf = _t(np.linalg.solve(_t(s_innov), _t(p_pred @ c.T)))

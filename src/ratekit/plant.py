@@ -68,6 +68,10 @@ def _check_symmetric_psd(mat: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be positive semidefinite (min eig {eigmin:.3e})")
 
 
+# PlantModel's fields, in the order they are converted and checked
+_MATRICES = ("A", "B", "C", "D", "Rc", "R2", "Qxu")
+
+
 @dataclass(frozen=True)
 class PlantModel:
     """Continuous-time LTI plant driven by white process noise.
@@ -87,13 +91,8 @@ class PlantModel:
     Qxu: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _as_matrix(self.A, "A"))
-        object.__setattr__(self, "B", _as_matrix(self.B, "B"))
-        object.__setattr__(self, "C", _as_matrix(self.C, "C"))
-        object.__setattr__(self, "D", _as_matrix(self.D, "D"))
-        object.__setattr__(self, "Rc", _as_matrix(self.Rc, "Rc"))
-        object.__setattr__(self, "R2", _as_matrix(self.R2, "R2"))
-        object.__setattr__(self, "Qxu", _as_matrix(self.Qxu, "Qxu"))
+        for name in _MATRICES:
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), name))
         nx, nu = self.B.shape
         ny = self.C.shape[0]
         if self.A.shape != (nx, nx):
@@ -113,7 +112,7 @@ class PlantModel:
         # additionally requires an invertible innovation covariance.
         _check_symmetric_psd(self.R2, "R2")
         _check_symmetric_psd(self.Qxu, "Qxu")
-        for name in ("A", "B", "C", "D", "Rc", "R2", "Qxu"):
+        for name in _MATRICES:
             getattr(self, name).setflags(write=False)
 
     @property
@@ -137,11 +136,10 @@ def load_plant(source) -> PlantModel:
     """
     from .tables import json_list  # tables imports this module
 
-    names = ("A", "B", "C", "D", "Rc", "R2", "Qxu")
-    missing = [k for k in names if k not in source]
+    missing = [k for k in _MATRICES if k not in source]
     if missing:
         raise ValueError(f"plant document missing keys: {', '.join(missing)}")
-    return PlantModel(**{k: json_list(source[k], f"plant.{k}", json_list) for k in names})
+    return PlantModel(**{k: json_list(source[k], f"plant.{k}", json_list) for k in _MATRICES})
 
 
 def _pade13(x: np.ndarray, x2: np.ndarray, x4: np.ndarray, x6: np.ndarray) -> np.ndarray:

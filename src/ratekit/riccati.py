@@ -4,12 +4,16 @@ Dependency-free iterations chosen so every solution can be certified by its
 fixed-point residual.  Every function takes stacks ``(..., n, n)`` and
 solves all members in one pass; a 2-D input is a stack of one, and
 ``solve_dare`` takes several problems of one state size into the same pass.
-Members iterate together, and each is retired at the step its own change
-falls below TOL, so it takes exactly the iterations it would take alone and
-ends with the same bits.
+Every iteration (Riccati doubling, the Riccati fixed-point map for singular
+weights, Lyapunov squaring) is one step function run by one driver,
+``_iterate``: members step together, and each is retired at the step its own
+relative Frobenius change falls below TOL, so it takes exactly the
+iterations it would take alone and ends with the same bits.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +42,11 @@ def _stacks(*mats):
                   for m in mats]
 
 
+def _rows(mats, index):
+    """The members ``index`` of every stack (None stays None)."""
+    return [None if m is None else m[index] for m in mats]
+
+
 def _fro(mat: np.ndarray) -> np.ndarray:
     """Frobenius norm of each member, summed by the same ddot as np.linalg.norm
     on one 2-D member, so a stacked iteration stops at the step a lone one does."""
@@ -55,6 +64,38 @@ def spectral_radius(mat: np.ndarray):
     return float(rho) if np.ndim(rho) == 0 else rho
 
 
+def _iterate(step, state, max_iter):
+    """Run ``state = step(*state)`` on stacks whose last entry is the iterate,
+    retiring each member (from every entry) at the step the relative Frobenius
+    change of its iterate falls below TOL.  Returns every member's last
+    iterate and a mask of the members that had not converged in max_iter steps."""
+    last = np.empty_like(state[-1])
+    live = np.arange(len(last))  # member index of each row of the iterates
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            if not live.size:
+                break
+            new = step(*state)
+            done = _fro(new[-1] - state[-1]) / np.maximum(1.0, _fro(new[-1])) < TOL
+            state = new
+            if done.any():
+                last[live[done]] = state[-1][done]
+                live, state = live[~done], _rows(state, ~done)
+    last[live] = state[-1]
+    stuck = np.zeros(len(last), dtype=bool)
+    stuck[live] = True
+    return last, stuck
+
+
+def _gain(P, A, B, R, S):
+    """B'PA + S' and the Riccati gain (R + B'PB)^{-1}(B'PA + S') of every member."""
+    btp = _t(B) @ P
+    rhs = btp @ A
+    if S is not None:
+        rhs = rhs + _t(S)
+    return rhs, np.linalg.solve(R + btp @ B, rhs)
+
+
 def solve_dare(*problems):
     """Stabilizing solutions of P = A'PA - (A'PB+S)(R+B'PB)^{-1}(B'PA+S') + Q,
     one ``(P, residual)`` pair per problem, where each residual holds the
@@ -64,10 +105,13 @@ def solve_dare(*problems):
     Each problem is a tuple ``(A, B, Q, R)`` or ``(A, B, Q, R, S)`` of
     stacks; all problems have the same state size.  The members of every
     problem iterate together in one structured doubling loop, after reducing
-    away the cross term; members with a singular R take the fixed-point map.
+    away the cross term; a problem's members with a singular R take the
+    fixed-point map, stacked, before that loop.
     Raises DesignError on non-convergence: the error of the first problem,
-    in order, that fails when solved alone, which reports the residual of
-    its first member that failed.
+    in order, that fails when solved alone.  Within one problem, a breakdown
+    or divergence is raised at the first step where any member hits it (the
+    fixed-point members' steps come first); otherwise the residual of its
+    first member, in order, that failed is reported.
     """
     try:
         return _solve_dares(problems)
@@ -82,40 +126,42 @@ def solve_dare(*problems):
 
 
 def _solve_dares(problems):
-    """solve_dare's pass: each problem's fixed-point members, then every
-    problem's doubling members in one loop; raises the first error it meets."""
+    """solve_dare's pass: each problem's fixed-point members, every problem's
+    doubling members in one loop, then each problem's residuals; raises the
+    first error it meets."""
     parts, starts = [], []
     for problem in problems:
-        lead, (A, B, Q, R, S) = _stacks(*(*problem, None)[:5])  # S defaults to None
-        P = np.empty((A.shape[0],) + A.shape[-2:])
-        res = np.empty(A.shape[0])
+        lead, ops = _stacks(*(*problem, None)[:5])  # S defaults to None
+        Q, R = ops[2:4]
+        P = np.empty((len(Q),) + Q.shape[-2:])
+        stuck = np.zeros(len(Q), dtype=bool)
         # singular noise/input weight: the doubling transform needs R^{-1},
         # but the fixed-point map only needs R + B'PB invertible
         singular = np.linalg.eigvalsh(0.5 * (R + _t(R))).min(axis=-1) <= 0.0
-        for i in np.flatnonzero(singular):
-            P[i], res[i] = _dare_fixed_point(A[i], B[i], Q[i], R[i], None if S is None else S[i])
         doubling = np.flatnonzero(~singular)
-        ops = (A, B, Q, R, S)
         if singular.any():
-            ops = [None if m is None else m[doubling] for m in ops]
+            fixed = _rows(ops, singular)
+            P[singular], stuck[singular] = _iterate(
+                _fixed_point_step, (*fixed, 0.5 * (fixed[2] + _t(fixed[2]))), DARE_MAX_ITER)
         if doubling.size:
-            starts.append(_dare_start(*ops))
-        parts.append((lead, P, res, doubling, ops))
+            starts.append(_dare_start(*(_rows(ops, doubling) if singular.any() else ops)))
+        parts.append((lead, ops, P, stuck, doubling))
     if starts:
-        p_all, stuck = _dare_doubling(*(np.concatenate(x) for x in zip(*starts)))
-    end = 0
-    for lead, P, res, doubling, ops in parts:
+        p_all, stuck_all = _iterate(partial(_doubling_step, np.eye(starts[0][0].shape[-1])),
+                                    [np.concatenate(x) for x in zip(*starts)], DARE_MAX_ITER)
+    out, end = [], 0
+    for lead, ops, P, stuck, doubling in parts:
         if doubling.size:
             rows = slice(end, end + doubling.size)
             end = rows.stop
-            P[doubling] = p_all[rows]
-            res[doubling] = dare_residual(p_all[rows], *ops)
-            failed = stuck[rows] | ~np.isfinite(res[doubling])
-            if failed.any():
-                raise DesignError("Riccati iteration did not converge; "
-                                  f"residual {res[doubling][np.argmax(failed)]:.3e}")
-    return [(P.reshape(lead + P.shape[-2:]), _unstack(res, lead))
-            for lead, P, res, _, _ in parts]
+            P[doubling], stuck[doubling] = p_all[rows], stuck_all[rows]
+        res = dare_residual(P, *ops)
+        failed = stuck | ~np.isfinite(res)
+        if failed.any():
+            raise DesignError("Riccati iteration did not converge; "
+                              f"residual {res[np.argmax(failed)]:.3e}")
+        out.append((P.reshape(lead + P.shape[-2:]), _unstack(res, lead)))
+    return out
 
 
 def _dare_start(A, B, Q, R, S):
@@ -129,105 +175,55 @@ def _dare_start(A, B, Q, R, S):
     return a1, B @ np.linalg.solve(R, _t(B)), 0.5 * (q1 + _t(q1))
 
 
-def _dare_doubling(ak, gk, hk):
-    """Structured doubling from the start (a, g, h): every member's solution,
-    and a mask of the members that did not converge within DARE_MAX_ITER."""
-    eye = np.eye(ak.shape[-1])
-    P = np.empty_like(hk)
-    live = np.arange(len(hk))  # member index of each row of the iterates
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(DARE_MAX_ITER):
-            if not live.size:
-                break
-            try:
-                w = eye + gk @ hk
-                wa = np.linalg.solve(w, ak)
-                wg = np.linalg.solve(w, gk)
-            except np.linalg.LinAlgError as exc:
-                raise DesignError(f"doubling iteration broke down: {exc}") from exc
-            anew = ak @ wa
-            gnew = gk + ak @ wg @ _t(ak)
-            hnew = hk + _t(ak) @ hk @ wa
-            gnew = 0.5 * (gnew + _t(gnew))
-            hnew = 0.5 * (hnew + _t(hnew))
-            if not np.all(np.isfinite(hnew)):
-                raise DesignError("doubling iteration diverged (non-finite iterate); "
-                                  "system may be unstabilizable/undetectable")
-            delta = _fro(hnew - hk) / np.maximum(1.0, _fro(hnew))
-            ak, gk, hk = anew, gnew, hnew
-            done = delta < TOL
-            if done.any():
-                P[live[done]] = hk[done]
-                live, ak, gk, hk = live[~done], ak[~done], gk[~done], hk[~done]
-    P[live] = hk
-    stuck = np.zeros(len(P), dtype=bool)
-    stuck[live] = True
-    return P, stuck
+def _doubling_step(eye, a, g, h):
+    """One structured doubling step of the iterates (a, g, h)."""
+    try:
+        w = eye + g @ h
+        wa = np.linalg.solve(w, a)
+        wg = np.linalg.solve(w, g)
+    except np.linalg.LinAlgError as exc:
+        raise DesignError(f"doubling iteration broke down: {exc}") from exc
+    gnew = g + a @ wg @ _t(a)
+    hnew = h + _t(a) @ h @ wa
+    hnew = 0.5 * (hnew + _t(hnew))
+    if not np.all(np.isfinite(hnew)):
+        raise DesignError("doubling iteration diverged (non-finite iterate); "
+                          "system may be unstabilizable/undetectable")
+    return a @ wa, 0.5 * (gnew + _t(gnew)), hnew
 
 
-def _dare_fixed_point(A, B, Q, R, S):
-    p = 0.5 * (Q + Q.T)
-    for _ in range(DARE_MAX_ITER):
-        btp = B.T @ p
-        m = R + btp @ B
-        rhs = btp @ A
-        if S is not None:
-            rhs = rhs + S.T
-        try:
-            k = np.linalg.solve(m, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise DesignError(f"fixed-point iteration broke down: {exc}") from exc
-        pnew = A.T @ p @ A - rhs.T @ k + Q
-        pnew = 0.5 * (pnew + pnew.T)
-        if not np.all(np.isfinite(pnew)):
-            raise DesignError("fixed-point iteration diverged (non-finite iterate)")
-        delta = np.linalg.norm(pnew - p, "fro") / max(1.0, np.linalg.norm(pnew, "fro"))
-        p = pnew
-        if delta < TOL:
-            res = dare_residual(p, A, B, Q, R, S)
-            if np.isfinite(res):
-                return p, res
-            break
-    res = dare_residual(p, A, B, Q, R, S)
-    raise DesignError(f"Riccati iteration did not converge; residual {res:.3e}")
+def _fixed_point_step(A, B, Q, R, S, p):
+    """One step of the Riccati map P -> A'PA - (B'PA + S')'K + Q."""
+    try:
+        rhs, k = _gain(p, A, B, R, S)
+    except np.linalg.LinAlgError as exc:
+        raise DesignError(f"fixed-point iteration broke down: {exc}") from exc
+    pnew = _t(A) @ p @ A - _t(rhs) @ k + Q
+    pnew = 0.5 * (pnew + _t(pnew))
+    if not np.all(np.isfinite(pnew)):
+        raise DesignError("fixed-point iteration diverged (non-finite iterate)")
+    return A, B, Q, R, S, pnew
 
 
 def dare_residual(P, A, B, Q, R, S=None):
     """Frobenius norm of P minus its Riccati fixed-point map, per member."""
     lead, (P, A, B, Q, R, S) = _stacks(P, A, B, Q, R, S)
-    btp = _t(B) @ P
-    m = R + btp @ B
-    rhs = btp @ A
-    if S is not None:
-        rhs = rhs + _t(S)
-    k = np.linalg.solve(m, rhs)
-    f = _t(A) @ P @ A - _t(rhs) @ k + Q
-    return _unstack(_fro(P - f), lead)
+    rhs, k = _gain(P, A, B, R, S)
+    return _unstack(_fro(P - (_t(A) @ P @ A - _t(rhs) @ k + Q)), lead)
+
+
+def _squaring_step(a, z):
+    """One Lyapunov squaring step: (A^2, Z + A Z A').  A non-finite iterate
+    has a NaN change, so its member runs out its steps unconverged."""
+    znew = z + a @ z @ _t(a)
+    return a @ a, 0.5 * (znew + _t(znew))
 
 
 def solve_dlyap(A, W):
     """Solution of Z = A Z A' + W by squaring (requires spectral radius < 1)."""
     lead, (A, W) = _stacks(A, W)
-    zk = 0.5 * (W + _t(W))
-    ak = A.copy()
-    Z = np.empty_like(zk)
-    live = np.arange(len(zk))  # member index of each row of the iterates
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(DLYAP_MAX_ITER):
-            if not live.size:
-                break
-            znew = zk + ak @ zk @ _t(ak)
-            znew = 0.5 * (znew + _t(znew))
-            anew = ak @ ak
-            delta = _fro(znew - zk) / np.maximum(1.0, _fro(znew))
-            zk, ak = znew, anew
-            done = delta < TOL
-            if done.any():
-                Z[live[done]] = zk[done]
-                live, zk, ak = live[~done], zk[~done], ak[~done]
-            if not np.all(np.isfinite(zk)):
-                break
-    if live.size:
+    Z, stuck = _iterate(_squaring_step, (A, 0.5 * (W + _t(W))), DLYAP_MAX_ITER)
+    if stuck.any():
         raise DesignError("Lyapunov iteration did not converge (closed loop unstable?)")
     return Z.reshape(lead + Z.shape[-2:])
 

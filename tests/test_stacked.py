@@ -106,19 +106,21 @@ def test_stacked_design_and_cost_table_bit_identical(case, levels):
 
 
 def test_zero_measurement_noise_takes_the_fixed_point_branch(levels):
-    # R2 = 0: the filter Riccati equation has a singular weight
+    # R2 = 0: the filter Riccati equation has a singular weight at every rate,
+    # so all of them iterate the fixed-point map as one stack
     plant = dcservo(R2=[[0.0]])
-    rates = RateSet.from_milliseconds(range(10, 91, 20))
-    got = outcome(lambda: design_all(plant, rates))
-    ref = outcome(lambda: [oracles.design(plant, h) for h in rates.periods])
-    if isinstance(ref, tuple):
-        assert got == ref
-        return
-    for ctrl, r in zip(oracles.members(got), ref, strict=True):
-        assert_same_controller(ctrl, r)
-    assert np.array_equal(build_cost_table(plant, rates, levels, controllers=got).entries,
-                          [oracles.evaluate_costs(plant, r, levels.representative_r)
-                           for r in ref])
+    for step_ms in (20, 5):  # 5 rates, and the 17 bundled ones
+        rates = RateSet.from_milliseconds(range(10, 91, step_ms))
+        got = outcome(lambda: design_all(plant, rates))
+        ref = outcome(lambda: [oracles.design(plant, h) for h in rates.periods])
+        if isinstance(ref, tuple):
+            assert got == ref
+            continue
+        for ctrl, r in zip(oracles.members(got), ref, strict=True):
+            assert_same_controller(ctrl, r)
+        assert np.array_equal(build_cost_table(plant, rates, levels, controllers=got).entries,
+                              [oracles.evaluate_costs(plant, r, levels.representative_r)
+                               for r in ref])
 
 
 @pytest.mark.parametrize("plant, periods", [
@@ -187,6 +189,37 @@ def test_stacked_riccati_mixes_doubling_and_fixed_point_members():
     [(p, _)] = solve_dare((a, b, q, r))
     for i in range(6):
         assert np.array_equal(p[i], oracles.solve_dare(a[i], b[i], q[i], r[i]))
+
+
+@pytest.mark.parametrize("failure", ["breakdown", "divergence", "residual"])
+def test_stacked_fixed_point_members_fail_like_lone_solves(failure):
+    a, b, q, r, _ = random_systems(26, 6)
+    r[:] = 0.0  # every member takes the fixed-point map
+    failing, keep = [2, 4], [0, 1, 3, 5]
+    for i, scale in zip(failing, (1.0, 2.0)):
+        if failure == "breakdown":  # R + B'PB = 0 at the first step
+            b[i] = 0.0
+        else:  # a mode no input reaches: P overflows at the second step, or grows without end
+            a[i] = np.diag([1e100 if failure == "divergence" else 1.0, 0.5, 0.2])
+            b[i], q[i] = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], scale * np.eye(3)
+    inputs = [m.copy() for m in (a, b, q, r)]
+    got = outcome(lambda: solve_dare((a, b, q, r)))
+    lone = [outcome(lambda: solve_dare((a[i], b[i], q[i], r[i]))) for i in failing]
+    expected = {"breakdown": "fixed-point iteration broke down",
+                "divergence": "fixed-point iteration diverged",
+                "residual": "Riccati iteration did not converge; residual"}[failure]
+    assert all(isinstance(e, tuple) and e[1].startswith(expected) for e in lone)
+    # the first failing member's error; the residuals tell the two apart
+    assert got == lone[0] == outcome(lambda: oracles.solve_dare(a[2], b[2], q[2], r[2]))
+    assert (lone[0] != lone[1]) == (failure == "residual")
+    for m, before in zip((a, b, q, r), inputs):
+        assert np.array_equal(m, before)
+    # the converging members keep their lone bits in a stack without the failing ones
+    [(p, res)] = solve_dare((a[keep], b[keep], q[keep], r[keep]))
+    for j, i in enumerate(keep):
+        ref = oracles.solve_dare(a[i], b[i], q[i], r[i])
+        assert np.array_equal(p[j], ref)
+        assert res[j] == oracles.dare_residual(ref, a[i], b[i], q[i], r[i])
 
 
 def design_problems(plant, periods):
