@@ -132,11 +132,11 @@ def run_bench(cases):
     return rows
 
 
-def write_report(rows, out_path) -> None:
-    with open(out_path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=FIELDS)
-        w.writeheader()
-        w.writerows(rows)
+def write_report(rows, fh) -> None:
+    """Write the rows as CSV to ``fh``, a text file opened with newline=""."""
+    w = csv.DictWriter(fh, fieldnames=FIELDS)
+    w.writeheader()
+    w.writerows(rows)
 
 
 def format_report(rows) -> str:

@@ -97,28 +97,26 @@ def cmd_precompute(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    ct, pt, meta = load_tables(args.tables)
     pattern = _parse_pattern(args.pattern)
-    totals = totals_over_window(ct, pt, pattern, args.budget_window)
-    budget = EnergyBudget(e_max=args.budget_energy, window=args.budget_window)
-    result = synthesize(args.algo, totals, budget)
-    doc = {
-        "algo": result.algo,
-        "controller": {
-            "indices": list(result.controller.choice),
-            "periods_ms": [ct.rates.periods_ms[i] for i in result.controller.choice],
-        },
-        "predicted_cost": result.predicted_cost,
-        "predicted_energy": result.predicted_energy,
-        "explored": result.explored,
-        "elapsed": result.elapsed,
-        "feasible": result.feasible,
-    }
-    text = json.dumps(doc, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    with whole_or_absent(os.replace) as (create, _):
+        out = create(args.out) if args.out else sys.stdout
+        ct, pt, meta = load_tables(args.tables)
+        totals = totals_over_window(ct, pt, pattern, args.budget_window)
+        budget = EnergyBudget(e_max=args.budget_energy, window=args.budget_window)
+        result = synthesize(args.algo, totals, budget)
+        doc = {
+            "algo": result.algo,
+            "controller": {
+                "indices": list(result.controller.choice),
+                "periods_ms": [ct.rates.periods_ms[i] for i in result.controller.choice],
+            },
+            "predicted_cost": result.predicted_cost,
+            "predicted_energy": result.predicted_energy,
+            "explored": result.explored,
+            "elapsed": result.elapsed,
+            "feasible": result.feasible,
+        }
+        out.write(json.dumps(doc, indent=2) + "\n")
     if args.strict and not result.feasible:
         print("synthesis infeasible under the given budget", file=sys.stderr)
         return 2
@@ -172,39 +170,44 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     from .bench import format_report, load_cases, run_bench, write_report
 
-    rows = run_bench(load_cases(args.cases))
-    print(format_report(rows))
+    cases = load_cases(args.cases)
+    with whole_or_absent(os.replace) as (create, _):
+        out = create(args.out, newline="") if args.out else None
+        rows = run_bench(cases)
+        print(format_report(rows))
+        if args.out:
+            write_report(rows, out)
     if args.out:
-        write_report(rows, args.out)
         print(f"wrote report to {args.out}")
     return 0
 
 
 def cmd_battery(args) -> int:
     battery = Battery(capacity_mah=_parse_capacity(args.capacity), voltage=args.voltage)
-    ct, pt, meta = load_tables(args.tables)
-    window = meta.get("window_s", 100.0)
-    fractions = _battery_fractions(args.pattern, meta)
-    totals = totals_over_window(ct, pt, fractions, window)
-    iref = ct.rates.index_of(args.fixed_ms / 1000.0)
-    if args.budget_energy is not None:
-        budget = EnergyBudget(e_max=args.budget_energy, window=window)
-    else:
-        budget = MatchFixedBudget(reference_h=args.fixed_ms / 1000.0,
-                                  window=window).budget_for(totals)
-    result = synthesize(args.algo, totals, budget)
-    fixed_energy = float(totals.ec_total[iref])
-    fixed_power = 1000.0 * fixed_energy / window
-    multi_power = 1000.0 * result.predicted_energy / window
-    horizon = args.horizon if args.horizon else battery.full_j / (fixed_power * 1e-3)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, power in (("fixed", fixed_power), ("multirate", multi_power)):
-        times, levels_j, depletion = battery_discharge(battery, power, horizon)
-        with open(out_dir / f"battery_{name}.csv", "w", newline="") as fh:
+    with whole_or_absent(os.replace) as (create, mkdir):
+        out_dir = Path(args.out)
+        mkdir(out_dir)
+        files = [(name, create(out_dir / f"battery_{name}.csv", newline=""))
+                 for name in ("fixed", "multirate")]
+        ct, pt, meta = load_tables(args.tables)
+        window = meta.get("window_s", 100.0)
+        fractions = _battery_fractions(args.pattern, meta)
+        totals = totals_over_window(ct, pt, fractions, window)
+        iref = ct.rates.index_of(args.fixed_ms / 1000.0)
+        if args.budget_energy is not None:
+            budget = EnergyBudget(e_max=args.budget_energy, window=window)
+        else:
+            budget = MatchFixedBudget(reference_h=args.fixed_ms / 1000.0,
+                                      window=window).budget_for(totals)
+        result = synthesize(args.algo, totals, budget)
+        fixed_power = 1000.0 * float(totals.ec_total[iref]) / window
+        multi_power = 1000.0 * result.predicted_energy / window
+        horizon = args.horizon if args.horizon else battery.full_j / (fixed_power * 1e-3)
+        for (name, fh), power in zip(files, (fixed_power, multi_power)):
+            times, levels_j, depletion = battery_discharge(battery, power, horizon)
             write_rows(fh, [["t_s", "level_j"],
                             *zip(map(repr, times.tolist()), map(repr, levels_j.tolist()))])
-        print(f"{name:<10} avg power {power:8.3f} mW, depletion {depletion:12.0f} s")
+            print(f"{name:<10} avg power {power:8.3f} mW, depletion {depletion:12.0f} s")
     if fixed_power > 0:
         print(f"power reduction {(1 - multi_power / fixed_power) * 100.0:.2f} % "
               f"(battery life x{fixed_power / multi_power:.3f})")

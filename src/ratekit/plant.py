@@ -56,8 +56,6 @@ def _as_matrix(value, name: str) -> np.ndarray:
 
 
 def _check_symmetric_psd(mat: np.ndarray, name: str) -> None:
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {mat.shape}")
     scale = max(1.0, float(np.abs(mat).max()))
     # halved first, so entries near the float limit cannot overflow
     half = 0.5 * mat

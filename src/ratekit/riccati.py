@@ -200,7 +200,8 @@ def _fixed_point_step(A, B, Q, R, S, p):
         raise DesignError(f"fixed-point iteration broke down: {exc}") from exc
     pnew = _t(A) @ p @ A - _t(rhs) @ k + Q
     pnew = 0.5 * (pnew + _t(pnew))
-    if not np.all(np.isfinite(pnew)):
+    # a norm past the float limit would read as a zero relative change
+    if not np.all(np.isfinite(_fro(pnew))):
         raise DesignError("fixed-point iteration diverged (non-finite iterate)")
     return A, B, Q, R, S, pnew
 

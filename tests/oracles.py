@@ -1060,7 +1060,7 @@ def _solve_dare_fixed_point(A, B, Q, R, S):
             raise DesignError(f"fixed-point iteration broke down: {exc}") from exc
         pnew = A.T @ p @ A - rhs.T @ k + Q
         pnew = 0.5 * (pnew + pnew.T)
-        if not np.all(np.isfinite(pnew)):
+        if not np.isfinite(np.linalg.norm(pnew, "fro")):
             raise DesignError("fixed-point iteration diverged (non-finite iterate)")
         delta = np.linalg.norm(pnew - p, "fro") / max(1.0, np.linalg.norm(pnew, "fro"))
         p = pnew

@@ -73,7 +73,8 @@ def test_case_without_fractions_keeps_the_default_pattern():
 def test_report_io(tmp_path):
     rows = run_bench([BenchCase(n=5, reps=1, seed=0)])
     out = tmp_path / "report.csv"
-    write_report(rows, out)
+    with open(out, "w", newline="") as fh:
+        write_report(rows, fh)
     text = out.read_text()
     assert text.splitlines()[0].startswith("n,k,algo,median_s")
     assert len(text.splitlines()) == len(rows) + 1

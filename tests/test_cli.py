@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ratekit.bench
 import ratekit.cli
 import ratekit.search
 import ratekit.sim
@@ -21,8 +22,9 @@ from ratekit import _kernels
 from ratekit.cli import main
 from ratekit.config import ConfigError, load_config
 from ratekit.energy import EnergyBudget
+from ratekit.sim import MatchFixedBudget
 from ratekit.tables import (CostTable, RateSet, build_cost_table, build_power_table,
-                            build_profit_tables, design_all, save_tables,
+                            build_profit_tables, design_all, load_tables, save_tables,
                             totals_over_window)
 
 import oracles
@@ -814,6 +816,11 @@ REFUSALS = {
                                            hyper_period_s=100,
                                            scenario={"segments": [[400, 5]]})},
                             "noise rows a window"),
+    "simulate_without_scenario": (SIMULATE, {"c.json": doc(BASE)},
+                                  "scenario: required for simulate"),
+    "adaptive_simulate_without_budget": (SIMULATE, {"c.json": doc(BASE, scenario={
+                                             "segments": [[40, 5]]})},
+                                         "budget: required for adaptive simulation"),
     "simulate_out_is_a_directory": (["simulate", "--config", "small.json", "--out", "d"],
                                     {"d": DIR}, "Is a directory: 'd'"),
     "plotdata_is_a_file": (["simulate", "--config", "small.json", "--out", "t.jsonl",
@@ -826,8 +833,13 @@ REFUSALS = {
     "sidecar_representative_r_null": (
         SYNTH, {"tables/tables.json": sidecar(representative_r=None)},
         "tables/tables.json: representative_r: expected a JSON list, got null"),
+    "pattern_not_a_number": (SYNTH[:4] + ["0.7,x,0.2"] + SYNTH[5:], {},
+                             "pattern: could not convert string to float: 'x'"),
     "synthesize_out_is_a_directory": (SYNTH + ["--out", "d"], {"d": DIR},
                                       "Is a directory: 'd'"),
+    # the temporary file beside the output cannot be opened; the error names the output
+    "synthesize_out_in_a_missing_directory": (SYNTH + ["--out", "nodir/x.json"], {},
+                                              "No such file or directory: 'nodir/x.json'"),
     "pruned_scan_over_its_limit": (SYNTH_50X5 + ["--budget-energy", "5", "--algo", "approach1"],
                                    {}, "n^(k-1) = 6250000"),
     "approach2_nothing_fits_over_its_limit": (
@@ -835,6 +847,14 @@ REFUSALS = {
     "battery_pattern_shares_not_list": (BATTERY + ["--out", "b"],
                                         {"scenario_low.json": '{"shares": 5}'},
                                         "pattern: shares: expected a JSON list, got 5"),
+    "battery_pattern_r_values_short": (BATTERY + ["--out", "b"], {
+                                           "scenario_low.json": doc(shares=[0.5, 0.5],
+                                                                    r_values=[5])},
+                                       "pattern: 2 shares but 1 r_values"),
+    "battery_sidecar_without_thresholds": (
+        BATTERY + ["--out", "b"],
+        {"tables/tables.json": lambda meta: {k: v for k, v in meta.items() if k != "thresholds"}},
+        "pattern: classifying r needs the tables' thresholds"),
     "battery_pattern_is_a_directory": (BATTERY[:4] + ["d"] + BATTERY[5:], {"d": DIR},
                                        "pattern file unreadable: d: Is a directory"),
     "battery_capacity_not_a_number": (BATTERY[:6] + ["lots"] + BATTERY[7:], {},
@@ -983,3 +1003,86 @@ def test_simulate_failing_in_its_second_window_leaves_no_file(refusal_dir, tmp_p
                    if ev["type"] in ("window_end", "synthesis")]
         assert [(ev["type"], ev["window"]) for ev in records] == [("window_end", 0),
                                                                   ("synthesis", 1)]
+
+
+@pytest.mark.parametrize("row, module, work", [
+    ("synthesize_out_is_a_directory", ratekit.cli, "load_tables"),
+    ("battery_out_is_a_file", ratekit.cli, "load_tables"),
+    ("bench_out_is_a_directory", ratekit.bench, "run_bench"),
+], ids=["synthesize", "battery", "bench"])
+def test_refuses_an_output_before_reading_tables_or_running_cases(refusal_dir, tmp_path, capsys,
+                                                                  monkeypatch, row, module, work):
+    argv, files, cause = REFUSALS[row]
+    work_in_refusal_copy(refusal_dir, tmp_path, monkeypatch, files)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the outputs were open")
+
+    monkeypatch.setattr(module, work, refuse)
+    before = sorted(Path().rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert cause in one_error_line(capsys)
+    assert sorted(Path().rglob("*")) == before
+
+
+# a command's argv, the files it writes, and the function (module, name, the
+# call that fails) a stand-in replaces to fail the run after its outputs are open
+FAILS_AFTER_OPENING = {
+    "synthesize": (SYNTH + ["--out", "s.json"], ["s.json"], (ratekit.cli, "synthesize", 1)),
+    # the second CSV fails, after the first is written
+    "battery": (BATTERY + ["--out", "made/b"],
+                ["made/b/battery_fixed.csv", "made/b/battery_multirate.csv"],
+                (ratekit.cli, "battery_discharge", 2)),
+    "bench": (BENCH + ["--out", "r.csv"], ["r.csv"], (ratekit.bench, "run_bench", 1)),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+@pytest.mark.parametrize("command", list(FAILS_AFTER_OPENING))
+def test_failing_run_leaves_its_outputs_as_they_were(refusal_dir, tmp_path, capsys, monkeypatch,
+                                                     command, existing):
+    argv, outputs, (module, name, failing) = FAILS_AFTER_OPENING[command]
+    work_in_refusal_copy(refusal_dir, tmp_path, monkeypatch,
+                         {"c.json": '{"cases": [{"n": 5, "reps": 1}]}'})
+    real, calls = getattr(module, name), []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == failing:
+            raise ValueError(f"{name} failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, fail)
+    if existing:
+        # the outputs of an earlier run, which the failing run leaves as they were
+        for path in map(Path, outputs):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(f"earlier {path.name}\n")
+    before = sorted(Path().rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {name} failed"]
+    assert len(calls) == failing
+    # no new output, temporary file or directory the run made
+    assert sorted(Path().rglob("*")) == before
+    for path in map(Path, outputs):
+        if existing:
+            assert path.read_text() == f"earlier {path.name}\n"
+        else:
+            assert not path.exists()
+
+
+def test_battery_energy_budget_of_the_match_fixed_rule_gives_its_curves(refusal_dir, tmp_path,
+                                                                        capsys, monkeypatch):
+    # --budget-energy set to the budget the match-fixed rule finds writes the same CSVs
+    work_in_refusal_copy(refusal_dir, tmp_path, monkeypatch, {})
+    ct, pt, meta = load_tables("tables")
+    totals = totals_over_window(ct, pt, (0.7, 0.2, 0.1), meta["window_s"])
+    budget = MatchFixedBudget(reference_h=0.04, window=meta["window_s"]).budget_for(totals)
+    assert main(BATTERY + ["--out", "rule"]) == 0
+    rule = capsys.readouterr().out
+    assert main(BATTERY + ["--budget-energy", repr(budget.e_max), "--out", "given"]) == 0
+    assert capsys.readouterr().out == rule
+    for name in ("battery_fixed.csv", "battery_multirate.csv"):
+        assert (Path("given") / name).read_bytes() == (Path("rule") / name).read_bytes()

@@ -127,6 +127,11 @@ def test_plant_validation():
     bad = dict(good, A=np.array([[np.inf, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         PlantModel(**bad)
+    for name, shape, cause in (("A", (2, 3), r"A must be 2x2 to match B, got \(2, 3\)"),
+                               ("Rc", (2, 1), r"Rc must be 2x2, got \(2, 1\)"),
+                               ("Qxu", (3, 2), r"Qxu must be 3x3, got \(3, 2\)")):
+        with pytest.raises(ValueError, match=f"^{cause}$"):
+            PlantModel(**dict(good, **{name: np.zeros(shape)}))
 
 
 def test_load_plant_roundtrip(tmp_path, plant):

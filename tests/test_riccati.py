@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
@@ -54,6 +56,24 @@ def test_unstabilizable_raises():
     b = np.array([[0.0]])
     with pytest.raises(DesignError):
         solve_dare((a, b, np.eye(1), np.eye(1)))
+
+
+def test_doubling_breakdown_raises():
+    # Q = -1 makes I + GH singular at the first step
+    one = np.eye(1)
+    with pytest.raises(DesignError, match="^doubling iteration broke down: Singular matrix$"):
+        solve_dare((one, one, -one, one))
+
+
+def test_fixed_point_iterate_whose_norm_overflows_diverges():
+    # singular R; a mode of 1.5 that no input reaches grows P until its
+    # Frobenius norm overflows while every entry is still finite
+    problem = (np.diag([1.5, 0.5, 0.2]), [[0, 0], [1, 0], [0, 1]], np.eye(3), np.zeros((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DesignError,
+                           match=r"^fixed-point iteration diverged \(non-finite iterate\)$"):
+            solve_dare(problem)
 
 
 def test_dlyap_matches_scipy():

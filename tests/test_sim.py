@@ -391,6 +391,21 @@ def test_controllers_of_other_rates_rejected(plant, cost_table, power_table, lev
                 EnergyBudget(1.0, hyper_period), Strategy.fixed(0.05), other)
 
 
+def test_power_table_of_other_rates_rejected(plant, cost_table, levels, controllers,
+                                             low_scenario, hyper_period):
+    other = build_power_table(RateSet.from_milliseconds(range(10, 91, 10)), 10.0)
+    with pytest.raises(ValueError, match="^cost and power tables use different rate sets$"):
+        run_sim(plant, cost_table, other, levels, low_scenario,
+                EnergyBudget(1.0, hyper_period), Strategy.fixed(0.05), controllers)
+
+
+def test_unknown_strategy_kind_rejected(plant, cost_table, power_table, levels, controllers,
+                                        low_scenario, hyper_period):
+    with pytest.raises(ValueError, match="^unknown strategy kind 'random'$"):
+        run_sim(plant, cost_table, power_table, levels, low_scenario,
+                EnergyBudget(1.0, hyper_period), Strategy(kind="random"), controllers)
+
+
 # sha256 of the JSONL trace and the cycles per rate of two 300 s runs,
 # recorded from the interpreted reference loop.  The controllers come from
 # LAPACK, so a different numpy/LAPACK build may move the last bit.

@@ -201,6 +201,13 @@ def test_profit_rejects_zero_entries(cost_table, power_table, hyper_period):
         build_profit_tables(totals)
 
 
+def test_profit_rejects_a_window_shorter_than_every_period(cost_table, power_table):
+    # a 5 ms window holds no whole cycle of the fastest rate, 10 ms
+    totals = totals_over_window(cost_table, power_table, (0.7, 0.1, 0.2), 0.005)
+    with pytest.raises(ValueError, match=r"^profit undefined: ECTotal\[0\] is zero$"):
+        build_profit_tables(totals)
+
+
 def test_serialization_roundtrip(tmp_path, cost_table, power_table, hyper_period):
     totals = totals_over_window(cost_table, power_table, (0.7, 0.1, 0.2), hyper_period)
     profit = build_profit_tables(totals)
