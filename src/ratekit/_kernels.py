@@ -1,26 +1,28 @@
-"""Hot numeric kernels: lattice search scans, the profit walk and the
-closed-loop sample loop.
+"""Hot numeric kernels: every sum over the rate-per-level lattice, the
+searches and sweeps built on them, and the closed-loop sample loop.
 
-The search scans are vectorized numpy.  The exhaustive oracle walks its
-n^k lattice a block of first indices at a time, so no path builds the whole
-lattice; ``approach2_first`` finds the
-profit walk's answer from the n^(k-1) rank prefixes, and ``approach2_scan``
-adds the exact number of vectors the walk pops to reach it;
-``ratekit.search.approach2`` uses the first for a budget nothing fits and the
-second for a walk still going after max(64, n^(k-1) // 32) pops, from a
-third of what one scan costs to one scan (measured at ``cap =`` in
-``ratekit.search``), so a cut walk costs at most 2 to 4.5 times the cheaper of
-walk and scan.  Both
-are checked against the uncut visited-set walk ``_approach2_impl`` in
-``tests/oracles.py``.  ``pareto_frontier`` keeps, of the (cost, energy)
-partials over the leading levels, only those no other partial dominates and
-whose cheapest completion is within a cost limit: the match-fixed budget
-sweeps it instead of the n^(k-1) prefixes.  Every prefix scan, and that
-sweep, counts, per prefix, a leading run of the last level with
-``count_within``.  Float addition is monotone, so a column entry c admits
-exactly the prefixes p <= T(c), where T(c) is the largest float with
-fl(T + c) <= limit: ``thresholds`` finds the n thresholds exactly, and one
-``searchsorted`` against them counts every prefix.
+This module is the only one that does lattice arithmetic.  A candidate's
+cost and energy are summed level by level from 0.0 (``cost_energy``), and
+every array of sums is built by one rule: ``extend_partials`` extends each
+partial sum by every rate of the next level, partial-major.  Folded from
+[0.0] it gives the n^(k-1) rank prefixes (``prefix_sums``) and each block of
+first indices of the exhaustive oracle (``exhaustive_scan``), which never
+holds the whole lattice; on complex (cost, energy) partials it gives the
+levels of the Pareto sweep (``pareto_frontier``).  So every scan matches the
+lattice, and the one-candidate loop references in ``tests/oracles.py``, bit
+for bit.
+
+Every prefix scan, and the sweep, counts per prefix a leading run of the
+last level with ``count_within``.  Float addition is monotone, so a column
+entry c admits exactly the prefixes p <= T(c), where T(c) is the largest
+float with fl(T + c) <= limit: ``thresholds`` finds the n thresholds
+exactly, and one ``searchsorted`` against them counts every prefix.  On
+them stand the three answers: the dominance-pruned scan
+(``approach1_scan``), the least energy within a cost limit
+(``least_energy_within``, the match-fixed budget) and approach2's answer
+(``approach2_search``: the profit walk, cut to a prefix scan once it has
+cost about one, and a budget nothing fits answered from the prefixes).
+Each refuses an array over MAX_ORACLE_CELLS before it builds it.
 
 Two kernels are inherently sequential, and each is straight-line code on
 Python floats generated from a few ints and compiled once per key
@@ -46,14 +48,13 @@ from typing import NamedTuple
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# Exhaustive scan over the n^k candidate lattice.
+# Lattice sums.
 #
 # cc[i, j]  : total control cost of running level j at rate index i
 # ec[i, j]  : total energy of running level j at rate index i
-# Budget feasibility is energy <= budget.  Ties on cost break toward lower
-# energy, then the lexicographically smallest index vector (the first in C
-# order).  If nothing is feasible the minimum-energy candidate is reported
-# with feasible=False.
+# A candidate picks one rate per level; its cost and energy are summed level
+# by level, left to right from 0.0.  Lattice sums start from 0.0 +, so a
+# zero is never -0.0 and equal values are equal bits.
 # ---------------------------------------------------------------------------
 
 
@@ -67,25 +68,57 @@ def cost_energy(idx, cc, ec):
     return c, e
 
 
-def _grid_sum(table, k, lo, hi):
-    """Broadcast sum of table[i_j, j] over the first k columns, left to right
-    from 0.0: the lattice block of first indices lo..hi-1 (all of every later
-    index), shaped (hi - lo,) + (n,) * (k - 1); a 0-d 0.0 at k = 0."""
-    acc = np.zeros((), dtype=np.float64)
-    for j in range(k):
-        col = table[lo:hi, 0] if j == 0 else table[:, j]
-        acc = acc + col.reshape((1,) * j + (-1,) + (1,) * (k - 1 - j))
-    return acc
-
-
 # Largest lattice the exhaustive oracle scans (n^k cells; 161^3 is about 4.2M),
 # largest prefix array the other scans build (n^(k-1) prefixes: the
-# dominance-pruned scan and approach2's scan) and largest set of partials the
-# Pareto sweep builds (frontier x n).  The oracle builds one block at a time,
-# so for it the limit bounds time, not memory.  Over it as n^k, approach2
-# refuses a budget nothing fits; over it as n^(k-1), approach2 walks at most
-# this many pops and then refuses.
+# dominance-pruned scan and both of approach2's answers from the prefixes) and
+# largest set of partials the Pareto sweep builds (frontier x n).  The oracle
+# builds one block at a time, so for it the limit bounds time, not memory.
+# Where n^(k-1) is over it, approach2's walk stops after this many pops.
 MAX_ORACLE_CELLS = 5_000_000
+
+
+def extend_partials(partial, table, j):
+    """Every partial sum extended by each rate of level j of ``table``:
+    ``partial[p] + table[i, j]`` partial-major, so a fold from [0.0] lists
+    the sums in C order.  Refuses to build more than MAX_ORACLE_CELLS sums,
+    naming n, k and the number of partials."""
+    n, k = table.shape
+    if partial.size * n > MAX_ORACLE_CELLS:
+        raise ValueError(f"Pareto sweep over n={n} rates and k={k} levels would extend a "
+                         f"frontier of {partial.size} partials to {partial.size * n}, more "
+                         f"than the {MAX_ORACLE_CELLS} allowed")
+    return (partial[:, None] + table[:, j]).ravel()
+
+
+def _fold(table, k, first=slice(None)):
+    """``extend_partials`` folded from [0.0] over the first k levels, level
+    0's rates limited to ``first``: the sums of ``table[i_j, j]`` in C order."""
+    part = np.zeros(1)
+    for j in range(k):
+        part = extend_partials(part, table[first] if j == 0 else table, j)
+    return part
+
+
+def prefix_sums(table):
+    """Left-to-right sums of ``table[i_j, j]`` over the first k-1 columns,
+    one entry per prefix of the (n,)*k lattice in C order: adding a
+    last-column value to an entry gives the lattice sum bit for bit."""
+    n, k = table.shape
+    if n**(k - 1) > MAX_ORACLE_CELLS:
+        raise ValueError(f"prefix scan over n={n} rates and k={k} levels would build "
+                         f"n^(k-1) = {n**(k - 1)} prefixes, more than the "
+                         f"{MAX_ORACLE_CELLS} allowed")
+    return _fold(table, k - 1)
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive scan over the n^k candidate lattice.
+#
+# Budget feasibility is energy <= budget.  Ties on cost break toward lower
+# energy, then the lexicographically smallest index vector (the first in C
+# order).  If nothing is feasible the minimum-energy candidate is reported
+# with feasible=False.
+# ---------------------------------------------------------------------------
 
 # Cells the exhaustive oracle builds a block: as many first indices as fit,
 # at least one, so a block holds max(BLOCK_CELLS, n^(k-1)) cells at most.
@@ -102,14 +135,13 @@ BLOCK_CELLS = 1 << 16
 
 def exhaustive_scan(cc, ec, budget):
     # The lattice is walked one block of consecutive first indices at a time,
-    # in C order.  Each block sums cost and energy as _grid_sum does and picks
-    # its best by the lattice's rule (least cost, then least energy, then the
-    # first cell); a block replaces the best so far only if strictly better,
-    # so of two tied blocks the earlier, first in C order, keeps it.  With
-    # nothing feasible the least energy and its first cell are kept the same
-    # way.  Lattice sums start from 0.0 +, so a zero is never -0.0 and equal
-    # values are equal bits.  A NaN sum has no place in this order; window
-    # totals are finite and non-negative, so they make none.
+    # in C order.  Each block sums cost and energy as prefix_sums does and
+    # picks its best by the lattice's rule (least cost, then least energy,
+    # then the first cell); a block replaces the best so far only if strictly
+    # better, so of two tied blocks the earlier, first in C order, keeps it.
+    # With nothing feasible the least energy and its first cell are kept the
+    # same way.  A NaN sum has no place in this order; window totals are
+    # finite and non-negative, so they make none.
     n, k = cc.shape
     if n**k > MAX_ORACLE_CELLS:
         raise ValueError(f"exhaustive scan over n={n} rates and k={k} levels would build "
@@ -118,8 +150,9 @@ def exhaustive_scan(cc, ec, budget):
     rows = max(1, BLOCK_CELLS // inner)
     best = least = None  # (cost, energy, flat index) of the winner so far
     for lo in range(0, n, rows):
-        cost = _grid_sum(cc, k, lo, lo + rows).ravel()
-        energy = _grid_sum(ec, k, lo, lo + rows).ravel()
+        block = slice(lo, lo + rows)
+        cost = _fold(cc, k, block)
+        energy = _fold(ec, k, block)
         feas = energy <= budget
         if feas.any():
             c = np.where(feas, cost, np.inf)
@@ -159,21 +192,6 @@ def exhaustive_scan(cc, ec, budget):
 # without the lattice: one boundary search per prefix over the first k-1
 # axes, so O(n^(k-1) log n) time and O(n^(k-1)) memory.
 # ---------------------------------------------------------------------------
-
-
-def prefix_sums(table):
-    """Left-to-right sums of ``table[i_j, j]`` over the first k-1 columns.
-
-    Flattened in C order: one entry per prefix of the (n,)*k lattice, summed
-    in the same order as ``_grid_sum``, so adding a last-column value to an
-    entry reproduces the lattice sum bit for bit.
-    """
-    n, k = table.shape
-    if n**(k - 1) > MAX_ORACLE_CELLS:
-        raise ValueError(f"prefix scan over n={n} rates and k={k} levels would build "
-                         f"n^(k-1) = {n**(k - 1)} prefixes, more than the "
-                         f"{MAX_ORACLE_CELLS} allowed")
-    return _grid_sum(table, k - 1, 0, n).ravel()
 
 
 _MAX = float(np.finfo(np.float64).max)
@@ -304,19 +322,6 @@ def approach1_scan(cc, ec, budget):
 # ---------------------------------------------------------------------------
 
 
-def extend_partials(partial, table, j):
-    """Every partial sum extended by each rate of level j of ``table``:
-    ``partial[p] + table[i, j]`` partial-major, as prefix_sums orders them.
-    Refuses to build more than MAX_ORACLE_CELLS sums, naming n, k and the
-    number of partials."""
-    n, k = table.shape
-    if partial.size * n > MAX_ORACLE_CELLS:
-        raise ValueError(f"Pareto sweep over n={n} rates and k={k} levels would extend a "
-                         f"frontier of {partial.size} partials to {partial.size * n}, more "
-                         f"than the {MAX_ORACLE_CELLS} allowed")
-    return (partial[:, None] + table[:, j]).ravel()
-
-
 def pareto_frontier(cc, ec, limit):
     """The Pareto frontier of the partials over levels 0..k-3 whose cheapest
     completion has cost <= ``limit``: (cost, energy) arrays, cost rising and
@@ -352,6 +357,33 @@ def pareto_frontier(cc, ec, limit):
     return part.real, part.imag
 
 
+def least_energy_within(cc, ec, limit):
+    """The least energy of a candidate whose cost is within ``limit``, bit
+    for bit the lattice minimum, or +inf where no candidate's cost is
+    (``limit`` is not NaN).
+
+    Sweeps the frontier of levels 0..k-3 (``pareto_frontier``), extends it
+    by level k-2 and finishes on the last level, so it never builds the
+    n^(k-1) prefixes; an extension of more than MAX_ORACLE_CELLS partials
+    raises ValueError.  At k = 1 the frontier's one empty partial is the
+    prefix.
+    """
+    n, k = cc.shape
+    cost, energy = pareto_frontier(cc, ec, limit)
+    # Order the last axis by cost: the indices within the limit are then a
+    # leading run for every partial, and since rounding is monotone the least
+    # partial + ec over that run is partial + the run's least ec.  least[c] is
+    # that least ec over a run of c, +inf over none.
+    order = cc[:, k - 1].argsort(kind="stable")
+    if k > 1:
+        cost = extend_partials(cost, cc, k - 2)
+    within = count_within(cost, cc[:, k - 1].take(order), limit)
+    if k > 1:  # extended after the count, so the two never hold memory at once
+        energy = extend_partials(energy, ec, k - 2)
+    least = np.minimum.accumulate(np.concatenate(([np.inf], ec[:, k - 1].take(order))))
+    return float((energy + least.take(within)).min(initial=np.inf))
+
+
 # ---------------------------------------------------------------------------
 # The profit walk's answer from the rank prefixes.
 #
@@ -376,8 +408,8 @@ def pareto_frontier(cc, ec, limit):
 
 
 def _first_within(order, profit, ec, limit):
-    """(prefix, last rank, collective profit, profit prefixes) of the first
-    rank vector in key order whose energy is within ``limit``."""
+    """(prefix, rank vector, collective profit, profit prefixes) of the
+    first rank vector in key order whose energy is within ``limit``."""
     k, n = order.shape
     last = k - 1
     energy = ec[order.T, np.arange(k)]  # ranked, so column j is level j in rank order
@@ -390,36 +422,28 @@ def _first_within(order, profit, ec, limit):
         profit_prefix = prefix_sums(profit.T)
         total = np.where(count > 0, profit_prefix + profit[last, smallest], -np.inf)
     p = int(np.argmax(total))
-    return p, int(smallest[p]), total[p], profit_prefix
+    rank = (*np.unravel_index(p, (n,) * last), int(smallest[p]))
+    return p, rank, total[p], profit_prefix
 
 
-def _rates_cost_energy(order, cc, ec, p, r):
-    """Rates of the rank vector (prefix p, last rank r), and its cost and
-    energy summed level by level as the walk sums them."""
-    k, n = order.shape
-    rank = (np.unravel_index(p, (n,) * (k - 1)) if k > 1 else ()) + (r,)
-    idx = [int(order[j, rank[j]]) for j in range(k)]
-    c, e = cost_energy(idx, cc, ec)
-    return np.array(idx, np.int64), float(c), float(e)
-
-
-def approach2_first(order, profit, cc, ec, limit):
-    """The first rank vector in the walk's key order whose energy is within ``limit``.
-
-    ``order`` and ``profit`` are the (k, n) profit tables (rank r of level j
-    is rate ``order[j, r]``, ``profit[j]`` non-increasing), ``cc`` and ``ec``
-    the (n, k) window totals.  Some vector's energy must be within ``limit``.
-    Builds the n^(k-1) prefixes, not the lattice, makes one ``count_within``
-    pass, and returns the vector's rates, cost and energy.
-    """
-    return _rates_cost_energy(order, cc, ec, *_first_within(order, profit, ec, limit)[:2])
+def _rates_cost_energy(order, cc, ec, rank):
+    """Rates of the rank vector ``rank``, and its cost and energy summed
+    level by level as the walk sums them."""
+    idx = [int(order[j, r]) for j, r in enumerate(rank)]
+    return (np.array(idx, np.int64), *cost_energy(idx, cc, ec))
 
 
 def approach2_scan(order, profit, cc, ec, limit):
-    """``approach2_first`` and the vector's position in key order: the number
-    of vectors the walk pops to reach it (two more ``count_within`` calls, on
-    the prefixes before the answer's and those after it: one pass in all)."""
-    p, r, best, profit_prefix = _first_within(order, profit, ec, limit)
+    """The first rank vector in the walk's key order whose energy is within
+    ``limit`` (some vector's must be), from the n^(k-1) prefixes: its rates,
+    cost and energy, and the number of vectors the walk pops to reach it.
+
+    ``order`` and ``profit`` are the (k, n) profit tables (rank r of level j
+    is rate ``order[j, r]``, ``profit[j]`` non-increasing), ``cc`` and ``ec``
+    the (n, k) window totals.  One ``count_within`` pass finds the vector;
+    two more calls, on the prefixes before its prefix and after it, count
+    the vectors ahead of it: one pass in all."""
+    p, rank, best, profit_prefix = _first_within(order, profit, ec, limit)
     # negated profits may overflow to -inf in the sums, as the walk's do; at
     # an infinite P* the limit is -inf, and a prefix whose profit is infinite
     # too sums to -inf with every entry: its count is whole
@@ -429,7 +453,7 @@ def approach2_scan(order, profit, cc, ec, limit):
         ahead = int(count_within(neg_prefix[:p], neg, -best).sum())
         if best != np.inf:  # at an infinite P* nothing is greater
             ahead += int(count_within(neg_prefix[p + 1:], neg, np.nextafter(-best, -np.inf)).sum())
-    return (*_rates_cost_energy(order, cc, ec, p, r), ahead + r + 1)
+    return (*_rates_cost_energy(order, cc, ec, rank), ahead + rank[-1] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +572,56 @@ def profit_walk(profit, energy, e_max, pops):
     first use (``compiled``)."""
     walk = compiled("profit_walk", walk_source, (len(profit),), _WALK_GLOBALS)
     return walk(profit, energy, e_max, pops)
+
+
+# The most pops before the prefix scan answers (rent or buy).  Measured on a
+# 2-core x86-64 host (Python 3.11, numpy 2.4), each scan timed next to a walk
+# of cap pops, a pop costs 0.4-1.1 us and a scan, in ms (medians) and in pops
+# (median over median; four runs, the host's speed swinging 1.8x between
+# them):
+#   17^3   0.06-0.11 (127-149)    32^3  0.08-0.14 (177-221)    80^3  0.19-0.31 (445-554)
+#   160^3  0.8-1.4 (1717-2195)    32^4  0.5-0.9 (1045-1072)    17^5  2.3-3.4 (3142-3624)
+# so the cap is 0.29-0.98 scans: a cap of c scans costs at most
+# 1 + max(c, 1/c) times the cheaper of walk and scan, 2.0-4.5 here, with the
+# worst just past the cap.  A walk that something fits returns before its
+# heap empties, so the cap may exceed n^k.
+def approach2_search(order, profit, cc, ec, budget):
+    """approach2's answer, as ``exhaustive_scan``'s 5-tuple: the first rank
+    vector in the walk's key order whose energy is within ``budget``.
+
+    ``profit_walk`` pops vectors in key order (non-increasing collective
+    profit, ties to the smaller rank vector), and explored counts the pops.
+    A walk still going after max(64, n^(k-1) // 32) pops (the cap above) is
+    cut, and ``approach2_scan`` answers with the walk's exact pop count.  On
+    a budget nothing fits, where the walk would pop all n^k vectors and
+    report the first of least energy, the first pass of ``approach2_scan``
+    finds that vector without walking: explored is n^k and feasible False.
+    Where n^(k-1) is over MAX_ORACLE_CELLS no prefix scan answers: a budget
+    nothing fits raises ValueError (``prefix_sums``) before anything is
+    built, and a walk still going after MAX_ORACLE_CELLS pops raises
+    ValueError there, which also bounds its heap.
+    """
+    k, n = order.shape
+    # each level's energies in rank order, as plain lists for the walk
+    ranked_ec = ec[order, np.arange(k)[:, None]].tolist()
+    least = 0.0  # summed in the walk's order: nothing fits exactly when it exceeds the budget
+    for col in ranked_ec:
+        least += min(col)
+    if least > budget:
+        rank = _first_within(order, profit, ec, least)[1]
+        return (*_rates_cost_energy(order, cc, ec, rank), n**k, False)
+    unscanned = n**(k - 1) > MAX_ORACLE_CELLS
+    pops = MAX_ORACLE_CELLS if unscanned else max(64, n**(k - 1) // 32)
+    found = profit_walk(profit.tolist(), ranked_ec, budget, pops)
+    if found is not None:
+        explored, rank = found
+        return (*_rates_cost_energy(order, cc, ec, rank), explored, True)
+    if unscanned:  # cut: the answer lies past the pops the walk made
+        raise ValueError(f"approach2 over n={n} rates and k={k} levels stopped after "
+                         f"{pops} pops, the most allowed where n^(k-1) = {n**(k - 1)} "
+                         f"prefixes are too many to scan: nothing popped fits the budget "
+                         f"{budget} J")
+    return (*approach2_scan(order, profit, cc, ec, budget), True)
 
 
 # ---------------------------------------------------------------------------

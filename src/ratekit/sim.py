@@ -103,12 +103,10 @@ class MatchFixedBudget:
 
     Each window, the budget becomes the minimum candidate energy among
     controllers whose predicted cost does not exceed the fixed reference
-    rate's predicted cost under the estimated pattern.  It is found from the
-    Pareto frontier of the first k-2 levels (``_kernels.pareto_frontier``),
-    extended by level k-2 and finished on the last level, so it never builds
-    the n^(k-1) prefixes; it equals the least energy over the whole lattice
-    bit for bit.  A sweep that would build more than MAX_ORACLE_CELLS
-    partials raises ValueError.
+    rate's predicted cost under the estimated pattern: the least energy within
+    that cost, ``_kernels.least_energy_within``, which equals the least
+    energy over the whole lattice bit for bit without building it, and
+    raises ValueError where its sweep would grow too large.
     """
 
     reference_h: float
@@ -117,24 +115,10 @@ class MatchFixedBudget:
     def budget_for(self, totals) -> EnergyBudget:
         iref = totals.rates.index_of(self.reference_h)
         cc, ec = totals.cc_total, totals.ec_by_level
-        k = cc.shape[1]
-        fixed_cost = float(_kernels.cost_energy([iref] * k, cc, ec)[0])
-        cost, energy = _kernels.pareto_frontier(cc, ec, fixed_cost)
-        # Order the last axis by cost: the indices within the fixed cost are
-        # then a leading run for every partial, and since rounding is
-        # monotone the least partial + ec over that run is partial + the
-        # run's least ec.  least[c] is that least ec over a run of c, +inf
-        # over none; the reference rates fit unless their cost is NaN.  At
-        # k = 1 the frontier's one empty partial is the prefix.
-        order = cc[:, k - 1].argsort(kind="stable")
-        if k > 1:
-            cost = _kernels.extend_partials(cost, cc, k - 2)
-        within = _kernels.count_within(cost, cc[:, k - 1].take(order), fixed_cost)
-        if k > 1:  # extended after the count, so the two never hold memory at once
-            energy = _kernels.extend_partials(energy, ec, k - 2)
-        least = np.minimum.accumulate(np.concatenate(([np.inf], ec[:, k - 1].take(order))))
-        e_max = (energy + least.take(within)).min(initial=np.inf)
-        return EnergyBudget(e_max=float(e_max), window=self.window)
+        fixed_cost = _kernels.cost_energy([iref] * cc.shape[1], cc, ec)[0]
+        # the reference rates fit unless their cost is NaN
+        return EnergyBudget(e_max=_kernels.least_energy_within(cc, ec, fixed_cost),
+                            window=self.window)
 
 
 # the encoder json.dumps(ev, separators=(",", ":")) builds, made once

@@ -1060,9 +1060,11 @@ def _solve_dare_fixed_point(A, B, Q, R, S):
             raise DesignError(f"fixed-point iteration broke down: {exc}") from exc
         pnew = A.T @ p @ A - rhs.T @ k + Q
         pnew = 0.5 * (pnew + pnew.T)
-        if not np.isfinite(np.linalg.norm(pnew, "fro")):
+        with np.errstate(over="ignore"):  # a diverging iterate's norm overflows to inf
+            norm = np.linalg.norm(pnew, "fro")
+        if not np.isfinite(norm):
             raise DesignError("fixed-point iteration diverged (non-finite iterate)")
-        delta = np.linalg.norm(pnew - p, "fro") / max(1.0, np.linalg.norm(pnew, "fro"))
+        delta = np.linalg.norm(pnew - p, "fro") / max(1.0, norm)
         p = pnew
         if delta < TOL:
             res = dare_residual(p, A, B, Q, R, S)

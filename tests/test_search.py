@@ -128,12 +128,11 @@ def test_match_fixed_budget_refuses_a_frontier_over_the_limit():
 def test_count_within_matches_the_count_of_every_sum():
     """``count_within`` against summing every prefix with every column entry:
     tied and rounding column values, columns one float step apart that a sum
-    cannot tell apart (the guess then moves one entry a pass), infinite
-    column entries, NaN and infinite prefixes, infinite limits, limits on a
-    sum and one float step either side of it, and one-entry columns.  A
-    prefix with a NaN sum (a NaN prefix, or infinities of both signs) has no
-    leading run to count; it must not hold up the loop or move any other
-    prefix's count."""
+    cannot tell apart (their thresholds tie), infinite column entries, NaN
+    and infinite prefixes, infinite limits, limits on a sum and one float
+    step either side of it, and one-entry columns.  A prefix with a NaN sum
+    (a NaN prefix, or infinities of both signs) has no leading run to count;
+    it must not move any other prefix's count in the one ``searchsorted``."""
     rng = np.random.default_rng(20)
     special = (np.nan, np.inf, -np.inf)
     for _ in range(3000):
@@ -285,7 +284,7 @@ def test_count_within_allocates_little_beyond_its_output():
 
 def test_approach2_refuses_a_hopeless_walk_over_the_limit():
     # 50^5 candidates, least energy 1 per level: below 5 J nothing fits, and
-    # the walk would pop all 312.5M vectors before reporting the least energy
+    # its answer comes from the 6.25M rank prefixes, over the scans' limit
     rates = RateSet(tuple(0.001 * (i + 1) for i in range(50)))
     cc = np.cumsum(np.ones((50, 5)), axis=0)
     ec = np.ascontiguousarray(cc[::-1])
@@ -293,7 +292,7 @@ def test_approach2_refuses_a_hopeless_walk_over_the_limit():
                           ec_total=ec.sum(axis=1), ec_by_level=ec, phi_mj=1.0)
     prof = build_profit_tables(totals)
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=r"n=50 .*k=5 .*n\^k = 312500000"):
+    with pytest.raises(ValueError, match=r"n=50 .*k=5 .*n\^\(k-1\) = 6250000"):
         approach2(prof, totals, EnergyBudget(4.999, 100.0))
     assert time.perf_counter() - t0 < 1.0
     # at exactly the least energy the least-energy vector fits: it is also the
@@ -301,6 +300,18 @@ def test_approach2_refuses_a_hopeless_walk_over_the_limit():
     res = approach2(prof, totals, EnergyBudget(5.0, 100.0))
     assert res.feasible and res.predicted_energy == 5.0 and res.explored == 1
     assert res.controller.choice == (49,) * 5
+
+
+def test_approach2_answers_a_budget_nothing_fits_from_the_prefixes(monkeypatch):
+    """A budget nothing fits builds only the n^(k-1) rank prefixes, so only
+    they meet the size limit: at a limit of 1,000, 9^4 (729 prefixes, 6,561
+    vectors) is answered as the visited-set walk answers it, in every field."""
+    monkeypatch.setattr(_kernels, "MAX_ORACLE_CELLS", 1000)
+    totals = synthetic_totals(BenchCase(n=9, k=4))
+    prof = build_profit_tables(totals)
+    ref = same_as_uncut_walk(prof, totals, EnergyBudget(0.5 * least_energy(totals),
+                                                        totals.window))
+    assert not ref.feasible and ref.explored == 9 ** 4
 
 
 @settings(max_examples=60, deadline=None)

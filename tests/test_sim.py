@@ -347,6 +347,49 @@ def test_match_fixed_budget_equals_grid_at_every_reference():
                     assert got == grid_budget(totals, h), (cc, ec, h)
 
 
+def lattice_cost_energy(cc, ec):
+    """Cost and energy of every candidate, each summed level by level from 0.0."""
+    n, k = cc.shape
+    sums = []
+    for idx in itertools.product(range(n), repeat=k):
+        cost = energy = 0.0
+        for j, i in enumerate(idx):
+            cost += float(cc[i, j])
+            energy += float(ec[i, j])
+        sums.append((cost, energy))
+    return np.array(sums).T
+
+
+def test_least_energy_within_is_the_lattice_minimum():
+    """``least_energy_within`` against the least energy of the candidates
+    whose cost is within the limit, bit for bit, at k = 1-5 on
+    ``budget_tables`` (ties, rounding, infinities of one sign): limits on
+    every candidate cost and a float step either side of it, halfway
+    between neighbouring costs, +inf, and below every cost, where it is
+    +inf."""
+    rng = np.random.default_rng(35)
+    infinite = tied = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 6):
+            for _ in range(30):
+                cc, ec = budget_tables(rng, k)
+                cost, energy = lattice_cost_energy(cc, ec)
+                steps = np.unique(cost)
+                infinite += bool(np.isinf(cc).any() or np.isinf(ec).any())
+                tied += steps.size < cost.size
+                limits = np.unique(np.concatenate((
+                    steps, np.nextafter(steps, -np.inf), np.nextafter(steps, np.inf),
+                    steps[:-1] + (steps[1:] - steps[:-1]) / 2, [np.inf])))
+                for limit in limits[~np.isnan(limits)]:
+                    want = energy[cost <= limit].min(initial=np.inf)
+                    got = _kernels.least_energy_within(cc, ec, limit)
+                    assert np.float64(got).tobytes() == want.tobytes(), (cc, ec, limit)
+                if steps[0] > -np.inf:
+                    assert _kernels.least_energy_within(
+                        cc, ec, np.nextafter(steps[0], -np.inf)) == np.inf
+    assert infinite >= 40 and tied >= 80
+
+
 def test_match_fixed_simulate_budgets_equal_the_grid(plant, case_study):
     """A 5-level match-fixed run on six rates: every synthesis event's budget
     is ``grid_budget`` of the totals of the pattern it records."""
