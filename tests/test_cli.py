@@ -526,18 +526,21 @@ def test_bad_plant_or_sidecar_names_the_file(small_config, tmp_path, capsys, whi
     assert one_error_line(capsys).startswith(f"error: {bad}: {cause}")
 
 
-@pytest.mark.parametrize("command", ["battery"])
+@pytest.mark.parametrize("command", ["synthesize", "battery"])
 def test_tables_without_sidecar_exit_one(small_config, tmp_path, capsys, command):
     # phi is read from tables.json only; without it no energy can be priced
-    # (synthesize: the REFUSALS row sidecar_missing)
     tables = tmp_path / "t"
     main(["precompute", "--config", str(small_config), "--out", str(tables)])
     capsys.readouterr()
     (tables / "tables.json").unlink()
-    pattern = tmp_path / "pattern.json"
-    pattern.write_text(json.dumps({"shares": [0.7, 0.2, 0.1]}))
-    argv = ["battery", "--tables", str(tables), "--pattern", str(pattern),
-            "--capacity", "1000mAh", "--voltage", "3.7", "--out", str(tmp_path / "b")]
+    if command == "synthesize":
+        argv = ["synthesize", "--tables", str(tables), "--pattern", "0.7,0.1,0.2",
+                "--budget-energy", "0.4", "--budget-window", "20"]
+    else:
+        pattern = tmp_path / "pattern.json"
+        pattern.write_text(json.dumps({"shares": [0.7, 0.2, 0.1]}))
+        argv = ["battery", "--tables", str(tables), "--pattern", str(pattern),
+                "--capacity", "1000mAh", "--voltage", "3.7", "--out", str(tmp_path / "b")]
     assert main(argv) == 1
     assert one_error_line(capsys) == f"error: table file not found: {tables / 'tables.json'}"
 
@@ -630,9 +633,11 @@ def test_sidecar_phi_must_match_the_power_table(tmp_path, capsys):
     (("seed",), 2.7, "seed: expected an integer, got 2.7"),
     (("peak_power_mw",), True, "peak_power_mw: expected a finite number, got true"),
     (("hyper_period_s",), "100", 'hyper_period_s: expected a finite number, got "100"'),
+    (("hyper_period_s",), math.nan, "hyper_period_s: expected a finite number, got NaN"),
     (("peak_power_mw",), math.inf, "peak_power_mw: expected a finite number, got Infinity"),
     (("plant", "A", 0, 0), "-1", 'plant.A[0][0]: expected a finite number, got "-1"'),
-], ids=["seed_fraction", "peak_true", "hyper_string", "peak_infinity", "plant_string"])
+], ids=["seed_fraction", "peak_true", "hyper_string", "hyper_nan", "peak_infinity",
+        "plant_string"])
 def test_config_number_not_finite_json_number_exits_one(tmp_path, capsys, path, value,
                                                         message):
     cfg = json.loads((CONFIG_DIR / "sim_low.json").read_text())
@@ -646,6 +651,21 @@ def test_config_number_not_finite_json_number_exits_one(tmp_path, capsys, path, 
     config.write_text(json.dumps(cfg))
     assert main(["precompute", "--config", str(config), "--out", str(tmp_path / "t")]) == 1
     assert one_error_line(capsys) == f"error: {message}"
+
+
+def test_plant_entry_near_float_limit_is_one_error_and_no_warning(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "sim_low.json").read_text())
+    cfg["plant"] = json.loads((CONFIG_DIR / "plant_dcservo.json").read_text())
+    cfg["plant"]["Qxu"][0][0] = 1e308
+    cfg["scenario"] = json.loads((CONFIG_DIR / "scenario_low.json").read_text())
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["precompute", "--config", str(config), "--out", str(tmp_path / "t")])
+    assert rc == 1
+    assert one_error_line(capsys) == "error: discretization produced non-finite Phi at h=0.01"
+    assert [str(w.message) for w in caught] == []
 
 
 def test_battery_shares_follow_their_r_values(small_config, tmp_path, capsys):
@@ -668,11 +688,13 @@ def test_battery_shares_follow_their_r_values(small_config, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, field, value, cause", [
+    ("synthesize", "representative_r", None, "expected a JSON list, got null"),
     ("battery", "window_s", None, "expected a finite number, got null"),
     ("battery", "window_s", "abc", 'expected a finite number, got "abc"'),
     ("battery", "window_s", 0, "must be positive, got 0.0"),
     ("battery", "window_s", -20, "must be positive, got -20.0"),
-], ids=["window_s_null", "window_s_string", "window_s_zero", "window_s_negative"])
+], ids=["representative_r_null", "window_s_null", "window_s_string", "window_s_zero",
+        "window_s_negative"])
 def test_bad_sidecar_field_names_the_sidecar(small_config, tmp_path, capsys, command, field,
                                              value, cause):
     tables = tmp_path / "t"
@@ -692,6 +714,21 @@ def test_bad_sidecar_field_names_the_sidecar(small_config, tmp_path, capsys, com
                 "--capacity", "1000mAh", "--voltage", "3.7", "--out", str(tmp_path / "b")]
     assert main(argv) == 1
     assert one_error_line(capsys) == f"error: {sidecar}: {field}: {cause}"
+
+
+def test_battery_sidecar_thresholds_out_of_order_name_the_sidecar(small_config, tmp_path,
+                                                                   capsys):
+    tables = tmp_path / "t"
+    main(["precompute", "--config", str(small_config), "--out", str(tables)])
+    capsys.readouterr()
+    sidecar = tables / "tables.json"
+    meta = json.loads(sidecar.read_text())
+    meta["thresholds"][1] = -1
+    sidecar.write_text(json.dumps(meta))
+    assert main(["battery", "--tables", str(tables), "--pattern",
+                 str(CONFIG_DIR / "scenario_low.json"), "--capacity", "1000mAh",
+                 "--voltage", "3.7", "--out", str(tmp_path / "b")]) == 1
+    assert one_error_line(capsys) == f"error: {sidecar}: thresholds must be strictly increasing"
 
 
 # a config of the bundled plant at two rates, one level and a 20 s window
