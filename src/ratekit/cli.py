@@ -17,7 +17,7 @@ from .riccati import DesignError
 from .search import ALGORITHMS, synthesize
 from .sim import MatchFixedBudget, avg_power_mw, classify, run_windows, window_lines
 from .tables import (LevelSpec, build_cost_table, build_power_table, build_profit_tables,
-                     design_all, json_list, load_tables, read_json, save_tables,
+                     check_scale, design_all, json_list, load_tables, read_json, save_tables,
                      totals_over_window, whole_or_absent, write_rows)
 
 
@@ -79,6 +79,9 @@ def cmd_precompute(args) -> int:
     controllers = design_all(cfg.plant, cfg.rates)
     ct = build_cost_table(cfg.plant, cfg.rates, cfg.levels, controllers=controllers)
     pt = build_power_table(cfg.rates, cfg.peak_power_mw)
+    # what load_tables would refuse, refused before any file is written
+    check_scale(cfg.rates.periods_ms, ct, pt, cfg.hyper_period_s, "peak_power_mw",
+                "hyper_period_s")
     totals = totals_over_window(ct, pt, cfg.pattern, cfg.hyper_period_s)
     profit = build_profit_tables(totals)
     meta = {

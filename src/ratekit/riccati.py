@@ -213,11 +213,17 @@ def dare_residual(P, A, B, Q, R, S=None):
     return _unstack(_fro(P - (_t(A) @ P @ A - _t(rhs) @ k + Q)), lead)
 
 
+_DLYAP_FAILED = "Lyapunov iteration did not converge (closed loop unstable?)"
+
+
 def _squaring_step(a, z):
     """One Lyapunov squaring step: (A^2, Z + A Z A').  A non-finite iterate
-    has a NaN change, so its member runs out its steps unconverged."""
+    never converges, so it raises at once."""
     znew = z + a @ z @ _t(a)
-    return a @ a, 0.5 * (znew + _t(znew))
+    znew = 0.5 * (znew + _t(znew))
+    if not np.all(np.isfinite(znew)):
+        raise DesignError(_DLYAP_FAILED)
+    return a @ a, znew
 
 
 def solve_dlyap(A, W):
@@ -225,7 +231,7 @@ def solve_dlyap(A, W):
     lead, (A, W) = _stacks(A, W)
     Z, stuck = _iterate(_squaring_step, (A, 0.5 * (W + _t(W))), DLYAP_MAX_ITER)
     if stuck.any():
-        raise DesignError("Lyapunov iteration did not converge (closed loop unstable?)")
+        raise DesignError(_DLYAP_FAILED)
     return Z.reshape(lead + Z.shape[-2:])
 
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -154,6 +154,17 @@ def _encode_line(ev: dict) -> str:
     return _encode(ev) + "\n"
 
 
+def _change_starts(level: list, prev_level) -> list:
+    """The index of each sample a ``level_change`` goes before: the start of
+    every run of equal levels but the first, and the first sample too where
+    its level differs from ``prev_level`` (None: no window before)."""
+    # groupby finds the runs at C speed, and each run is walked only by list()
+    starts = list(accumulate(len(list(run)) for _, run in groupby(level)))[:-1]
+    if level and prev_level is not None and level[0] != prev_level:
+        starts.insert(0, 0)
+    return starts
+
+
 def window_items(win: Window, prev_level, samples: list, convert) -> list:
     """One window's part of the trace, in trace order.
 
@@ -164,14 +175,9 @@ def window_items(win: Window, prev_level, samples: list, convert) -> list:
     Every non-sample event goes through ``convert``.
     """
     t, level = win.samples.t, win.samples.level
-    # the start of every run of equal levels but the first; groupby finds the
-    # runs at C speed, and each run is walked only by list()
-    starts = list(accumulate(len(list(run)) for _, run in groupby(level)))[:-1]
-    if level and prev_level is not None and level[0] != prev_level:
-        starts.insert(0, 0)
     out = []
     done = 0
-    for p in starts:
+    for p in _change_starts(level, prev_level):
         out += samples[done:p]
         out.append(convert({"type": "level_change", "t": t[p],
                             "from": level[p - 1] if p else prev_level, "to": level[p]}))
@@ -184,6 +190,32 @@ def window_items(win: Window, prev_level, samples: list, convert) -> list:
 def window_events(win: Window, prev_level) -> list:
     """One window's events, one dict each, in trace order (window_items)."""
     return window_items(win, prev_level, list(map(_sample_event, *win.samples)), lambda ev: ev)
+
+
+def _window_len(win: Window, prev_level) -> int:
+    """How many events window_items puts in one window's part of the trace."""
+    level = win.samples.level
+    return len(level) + len(_change_starts(level, prev_level)) + len(win.records)
+
+
+# the most samples a read of a trace's events turns into dicts at a time: a
+# bundled run's first 100 s window has 10,000 samples, and their dicts (2.9 MB)
+# outgrew what jsonl() builds and frees, so they set a run's peak memory
+EVENT_BLOCK = 1024
+
+
+def _window_parts(win: Window, prev_level):
+    """``win`` cut into windows of at most EVENT_BLOCK samples, each with the
+    level before it.  The parts' window_events, in order, are ``win``'s: a
+    part's first sample takes a level_change where its level differs from
+    the sample before it, and only the last part takes the records.  A
+    window without samples is one part."""
+    cols, n = win.samples, len(win.samples.level)
+    for start in range(0, n or 1, EVENT_BLOCK):
+        stop = start + EVENT_BLOCK
+        part = SampleColumns(*(col[start:stop] for col in cols))
+        yield (Window(part, win.records if stop >= n else [], None, None),
+               cols.level[start - 1] if start else prev_level)
 
 
 def window_lines(win: Window, prev_level) -> list:
@@ -210,12 +242,46 @@ def avg_power_mw(energy_j: float, time_s: float) -> float:
     return 1000.0 * energy_j / time_s
 
 
+class TraceEvents:
+    """A trace's events, one dict each, read from its windows on every pass.
+
+    Iterating yields the ``window_events`` of each window's parts of at
+    most EVENT_BLOCK samples in trace order, so at most one part's dicts
+    are alive at a time and none is kept.  ``len`` counts each window's
+    samples, level changes and records from its columns, building no dict.
+    ``==`` compares event by event with any sequence; a view has no hash.
+    """
+
+    __slots__ = ("_trace",)
+    __hash__ = None
+
+    def __init__(self, trace: "SimulationTrace"):
+        self._trace = trace
+
+    def __iter__(self):
+        for parts in self._trace._per_window(_window_parts):
+            for part, prev_level in parts:
+                yield from window_events(part, prev_level)
+
+    def __len__(self) -> int:
+        return sum(self._trace._per_window(_window_len))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Sequence, TraceEvents)):
+            return NotImplemented
+        # as list == list compares: identity first, then ==
+        return len(self) == len(other) and all(a is b or a == b for a, b in zip(self, other))
+
+
 @dataclass
 class SimulationTrace:
     """The outcome of one run: every window run_windows yielded, and totals.
 
-    ``jsonl()`` and ``events`` (one dict per event, built on first access)
-    put each window in trace order with window_items.
+    ``jsonl()`` and ``events`` put each window in trace order with
+    window_items.  ``events`` is a TraceEvents view: each read builds the
+    dicts of at most EVENT_BLOCK samples at a time and keeps none, so
+    reading the events of a 2,000 s ``sim_low`` run leaves nothing held (a
+    cached list held 11.6 MB after one read, 20.5 MB at 4,000 s).
     """
 
     windows: list                # Window, one per window run
@@ -235,9 +301,9 @@ class SimulationTrace:
         """``items(win, prev_level)`` of each window, in order."""
         return map(items, self.windows, [None] + [win.level for win in self.windows])
 
-    @cached_property
-    def events(self) -> list:
-        return list(chain.from_iterable(self._per_window(window_events)))
+    @property
+    def events(self) -> TraceEvents:
+        return TraceEvents(self)
 
     def jsonl(self) -> str:
         return "".join(map("".join, self._per_window(window_lines)))

@@ -311,6 +311,37 @@ def totals_over_window(ct: CostTable, pt: PowerTable, fractions, window: float) 
                         phi_mj=pt.phi_mj)
 
 
+def check_scale(h_ms, ct: CostTable, pt: PowerTable, window, power_field: str,
+                window_field: str) -> np.ndarray:
+    """The energy of one cycle at each rate, power_mw * h in mJ with ``h_ms``
+    the periods as the table files hold them, if each is finite and so is
+    every total of a ``window`` s window at any pattern (None: no window);
+    else ValueError naming ``power_field`` or ``window_field``.  A window
+    spent at one level has the largest cost and energy totals and profit
+    denominator (their product, which is NaN where one is infinite and the
+    other zero), so that product is the one checked."""
+    ms = np.array(h_ms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_rows = pt.power_mw * ms / 1000.0
+        bad = ~np.isfinite(phi_rows)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{power_field}: the energy of one cycle, power_mw * h, is "
+                             f"{float(phi_rows[i])!r} mJ at h_ms={float(ms[i])!r}")
+        if window is None:
+            return phi_rows
+        # totals_over_window's energy of the whole window and cost of it at each level
+        ec_tot = np.floor(window / np.array(ct.rates.periods) + FLOOR_EPS) * (pt.phi_mj * 1e-3)
+        cc = ct.entries * window
+        bad = ~np.isfinite(cc * ec_tot[:, None])
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"{window_field}: a {window!r} s window overflows its totals: cost "
+                         f"{float(cc[i, j])!r} times energy {float(ec_tot[i])!r} J is not "
+                         f"finite at h_ms={float(ms[i])!r}, level {j + 1}")
+    return phi_rows
+
+
 def build_profit_tables(totals: WindowTotals) -> ProfitTables:
     """Sort every level's rows by descending profit; ties to the longer period.
 
@@ -522,14 +553,14 @@ def load_tables(table_dir):
         raise ValueError(f"{pt_path}: expected 2 columns (h_ms, power_mw), got {len(header)}")
     if prow[:, 0].tolist() != ms:
         raise ValueError(f"{pt_path}: periods differ from those in {ct_path}")
-    power = np.ascontiguousarray(prow[:, 1])
+    ct = CostTable(rates=rates, entries=entries, violations=violations)
+    pt = PowerTable(rates=rates, power_mw=np.ascontiguousarray(prow[:, 1]), phi_mj=phi_mj)
     # phi is the energy of one cycle at every rate: power_mw[i] * h_i
-    phi_rows = power * np.array(ms) / 1000.0
+    phi_rows = check_scale(ms, ct, pt, meta.get("window_s"), f"{pt_path}: power_mw",
+                           f"{sidecar}: window_s")
     off = ~(np.abs(phi_rows - phi_mj) <= PHI_RTOL * abs(phi_mj))
     if off.any():
         i = int(np.argmax(off))
         raise ValueError(f"{sidecar}: phi_mj {phi_mj!r} disagrees with {pt_path}, where "
                          f"power_mw * h is {float(phi_rows[i])!r} mJ at h_ms={ms[i]!r}")
-    ct = CostTable(rates=rates, entries=entries, violations=violations)
-    pt = PowerTable(rates=rates, power_mw=power, phi_mj=phi_mj)
     return ct, pt, meta

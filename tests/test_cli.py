@@ -795,6 +795,14 @@ REFUSALS = {
                       "seed: expected an integer, got 2.5"),
     "hyper_period_nan": (PRECOMPUTE, {"c.json": doc(BASE, hyper_period_s=math.nan)},
                          "hyper_period_s: expected a finite number, got NaN"),
+    # a finite input whose tables would overflow, refused before any file is written
+    "hyper_period_overflows_totals": (
+        PRECOMPUTE, {"c.json": doc(BASE, hyper_period_s=1e308)},
+        "hyper_period_s: a 1e+308 s window overflows its totals: cost inf times energy inf J "
+        "is not finite at h_ms=10.0, level 1"),
+    "peak_power_overflows_energy": (
+        PRECOMPUTE, {"c.json": doc(BASE, peak_power_mw=1e308)},
+        "peak_power_mw: the energy of one cycle, power_mw * h, is inf mJ at h_ms=10.0"),
     "precompute_out_is_a_file": (["precompute", "--config", "small.json", "--out", "f"],
                                  {"f": ""}, "File exists: 'f'"),
     "scenario_piece_zero": (SIMULATE,
@@ -864,6 +872,9 @@ REFUSALS = {
     "battery_out_is_a_file": (BATTERY + ["--out", "f"], {"f": ""}, "File exists: 'f'"),
     "sidecar_window_zero": (BATTERY, {"tables/tables.json": sidecar(window_s=0)},
                             "tables/tables.json: window_s: must be positive, got 0.0"),
+    "sidecar_window_overflows": (BATTERY, {"tables/tables.json": sidecar(window_s=1e308)},
+                                 "tables/tables.json: window_s: a 1e+308 s window overflows "
+                                 "its totals"),
     "sidecar_thresholds_down": (BATTERY, {"tables/tables.json": sidecar(
                                     thresholds=[0, -1, 50, 100])},
                                 "tables/tables.json: thresholds must be strictly increasing"),
@@ -941,6 +952,19 @@ def simulate_outputs(argv) -> list:
         plots = Path(argv[argv.index("--emit-plotdata") + 1])
         paths += [plots / "plot_cost.csv", plots / "plot_battery.csv"]
     return paths
+
+
+@pytest.mark.parametrize("row", ["hyper_period_overflows_totals", "peak_power_overflows_energy"])
+def test_precompute_refuses_overflowing_tables_before_any_write(refusal_dir, tmp_path, capsys,
+                                                                monkeypatch, row):
+    argv, files, cause = REFUSALS[row]
+    work_in_refusal_copy(refusal_dir, tmp_path, monkeypatch, files)
+    before = sorted(Path().rglob("*"))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert cause in one_error_line(capsys)
+    # no table directory, table or temporary file
+    assert sorted(Path().rglob("*")) == before
 
 
 @pytest.mark.parametrize("row", ["simulate_out_is_a_directory", "plotdata_is_a_file"])

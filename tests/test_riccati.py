@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
+from ratekit import riccati
 from ratekit.riccati import (DesignError, dare_residual, dlyap_residual,
                              solve_dare, solve_dlyap, spectral_radius)
 
@@ -93,3 +94,21 @@ def test_dlyap_matches_scipy():
 def test_dlyap_unstable_raises():
     with pytest.raises(DesignError):
         solve_dlyap(np.array([[1.01]]), np.eye(1))
+
+
+def test_dlyap_stops_at_the_first_non_finite_iterate(monkeypatch):
+    # the unstable member's iterate turns non-finite within a dozen squarings,
+    # far below DLYAP_MAX_ITER = 200; the stable member alone converges in 6
+    calls = []
+    step = riccati._squaring_step
+
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(riccati, "_squaring_step", counting)
+    a = np.stack([np.diag([1.5, 0.5]), np.array([[0.5, 0.2], [-0.1, 0.3]])])
+    with pytest.raises(DesignError, match=r"^Lyapunov iteration did not converge "
+                                          r"\(closed loop unstable\?\)$"):
+        solve_dlyap(a, np.stack([np.eye(2)] * 2))
+    assert 0 < len(calls) <= 20

@@ -3,13 +3,14 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratekit import _kernels, lqg
+from ratekit import _kernels, lqg, sim
 from ratekit.bench import BenchCase, synthetic_totals
 from ratekit.energy import EnergyBudget
 from ratekit.lqg import evaluate_cost
@@ -530,6 +531,39 @@ def test_level_change_at_a_window_start_equals_per_event_reference(plant, cost_t
     assert ("synthesis", "level_change") in zip(types, types[1:])
 
 
+def test_events_len_counts_the_trace_lines_and_builds_no_event_dict(
+        plant, cost_table, power_table, levels, controllers, low_scenario, hyper_period,
+        monkeypatch):
+    tr = run_sim(plant, cost_table, power_table, levels, low_scenario,
+                 MatchFixedBudget(0.05, hyper_period), Strategy.adaptive("approach1"), controllers)
+    lines = tr.jsonl().count("\n")
+    built = []
+    sample_event = sim._sample_event
+    monkeypatch.setattr(sim, "_sample_event", lambda *row: built.append(row) or sample_event(*row))
+    assert len(tr.events) == lines
+    assert built == []
+    # each pass builds the events again: one sample dict per sample
+    assert sum(1 for _ in tr.events) == lines
+    assert len(built) == tr.cycles_per_rate.sum()
+
+
+def test_reading_events_keeps_no_event(plant, cost_table, power_table, levels, controllers,
+                                       hyper_period):
+    # the bundled sim_low run over 2,000 s: a list of its events held 11.6 MB
+    scen = scenario_from_shares((0.7, 0.2, 0.1), (5.0, 30.0, 75.0), 2000.0, 5.0, seed=1)
+    tr = run_sim(plant, cost_table, power_table, levels, scen,
+                 MatchFixedBudget(0.05, hyper_period), Strategy.adaptive("approach1"),
+                 controllers, seed=1)
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            assert sum(1 for _ in tr.events) == len(tr.events) > 40_000
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
+
+
 def test_trace_serializes_non_finite_values_as_json():
     nan, inf, big = float("nan"), float("inf"), 1e308
     first = SampleColumns(t=[0.0, 0.01, 0.02], h_ms=[10.0] * 3, r_hat=[nan, 0.5, -0.0],
@@ -609,6 +643,21 @@ def test_window_lines_are_the_json_of_window_events(case):
     win, prev_level = case
     assert window_lines(win, prev_level) == [json.dumps(ev, separators=(",", ":")) + "\n"
                                              for ev in window_events(win, prev_level)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(trace_windows(), min_size=1, max_size=3), st.integers(1, 4))
+def test_events_read_in_blocks_are_each_windows_events(cases, block):
+    # a block may end at a level change, at a window's end or in an empty window
+    wins = [win._replace(level=level) for win, level in cases]
+    tr = SimulationTrace(windows=wins, cycles_per_rate=None, total_time=0.0, total_energy=0.0,
+                         cost_integral=0.0, steady_time=0.0, steady_energy=0.0)
+    prev_levels = [None] + [win.level for win in wins[:-1]]
+    expected = [ev for win, prev in zip(wins, prev_levels) for ev in window_events(win, prev)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "EVENT_BLOCK", block)
+        assert list(tr.events) == expected
+    assert len(tr.events) == len(expected)
 
 
 def tagged(ev):
